@@ -105,14 +105,23 @@ def _cache_write(path: str, entries: dict) -> bool:
             pass
 
 
-def _cache_put(path: str, entries: dict, report: InvariantReport) -> None:
-    entries[report.spec] = {
+def _cache_entry(report: InvariantReport) -> dict:
+    return {
         "spec": report.spec,
         "engine": __version__,
         "saved_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "report": report.to_json_dict(),
     }
+
+
+def _cache_put(path: str, entries: dict, report: InvariantReport) -> None:
+    entries[report.spec] = _cache_entry(report)
     _cache_write(path, entries)
+
+
+def _lacks_d_star(report: InvariantReport, allow_slow: bool = False) -> bool:
+    """Whether report has no d* although compute_report(allow_slow=...) gives one."""
+    return report.d_star is None and (report.order <= DSTAR_ORDER_LIMIT or allow_slow)
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +138,17 @@ def _emit_json(obj) -> None:
 def _spec_report(args, need_d_star: bool = False) -> InvariantReport:
     """Resolve a spec to its InvariantReport, via the cache when allowed.
 
-    A cached report is reused unless it lacks d* that the current invocation
-    would compute (larger allow-slow budget, or an explicit d* request).
+    A cached report is reused unless it lacks a d* that this invocation
+    would compute (or, for an explicit d* request, must refuse above the
+    size gate), whichever command wrote it.
     """
     spec = parse_spec(args.spec)
     canonical = str(spec)
     use_cache = not args.no_cache
     entries = _load_cache(args.cache_path) if use_cache else {}
     cached = _cache_get(entries, canonical) if use_cache else None
-    if cached is not None:
-        ds_reachable = cached.order <= DSTAR_ORDER_LIMIT or args.allow_slow
-        ds_missing = cached.d_star is None and ds_reachable and (
-            need_d_star or args.allow_slow
-        )
-        if not ds_missing:
-            return cached
+    if cached is not None and not _lacks_d_star(cached, args.allow_slow or need_d_star):
+        return cached
     group = spec.build(order_cap=args.max_order)
     if need_d_star and group.order > DSTAR_ORDER_LIMIT and not args.allow_slow:
         # surface the cap before doing any heavy enumeration
@@ -283,7 +288,7 @@ def cmd_sections(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suites if args.suites else ["all"]
-    results = run_suites(names, config=CorpusConfig(), threads=args.threads)
+    results = run_suites(names, config=CorpusConfig())
     if args.json:
         _emit_json(
             {
@@ -397,22 +402,13 @@ def cmd_sweep(args) -> int:
     fresh = False
     for e in chosen:
         cached = _cache_get(entries, e.spec) if use_cache else None
-        if cached is not None:
+        if cached is not None and not _lacks_d_star(cached):
             reports.append(cached)
             continue
-        report = compute_report(
-            e.group,
-            spec=e.spec,
-            want_d_star=e.group.order <= corpus.config.dstar_order_limit,
-        )
+        report = compute_report(e.group, spec=e.spec)
         reports.append(report)
         if use_cache:
-            entries[e.spec] = {
-                "spec": e.spec,
-                "engine": __version__,
-                "saved_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "report": report.to_json_dict(),
-            }
+            entries[e.spec] = _cache_entry(report)
             fresh = True
     if fresh:
         _cache_write(args.cache_path, entries)
@@ -495,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suite names or 'all' (default); known: {', '.join(SUITES)}",
     )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.add_argument("--threads", type=int, default=1, help="corpus-stat parallelism")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("density", help="d' products approaching a target ratio")

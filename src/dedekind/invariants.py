@@ -12,18 +12,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InvalidParameter,
-    IsoCapExceeded,
-    OrderCapExceeded,
-    StructureViolation,
-)
+from .errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from .groups import (
     DEFAULT_ISO_CAP,
     FiniteGroup,
     GroupFingerprint,
     Subgroup,
-    _mask_elements,
     _popcount,
     induced_subgroup,
     is_isomorphic,
@@ -113,18 +107,19 @@ def sections(g: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET):
 
 def d_star(
     g: FiniteGroup,
-    prune: bool = True,
     budget: int = DEFAULT_LATTICE_BUDGET,
     allow_slow: bool = False,
-    iso_cap: int = DEFAULT_ISO_CAP,
 ) -> Fraction:
-    """Minimum of d' over all sections of g.
+    """Minimum of d' over all sections of g, read off intervals of L(g).
 
-    With prune=True (the default), only one subgroup H per conjugacy class is
-    expanded (conjugate subgroups yield isomorphic sections), sections with
-    abelian quotient are skipped (their d' is 1, never a strict minimum), and
-    quotients are deduplicated by fingerprint plus a verified isomorphism.
-    prune=False evaluates every section literally; both modes agree.
+    L(H/K) is the interval [K, H] of L(g), and H/K-conjugacy on it is
+    H-conjugacy (R. Schmidt, Subgroup Lattices of Groups, 1994, Sec. 1), so
+    no quotient group is built.  Conjugate subgroups H give isomorphic
+    sections, so one H per conjugacy class suffices.  The subgroups of H are
+    split into orbits under conjugation by H.  K is normal in H exactly when
+    its orbit is a singleton; conjugation then fixes K, so every orbit lies
+    either inside [K, H] or outside it, and d'(H/K) is the number of orbits
+    over the number of subgroups among those containing K.
     """
     if g.order > DSTAR_ORDER_LIMIT and not allow_slow:
         raise OrderCapExceeded(
@@ -133,36 +128,36 @@ def d_star(
     if g.is_abelian:
         return Fraction(1)
     lat = subgroup_lattice(g, budget)
+    masks = lat._masks
     best = Fraction(1)
-    h_indices = lat.class_representatives() if prune else range(len(lat.subgroups))
-    bins: dict[GroupFingerprint, list[FiniteGroup]] = {}
-    for hi in h_indices:
-        h = lat.subgroups[hi]
-        hgrp, emb = induced_subgroup(g, h)
-        derived = hgrp.derived_mask
-        for k in lat.subgroups:
-            if k.order > h.order or k.mask & ~h.mask:
+    for hi in lat.class_representatives():
+        hmask = masks[hi]
+        hgens = lat.subgroups[hi].gens
+        if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
+            continue  # H is abelian: every section has d' = 1
+        # subgroups of H come no later than H in the (order, mask) ordering
+        members = [m for m in masks[: hi + 1] if m & ~hmask == 0]
+        orbit_reps: set[int] = set()
+        normals: list[int] = []
+        seen: set[int] = set()
+        for m in members:
+            if m in seen:
                 continue
-            if not _normal_within(g, k.mask, h.gens):
-                continue
-            local = _local_mask(emb, k.mask)
-            if prune and derived & ~local == 0:
-                continue
-            q, _ = quotient(hgrp, local)
-            if prune:
-                bin_ = bins.setdefault(q.fingerprint, [])
-                duplicate = False
-                for other in bin_:
-                    try:
-                        if is_isomorphic(q, other, cap=iso_cap):
-                            duplicate = True
-                            break
-                    except IsoCapExceeded:
-                        continue
-                if duplicate:
-                    continue
-                bin_.append(q)
-            val = d_prime(q, budget)
+            orbit, frontier = {m}, [m]
+            while frontier:
+                x = frontier.pop()
+                for a in hgens:
+                    c = conjugate_mask(g, x, a)
+                    if c not in orbit:
+                        orbit.add(c)
+                        frontier.append(c)
+            seen |= orbit
+            orbit_reps.add(m)
+            if len(orbit) == 1:
+                normals.append(m)
+        for k in normals:
+            above = [m for m in members if k & ~m == 0]
+            val = Fraction(sum(1 for m in above if m in orbit_reps), len(above))
             if val < best:
                 best = val
     return best
@@ -428,7 +423,6 @@ def compute_report(
     budget: int = DEFAULT_LATTICE_BUDGET,
     want_d_star: bool = True,
     allow_slow: bool = False,
-    iso_cap: int = DEFAULT_ISO_CAP,
 ) -> InvariantReport:
     """Full invariant report; d_star is None when skipped for size."""
     t0 = time.perf_counter()
@@ -436,7 +430,7 @@ def compute_report(
     dp = Fraction(lat.k_prime, lat.size)
     ds: Fraction | None = None
     if want_d_star and (g.order <= DSTAR_ORDER_LIMIT or allow_slow):
-        ds = d_star(g, budget=budget, allow_slow=allow_slow, iso_cap=iso_cap)
+        ds = d_star(g, budget=budget, allow_slow=allow_slow)
     nilpotent = is_nilpotent(g, lat)
     modular = has_modular_lattice(g, lat)
     flags = {

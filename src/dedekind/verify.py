@@ -12,7 +12,6 @@ corpus cannot exhaust are worded as evidence, not proof.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -256,32 +255,21 @@ def build_corpus(config: CorpusConfig | None = None) -> Corpus:
     return Corpus(cfg, entries, skipped)
 
 
-def compute_corpus_stats(
-    corpus: Corpus, threads: int = 1
-) -> dict[str, InvariantReport]:
-    """One InvariantReport per entry, keyed by spec.
+def compute_corpus_stats(corpus: Corpus) -> dict[str, InvariantReport]:
+    """One InvariantReport per entry, keyed by spec, in corpus order.
 
     d* is computed only for entries at or under the configured order limit.
-    Entries are independent, so a thread pool may fan them out; the result
-    dict preserves corpus order either way.
     """
     cfg = corpus.config
-
-    def one(entry: CorpusEntry) -> InvariantReport:
-        return compute_report(
-            entry.group,
-            spec=entry.spec,
+    return {
+        e.spec: compute_report(
+            e.group,
+            spec=e.spec,
             budget=cfg.lattice_budget,
-            want_d_star=entry.group.order <= cfg.dstar_order_limit,
-            iso_cap=cfg.iso_cap,
+            want_d_star=e.group.order <= cfg.dstar_order_limit,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, corpus.entries))
-    else:
-        reports = [one(e) for e in corpus.entries]
-    return {e.spec: r for e, r in zip(corpus.entries, reports)}
+        for e in corpus.entries
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +939,7 @@ def suite_extremal_values(
     swap = (0, 2, 1, 3)  # exchange the two basis coordinates
     ident = (0, 1, 2, 3)
     p_group = semidirect_product(ea, cyclic(4), [ident, swap, ident, swap])
-    ds = d_star(p_group, budget=cfg.lattice_budget, iso_cap=cfg.iso_cap)
+    ds = d_star(p_group, budget=cfg.lattice_budget)
     dp = d_prime(p_group, cfg.lattice_budget)
     s.count("order16_candidates")
     s.check(
@@ -972,7 +960,7 @@ def suite_extremal_values(
             f"d* = {_fraction(h221.d_star)}",
         )
     c2d8 = direct_product(cyclic(2), dihedral(8), order_cap=cfg.order_cap)
-    ds2 = d_star(c2d8, budget=cfg.lattice_budget, iso_cap=cfg.iso_cap)
+    ds2 = d_star(c2d8, budget=cfg.lattice_budget)
     s.count("order16_candidates")
     s.check(
         "C(2) x D(8) attains d* = 27/35",
@@ -1087,7 +1075,8 @@ def suite_consistency(
     """Structural invariants of the computation itself: multiplicativity over
     coprime products, d* <= d', class/normal bookkeeping, orbit-stabilizer
     sizes, agreement with a brute-force subgroup oracle, agreement between
-    pruned and literal d*, and monotonicity of d* under taking sections."""
+    the interval d* and the literal section-by-section minimum, and
+    monotonicity of d* under taking sections."""
     s = _Suite("consistency")
     cfg = corpus.config
     for e in corpus:
@@ -1163,8 +1152,9 @@ def suite_consistency(
         r = stats[e.spec]
         if r.d_star is None:
             continue
-        literal = d_star(
-            e.group, prune=False, budget=cfg.lattice_budget, iso_cap=cfg.iso_cap
+        literal = min(
+            d_prime(sec.quotient, cfg.lattice_budget)
+            for sec in sections(e.group, cfg.lattice_budget)
         )
         s.count("prune_agreement_entries")
         s.check(
@@ -1188,7 +1178,7 @@ def suite_consistency(
                 continue
             seen_fp.add(q.fingerprint)
             tested += 1
-            sub_val = d_star(q, budget=cfg.lattice_budget, iso_cap=cfg.iso_cap)
+            sub_val = d_star(q, budget=cfg.lattice_budget)
             if sub_val < r.d_star:
                 bad = f"section {sec.h.order}/{sec.k.order} has d* = {sub_val} < {r.d_star}"
                 break
@@ -1225,7 +1215,6 @@ SUITES: dict[str, object] = {
 def run_suites(
     names=None,
     config: CorpusConfig | None = None,
-    threads: int = 1,
     corpus: Corpus | None = None,
     stats: dict[str, InvariantReport] | None = None,
 ) -> list[SuiteResult]:
@@ -1240,11 +1229,5 @@ def run_suites(
     if corpus is None:
         corpus = build_corpus(config)
     if stats is None:
-        stats = compute_corpus_stats(corpus, threads=threads)
+        stats = compute_corpus_stats(corpus)
     return [SUITES[name](corpus, stats) for name in names]
-
-
-def run_all(
-    config: CorpusConfig | None = None, threads: int = 1
-) -> list[SuiteResult]:
-    return run_suites(None, config=config, threads=threads)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from dedekind.families import (
@@ -15,6 +17,7 @@ from dedekind.families import (
     schmidt_gpqn,
 )
 from dedekind.groups import FiniteGroup, assert_associative
+from dedekind.invariants import d_prime, sections
 from dedekind.lattice import brute_force_subgroup_masks, conjugate_mask
 
 
@@ -50,6 +53,11 @@ def brute_force_subgroup_classes(g: FiniteGroup) -> list[frozenset[int]]:
         seen |= orbit
         classes.append(frozenset(orbit))
     return classes
+
+
+def literal_d_star(g: FiniteGroup) -> Fraction:
+    """d* by definition: d' of every section's quotient group, minimized."""
+    return min(d_prime(s.quotient) for s in sections(g))
 
 
 @pytest.fixture(scope="session")

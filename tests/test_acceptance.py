@@ -128,8 +128,9 @@ def test_acceptance_3_section_minimum_values(capsys, corpus, stats, suites):
         assert d_star(swap_extension_of_klein()) == Fraction(17, 23)
         assert d_star(direct_product(cyclic(2), dihedral(8))) == Fraction(27, 35)
 
-        # pruned and unpruned agreement over the whole corpus at order <= 64,
-        # established by the shared verification run
+        # interval d* agrees with the literal section-by-section minimum over
+        # the whole corpus at order <= 64, established by the shared
+        # verification run
         consistency = suites["consistency"]
         assert consistency.ok
         small = sum(1 for e in corpus if e.group.order <= 64)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import literal_d_star
 from dedekind.errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from dedekind.families import (
     cyclic,
@@ -154,10 +155,10 @@ def test_d_star_bounds_and_monotonicity(zoo):
     assert d_star(zoo["d8"]) >= d_star(zoo["d16"])
 
 
-def test_d_star_prune_agreement(zoo):
-    for name in ("s3", "d8", "d12", "a4", "he3", "m16", "g12"):
+def test_d_star_matches_section_oracle(zoo):
+    for name in ("s3", "d8", "d12", "a4", "he3", "m16", "g12", "q8", "d16"):
         g = zoo[name]
-        assert d_star(g, prune=True) == d_star(g, prune=False), name
+        assert d_star(g) == literal_d_star(g), name
 
 
 def test_d_star_order_gate():

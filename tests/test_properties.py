@@ -5,7 +5,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_subgroup_classes
+from conftest import brute_force_subgroup_classes, literal_d_star
 from dedekind.families import (
     cyclic,
     dihedral,
@@ -119,6 +119,7 @@ def test_invariant_bundle(name):
     assert 0 < dp <= 1
     ds = d_star(g)
     assert ds <= dp
+    assert ds == literal_d_star(g)
 
 
 @given(name=pool_names)

@@ -161,6 +161,14 @@ def test_sweep_command(capsys, tmp_path):
     assert out2 == out
 
 
+def test_sweep_cache_serves_the_same_d_star_as_a_cold_info(capsys, tmp_path):
+    cp = str(tmp_path / "c.json")
+    assert run_cli(capsys, ["sweep", "--family", "C27Q8", "--cache-path", cp])[0] == 0
+    _, out, _ = run_cli(capsys, ["info", "C27Q8", "--cache-path", cp])
+    _, cold, _ = run_cli(capsys, ["info", "C27Q8", "--no-cache"])
+    assert "d*(G):    5/32" in out and "d*(G):    5/32" in cold
+
+
 def test_exit_codes(capsys, tmp_path):
     cp = str(tmp_path / "c.json")
     assert run_cli(capsys, ["info", "M(2", "--cache-path", cp])[0] == 2
@@ -215,17 +223,27 @@ def test_stale_engine_entries_are_recomputed(capsys, tmp_path):
 
 
 def test_cached_entry_missing_d_star_is_upgraded(capsys, tmp_path):
-    cp = tmp_path / "c.json"
-    run_cli(capsys, ["info", "D(16)", "--json", "--cache-path", str(cp)])
-    data = json.load(open(cp))
-    data["entries"]["D(16)"]["report"]["d_star"] = None
-    json.dump(data, open(cp, "w"))
-    code, out, _ = run_cli(capsys, ["dstar", "D(16)", "--cache-path", str(cp)])
-    assert code == 0 and out == "11/19\n"
-    assert json.load(open(cp))["entries"]["D(16)"]["report"]["d_star"] == {
-        "num": 11,
-        "den": 19,
-    }
+    # whichever command reads the entry, a missing reachable d* is computed
+    for command, line in (("info", "d*(G):    11/19\n"), ("dstar", "11/19\n")):
+        cp = tmp_path / f"{command}.json"
+        run_cli(capsys, ["info", "D(16)", "--json", "--cache-path", str(cp)])
+        data = json.load(open(cp))
+        data["entries"]["D(16)"]["report"]["d_star"] = None
+        json.dump(data, open(cp, "w"))
+        code, out, _ = run_cli(capsys, [command, "D(16)", "--cache-path", str(cp)])
+        assert code == 0 and line in out, command
+        assert json.load(open(cp))["entries"]["D(16)"]["report"]["d_star"] == {
+            "num": 11,
+            "den": 19,
+        }
+
+
+def test_cached_report_keeps_the_d_star_size_gate(capsys, tmp_path):
+    cp = str(tmp_path / "c.json")
+    # info caches C(300) without d*; dstar must still refuse, as it does cold
+    assert run_cli(capsys, ["info", "C(300)", "--cache-path", cp])[0] == 0
+    assert run_cli(capsys, ["dstar", "C(300)", "--cache-path", cp])[0] == 4
+    assert run_cli(capsys, ["dstar", "C(300)", "--no-cache"])[0] == 4
 
 
 def test_lock_contention_skips_write(capsys, tmp_path):
