@@ -60,29 +60,56 @@ DEFAULT_MAX_ORDER = 512
 # ---------------------------------------------------------------------------
 # cache
 
-def _load_cache(path: str) -> dict:
-    """The cache's entries dict; unreadable or foreign files read as empty."""
+def _file_stamp(fd_or_path) -> tuple[int, int, int] | None:
+    """What changes whenever a writer replaces the cache file; None if absent."""
+    try:
+        st = os.stat(fd_or_path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def _load_cache(path: str) -> tuple[dict, tuple[int, int, int] | None]:
+    """The cache's entries dict and the stamp of the file they were read from.
+
+    Unreadable or foreign files read as empty.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
+            stamp = _file_stamp(fh.fileno())
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
-        return {}
+        return {}, _file_stamp(path)
     entries = data.get("entries") if isinstance(data, dict) else None
-    return entries if isinstance(entries, dict) else {}
+    return (entries if isinstance(entries, dict) else {}), stamp
 
 
 def _cache_get(entries: dict, spec: str) -> InvariantReport | None:
+    """The cached report for spec, unless it is stale or not self-consistent."""
     hit = entries.get(spec)
     if not isinstance(hit, dict) or hit.get("engine") != __version__:
         return None
     try:
-        return InvariantReport.from_json_dict(hit["report"])
-    except (KeyError, TypeError, ValueError):
+        report = InvariantReport.from_json_dict(hit["report"])
+        consistent = (
+            report.spec == spec
+            and report.k_prime == report.normal_count + report.nu
+            and report.d_prime == Fraction(report.k_prime, report.lattice_size)
+            and (report.d_star is None or report.d_star <= report.d_prime)
+        )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return None
+    return report if consistent else None
 
 
-def _cache_write(path: str, entries: dict) -> bool:
-    """Atomically rewrite the cache file; skip (False) if another writer holds it."""
+def _cache_write(path: str, loaded: tuple[dict, tuple | None], fresh: dict) -> bool:
+    """Atomically add the fresh entries to the cache file.
+
+    `loaded` is what `_load_cache` returned before the fresh entries were
+    computed.  If the file changed since, it is read again under the lock, so
+    entries another writer added meanwhile are kept.  Skips (False) if another
+    writer holds the lock.
+    """
     lock = path + ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -92,6 +119,10 @@ def _cache_write(path: str, entries: dict) -> bool:
         return False
     try:
         os.close(fd)
+        entries, stamp = loaded
+        if _file_stamp(path) != stamp:
+            entries, _ = _load_cache(path)
+        entries.update(fresh)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"engine": __version__, "entries": entries}, fh, indent=2, sort_keys=True)
@@ -112,11 +143,6 @@ def _cache_entry(report: InvariantReport) -> dict:
         "saved_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "report": report.to_json_dict(),
     }
-
-
-def _cache_put(path: str, entries: dict, report: InvariantReport) -> None:
-    entries[report.spec] = _cache_entry(report)
-    _cache_write(path, entries)
 
 
 def _lacks_d_star(report: InvariantReport, allow_slow: bool = False) -> bool:
@@ -145,8 +171,8 @@ def _spec_report(args, need_d_star: bool = False) -> InvariantReport:
     spec = parse_spec(args.spec)
     canonical = str(spec)
     use_cache = not args.no_cache
-    entries = _load_cache(args.cache_path) if use_cache else {}
-    cached = _cache_get(entries, canonical) if use_cache else None
+    loaded = _load_cache(args.cache_path) if use_cache else ({}, None)
+    cached = _cache_get(loaded[0], canonical) if use_cache else None
     if cached is not None and not _lacks_d_star(cached, args.allow_slow or need_d_star):
         return cached
     group = spec.build(order_cap=args.max_order)
@@ -155,7 +181,7 @@ def _spec_report(args, need_d_star: bool = False) -> InvariantReport:
         d_star(group, allow_slow=False)
     report = compute_report(group, spec=canonical, allow_slow=args.allow_slow)
     if use_cache:
-        _cache_put(args.cache_path, entries, report)
+        _cache_write(args.cache_path, loaded, {canonical: _cache_entry(report)})
     return report
 
 
@@ -397,21 +423,20 @@ def cmd_sweep(args) -> int:
         and (args.family is None or e.tag == args.family)
     ]
     use_cache = not args.no_cache
-    entries = _load_cache(args.cache_path) if use_cache else {}
+    loaded = _load_cache(args.cache_path) if use_cache else ({}, None)
     reports = []
-    fresh = False
+    fresh = {}
     for e in chosen:
-        cached = _cache_get(entries, e.spec) if use_cache else None
+        cached = _cache_get(loaded[0], e.spec) if use_cache else None
         if cached is not None and not _lacks_d_star(cached):
             reports.append(cached)
             continue
         report = compute_report(e.group, spec=e.spec)
         reports.append(report)
         if use_cache:
-            entries[e.spec] = _cache_entry(report)
-            fresh = True
+            fresh[e.spec] = _cache_entry(report)
     if fresh:
-        _cache_write(args.cache_path, entries)
+        _cache_write(args.cache_path, loaded, fresh)
     if args.json:
         _emit_json([r.to_json_dict() for r in reports])
         return 0

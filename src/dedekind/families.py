@@ -47,8 +47,7 @@ def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
     _check_cap(n, order_cap, f"C({n})")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    g = FiniteGroup(table, labels=[str(i) for i in range(n)], name=f"C({n})",
-                    named_gens={"x": 1 % n})
+    g = FiniteGroup(table, name=f"C({n})")
     assert n == 1 or g.element_orders[1] == n
     return g
 
@@ -68,11 +67,7 @@ def elementary_abelian(p: int, r: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
         i = index[d1]
         for d2 in digits:
             table[i][index[d2]] = index[tuple((a + b) % p for a, b in zip(d1, d2))]
-    labels = [""] * order
-    for d in digits:
-        labels[index[d]] = "(" + ",".join(map(str, d)) + ")"
-    gens = {f"e{k}": p**k for k in range(r)}
-    g = FiniteGroup(table, labels=labels, name=f"EA({p},{r})", named_gens=gens)
+    g = FiniteGroup(table, name=f"EA({p},{r})")
     assert all(g.element_orders[p**k] == p for k in range(r))
     return g
 
@@ -84,13 +79,11 @@ def dihedral(two_n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     _check_cap(two_n, order_cap, f"D({two_n})")
     n = two_n // 2
     table = [[0] * two_n for _ in range(two_n)]
-    labels = [""] * two_n
     for i, j in product(range(n), range(2)):
-        labels[i * 2 + j] = f"x^{i}y" if j else f"x^{i}"
         for k, l in product(range(n), range(2)):
             rot = (i + (k if j == 0 else -k)) % n
             table[i * 2 + j][k * 2 + l] = rot * 2 + (j ^ l)
-    g = FiniteGroup(table, labels=labels, name=f"D({two_n})", named_gens={"x": 2, "y": 1})
+    g = FiniteGroup(table, name=f"D({two_n})")
     x, y = 2, 1
     assert g.element_orders[x] == n and g.element_orders[y] == 2
     assert g.mul(y, x) == g.mul(g.power(x, n - 1), y)
@@ -105,13 +98,11 @@ def generalized_quaternion(two_to_n: int, order_cap: int = DEFAULT_ORDER_CAP) ->
     _check_cap(m, order_cap, f"Q({m})")
     half, quarter = m // 2, m // 4
     table = [[0] * m for _ in range(m)]
-    labels = [""] * m
     for i, j in product(range(half), range(2)):
-        labels[i * 2 + j] = f"x^{i}y" if j else f"x^{i}"
         for k, l in product(range(half), range(2)):
             rot = (i + (k if j == 0 else -k) + (quarter if j and l else 0)) % half
             table[i * 2 + j][k * 2 + l] = rot * 2 + (j ^ l)
-    g = FiniteGroup(table, labels=labels, name=f"Q({m})", named_gens={"x": 2, "y": 1})
+    g = FiniteGroup(table, name=f"Q({m})")
     x, y = 2, 1
     assert g.element_orders[x] == half
     assert g.mul(y, y) == g.power(x, quarter)
@@ -132,14 +123,12 @@ def modular_group(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     m = p ** (n - 2) + 1
     m_pows = [pow(m, j, pn1) for j in range(p)]
     table = [[0] * order for _ in range(order)]
-    labels = [""] * order
     for i, j in product(range(pn1), range(p)):
-        labels[i * p + j] = f"x^{i}y^{j}"
         row = table[i * p + j]
         mj = m_pows[j]
         for k, l in product(range(pn1), range(p)):
             row[k * p + l] = ((i + k * mj) % pn1) * p + (j + l) % p
-    g = FiniteGroup(table, labels=labels, name=f"M({p},{n})", named_gens={"x": p, "y": 1})
+    g = FiniteGroup(table, name=f"M({p},{n})")
     x, y = p, 1
     assert g.element_orders[x] == pn1 and g.element_orders[y] == p
     assert g.mul(y, x) == g.mul(g.power(x, m), y)
@@ -155,19 +144,14 @@ def heisenberg(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     _check_cap(order, order_cap, f"He({p})")
     p2 = p * p
     table = [[0] * order for _ in range(order)]
-    labels = [""] * order
     for a, b, c in product(range(p), repeat=3):
         i = a * p2 + b * p + c
-        labels[i] = f"x^{a}y^{b}z^{c}"
         row = table[i]
         for d, e, f in product(range(p), repeat=3):
             row[d * p2 + e * p + f] = (
                 ((a + d) % p) * p2 + ((b + e) % p) * p + (c + f + a * e) % p
             )
-    g = FiniteGroup(
-        table, labels=labels, name=f"He({p})",
-        named_gens={"x": p2, "y": p, "z": 1},
-    )
+    g = FiniteGroup(table, name=f"He({p})")
     x, y, z = p2, p, 1
     assert g.exponent == p
     assert g.commutator(x, y) == z
@@ -190,19 +174,14 @@ def h_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     ps, pt = p**s, p**t
     blk = pt * p
     table = [[0] * order for _ in range(order)]
-    labels = [""] * order
     for a, b, c in product(range(ps), range(pt), range(p)):
         i = a * blk + b * p + c
-        labels[i] = f"x^{a}y^{b}z^{c}"
         row = table[i]
         for d, e, f in product(range(ps), range(pt), range(p)):
             row[d * blk + e * p + f] = (
                 ((a + d) % ps) * blk + ((b + e) % pt) * p + (c + f + a * e) % p
             )
-    g = FiniteGroup(
-        table, labels=labels, name=f"H({p},{s},{t})",
-        named_gens={"x": blk, "y": p, "z": 1},
-    )
+    g = FiniteGroup(table, name=f"H({p},{s},{t})")
     x, y, z = blk, p, 1
     assert g.element_orders[x] == ps and g.element_orders[y] == pt
     assert g.element_orders[z] == p and g.commutator(x, y) == z
@@ -233,14 +212,12 @@ def k_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     m = p ** (s - 1) + 1
     m_pows = [pow(m, j, ps) for j in range(p)]
     table = [[0] * order for _ in range(order)]
-    labels = [""] * order
     for i, j in product(range(ps), range(pt)):
-        labels[i * pt + j] = f"x^{i}y^{j}"
         row = table[i * pt + j]
         mj = m_pows[j % p]
         for k, l in product(range(ps), range(pt)):
             row[k * pt + l] = ((i + k * mj) % ps) * pt + (j + l) % pt
-    g = FiniteGroup(table, labels=labels, name=f"K({p},{s},{t})", named_gens={"x": pt, "y": 1})
+    g = FiniteGroup(table, name=f"K({p},{s},{t})")
     x, y = pt, 1
     assert g.element_orders[x] == ps and g.element_orders[y] == pt
     assert g.mul(y, x) == g.mul(g.power(x, m), y)
@@ -274,14 +251,12 @@ def schmidt_gpqn(p: int, q: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
     qn = q ** (n - 1)
     m_pows = [pow(m, j, p) for j in range(q)]
     table = [[0] * order for _ in range(order)]
-    labels = [""] * order
     for i, j in product(range(p), range(qn)):
-        labels[i * qn + j] = f"x^{i}y^{j}"
         row = table[i * qn + j]
         mj = m_pows[j % q]
         for k, l in product(range(p), range(qn)):
             row[k * qn + l] = ((i + k * mj) % p) * qn + (j + l) % qn
-    g = FiniteGroup(table, labels=labels, name=f"G({p},{q},{n})", named_gens={"x": qn, "y": 1})
+    g = FiniteGroup(table, name=f"G({p},{q},{n})")
     x, y = qn, 1
     assert g.element_orders[x] == p and g.element_orders[y] == qn
     assert g.conj(y, x) == g.power(x, m)

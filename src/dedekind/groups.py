@@ -99,7 +99,7 @@ class GroupFingerprint:
 class FiniteGroup:
     """A finite group given by its multiplication table (row * column)."""
 
-    def __init__(self, table, labels=None, name: str = "", named_gens=None):
+    def __init__(self, table, name: str = ""):
         n = len(table)
         if n == 0:
             raise InvalidParameter("a group needs at least one element")
@@ -133,11 +133,7 @@ class FiniteGroup:
         self.table = tuple(rows)
         self.identity = 0
         self.inverses = tuple(inverses)
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise InvalidParameter("labels must cover every element")
         self.name = name
-        self.named_gens = dict(named_gens) if named_gens else {}
         self._induced_cache: dict[int, tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._lattice = None
 
@@ -170,9 +166,6 @@ class FiniteGroup:
         """[a, b] = a^-1 b^-1 a b."""
         t, inv = self.table, self.inverses
         return t[t[t[inv[a]][inv[b]]][a]][b]
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -342,14 +335,6 @@ class Homomorphism:
             and len(set(self.mapping)) == self.source.order
         )
 
-    def verify(self) -> bool:
-        """Full check that mapping(a*b) == mapping(a)*mapping(b)."""
-        s, t, m = self.source.table, self.target.table, self.mapping
-        if m[0] != 0:
-            return False
-        n = self.source.order
-        return all(m[s[a][b]] == t[m[a]][m[b]] for a in range(n) for b in range(n))
-
 
 def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Group generated by permutations, numbered in discovery order from the identity."""
@@ -392,13 +377,8 @@ def direct_product(
         for b in range(hn):
             hb = ht[b]
             table.append([ga[c] * hn + hb[d] for c in range(g.order) for d in range(hn)])
-    labels = None
-    if n <= 4096:
-        labels = [
-            f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(hn)
-        ]
     name = f"{g.name} x {h.name}" if g.name and h.name else ""
-    return FiniteGroup(table, labels=labels, name=name)
+    return FiniteGroup(table, name=name)
 
 
 def semidirect_product(
@@ -453,13 +433,8 @@ def semidirect_product(
                 for h2 in range(hn):
                     row[n2 * hn + h2] = tn + hrow[h2]
             table.append(row)
-    labels = None
-    if order <= 4096:
-        labels = [
-            f"({n_grp.label(a)},{h_grp.label(b)})" for a in range(nn) for b in range(hn)
-        ]
     name = f"{n_grp.name} x| {h_grp.name}" if n_grp.name and h_grp.name else ""
-    return FiniteGroup(table, labels=labels, name=name)
+    return FiniteGroup(table, name=name)
 
 
 def _as_mask(g: FiniteGroup, sub) -> int:
@@ -499,8 +474,7 @@ def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, Homomorphism]:
         for n in elems:
             proj[row[n]] = idx
     q_table = [[proj[t[a][b]] for b in reps] for a in reps]
-    labels = [f"[{g.label(r)}]" for r in reps]
-    q = FiniteGroup(q_table, labels=labels, name=f"{g.name}/N{len(elems)}" if g.name else "")
+    q = FiniteGroup(q_table, name=f"{g.name}/N{len(elems)}" if g.name else "")
     return q, Homomorphism(g, q, tuple(proj))
 
 
@@ -514,9 +488,8 @@ def induced_subgroup(g: FiniteGroup, sub) -> tuple[FiniteGroup, tuple[int, ...]]
     index = {e: i for i, e in enumerate(elems)}
     t = g.table
     table = [[index[t[a][b]] for b in elems] for a in elems]
-    labels = [g.label(e) for e in elems]
     out = (
-        FiniteGroup(table, labels=labels, name=f"{g.name}|{len(elems)}" if g.name else ""),
+        FiniteGroup(table, name=f"{g.name}|{len(elems)}" if g.name else ""),
         tuple(elems),
     )
     g._induced_cache[mask] = out

@@ -1,10 +1,16 @@
 """Subgroup lattice enumeration and lattice-level invariants.
 
-Subgroups are bitmasks over element indices.  Enumeration seeds with every
-cyclic subgroup and repeatedly extends a known subgroup H by one element of
-prime-power order; this reaches every subgroup because any strict extension
-H < K contains a prime-power element outside H (an element of K \\ H has some
-prime-power component outside H, else it would lie in H itself).
+Subgroups are bitmasks over element indices.  Enumeration is by cyclic
+extension (J. Neubüser, Numer. Math. 2, 1960): it seeds with every cyclic
+subgroup and extends a subgroup H only by an element x of p-power order that
+normalizes H and has x^p in H, so that H<x> is the union of p cosets of H and
+needs no closure.  That reaches every subgroup of a solvable group; for a
+non-solvable group the generic closure H -> <H, x> finishes the job.
+
+The modular law is tested on the cover graph: a finite lattice is modular iff
+it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
+brute-force enumeration and the triple-by-triple modular-law scan stay as
+independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import LatticeBudgetExceeded
 from .groups import FiniteGroup, Subgroup, _mask_elements, _popcount
-from .numbertheory import is_prime_power
+from .numbertheory import is_prime_power, prime_factorization
 
 __all__ = [
     "DEFAULT_LATTICE_BUDGET",
@@ -79,14 +85,48 @@ def _extend(table, hmask: int, helems: list[int], gens: tuple[int, ...], g: int,
     return kmask, kelems
 
 
+def _prime_roots(g: FiniteGroup) -> tuple[list[list[int]], list[int]]:
+    """Roots of the prime-power elements, for cyclic extension.
+
+    For every x of order p^k (p prime, k >= 1), prime[x] = p and x appears in
+    roots[x^p]; all other entries of `prime` are 0.
+    """
+    n = g.order
+    table = g.table
+    orders = g.element_orders
+    prime_of_order = {}
+    for k in set(orders):
+        factors = prime_factorization(k)
+        prime_of_order[k] = next(iter(factors)) if len(factors) == 1 else 0
+    roots: list[list[int]] = [[] for _ in range(n)]
+    prime = [prime_of_order[k] for k in orders]
+    for x, p in enumerate(prime):
+        if not p:
+            continue
+        y = x
+        for _ in range(p - 1):
+            y = table[y][x]
+        roots[y].append(x)
+    return roots, prime
+
+
 def all_subgroup_masks(
     g: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> dict[int, tuple[int, ...]]:
-    """All subgroups of g as {mask: generating tuple}."""
+    """All subgroups of g as {mask: generating tuple}.
+
+    Cyclic extension: starting from the cyclic subgroups, a subgroup H is
+    extended only by an element x of p-power order that normalizes H and has
+    x^p in H, so K = H<x> is the union of the p cosets H x^j.  Every element
+    of the coset Hx gives the same K, so the coset is marked as tried.  In a
+    solvable group every subgroup has a composition series with prime-index
+    steps, and each step is such an extension, so this reaches every
+    subgroup.  It reaches the whole group only when g is solvable; otherwise
+    the search goes on from every subgroup found with the generic closure
+    (`_generic_extension`).
+    """
     n = g.order
-    table = g.table
-    full_mask = (1 << n) - 1
-    orders = g.element_orders
+    table, inverses = g.table, g.inverses
     seen: dict[int, tuple[int, ...]] = {1: ()}
     elems_of: dict[int, list[int]] = {1: [0]}
     for x in range(1, n):
@@ -100,7 +140,62 @@ def all_subgroup_masks(
             elems_of[mask] = elems
     if len(seen) > budget:
         raise LatticeBudgetExceeded(f"more than {budget} subgroups")
-    ppow = [x for x in range(1, n) if is_prime_power(orders[x])]
+    roots, prime = _prime_roots(g)
+    queue = deque(seen)
+    while queue:
+        hmask = queue.popleft()
+        helems = elems_of[hmask]
+        hgens = seen[hmask]
+        tried = hmask
+        for y in helems:
+            for x in roots[y]:
+                if (tried >> x) & 1:
+                    continue
+                row_x, inv_x = table[x], inverses[x]
+                if any(not (hmask >> table[row_x[h]][inv_x]) & 1 for h in hgens):
+                    # no element of Hx normalizes H either
+                    for h in helems:
+                        tried |= 1 << table[h][x]
+                    continue
+                kmask, kelems = hmask, list(helems)
+                xj = x
+                for j in range(1, prime[x]):
+                    for h in helems:
+                        z = table[h][xj]
+                        kmask |= 1 << z
+                        kelems.append(z)
+                    if j == 1:
+                        tried |= kmask
+                    xj = table[xj][x]
+                if kmask not in seen:
+                    seen[kmask] = hgens + (x,)
+                    elems_of[kmask] = kelems
+                    if len(seen) > budget:
+                        raise LatticeBudgetExceeded(f"more than {budget} subgroups")
+                    queue.append(kmask)
+    if (1 << n) - 1 not in seen:
+        _generic_extension(g, seen, elems_of, budget)
+    return seen
+
+
+def _generic_extension(
+    g: FiniteGroup,
+    seen: dict[int, tuple[int, ...]],
+    elems_of: dict[int, list[int]],
+    budget: int,
+) -> None:
+    """Add to `seen` every subgroup reachable from it by H -> <H, x>.
+
+    x runs over the prime-power elements outside H, and <H, x> is closed by
+    `_extend`.  Seeded with the cyclic subgroups this reaches every subgroup:
+    a strict extension H < K contains a prime-power element outside H (an
+    element of K \\ H has some prime-power component outside H, else it would
+    lie in H itself).  Only non-solvable groups need it.
+    """
+    n = g.order
+    table = g.table
+    full_mask = (1 << n) - 1
+    ppow = [x for x in range(1, n) if is_prime_power(g.element_orders[x])]
     queue = deque(seen)
     while queue:
         hmask = queue.popleft()
@@ -121,7 +216,6 @@ def all_subgroup_masks(
                 if len(seen) > budget:
                     raise LatticeBudgetExceeded(f"more than {budget} subgroups")
                 queue.append(kmask)
-    return seen
 
 
 @dataclass(frozen=True)
@@ -375,13 +469,14 @@ def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:
     return found
 
 
-def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
-    """None if the lattice satisfies the modular law, else a witness triple.
+def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
+    """The modular law checked triple by triple; the oracle for `is_lattice_modular`.
 
     Checks join(x, meet(y, z)) == meet(join(x, y), z) for every pair x <= z
     and every y; the first violation in scan order is returned.  Triples where
     both sides agree for order reasons (x = z, y comparable with z, x <= y)
-    are skipped, so only genuinely at-risk triples cost a join.
+    are skipped, so only genuinely at-risk triples cost a join.  Cubic in
+    |L|, so intended for lattices of a few hundred members.
     """
     n = len(lat.subgroups)
     masks = lat._masks
@@ -402,3 +497,68 @@ def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
                 if left != right:
                     return ModularityWitness(x, y, z)
     return None
+
+
+def _bits(mask: int) -> list[int]:
+    """Set-bit indices in time linear in their count, for sparse cover bitsets."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
+    """None if the lattice satisfies the modular law, else a witness triple.
+
+    A finite lattice is modular iff it is upper and lower semimodular
+    (Birkhoff, Lattice Theory, 1967): whenever b and c cover a, b v c covers
+    both, and dually.  b v c covers both iff b and c have a common upper cover,
+    so the test needs only the cover graph from `hasse_edges`, as bitsets.
+    """
+    n = len(lat.subgroups)
+    up = [0] * n
+    down = [0] * n
+    for i, j in hasse_edges(lat):
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+    for covers, dual in ((up, False), (down, True)):
+        for a in range(n):
+            cs = covers[a]
+            if cs & (cs - 1) == 0:
+                continue
+            members = _bits(cs)
+            for s, b in enumerate(members):
+                cb = covers[b]
+                for c in members[s + 1:]:
+                    if not cb & covers[c]:
+                        return _semimodular_witness(lat, covers, b, c, dual)
+    return None
+
+
+def _semimodular_witness(
+    lat: SubgroupLattice, covers: list[int], b: int, c: int, dual: bool
+) -> ModularityWitness:
+    """A modular-law violation from b, c that cover (dual: are covered by) one a
+    without sharing an upper (dual: lower) cover.
+
+    Upper case: some z has b < z < b v c (or the same with b and c swapped);
+    then c ^ z = a, so (x, y, z) = (b, c, z) gives b v (c ^ z) = b but
+    (b v c) ^ z = z.  Lower case: some z has b ^ c < z < b; then z v c = a,
+    so (x, y, z) = (z, c, b) gives z v (c ^ b) = z but (z v c) ^ b = b.
+    """
+    masks = lat._masks
+    if dual:
+        bottom = masks[b] & masks[c]
+        for top, y in ((b, c), (c, b)):
+            for z in _bits(covers[top]):
+                if masks[z] != bottom and bottom & ~masks[z] == 0:
+                    return ModularityWitness(z, y, top)
+    else:
+        top = masks[lat.join(b, c)]
+        for x, y in ((b, c), (c, b)):
+            for z in _bits(covers[x]):
+                if masks[z] != top and masks[z] & ~top == 0:
+                    return ModularityWitness(x, y, z)
+    raise AssertionError("semimodularity failed without a witness")

@@ -19,6 +19,7 @@ from dedekind.families import (
 from dedekind.groups import FiniteGroup, assert_associative
 from dedekind.invariants import d_prime, sections
 from dedekind.lattice import brute_force_subgroup_masks, conjugate_mask
+from dedekind.verify import Corpus, CorpusConfig, build_corpus
 
 
 def assert_valid_group(g: FiniteGroup) -> None:
@@ -83,3 +84,9 @@ def zoo() -> dict[str, FiniteGroup]:
         "a4": elementary_rtimes_cq(2, 3),
         "g12": schmidt_gpqn(3, 2, 3),
     }
+
+
+@pytest.fixture(scope="session")
+def corpus() -> Corpus:
+    """The standard corpus, built once; reports computed on it cache lattices."""
+    return build_corpus(CorpusConfig())

@@ -25,14 +25,9 @@ from dedekind.families import (
 from dedekind.groups import direct_product, is_isomorphic, semidirect_product
 from dedekind.invariants import d_prime, d_star
 from dedekind.lattice import subgroup_lattice
-from dedekind.verify import CorpusConfig, build_corpus, compute_corpus_stats, run_suites
+from dedekind.verify import compute_corpus_stats, run_suites
 
 MODULAR_PAIRS = ((2, 4), (2, 5), (3, 3), (3, 4), (5, 3))
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return build_corpus(CorpusConfig())
 
 
 @pytest.fixture(scope="module")

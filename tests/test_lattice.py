@@ -5,9 +5,10 @@ import pytest
 from conftest import brute_force_subgroup_classes
 from dedekind.errors import LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
-from dedekind.groups import direct_product
+from dedekind.groups import Perm, closure_from_generators, direct_product
 from dedekind.lattice import (
     all_subgroup_masks,
+    brute_force_is_modular,
     brute_force_subgroup_masks,
     conjugate_mask,
     frattini_subgroup,
@@ -57,6 +58,21 @@ def test_enumeration_matches_brute_force_oracle(zoo):
         assert set(all_subgroup_masks(g)) == brute_force_subgroup_masks(g), name
     g24 = direct_product(zoo["c2"], zoo["d12"])
     assert set(all_subgroup_masks(g24)) == brute_force_subgroup_masks(g24)
+
+
+def test_non_solvable_group_enumeration():
+    # A5 is not solvable, so cyclic extension cannot reach it and the
+    # generic closure has to finish the enumeration
+    a5 = closure_from_generators(
+        [Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
+    )
+    assert a5.order == 60
+    masks = all_subgroup_masks(a5)
+    assert set(masks) == brute_force_subgroup_masks(a5)
+    for mask, gens in masks.items():
+        assert a5.closure(gens)[0] == mask
+    lat = subgroup_lattice(a5)
+    assert (lat.size, lat.k_prime, lat.normal_count) == (59, 9, 2)
 
 
 def test_conjugacy_classes_match_brute_force(zoo):
@@ -143,6 +159,13 @@ def test_frattini_subgroup(zoo):
     assert frattini_subgroup(zoo["m16"]).order == 4
 
 
+def assert_genuine_witness(lat, w):
+    """x <= z, yet the modular law fails at (x, y, z)."""
+    x, y, z = w.x, w.y, w.z
+    assert lat.subgroups[x].mask & lat.subgroups[z].mask == lat.subgroups[x].mask
+    assert lat.meet(lat.join(x, y), z) != lat.join(x, lat.meet(y, z))
+
+
 def test_lattice_modularity(zoo):
     # diamond-like and chain lattices are modular
     for name in ("c12", "ea4", "ea8", "q8", "m16", "s3"):
@@ -153,10 +176,25 @@ def test_lattice_modularity(zoo):
         lat = subgroup_lattice(zoo[name])
         w = is_lattice_modular(lat)
         assert w is not None, name
-        x, y, z = w.x, w.y, w.z
-        # x <= z yet the modular law fails at (x, y, z)
-        assert lat.subgroups[x].mask & lat.subgroups[z].mask == lat.subgroups[x].mask
-        assert lat.meet(lat.join(x, y), z) != lat.join(x, lat.meet(y, z))
+        assert_genuine_witness(lat, w)
+    # the cover-graph test agrees with the triple-by-triple oracle
+    for name, g in zoo.items():
+        lat = subgroup_lattice(g)
+        assert (is_lattice_modular(lat) is None) == (brute_force_is_modular(lat) is None), name
+
+
+def test_modularity_matches_oracle_on_corpus(corpus):
+    checked = 0
+    for e in corpus:
+        lat = subgroup_lattice(e.group)
+        if lat.nu == 0 or lat.size > 200:
+            continue
+        w = is_lattice_modular(lat)
+        assert (w is None) == (brute_force_is_modular(lat) is None), e.spec
+        if w is not None:
+            assert_genuine_witness(lat, w)
+        checked += 1
+    assert checked >= 300
 
 
 def test_lattice_budget(zoo):

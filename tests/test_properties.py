@@ -22,7 +22,9 @@ from dedekind.groups import direct_product, is_isomorphic
 from dedekind.invariants import d_prime, d_star
 from dedekind.lattice import (
     all_subgroup_masks,
+    brute_force_is_modular,
     brute_force_subgroup_masks,
+    is_lattice_modular,
     subgroup_lattice,
 )
 from dedekind.numbertheory import (
@@ -114,6 +116,8 @@ def test_invariant_bundle(name):
     # trivial and full subgroups present and normal
     assert lat.subgroups[0].mask == 1 and lat.subgroups[-1].mask == full
     assert lat.is_normal(0) and lat.is_normal(lat.size - 1)
+    # the cover-graph modularity test agrees with the triple-by-triple oracle
+    assert (is_lattice_modular(lat) is None) == (brute_force_is_modular(lat) is None)
     # ratio bounds
     dp = d_prime(g)
     assert 0 < dp <= 1

@@ -1,6 +1,8 @@
 """Spec mini-language and the command-line front end, including the cache."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -220,6 +222,82 @@ def test_stale_engine_entries_are_recomputed(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
     assert code == 0 and out == "4/5\n"
     assert json.load(open(cp))["entries"]["D(8)"]["engine"] == __version__
+
+
+def test_inconsistent_cached_entries_are_recomputed(capsys, tmp_path):
+    cp = tmp_path / "c.json"
+    _, cold, _ = run_cli(capsys, ["info", "D(8)", "--json", "--no-cache"])
+    want = json.loads(cold)
+    want.pop("ms")
+    tampered = {
+        "d_prime": {"num": 1, "den": 7},
+        "spec": "Q(8)",
+        "nu": 5,
+        "d_star": {"num": 1, "den": 1},
+        "lattice_size": 0,
+    }
+    for field, value in tampered.items():
+        run_cli(capsys, ["info", "D(8)", "--cache-path", str(cp)])
+        data = json.load(open(cp))
+        data["entries"]["D(8)"]["report"][field] = value
+        json.dump(data, open(cp, "w"))
+        code, out, _ = run_cli(capsys, ["info", "D(8)", "--json", "--cache-path", str(cp)])
+        got = json.loads(out)
+        got.pop("ms")
+        assert code == 0 and got == want, field
+        assert json.load(open(cp))["entries"]["D(8)"]["report"][field] == want[field], field
+
+
+def test_concurrent_writers_keep_each_others_entries(capsys, tmp_path, monkeypatch):
+    cp = str(tmp_path / "c.json")
+    compute = cli.compute_report
+
+    def racing(g, spec=None, **kwargs):
+        if spec == "D(8)":
+            # another writer caches Q(8) after this call has read the file
+            assert cli.main(["dprime", "Q(8)", "--cache-path", cp]) == 0
+        return compute(g, spec=spec, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_report", racing)
+    assert run_cli(capsys, ["dprime", "D(8)", "--cache-path", cp])[0] == 0
+    assert set(json.load(open(cp))["entries"]) == {"D(8)", "Q(8)"}
+    run_cli(capsys, ["dprime", "D(16)", "--cache-path", cp])
+    assert set(json.load(open(cp))["entries"]) == {"D(8)", "Q(8)", "D(16)"}
+
+
+def test_cache_writer_stress_loses_no_written_entry(capsys, tmp_path, monkeypatch):
+    cp = str(tmp_path / "c.json")
+    written, codes = [], []
+    write = cli._cache_write
+
+    def recording(path, loaded, fresh):
+        ok = write(path, loaded, fresh)
+        if ok:
+            written.extend(fresh)
+        return ok
+
+    monkeypatch.setattr(cli, "_cache_write", recording)
+    specs = [f"C({n})" for n in range(1, 33)]
+
+    def worker(chunk):
+        for spec in chunk:
+            codes.append(cli.main(["dprime", spec, "--cache-path", cp]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(specs[i::4],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [0] * len(specs)
+    # a writer that finds the lock taken skips its write; every write that
+    # went through must survive the writers that came after it
+    assert written and set(written) <= set(json.load(open(cp))["entries"])
 
 
 def test_cached_entry_missing_d_star_is_upgraded(capsys, tmp_path):
