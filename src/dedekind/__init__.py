@@ -7,197 +7,25 @@ This package builds group families from explicit multiplication tables,
 enumerates subgroup lattices exactly over rational arithmetic, and verifies
 the closed formulas, classifications, and threshold theorems these ratios
 satisfy on a deterministic corpus of groups.
+
+The package exports the names below; everything else is imported from its
+submodule (`dedekind.groups`, `dedekind.lattice`, `dedekind.invariants`,
+`dedekind.verify`, ...).
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BudgetExhausted,
-    DedekindError,
-    InvalidParameter,
-    IsoCapExceeded,
-    LatticeBudgetExceeded,
-    NotAnAction,
-    NotAnAutomorphism,
-    NotNormal,
-    OrderCapExceeded,
-    ParseError,
-    StructureViolation,
-)
-from .families import (
-    c27_rtimes_q8,
-    cyclic,
-    dihedral,
-    elementary_abelian,
-    elementary_rtimes_cq,
-    generalized_quaternion,
-    h_pst,
-    heisenberg,
-    k_pst,
-    modular_group,
-    schmidt_gpqn,
-)
-from .formulas import (
-    DensityStep,
-    FamilyCounts,
-    corollary_a_over_a_plus_one,
-    d_prime_dihedral_formula,
-    d_prime_heisenberg_formula,
-    d_prime_modular_formula,
-    d_prime_schmidt_formula,
-    d_prime_schmidt_section_formula,
-    density_sequence,
-    dihedral_counts,
-    gaussian_binomial,
-    heisenberg_counts,
-    limit_trend,
-    modular_counts,
-    num_subgroups_elem_abelian,
-    schmidt_counts,
-    schmidt_section_counts,
-    sequence_monotonicity,
-)
-from .groups import (
-    FiniteGroup,
-    GroupFingerprint,
-    Homomorphism,
-    Subgroup,
-    center,
-    closure_from_generators,
-    derived_subgroup,
-    direct_product,
-    find_isomorphism,
-    induced_subgroup,
-    is_isomorphic,
-    quotient,
-    semidirect_product,
-)
-from .invariants import (
-    InvariantReport,
-    Section,
-    SchmidtStructureReport,
-    compute_report,
-    d_prime,
-    d_star,
-    has_modular_lattice,
-    is_dedekind,
-    is_iwasawa,
-    is_nilpotent,
-    is_q_self_dual,
-    is_schmidt,
-    schmidt_structure_check,
-    sections,
-    sylow_subgroups,
-)
-from .lattice import (
-    ModularityWitness,
-    SubgroupLattice,
-    brute_force_subgroup_masks,
-    frattini_subgroup,
-    hasse_edges,
-    is_lattice_modular,
-    maximal_subgroup_indices,
-    subgroup_lattice,
-)
-from .specs import GroupSpec, build_group, parse_spec
-from .verify import (
-    Check,
-    Corpus,
-    CorpusConfig,
-    CorpusEntry,
-    SuiteResult,
-    build_corpus,
-    compute_corpus_stats,
-    run_suites,
-)
+from .errors import DedekindError
+from .invariants import compute_report, d_prime, d_star
+from .lattice import subgroup_lattice
+from .specs import build_group
 
 __all__ = [
     "__version__",
-    "BudgetExhausted",
     "DedekindError",
-    "InvalidParameter",
-    "IsoCapExceeded",
-    "LatticeBudgetExceeded",
-    "NotAnAction",
-    "NotAnAutomorphism",
-    "NotNormal",
-    "OrderCapExceeded",
-    "ParseError",
-    "StructureViolation",
-    "c27_rtimes_q8",
-    "cyclic",
-    "dihedral",
-    "elementary_abelian",
-    "elementary_rtimes_cq",
-    "generalized_quaternion",
-    "h_pst",
-    "heisenberg",
-    "k_pst",
-    "modular_group",
-    "schmidt_gpqn",
-    "DensityStep",
-    "FamilyCounts",
-    "corollary_a_over_a_plus_one",
-    "d_prime_dihedral_formula",
-    "d_prime_heisenberg_formula",
-    "d_prime_modular_formula",
-    "d_prime_schmidt_formula",
-    "d_prime_schmidt_section_formula",
-    "density_sequence",
-    "dihedral_counts",
-    "gaussian_binomial",
-    "heisenberg_counts",
-    "limit_trend",
-    "modular_counts",
-    "num_subgroups_elem_abelian",
-    "schmidt_counts",
-    "schmidt_section_counts",
-    "sequence_monotonicity",
-    "FiniteGroup",
-    "GroupFingerprint",
-    "Homomorphism",
-    "Subgroup",
-    "center",
-    "closure_from_generators",
-    "derived_subgroup",
-    "direct_product",
-    "find_isomorphism",
-    "induced_subgroup",
-    "is_isomorphic",
-    "quotient",
-    "semidirect_product",
-    "InvariantReport",
-    "Section",
-    "SchmidtStructureReport",
+    "build_group",
     "compute_report",
     "d_prime",
     "d_star",
-    "has_modular_lattice",
-    "is_dedekind",
-    "is_iwasawa",
-    "is_nilpotent",
-    "is_q_self_dual",
-    "is_schmidt",
-    "schmidt_structure_check",
-    "sections",
-    "sylow_subgroups",
-    "ModularityWitness",
-    "SubgroupLattice",
-    "brute_force_subgroup_masks",
-    "frattini_subgroup",
-    "hasse_edges",
-    "is_lattice_modular",
-    "maximal_subgroup_indices",
     "subgroup_lattice",
-    "GroupSpec",
-    "build_group",
-    "parse_spec",
-    "Check",
-    "Corpus",
-    "CorpusConfig",
-    "CorpusEntry",
-    "SuiteResult",
-    "build_corpus",
-    "compute_corpus_stats",
-    "run_suites",
 ]

@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 spec parse error, 3 invalid parameter or structure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -51,37 +50,42 @@ from .invariants import (
 )
 from .lattice import hasse_edges, subgroup_lattice
 from .specs import parse_spec
-from .verify import CorpusConfig, build_corpus, compute_corpus_stats, run_suites, SUITES
+from .verify import CorpusConfig, build_corpus, run_suites, SUITES
 
 DEFAULT_CACHE_PATH = ".dedekind_cache.json"
 DEFAULT_MAX_ORDER = 512
+STALE_LOCK_S = 60
 
 
 # ---------------------------------------------------------------------------
 # cache
 
-def _file_stamp(fd_or_path) -> tuple[int, int, int] | None:
-    """What changes whenever a writer replaces the cache file; None if absent."""
+def _read_file(path: str) -> bytes | None:
     try:
-        st = os.stat(fd_or_path)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError:
         return None
-    return st.st_ino, st.st_mtime_ns, st.st_size
 
 
-def _load_cache(path: str) -> tuple[dict, tuple[int, int, int] | None]:
-    """The cache's entries dict and the stamp of the file they were read from.
-
-    Unreadable or foreign files read as empty.
-    """
+def _cache_entries(raw: bytes | None) -> dict:
+    """The entries dict in a cache file's bytes; unreadable or foreign files read as empty."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            stamp = _file_stamp(fh.fileno())
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}, _file_stamp(path)
+        data = json.loads(raw)
+    except (TypeError, ValueError):
+        return {}
     entries = data.get("entries") if isinstance(data, dict) else None
-    return (entries if isinstance(entries, dict) else {}), stamp
+    return entries if isinstance(entries, dict) else {}
+
+
+def _load_cache(path: str) -> tuple[dict, bytes | None]:
+    """The cache's entries dict and the bytes it was parsed from (None if absent).
+
+    Only equal bytes show that the file is unchanged: an (inode, mtime, size)
+    stamp can repeat when a freed inode is reused within one timestamp tick.
+    """
+    raw = _read_file(path)
+    return _cache_entries(raw), raw
 
 
 def _cache_get(entries: dict, spec: str) -> InvariantReport | None:
@@ -102,7 +106,34 @@ def _cache_get(entries: dict, spec: str) -> InvariantReport | None:
     return report if consistent else None
 
 
-def _cache_write(path: str, loaded: tuple[dict, tuple | None], fresh: dict) -> bool:
+def _take_lock(lock: str) -> bool:
+    """Create the lock file; False if another writer holds it.
+
+    A write holds the lock for milliseconds, so a lock older than
+    STALE_LOCK_S was left by a writer that was killed.  It is removed and the
+    create is tried once more.
+    """
+    for retry in (False, True):
+        try:
+            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            return True
+        except FileExistsError:
+            if retry:
+                return False
+        except OSError:
+            return False
+        # the age is read right before the unlink, so that a lock another
+        # writer has just taken over is left alone
+        try:
+            if time.time() - os.stat(lock).st_mtime <= STALE_LOCK_S:
+                return False
+            os.unlink(lock)
+        except OSError:
+            pass
+    return False
+
+
+def _cache_write(path: str, loaded: tuple[dict, bytes | None], fresh: dict) -> bool:
     """Atomically add the fresh entries to the cache file.
 
     `loaded` is what `_load_cache` returned before the fresh entries were
@@ -111,17 +142,13 @@ def _cache_write(path: str, loaded: tuple[dict, tuple | None], fresh: dict) -> b
     writer holds the lock.
     """
     lock = path + ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    except OSError:
+    if not _take_lock(lock):
         return False
     try:
-        os.close(fd)
-        entries, stamp = loaded
-        if _file_stamp(path) != stamp:
-            entries, _ = _load_cache(path)
+        entries, raw = loaded
+        current = _read_file(path)
+        if current != raw:
+            entries = _cache_entries(current)
         entries.update(fresh)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:

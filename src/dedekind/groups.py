@@ -8,7 +8,7 @@ call on every constructed group shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -237,17 +237,13 @@ class FiniteGroup:
             order=self.order,
             order_histogram=tuple(sorted(hist.items())),
             abelian=self.is_abelian,
-            center_order=_popcount(self.center_mask),
-            derived_order=_popcount(self.derived_mask),
+            center_order=self.center_mask.bit_count(),
+            derived_order=self.derived_mask.bit_count(),
         )
 
     def closure(self, gens) -> tuple[int, list[int]]:
         """Mask and element list of the subgroup generated by `gens`."""
         return _closure(self.table, tuple(gens))
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def _mask_elements(mask: int) -> list[int]:
@@ -283,22 +279,6 @@ class Subgroup:
     order: int
     gens: tuple[int, ...] = ()
 
-    @staticmethod
-    def from_elements(parent: FiniteGroup, elems, gens=()) -> "Subgroup":
-        mask = 0
-        for e in elems:
-            mask |= 1 << e
-        sub = Subgroup(parent, mask, _popcount(mask), tuple(gens))
-        t = parent.table
-        for a in sub.elements():
-            row = t[a]
-            for b in sub.elements():
-                if not (mask >> row[b]) & 1:
-                    raise InvalidParameter("element set is not closed under multiplication")
-        if not mask & 1:
-            raise InvalidParameter("subgroup must contain the identity")
-        return sub
-
     def elements(self) -> list[int]:
         return _mask_elements(self.mask)
 
@@ -324,16 +304,6 @@ class Homomorphism:
     source: FiniteGroup
     target: FiniteGroup
     mapping: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
-    @property
-    def is_bijective(self) -> bool:
-        return (
-            self.source.order == self.target.order
-            and len(set(self.mapping)) == self.source.order
-        )
 
 
 def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -498,12 +468,12 @@ def induced_subgroup(g: FiniteGroup, sub) -> tuple[FiniteGroup, tuple[int, ...]]
 
 def center(g: FiniteGroup) -> Subgroup:
     mask = g.center_mask
-    return Subgroup(g, mask, _popcount(mask))
+    return Subgroup(g, mask, mask.bit_count())
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
     mask = g.derived_mask
-    return Subgroup(g, mask, _popcount(mask))
+    return Subgroup(g, mask, mask.bit_count())
 
 
 def assert_associative(g: FiniteGroup) -> None:
@@ -581,7 +551,7 @@ def find_isomorphism(
                 v = ht[phi[parent]][images[gi]]
                 phi[x] = v
                 img_mask |= 1 << v
-            if _popcount(img_mask) != g.order:
+            if img_mask.bit_count() != g.order:
                 return None
             gt = g.table
             for a in range(g.order):

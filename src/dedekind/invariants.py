@@ -14,11 +14,9 @@ from fractions import Fraction
 
 from .errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from .groups import (
-    DEFAULT_ISO_CAP,
     FiniteGroup,
     GroupFingerprint,
     Subgroup,
-    _popcount,
     induced_subgroup,
     is_isomorphic,
     quotient,
@@ -172,9 +170,7 @@ def _cyclic_mask(g: FiniteGroup, x: int) -> int:
 
 
 def is_dedekind(g: FiniteGroup) -> bool:
-    """Whether every subgroup of g is normal."""
-    if g._lattice is not None:
-        return g._lattice.nu == 0
+    """Whether every subgroup of g is normal, i.e. every cyclic subgroup is."""
     if g.is_abelian:
         return True
     gens = g.generating_set
@@ -299,7 +295,7 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
         row = g.table[a]
         for b in phi_q:
             prod_mask |= 1 << row[b]
-    if prod_mask != phi_g.mask or _popcount(prod_mask) != len(phi_p) * len(phi_q):
+    if prod_mask != phi_g.mask or prod_mask.bit_count() != len(phi_p) * len(phi_q):
         raise StructureViolation("Phi(G) != Phi(P) x Phi(Q)")
 
     r = multiplicative_order(p, q)
@@ -340,11 +336,7 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
     )
 
 
-def is_q_self_dual(
-    g: FiniteGroup,
-    lat: SubgroupLattice | None = None,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> bool:
+def is_q_self_dual(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
     """Whether every quotient of g is isomorphic to some subgroup of g."""
     lat = lat if lat is not None else subgroup_lattice(g)
     reps_by_order: dict[int, list[int]] = {}
@@ -360,7 +352,7 @@ def is_q_self_dual(
         found = False
         for i in reps_by_order.get(q.order, []):
             sub, _ = induced_subgroup(g, lat.subgroups[i])
-            if is_isomorphic(q, sub, cap=iso_cap):
+            if is_isomorphic(q, sub):
                 found = True
                 break
         if not found:

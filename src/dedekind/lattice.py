@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import LatticeBudgetExceeded
-from .groups import FiniteGroup, Subgroup, _mask_elements, _popcount
+from .groups import FiniteGroup, Subgroup, _mask_elements
 from .numbertheory import is_prime_power, prime_factorization
 
 __all__ = [
@@ -49,40 +49,6 @@ def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:
         out |= 1 << t[ra[x]][ia]
         m ^= low
     return out
-
-
-def _extend(table, hmask: int, helems: list[int], gens: tuple[int, ...], g: int,
-            full_mask: int, n: int) -> tuple[int, list[int]]:
-    """Closure of H union {g} via coset accumulation.
-
-    Walks coset representatives, multiplying by the generators; each new
-    product outside the current set contributes a whole coset H*x at the cost
-    of |H| lookups.  A subgroup larger than half the group must be the whole
-    group, so that case short-circuits.
-    """
-    kmask = hmask
-    kelems = list(helems)
-    half = n // 2
-    allgens = gens + (g,)
-    reps = deque([0])
-    first_new = None
-    while reps:
-        r = reps.popleft()
-        row = table[r]
-        for s in allgens:
-            y = row[s]
-            if not (kmask >> y) & 1:
-                if first_new is None:
-                    first_new = y
-                for h in helems:
-                    z = table[h][y]
-                    if not (kmask >> z) & 1:
-                        kmask |= 1 << z
-                        kelems.append(z)
-                reps.append(y)
-                if len(kelems) > half:
-                    return full_mask, list(range(n))
-    return kmask, kelems
 
 
 def _prime_roots(g: FiniteGroup) -> tuple[list[list[int]], list[int]]:
@@ -187,14 +153,13 @@ def _generic_extension(
     """Add to `seen` every subgroup reachable from it by H -> <H, x>.
 
     x runs over the prime-power elements outside H, and <H, x> is closed by
-    `_extend`.  Seeded with the cyclic subgroups this reaches every subgroup:
-    a strict extension H < K contains a prime-power element outside H (an
-    element of K \\ H has some prime-power component outside H, else it would
-    lie in H itself).  Only non-solvable groups need it.
+    `FiniteGroup.closure`.  Seeded with the cyclic subgroups this reaches
+    every subgroup: a strict extension H < K contains a prime-power element
+    outside H (an element of K \\ H has some prime-power component outside H,
+    else it would lie in H itself).  Only non-solvable groups need it.
     """
     n = g.order
     table = g.table
-    full_mask = (1 << n) - 1
     ppow = [x for x in range(1, n) if is_prime_power(g.element_orders[x])]
     queue = deque(seen)
     while queue:
@@ -207,7 +172,7 @@ def _generic_extension(
         for x in ppow:
             if (tried >> x) & 1:
                 continue
-            kmask, kelems = _extend(table, hmask, helems, hgens, x, full_mask, n)
+            kmask, kelems = g.closure(hgens + (x,))
             for h in helems:
                 tried |= 1 << table[h][x]
             if kmask not in seen:
@@ -238,14 +203,13 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET):
         self.group = group
         found = all_subgroup_masks(group, budget)
-        masks = sorted(found, key=lambda m: (_popcount(m), m))
+        masks = sorted(found, key=lambda m: (m.bit_count(), m))
         self.subgroups = [
-            Subgroup(group, m, _popcount(m), found[m]) for m in masks
+            Subgroup(group, m, m.bit_count(), found[m]) for m in masks
         ]
         self._index = {m: i for i, m in enumerate(masks)}
         self._masks = masks
         self._join_memo: dict[tuple[int, int], int] = {}
-        self._normalizer_memo: dict[int, int] = {}
         self._classes: list[tuple[int, ...]] | None = None
         self._class_of: list[int] | None = None
 
@@ -334,45 +298,47 @@ class SubgroupLattice:
         return self._index[self._masks[i] & self._masks[j]]
 
     def join(self, i: int, j: int) -> int:
+        """Smallest subgroup containing subgroups i and j.
+
+        Every subgroup containing both contains their join, so in the
+        (order, mask) ordering the join is the first one from max(i, j) on
+        whose mask contains both masks.
+        """
         if i > j:
             i, j = j, i
         key = (i, j)
         memo = self._join_memo
         if key in memo:
             return memo[key]
-        mi, mj = self._masks[i], self._masks[j]
-        if mj & ~mi == 0:
-            memo[key] = i
-            return i
-        if mi & ~mj == 0:
-            memo[key] = j
-            return j
-        table = self.group.table
-        n = self.group.order
-        full = (1 << n) - 1
-        base = self.subgroups[j]
-        kmask, kelems = base.mask, base.elements()
-        cur_gens = tuple(base.gens)
-        for x in self.subgroups[i].gens:
-            if not (kmask >> x) & 1:
-                kmask, kelems = _extend(table, kmask, kelems, cur_gens, x, full, n)
-                cur_gens += (x,)
-        result = self._index[kmask]
-        memo[key] = result
-        return result
+        masks = self._masks
+        need = masks[i] | masks[j]
+        k = j
+        while need & ~masks[k]:
+            k += 1
+        memo[key] = k
+        return k
 
     def normalizer(self, i: int) -> int:
-        """Bitmask of the normalizer of subgroup i in the whole group."""
-        memo = self._normalizer_memo
-        if i in memo:
-            return memo[i]
+        """Bitmask of the normalizer of subgroup i in the whole group.
+
+        Conjugation by a*h equals conjugation by a for h in H, so one element
+        per left coset aH is tested and its verdict covers the whole coset.
+        """
         g = self.group
+        table = g.table
         m = self._masks[i]
-        out = 0
+        helems = _mask_elements(m)
+        done = out = 0
         for a in range(g.order):
+            if (done >> a) & 1:
+                continue
+            row = table[a]
+            coset = 0
+            for h in helems:
+                coset |= 1 << row[h]
+            done |= coset
             if conjugate_mask(g, m, a) == m:
-                out |= 1 << a
-        memo[i] = out
+                out |= coset
         return out
 
 

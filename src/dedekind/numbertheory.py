@@ -6,10 +6,8 @@ from .errors import InvalidParameter
 
 __all__ = [
     "is_prime",
-    "odd_primes",
     "nth_odd_prime",
     "prime_factorization",
-    "p_part",
     "multiplicative_order",
     "is_prime_power",
 ]
@@ -28,15 +26,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def odd_primes():
-    """Yield 3, 5, 7, 11, ... indefinitely."""
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
 
 
 _ODD_PRIME_CACHE: list[int] = []
@@ -67,15 +56,6 @@ def prime_factorization(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
     return out
 
 

@@ -87,10 +87,6 @@ class _Scanner:
             self.fail("expected an integer")
         return int(self.text[start : self.pos])
 
-    def peek_is(self, ch: str) -> bool:
-        self.skip_ws()
-        return self.pos < len(self.text) and self.text[self.pos] == ch
-
 
 def parse_spec(text: str) -> GroupSpec:
     """Parse a group expression; raises ParseError with the failing position."""

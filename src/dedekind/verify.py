@@ -44,6 +44,7 @@ from .formulas import (
     sequence_monotonicity,
 )
 from .groups import (
+    DEFAULT_ISO_CAP,
     FiniteGroup,
     direct_product,
     induced_subgroup,
@@ -85,8 +86,6 @@ class CorpusConfig:
     """
 
     order_cap: int = 512
-    lattice_budget: int = 100_000
-    iso_cap: int = 128
     dstar_order_limit: int = 128
     cyclic_orders: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16, 25, 27)
     elementary_abelian_params: tuple[tuple[int, int], ...] = (
@@ -265,7 +264,6 @@ def compute_corpus_stats(corpus: Corpus) -> dict[str, InvariantReport]:
         e.spec: compute_report(
             e.group,
             spec=e.spec,
-            budget=cfg.lattice_budget,
             want_d_star=e.group.order <= cfg.dstar_order_limit,
         )
         for e in corpus.entries
@@ -438,7 +436,7 @@ def suite_formulas(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRe
         while p**r <= 128:
             s.count("gaussian_sweeps")
             g = elementary_abelian(p, r)
-            lat = subgroup_lattice(g, corpus.config.lattice_budget)
+            lat = subgroup_lattice(g)
             by_layer: dict[int, int] = {}
             for sub in lat.subgroups:
                 i = sub.order.bit_length() - 1 if p == 2 else round(math.log(sub.order, p))
@@ -534,7 +532,7 @@ def suite_one_class(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
         if r.nu != 1:
             continue
         s.count("nu_one_entries")
-        if e.group.order > cfg.iso_cap:
+        if e.group.order > DEFAULT_ISO_CAP:
             s.count("converse_skipped_over_iso_cap")
             continue
         s.count("converse_tested")
@@ -546,7 +544,7 @@ def suite_one_class(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
                 else schmidt_gpqn(*params, order_cap=cfg.order_cap)
             )
             try:
-                if is_isomorphic(e.group, cand, cap=cfg.iso_cap):
+                if is_isomorphic(e.group, cand):
                     matched = cand.name
                     break
             except IsoCapExceeded:
@@ -612,17 +610,16 @@ def suite_self_dual(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
     """Modular-family groups are quotient self-dual: every quotient is
     isomorphic to a subgroup.  A quaternion control shows the test can say no."""
     s = _Suite("self-dual")
-    cfg = corpus.config
     for e in corpus.family("M"):
         s.count("modular_instances")
-        ok = is_q_self_dual(e.group, iso_cap=cfg.iso_cap)
+        ok = is_q_self_dual(e.group)
         s.check(f"{e.spec}: every quotient appears as a subgroup", ok)
     q8 = corpus.get("Q(8)")
     if q8 is not None:
         s.count("negative_controls")
         s.check(
             "Q(8): not quotient self-dual (its four-element quotient is not a subgroup)",
-            not is_q_self_dual(q8.group, iso_cap=cfg.iso_cap),
+            not is_q_self_dual(q8.group),
         )
     return s.result()
 
@@ -698,7 +695,7 @@ def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
         )
         if e.group.order % 2:
             s.count("odd_order_over_2_3")
-            lat = subgroup_lattice(e.group, corpus.config.lattice_budget)
+            lat = subgroup_lattice(e.group)
             sylows = sylow_subgroups(e.group, lat)
             bad = ""
             for p, sub in sorted(sylows.items()):
@@ -817,19 +814,17 @@ def suite_dedekind_threshold(
     return s.result()
 
 
-def _find_section(
-    g: FiniteGroup, target: FiniteGroup, iso_cap: int, budget: int
-) -> tuple[int, int] | None:
+def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None:
     """Orders (|H|, |K|) of the first section H/K of g isomorphic to target."""
     tno = target.order
     tfp = target.fingerprint
-    lat = subgroup_lattice(g, budget)
+    lat = subgroup_lattice(g)
     for hi in lat.class_representatives():
         h = lat.subgroups[hi]
         if h.order % tno:
             continue
         hgrp, _ = induced_subgroup(g, h)
-        hlat = subgroup_lattice(hgrp, budget)
+        hlat = subgroup_lattice(hgrp)
         want_k = hgrp.order // tno
         for ki, k in enumerate(hlat.subgroups):
             if k.order != want_k or not hlat.is_normal(ki):
@@ -838,7 +833,7 @@ def _find_section(
             if q.fingerprint != tfp:
                 continue
             try:
-                if is_isomorphic(q, target, cap=iso_cap):
+                if is_isomorphic(q, target):
                     return (h.order, k.order)
             except IsoCapExceeded:
                 continue
@@ -854,12 +849,11 @@ def suite_hk_sections(
     smaller modular-family section.  Both order-32 readings of an ambiguously
     labeled K instance are checked explicitly."""
     s = _Suite("hk-sections")
-    cfg = corpus.config
     for e in corpus.family("H"):
         p, st_, t = e.params
         if p == 2:
             s.count("h_dihedral_targets")
-            found = _find_section(e.group, dihedral(8), cfg.iso_cap, cfg.lattice_budget)
+            found = _find_section(e.group, dihedral(8))
             s.check(
                 f"{e.spec}: contains a D(8) section",
                 found is not None,
@@ -867,9 +861,7 @@ def suite_hk_sections(
             )
         else:
             s.count("h_heisenberg_targets")
-            found = _find_section(
-                e.group, heisenberg(p), cfg.iso_cap, cfg.lattice_budget
-            )
+            found = _find_section(e.group, heisenberg(p))
             s.check(
                 f"{e.spec}: contains an He({p}) section",
                 found is not None,
@@ -879,9 +871,7 @@ def suite_hk_sections(
         p, st_, t = e.params
         n = st_ + t
         try:
-            modular_iso = is_isomorphic(
-                e.group, modular_group(p, n), cap=cfg.iso_cap
-            )
+            modular_iso = is_isomorphic(e.group, modular_group(p, n))
         except IsoCapExceeded:
             modular_iso = False
         if t == 1:
@@ -900,9 +890,7 @@ def suite_hk_sections(
         lo = 4 if p == 2 else 3
         found, at_k = None, None
         for k_exp in range(n - 1, lo - 1, -1):
-            found = _find_section(
-                e.group, modular_group(p, k_exp), cfg.iso_cap, cfg.lattice_budget
-            )
+            found = _find_section(e.group, modular_group(p, k_exp))
             if found is not None:
                 at_k = k_exp
                 break
@@ -918,7 +906,7 @@ def suite_hk_sections(
         if e is None:
             continue
         s.count("ambiguous_label_candidates")
-        found = _find_section(e.group, modular_group(2, 4), cfg.iso_cap, cfg.lattice_budget)
+        found = _find_section(e.group, modular_group(2, 4))
         s.check(
             f"{spec}: order-32 reading of the ambiguously labeled instance has an M(2,4) section",
             found is not None,
@@ -939,8 +927,8 @@ def suite_extremal_values(
     swap = (0, 2, 1, 3)  # exchange the two basis coordinates
     ident = (0, 1, 2, 3)
     p_group = semidirect_product(ea, cyclic(4), [ident, swap, ident, swap])
-    ds = d_star(p_group, budget=cfg.lattice_budget)
-    dp = d_prime(p_group, cfg.lattice_budget)
+    ds = d_star(p_group)
+    dp = d_prime(p_group)
     s.count("order16_candidates")
     s.check(
         "order-16 semidirect candidate attains d' = d* = 17/23 "
@@ -950,7 +938,7 @@ def suite_extremal_values(
     )
     s.check(
         "the semidirect candidate is the H(2,2,1) family member",
-        is_isomorphic(p_group, h_pst(2, 2, 1), cap=cfg.iso_cap),
+        is_isomorphic(p_group, h_pst(2, 2, 1)),
     )
     h221 = stats.get("H(2,2,1)")
     if h221 is not None:
@@ -960,7 +948,7 @@ def suite_extremal_values(
             f"d* = {_fraction(h221.d_star)}",
         )
     c2d8 = direct_product(cyclic(2), dihedral(8), order_cap=cfg.order_cap)
-    ds2 = d_star(c2d8, budget=cfg.lattice_budget)
+    ds2 = d_star(c2d8)
     s.count("order16_candidates")
     s.check(
         "C(2) x D(8) attains d* = 27/35",
@@ -1062,7 +1050,7 @@ def suite_density(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
         wit = f"{spec} promises {value}"
         if a <= 4:
             grp = build_group(spec, order_cap=cfg.order_cap)
-            got = d_prime(grp, cfg.lattice_budget)
+            got = d_prime(grp)
             ok = ok and got == value
             wit += f", enumeration gives {got}"
         s.check(f"a/(a+1) = {a}/{a + 1} is realized by {spec}", ok, wit)
@@ -1078,7 +1066,6 @@ def suite_consistency(
     the interval d* and the literal section-by-section minimum, and
     monotonicity of d* under taking sections."""
     s = _Suite("consistency")
-    cfg = corpus.config
     for e in corpus:
         if e.tag != "product":
             continue
@@ -1109,7 +1096,7 @@ def suite_consistency(
     for e in corpus:
         r = stats[e.spec]
         g = e.group
-        lat = subgroup_lattice(g, cfg.lattice_budget)
+        lat = subgroup_lattice(g)
         gens = g.generating_set
         normal = sum(
             1
@@ -1125,7 +1112,7 @@ def suite_consistency(
         bad = ""
         for cls in lat.classes:
             norm = lat.normalizer(cls[0])
-            size = bin(norm).count("1")
+            size = norm.bit_count()
             if len(cls) * size != g.order:
                 bad = f"class of size {len(cls)} has normalizer of order {size}"
                 break
@@ -1138,7 +1125,7 @@ def suite_consistency(
     for e in corpus:
         if e.group.order > 24:
             continue
-        lat = subgroup_lattice(e.group, cfg.lattice_budget)
+        lat = subgroup_lattice(e.group)
         oracle = brute_force_subgroup_masks(e.group)
         s.count("oracle_entries")
         s.check(
@@ -1153,8 +1140,8 @@ def suite_consistency(
         if r.d_star is None:
             continue
         literal = min(
-            d_prime(sec.quotient, cfg.lattice_budget)
-            for sec in sections(e.group, cfg.lattice_budget)
+            d_prime(sec.quotient)
+            for sec in sections(e.group)
         )
         s.count("prune_agreement_entries")
         s.check(
@@ -1172,13 +1159,13 @@ def suite_consistency(
         seen_fp = set()
         bad = ""
         tested = 0
-        for sec in sections(g, cfg.lattice_budget):
+        for sec in sections(g):
             q = sec.quotient
             if q.order in (1, g.order) or q.fingerprint in seen_fp:
                 continue
             seen_fp.add(q.fingerprint)
             tested += 1
-            sub_val = d_star(q, budget=cfg.lattice_budget)
+            sub_val = d_star(q)
             if sub_val < r.d_star:
                 bad = f"section {sec.h.order}/{sec.k.order} has d* = {sub_val} < {r.d_star}"
                 break

@@ -6,8 +6,9 @@ runtime budgets. Criteria that quantify over the whole standard corpus reuse
 one shared in-process verification run.
 """
 
+import io
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,31 @@ def stats(corpus):
 
 
 @pytest.fixture(scope="module")
-def suites(corpus, stats):
-    results = run_suites(None, corpus=corpus, stats=stats)
-    return {r.suite: r for r in results}
+def verify_all(corpus, stats):
+    """`dedekind verify all` run once through the CLI, on the shared corpus.
+
+    The spy checks that the command asks for every suite on the default
+    corpus, then runs them on the corpus and stats already built here.
+    Returns the exit code, the output and the results by suite.
+    """
+    results = []
+
+    def spy(names, config=None):
+        assert names == ["all"]
+        assert config == corpus.config
+        results.extend(run_suites(names, corpus=corpus, stats=stats))
+        return results
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        mp.setattr(cli, "run_suites", spy)
+        code = cli.main(["verify", "all"])
+    return code, out.getvalue(), {r.suite: r for r in results}
+
+
+@pytest.fixture(scope="module")
+def suites(verify_all):
+    return verify_all[2]
 
 
 @contextmanager
@@ -145,7 +168,7 @@ def test_acceptance_4_formula_enumeration_equivalence(capsys, corpus, suites):
         assert ants["composite_section_instances"] == 6  # all six (p, q) pairs
 
 
-def test_acceptance_5_verification_suites(capsys, suites):
+def test_acceptance_5_verification_suites(capsys, verify_all, suites):
     with announce(capsys, 5, "verification suites"):
         for name, result in suites.items():
             assert result.ok, name
@@ -161,7 +184,9 @@ def test_acceptance_5_verification_suites(capsys, suites):
         assert hk["k_eligible_2"] >= 1
 
         # the command-line entry point agrees end to end
-        assert cli.main(["verify", "all"]) == 0
+        code, out, _ = verify_all
+        assert code == 0
+        assert out.splitlines()[-1] == "13 suites, 2686 checks, all passed"
 
 
 def test_acceptance_6_structural_properties(capsys, corpus, stats, suites):

@@ -1,0 +1,34 @@
+"""The package's public surface: the names README's Library section documents."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import dedekind
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_public_api():
+    text = README.read_text(encoding="utf-8")
+    library = text.split("## Library", 1)[1].split("\n## ", 1)[0]
+    exports = re.search(r"The package exports (.*?);", library, re.S).group(1)
+    documented = set(re.findall(r"`(\w+)`", exports))
+    assert set(dedekind.__all__) == documented
+    assert len(dedekind.__all__) == len(documented)
+    namespace: dict = {}
+    exec("from dedekind import *", namespace)
+    assert set(dedekind.__all__) <= namespace.keys()
+    # the package import stays light: no corpus or command-line machinery
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, dedekind; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(dedekind.__file__).resolve().parents[1])},
+    ).stdout
+    assert "'dedekind'" in loaded
+    assert "'dedekind.verify'" not in loaded
+    assert "'dedekind.cli'" not in loaded

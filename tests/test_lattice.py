@@ -89,34 +89,38 @@ def test_conjugacy_classes_match_brute_force(zoo):
 
 
 def test_normality_and_normalizers(zoo):
-    g = zoo["d8"]
-    lat = subgroup_lattice(g)
-    full = (1 << g.order) - 1
-    for i, sub in enumerate(lat.subgroups):
-        nz = lat.normalizer(i)
-        assert lat.is_normal(i) == (nz == full)
-        # the normalizer really normalizes
-        for a in range(g.order):
-            if (nz >> a) & 1:
-                assert conjugate_mask(g, sub.mask, a) == sub.mask
-        # orbit-stabilizer: class size times normalizer size is the order
-        cls = next(c for c in lat.classes if i in c)
-        assert len(cls) * bin(nz).count("1") == g.order
+    for name in ("d8", "s3", "a4", "d12"):
+        g = zoo[name]
+        lat = subgroup_lattice(g)
+        full = (1 << g.order) - 1
+        for i, sub in enumerate(lat.subgroups):
+            nz = lat.normalizer(i)
+            # the coset-by-coset test agrees with conjugating by every element
+            scan = sum(
+                1 << a
+                for a in range(g.order)
+                if conjugate_mask(g, sub.mask, a) == sub.mask
+            )
+            assert nz == scan, name
+            assert lat.is_normal(i) == (nz == full), name
+            # orbit-stabilizer: class size times normalizer size is the order
+            cls = next(c for c in lat.classes if i in c)
+            assert len(cls) * nz.bit_count() == g.order, name
 
 
 def test_meet_and_join(zoo):
-    g = zoo["d8"]
-    lat = subgroup_lattice(g)
-    for i, a in enumerate(lat.subgroups):
-        for j, b in enumerate(lat.subgroups):
-            m = lat.subgroups[lat.meet(i, j)].mask
-            assert m == a.mask & b.mask
-            jn = lat.subgroups[lat.join(i, j)].mask
-            assert jn & a.mask == a.mask and jn & b.mask == b.mask
-            # nothing smaller contains both
-            for k, c in enumerate(lat.subgroups):
-                if c.mask & a.mask == a.mask and c.mask & b.mask == b.mask:
-                    assert c.mask & jn == jn
+    for name in ("d8", "s3", "a4", "d12", "he3"):
+        lat = subgroup_lattice(zoo[name])
+        for i, a in enumerate(lat.subgroups):
+            for j, b in enumerate(lat.subgroups):
+                m = lat.subgroups[lat.meet(i, j)].mask
+                assert m == a.mask & b.mask, name
+                jn = lat.subgroups[lat.join(i, j)].mask
+                assert jn & a.mask == a.mask and jn & b.mask == b.mask, name
+                # nothing smaller contains both
+                for c in lat.subgroups:
+                    if c.mask & a.mask == a.mask and c.mask & b.mask == b.mask:
+                        assert c.mask & jn == jn, name
 
 
 def test_hasse_edges_are_covers(zoo):

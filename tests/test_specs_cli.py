@@ -1,8 +1,10 @@
 """Spec mini-language and the command-line front end, including the cache."""
 
 import json
+import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -265,6 +267,25 @@ def test_concurrent_writers_keep_each_others_entries(capsys, tmp_path, monkeypat
     assert set(json.load(open(cp))["entries"]) == {"D(8)", "Q(8)", "D(16)"}
 
 
+def test_rewrite_with_the_same_inode_size_and_mtime_is_merged(capsys, tmp_path):
+    # a freed inode reused within one timestamp tick gives a new cache file
+    # the old (inode, size, mtime); the merge must still see the new entries
+    cp = tmp_path / "c.json"
+    run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
+    loaded = cli._load_cache(str(cp))
+    before = os.stat(cp)
+    other = cp.read_text().replace('"D(8)"', '"Q(8)"')
+    with open(cp, "r+") as fh:
+        fh.write(other)
+    os.utime(cp, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(cp)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns
+    )
+    assert cli._cache_write(str(cp), loaded, {"D(16)": {"spec": "D(16)"}})
+    assert set(json.loads(cp.read_text())["entries"]) == {"Q(8)", "D(16)"}
+
+
 def test_cache_writer_stress_loses_no_written_entry(capsys, tmp_path, monkeypatch):
     cp = str(tmp_path / "c.json")
     written, codes = [], []
@@ -333,6 +354,19 @@ def test_lock_contention_skips_write(capsys, tmp_path):
     assert code == 0 and out == "4/5\n"
     assert not cp.exists()
     lock.unlink()
+
+
+def test_stale_lock_is_cleared(capsys, tmp_path):
+    # a day-old lock was left by a killed writer, as a write takes milliseconds
+    cp = tmp_path / "c.json"
+    lock = tmp_path / "c.json.lock"
+    lock.touch()
+    old = time.time() - 24 * 3600
+    os.utime(lock, (old, old))
+    code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
+    assert code == 0 and out == "4/5\n"
+    assert json.loads(cp.read_text())["entries"]["D(8)"]["spec"] == "D(8)"
+    assert not lock.exists()
 
 
 def test_corrupt_cache_file_is_ignored(capsys, tmp_path):
