@@ -3,8 +3,9 @@
 Subcommands parse a group spec such as "M(2,5)" or "C(3) x D(8)", run the
 requested computation, and print either a human-readable table or, with
 --json, a machine format with a fixed key order so identical invocations
-produce byte-identical output.  Invariant reports are cached in a local JSON
-file keyed by spec and engine version; verification failures, parameter
+produce byte-identical output.  Invariant reports are cached in a local
+directory, one JSON file per spec written by an atomic rename and checked
+against the engine version when read; verification failures, parameter
 errors, and budget caps map to distinct exit codes.
 
 Exit codes: 0 success, 2 spec parse error, 3 invalid parameter or structure,
@@ -14,9 +15,11 @@ Exit codes: 0 success, 2 spec parse error, 3 invalid parameter or structure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -49,51 +52,28 @@ from .invariants import (
     sections,
 )
 from .lattice import hasse_edges, subgroup_lattice
-from .specs import parse_spec
-from .verify import CorpusConfig, build_corpus, run_suites, SUITES
+from .specs import build_group, parse_spec
+from .verify import CorpusConfig, list_corpus, run_suites, SUITES
 
-DEFAULT_CACHE_PATH = ".dedekind_cache.json"
+DEFAULT_CACHE_PATH = ".dedekind_cache"
 DEFAULT_MAX_ORDER = 512
-STALE_LOCK_S = 60
 
 
 # ---------------------------------------------------------------------------
 # cache
 
-def _read_file(path: str) -> bytes | None:
+def _entry_path(cache_dir: str, spec: str) -> str:
+    """The file that holds the cached report for a canonical spec."""
+    return os.path.join(cache_dir, hashlib.sha256(spec.encode()).hexdigest()[:32] + ".json")
+
+
+def _cache_get(cache_dir: str, spec: str) -> InvariantReport | None:
+    """The cached report for spec, unless it is missing, stale, corrupt or not self-consistent."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError:
-        return None
-
-
-def _cache_entries(raw: bytes | None) -> dict:
-    """The entries dict in a cache file's bytes; unreadable or foreign files read as empty."""
-    try:
-        data = json.loads(raw)
-    except (TypeError, ValueError):
-        return {}
-    entries = data.get("entries") if isinstance(data, dict) else None
-    return entries if isinstance(entries, dict) else {}
-
-
-def _load_cache(path: str) -> tuple[dict, bytes | None]:
-    """The cache's entries dict and the bytes it was parsed from (None if absent).
-
-    Only equal bytes show that the file is unchanged: an (inode, mtime, size)
-    stamp can repeat when a freed inode is reused within one timestamp tick.
-    """
-    raw = _read_file(path)
-    return _cache_entries(raw), raw
-
-
-def _cache_get(entries: dict, spec: str) -> InvariantReport | None:
-    """The cached report for spec, unless it is stale or not self-consistent."""
-    hit = entries.get(spec)
-    if not isinstance(hit, dict) or hit.get("engine") != __version__:
-        return None
-    try:
+        with open(_entry_path(cache_dir, spec), "rb") as fh:
+            hit = json.load(fh)
+        if not isinstance(hit, dict) or hit.get("engine") != __version__:
+            return None
         report = InvariantReport.from_json_dict(hit["report"])
         consistent = (
             report.spec == spec
@@ -101,75 +81,38 @@ def _cache_get(entries: dict, spec: str) -> InvariantReport | None:
             and report.d_prime == Fraction(report.k_prime, report.lattice_size)
             and (report.d_star is None or report.d_star <= report.d_prime)
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
         return None
     return report if consistent else None
 
 
-def _take_lock(lock: str) -> bool:
-    """Create the lock file; False if another writer holds it.
+def _cache_put(cache_dir: str, report: InvariantReport) -> None:
+    """Store report in its own entry file; on any OSError, cache nothing.
 
-    A write holds the lock for milliseconds, so a lock older than
-    STALE_LOCK_S was left by a writer that was killed.  It is removed and the
-    create is tried once more.
+    The entry is written to a temp file whose name is unique to this process
+    and thread, then renamed onto the entry path.  A rename is atomic and no
+    writer reads what another wrote, so no lock is needed: two writers of one
+    spec store equal reports, and the last rename wins.
     """
-    for retry in (False, True):
-        try:
-            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-            return True
-        except FileExistsError:
-            if retry:
-                return False
-        except OSError:
-            return False
-        # the age is read right before the unlink, so that a lock another
-        # writer has just taken over is left alone
-        try:
-            if time.time() - os.stat(lock).st_mtime <= STALE_LOCK_S:
-                return False
-            os.unlink(lock)
-        except OSError:
-            pass
-    return False
-
-
-def _cache_write(path: str, loaded: tuple[dict, bytes | None], fresh: dict) -> bool:
-    """Atomically add the fresh entries to the cache file.
-
-    `loaded` is what `_load_cache` returned before the fresh entries were
-    computed.  If the file changed since, it is read again under the lock, so
-    entries another writer added meanwhile are kept.  Skips (False) if another
-    writer holds the lock.
-    """
-    lock = path + ".lock"
-    if not _take_lock(lock):
-        return False
-    try:
-        entries, raw = loaded
-        current = _read_file(path)
-        if current != raw:
-            entries = _cache_entries(current)
-        entries.update(fresh)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"engine": __version__, "entries": entries}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return True
-    finally:
-        try:
-            os.unlink(lock)
-        except OSError:
-            pass
-
-
-def _cache_entry(report: InvariantReport) -> dict:
-    return {
+    path = _entry_path(cache_dir, report.spec)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    entry = {
         "spec": report.spec,
         "engine": __version__,
         "saved_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "report": report.to_json_dict(),
     }
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 def _lacks_d_star(report: InvariantReport, allow_slow: bool = False) -> bool:
@@ -197,9 +140,7 @@ def _spec_report(args, need_d_star: bool = False) -> InvariantReport:
     """
     spec = parse_spec(args.spec)
     canonical = str(spec)
-    use_cache = not args.no_cache
-    loaded = _load_cache(args.cache_path) if use_cache else ({}, None)
-    cached = _cache_get(loaded[0], canonical) if use_cache else None
+    cached = None if args.no_cache else _cache_get(args.cache_path, canonical)
     if cached is not None and not _lacks_d_star(cached, args.allow_slow or need_d_star):
         return cached
     group = spec.build(order_cap=args.max_order)
@@ -207,8 +148,8 @@ def _spec_report(args, need_d_star: bool = False) -> InvariantReport:
         # surface the cap before doing any heavy enumeration
         d_star(group, allow_slow=False)
     report = compute_report(group, spec=canonical, allow_slow=args.allow_slow)
-    if use_cache:
-        _cache_write(args.cache_path, loaded, {canonical: _cache_entry(report)})
+    if not args.no_cache:
+        _cache_put(args.cache_path, report)
     return report
 
 
@@ -442,28 +383,17 @@ def cmd_formula(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    corpus = build_corpus(CorpusConfig())
-    chosen = [
-        e
-        for e in corpus
-        if e.group.order <= args.max_order
-        and (args.family is None or e.tag == args.family)
-    ]
-    use_cache = not args.no_cache
-    loaded = _load_cache(args.cache_path) if use_cache else ({}, None)
+    cfg = CorpusConfig()
     reports = []
-    fresh = {}
-    for e in chosen:
-        cached = _cache_get(loaded[0], e.spec) if use_cache else None
-        if cached is not None and not _lacks_d_star(cached):
-            reports.append(cached)
+    for spec, tag, _, order, _ in list_corpus(cfg)[0]:
+        if order > args.max_order or (args.family is not None and tag != args.family):
             continue
-        report = compute_report(e.group, spec=e.spec)
+        report = None if args.no_cache else _cache_get(args.cache_path, spec)
+        if report is None or _lacks_d_star(report):
+            report = compute_report(build_group(spec, order_cap=cfg.order_cap), spec=spec)
+            if not args.no_cache:
+                _cache_put(args.cache_path, report)
         reports.append(report)
-        if use_cache:
-            fresh[e.spec] = _cache_entry(report)
-    if fresh:
-        _cache_write(args.cache_path, loaded, fresh)
     if args.json:
         _emit_json([r.to_json_dict() for r in reports])
         return 0
@@ -500,7 +430,7 @@ def _add_spec_flags(sp, cache: bool = True) -> None:
         sp.add_argument(
             "--cache-path",
             default=DEFAULT_CACHE_PATH,
-            help=f"cache file (default {DEFAULT_CACHE_PATH})",
+            help=f"cache directory, one file per report (default {DEFAULT_CACHE_PATH})",
         )
 
 

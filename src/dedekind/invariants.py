@@ -22,7 +22,6 @@ from .groups import (
     quotient,
 )
 from .lattice import (
-    DEFAULT_LATTICE_BUDGET,
     SubgroupLattice,
     conjugate_mask,
     is_lattice_modular,
@@ -54,9 +53,9 @@ __all__ = [
 DSTAR_ORDER_LIMIT = 256
 
 
-def d_prime(g: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET) -> Fraction:
+def d_prime(g: FiniteGroup) -> Fraction:
     """k'(G) / |L(G)| as an exact reduced fraction."""
-    lat = subgroup_lattice(g, budget)
+    lat = subgroup_lattice(g)
     return Fraction(lat.k_prime, lat.size)
 
 
@@ -89,9 +88,9 @@ def _local_mask(embedding: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def sections(g: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET):
+def sections(g: FiniteGroup):
     """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H)."""
-    lat = subgroup_lattice(g, budget)
+    lat = subgroup_lattice(g)
     for h in lat.subgroups:
         hgrp, emb = induced_subgroup(g, h)
         for k in lat.subgroups:
@@ -103,11 +102,7 @@ def sections(g: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET):
             yield Section(h, k, q)
 
 
-def d_star(
-    g: FiniteGroup,
-    budget: int = DEFAULT_LATTICE_BUDGET,
-    allow_slow: bool = False,
-) -> Fraction:
+def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     """Minimum of d' over all sections of g, read off intervals of L(g).
 
     L(H/K) is the interval [K, H] of L(g), and H/K-conjugacy on it is
@@ -125,7 +120,7 @@ def d_star(
         )
     if g.is_abelian:
         return Fraction(1)
-    lat = subgroup_lattice(g, budget)
+    lat = subgroup_lattice(g)
     masks = lat._masks
     best = Fraction(1)
     for hi in lat.class_representatives():
@@ -412,17 +407,16 @@ class InvariantReport:
 def compute_report(
     g: FiniteGroup,
     spec: str | None = None,
-    budget: int = DEFAULT_LATTICE_BUDGET,
     want_d_star: bool = True,
     allow_slow: bool = False,
 ) -> InvariantReport:
     """Full invariant report; d_star is None when skipped for size."""
     t0 = time.perf_counter()
-    lat = subgroup_lattice(g, budget)
+    lat = subgroup_lattice(g)
     dp = Fraction(lat.k_prime, lat.size)
     ds: Fraction | None = None
     if want_d_star and (g.order <= DSTAR_ORDER_LIMIT or allow_slow):
-        ds = d_star(g, budget=budget, allow_slow=allow_slow)
+        ds = d_star(g, allow_slow=allow_slow)
     nilpotent = is_nilpotent(g, lat)
     modular = has_modular_lattice(g, lat)
     flags = {

@@ -200,9 +200,9 @@ class SubgroupLattice:
     relations are computed on demand.
     """
 
-    def __init__(self, group: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        found = all_subgroup_masks(group, budget)
+        found = all_subgroup_masks(group)
         masks = sorted(found, key=lambda m: (m.bit_count(), m))
         self.subgroups = [
             Subgroup(group, m, m.bit_count(), found[m]) for m in masks
@@ -342,12 +342,10 @@ class SubgroupLattice:
         return out
 
 
-def subgroup_lattice(
-    g: FiniteGroup, budget: int = DEFAULT_LATTICE_BUDGET
-) -> SubgroupLattice:
+def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
     """The (cached) subgroup lattice of g."""
     if g._lattice is None:
-        g._lattice = SubgroupLattice(g, budget)
+        g._lattice = SubgroupLattice(g)
     return g._lattice
 
 

@@ -159,15 +159,19 @@ def _primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
-def build_corpus(config: CorpusConfig | None = None) -> Corpus:
-    """All family instances in range plus coprime-order direct products.
+# (spec, tag, params, order, factors): a corpus entry before its group is built
+CorpusRow = tuple[str, str, tuple[int, ...], int, tuple[str, ...]]
+
+
+def list_corpus(config: CorpusConfig | None = None) -> tuple[list[CorpusRow], list[str]]:
+    """The corpus as rows (spec, tag, params, order, factors), without building a group.
 
     The ordering is fixed by the sweep below, so corpus indices, suite
     output, and witnesses are stable across runs.  Instances whose order
-    would exceed the cap are skipped and noted.
+    would exceed the cap are skipped and noted in the second list.
     """
     cfg = config if config is not None else CorpusConfig()
-    entries: list[CorpusEntry] = []
+    rows: list[CorpusRow] = []
     skipped: list[str] = []
     seen: set[str] = set()
 
@@ -178,7 +182,7 @@ def build_corpus(config: CorpusConfig | None = None) -> Corpus:
             skipped.append(f"{spec} (order {order} over cap {cfg.order_cap})")
             return
         seen.add(spec)
-        entries.append(CorpusEntry(spec, build_group(spec, order_cap=cfg.order_cap), tag, params))
+        rows.append((spec, tag, params, order, ()))
 
     for n in cfg.cyclic_orders:
         add(f"C({n})", "C", (n,), n)
@@ -226,10 +230,9 @@ def build_corpus(config: CorpusConfig | None = None) -> Corpus:
     if cfg.include_c27q8:
         add("C27Q8", "C27Q8", (), 216)
 
-    atoms = list(entries)
-    for i, a in enumerate(atoms):
-        for b in atoms[i + 1 :]:
-            na, nb = a.group.order, b.group.order
+    atoms = list(rows)
+    for i, (a, _, _, na, _) in enumerate(atoms):
+        for b, _, _, nb, _ in atoms[i + 1 :]:
             if na == 1 or nb == 1:
                 continue
             if na > cfg.product_factor_cap or nb > cfg.product_factor_cap:
@@ -238,19 +241,32 @@ def build_corpus(config: CorpusConfig | None = None) -> Corpus:
                 continue
             if na * nb > min(cfg.product_order_cap, cfg.order_cap):
                 continue
-            spec = f"{a.spec} x {b.spec}"
+            spec = f"{a} x {b}"
             if spec in seen:
                 continue
             seen.add(spec)
-            entries.append(
-                CorpusEntry(
-                    spec,
-                    direct_product(a.group, b.group, order_cap=cfg.order_cap),
-                    "product",
-                    (),
-                    (a.spec, b.spec),
-                )
-            )
+            rows.append((spec, "product", (), na * nb, (a, b)))
+    return rows, skipped
+
+
+def build_corpus(config: CorpusConfig | None = None) -> Corpus:
+    """All family instances in range plus coprime-order direct products.
+
+    Every group is built here; a product is built from its two factors'
+    groups, in `list_corpus` order.
+    """
+    cfg = config if config is not None else CorpusConfig()
+    rows, skipped = list_corpus(cfg)
+    groups: dict[str, FiniteGroup] = {}
+    entries: list[CorpusEntry] = []
+    for spec, tag, params, _, factors in rows:
+        if factors:
+            a, b = factors
+            group = direct_product(groups[a], groups[b], order_cap=cfg.order_cap)
+        else:
+            group = build_group(spec, order_cap=cfg.order_cap)
+        groups[spec] = group
+        entries.append(CorpusEntry(spec, group, tag, params, factors))
     return Corpus(cfg, entries, skipped)
 
 

@@ -203,7 +203,7 @@ def test_modularity_matches_oracle_on_corpus(corpus):
 
 def test_lattice_budget(zoo):
     with pytest.raises(LatticeBudgetExceeded):
-        subgroup_lattice(elementary_abelian(2, 4), budget=10)
+        all_subgroup_masks(elementary_abelian(2, 4), budget=10)
 
 
 def test_class_representatives(zoo):

@@ -4,7 +4,6 @@ import json
 import os
 import sys
 import threading
-import time
 
 import pytest
 
@@ -75,7 +74,7 @@ def test_build_rejects_bad_parameters():
 
 def test_info_human(capsys, tmp_path):
     code, out, _ = run_cli(
-        capsys, ["info", "He(3)", "--cache-path", str(tmp_path / "c.json")]
+        capsys, ["info", "He(3)", "--cache-path", str(tmp_path / "cache")]
     )
     assert code == 0
     assert "spec:     He(3)" in out
@@ -84,7 +83,7 @@ def test_info_human(capsys, tmp_path):
 
 
 def test_dprime_and_dstar_plain(capsys, tmp_path):
-    cp = str(tmp_path / "c.json")
+    cp = str(tmp_path / "cache")
     assert run_cli(capsys, ["dprime", "D(8)", "--cache-path", cp])[:2] == (0, "4/5\n")
     assert run_cli(capsys, ["dstar", "C(2) x D(8)", "--cache-path", cp])[:2] == (
         0,
@@ -95,7 +94,7 @@ def test_dprime_and_dstar_plain(capsys, tmp_path):
 def test_json_output_is_machine_readable(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
-        ["info", "M(2,5)", "--json", "--cache-path", str(tmp_path / "c.json")],
+        ["info", "M(2,5)", "--json", "--cache-path", str(tmp_path / "cache")],
     )
     assert code == 0
     data = json.loads(out)
@@ -153,20 +152,30 @@ def test_density_command(capsys):
     assert run_cli(capsys, ["density", "1", "2", "1e-9", "--prime-budget", "10"])[0] == 4
 
 
-def test_sweep_command(capsys, tmp_path):
-    cp = str(tmp_path / "c.json")
+def test_sweep_command(capsys, tmp_path, monkeypatch):
+    cp = str(tmp_path / "cache")
+    built = []
+    build = cli.build_group
+
+    def counting(spec, **kwargs):
+        built.append(spec)
+        return build(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "build_group", counting)
     code, out, _ = run_cli(capsys, ["sweep", "--family", "M", "--cache-path", cp])
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("M(")]
     assert len(lines) == 6
     assert any("M(3,3)" in l and "4/5" in l for l in lines)
+    # only the chosen groups are built, not the whole corpus
+    assert built == [l.split()[0] for l in lines]
     # the sweep populated the cache; a repeat serves identical bytes from it
     code2, out2, _ = run_cli(capsys, ["sweep", "--family", "M", "--cache-path", cp])
-    assert out2 == out
+    assert out2 == out and len(built) == 6
 
 
 def test_sweep_cache_serves_the_same_d_star_as_a_cold_info(capsys, tmp_path):
-    cp = str(tmp_path / "c.json")
+    cp = str(tmp_path / "cache")
     assert run_cli(capsys, ["sweep", "--family", "C27Q8", "--cache-path", cp])[0] == 0
     _, out, _ = run_cli(capsys, ["info", "C27Q8", "--cache-path", cp])
     _, cold, _ = run_cli(capsys, ["info", "C27Q8", "--no-cache"])
@@ -174,7 +183,7 @@ def test_sweep_cache_serves_the_same_d_star_as_a_cold_info(capsys, tmp_path):
 
 
 def test_exit_codes(capsys, tmp_path):
-    cp = str(tmp_path / "c.json")
+    cp = str(tmp_path / "cache")
     assert run_cli(capsys, ["info", "M(2", "--cache-path", cp])[0] == 2
     assert run_cli(capsys, ["info", "M(4,3)", "--cache-path", cp])[0] == 3
     assert run_cli(capsys, ["info", "D(1024)", "--cache-path", cp])[0] == 4
@@ -185,20 +194,30 @@ def test_exit_codes(capsys, tmp_path):
 # cache behaviour
 
 
+def read_entry(cache_dir, spec):
+    with open(cli._entry_path(str(cache_dir), spec)) as fh:
+        return json.load(fh)
+
+
+def write_entry(cache_dir, spec, entry):
+    with open(cli._entry_path(str(cache_dir), spec), "w") as fh:
+        json.dump(entry, fh)
+
+
 def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
-    cp = str(tmp_path / "c.json")
+    cp = str(tmp_path / "cache")
     _, fresh, _ = run_cli(capsys, ["info", "D(16)", "--json", "--cache-path", cp])
     _, hit, _ = run_cli(capsys, ["info", "D(16)", "--json", "--cache-path", cp])
     _, hit2, _ = run_cli(capsys, ["info", "D(16)", "--json", "--cache-path", cp])
     assert fresh == hit == hit2
 
-    entries = json.load(open(cp))["entries"]
-    assert set(entries) == {"D(16)"}
-    assert entries["D(16)"]["engine"] == __version__
+    assert os.listdir(cp) == [os.path.basename(cli._entry_path(cp, "D(16)"))]
+    entry = read_entry(cp, "D(16)")
+    assert entry["spec"] == "D(16)" and entry["engine"] == __version__
 
 
 def test_cache_transparent_up_to_timing(capsys, tmp_path):
-    cp = str(tmp_path / "c.json")
+    cp = str(tmp_path / "cache")
     run_cli(capsys, ["info", "Q(16)", "--json", "--cache-path", cp])
     _, cached, _ = run_cli(capsys, ["info", "Q(16)", "--json", "--cache-path", cp])
     _, fresh, _ = run_cli(capsys, ["info", "Q(16)", "--json", "--no-cache"])
@@ -208,26 +227,26 @@ def test_cache_transparent_up_to_timing(capsys, tmp_path):
 
 
 def test_no_cache_leaves_no_file(capsys, tmp_path):
-    cp = tmp_path / "c.json"
+    cp = tmp_path / "cache"
     run_cli(capsys, ["info", "D(8)", "--json", "--no-cache", "--cache-path", str(cp)])
     assert not cp.exists()
 
 
 def test_stale_engine_entries_are_recomputed(capsys, tmp_path):
-    cp = tmp_path / "c.json"
+    cp = tmp_path / "cache"
     run_cli(capsys, ["info", "D(8)", "--cache-path", str(cp)])
-    data = json.load(open(cp))
-    data["entries"]["D(8)"]["engine"] = "0.0.0"
-    data["entries"]["D(8)"]["report"]["d_prime"] = {"num": 1, "den": 7}
-    json.dump(data, open(cp, "w"))
+    entry = read_entry(cp, "D(8)")
+    entry["engine"] = "0.0.0"
+    entry["report"]["d_prime"] = {"num": 1, "den": 7}
+    write_entry(cp, "D(8)", entry)
     # the poisoned stale entry is ignored, recomputed, and overwritten
     code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
     assert code == 0 and out == "4/5\n"
-    assert json.load(open(cp))["entries"]["D(8)"]["engine"] == __version__
+    assert read_entry(cp, "D(8)")["engine"] == __version__
 
 
 def test_inconsistent_cached_entries_are_recomputed(capsys, tmp_path):
-    cp = tmp_path / "c.json"
+    cp = tmp_path / "cache"
     _, cold, _ = run_cli(capsys, ["info", "D(8)", "--json", "--no-cache"])
     want = json.loads(cold)
     want.pop("ms")
@@ -240,74 +259,59 @@ def test_inconsistent_cached_entries_are_recomputed(capsys, tmp_path):
     }
     for field, value in tampered.items():
         run_cli(capsys, ["info", "D(8)", "--cache-path", str(cp)])
-        data = json.load(open(cp))
-        data["entries"]["D(8)"]["report"][field] = value
-        json.dump(data, open(cp, "w"))
+        entry = read_entry(cp, "D(8)")
+        entry["report"][field] = value
+        write_entry(cp, "D(8)", entry)
         code, out, _ = run_cli(capsys, ["info", "D(8)", "--json", "--cache-path", str(cp)])
         got = json.loads(out)
         got.pop("ms")
         assert code == 0 and got == want, field
-        assert json.load(open(cp))["entries"]["D(8)"]["report"][field] == want[field], field
+        assert read_entry(cp, "D(8)")["report"][field] == want[field], field
 
 
 def test_concurrent_writers_keep_each_others_entries(capsys, tmp_path, monkeypatch):
-    cp = str(tmp_path / "c.json")
+    cp = str(tmp_path / "cache")
     compute = cli.compute_report
 
     def racing(g, spec=None, **kwargs):
         if spec == "D(8)":
-            # another writer caches Q(8) after this call has read the file
+            # another writer caches Q(8) while this call computes D(8)
             assert cli.main(["dprime", "Q(8)", "--cache-path", cp]) == 0
         return compute(g, spec=spec, **kwargs)
 
     monkeypatch.setattr(cli, "compute_report", racing)
     assert run_cli(capsys, ["dprime", "D(8)", "--cache-path", cp])[0] == 0
-    assert set(json.load(open(cp))["entries"]) == {"D(8)", "Q(8)"}
     run_cli(capsys, ["dprime", "D(16)", "--cache-path", cp])
-    assert set(json.load(open(cp))["entries"]) == {"D(8)", "Q(8)", "D(16)"}
-
-
-def test_rewrite_with_the_same_inode_size_and_mtime_is_merged(capsys, tmp_path):
-    # a freed inode reused within one timestamp tick gives a new cache file
-    # the old (inode, size, mtime); the merge must still see the new entries
-    cp = tmp_path / "c.json"
-    run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
-    loaded = cli._load_cache(str(cp))
-    before = os.stat(cp)
-    other = cp.read_text().replace('"D(8)"', '"Q(8)"')
-    with open(cp, "r+") as fh:
-        fh.write(other)
-    os.utime(cp, ns=(before.st_atime_ns, before.st_mtime_ns))
-    after = os.stat(cp)
-    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
-        before.st_ino, before.st_size, before.st_mtime_ns
-    )
-    assert cli._cache_write(str(cp), loaded, {"D(16)": {"spec": "D(16)"}})
-    assert set(json.loads(cp.read_text())["entries"]) == {"Q(8)", "D(16)"}
+    for spec in ("D(8)", "Q(8)", "D(16)"):
+        assert read_entry(cp, spec)["spec"] == spec
+    assert len(os.listdir(cp)) == 3
 
 
 def test_cache_writer_stress_loses_no_written_entry(capsys, tmp_path, monkeypatch):
-    cp = str(tmp_path / "c.json")
-    written, codes = [], []
-    write = cli._cache_write
+    # 4 threads each request all 32 specs in the same order, so several
+    # writers race on one entry; no write may fail or be lost
+    cp = str(tmp_path / "cache")
+    failed, codes = [], []
+    replace = os.replace
 
-    def recording(path, loaded, fresh):
-        ok = write(path, loaded, fresh)
-        if ok:
-            written.extend(fresh)
-        return ok
+    def recording(src, dst):
+        try:
+            replace(src, dst)
+        except OSError as exc:
+            failed.append(exc)
+            raise
 
-    monkeypatch.setattr(cli, "_cache_write", recording)
+    monkeypatch.setattr(os, "replace", recording)
     specs = [f"C({n})" for n in range(1, 33)]
 
-    def worker(chunk):
-        for spec in chunk:
+    def worker():
+        for spec in specs:
             codes.append(cli.main(["dprime", spec, "--cache-path", cp]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(specs[i::4],)) for i in range(4)]
+        threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -315,66 +319,79 @@ def test_cache_writer_stress_loses_no_written_entry(capsys, tmp_path, monkeypatc
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert codes == [0] * len(specs)
-    # a writer that finds the lock taken skips its write; every write that
-    # went through must survive the writers that came after it
-    assert written and set(written) <= set(json.load(open(cp))["entries"])
+    assert codes == [0] * (4 * len(specs)) and not failed
+    assert sorted(os.listdir(cp)) == sorted(
+        os.path.basename(cli._entry_path(cp, spec)) for spec in specs
+    )
+    for spec in specs:
+        assert cli._cache_get(cp, spec).spec == spec
 
 
 def test_cached_entry_missing_d_star_is_upgraded(capsys, tmp_path):
     # whichever command reads the entry, a missing reachable d* is computed
     for command, line in (("info", "d*(G):    11/19\n"), ("dstar", "11/19\n")):
-        cp = tmp_path / f"{command}.json"
+        cp = tmp_path / command
         run_cli(capsys, ["info", "D(16)", "--json", "--cache-path", str(cp)])
-        data = json.load(open(cp))
-        data["entries"]["D(16)"]["report"]["d_star"] = None
-        json.dump(data, open(cp, "w"))
+        entry = read_entry(cp, "D(16)")
+        entry["report"]["d_star"] = None
+        write_entry(cp, "D(16)", entry)
         code, out, _ = run_cli(capsys, [command, "D(16)", "--cache-path", str(cp)])
         assert code == 0 and line in out, command
-        assert json.load(open(cp))["entries"]["D(16)"]["report"]["d_star"] == {
-            "num": 11,
-            "den": 19,
-        }
+        assert read_entry(cp, "D(16)")["report"]["d_star"] == {"num": 11, "den": 19}
 
 
 def test_cached_report_keeps_the_d_star_size_gate(capsys, tmp_path):
-    cp = str(tmp_path / "c.json")
+    cp = str(tmp_path / "cache")
     # info caches C(300) without d*; dstar must still refuse, as it does cold
     assert run_cli(capsys, ["info", "C(300)", "--cache-path", cp])[0] == 0
     assert run_cli(capsys, ["dstar", "C(300)", "--cache-path", cp])[0] == 4
     assert run_cli(capsys, ["dstar", "C(300)", "--no-cache"])[0] == 4
 
 
-def test_lock_contention_skips_write(capsys, tmp_path):
-    cp = tmp_path / "c.json"
-    lock = tmp_path / "c.json.lock"
-    lock.touch()
-    code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
-    # computation succeeds, caching is skipped rather than blocking
-    assert code == 0 and out == "4/5\n"
-    assert not cp.exists()
-    lock.unlink()
-
-
-def test_stale_lock_is_cleared(capsys, tmp_path):
-    # a day-old lock was left by a killed writer, as a write takes milliseconds
-    cp = tmp_path / "c.json"
-    lock = tmp_path / "c.json.lock"
-    lock.touch()
-    old = time.time() - 24 * 3600
-    os.utime(lock, (old, old))
-    code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
-    assert code == 0 and out == "4/5\n"
-    assert json.loads(cp.read_text())["entries"]["D(8)"]["spec"] == "D(8)"
-    assert not lock.exists()
-
-
 def test_corrupt_cache_file_is_ignored(capsys, tmp_path):
-    cp = tmp_path / "c.json"
-    cp.write_text("{ not json")
-    code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
-    assert code == 0 and out == "4/5\n"
-    assert json.load(open(cp))["entries"]["D(8)"]["spec"] == "D(8)"
+    cp = tmp_path / "cache"
+    cp.mkdir()
+    entry = cli._entry_path(str(cp), "D(8)")
+    for corrupt in ("{ not json", "", "[1, 2]", '{"engine": "%s", "report": "x"}' % __version__):
+        with open(entry, "w") as fh:
+            fh.write(corrupt)
+        code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
+        assert code == 0 and out == "4/5\n", corrupt
+        assert read_entry(cp, "D(8)")["spec"] == "D(8)", corrupt
+
+
+def test_cache_path_that_is_a_regular_file_is_left_alone(capsys, tmp_path):
+    cp = tmp_path / "not-a-dir"
+    cp.write_text("keep me\n")
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
+        assert code == 0 and out == "4/5\n"
+    code, out, _ = run_cli(capsys, ["sweep", "--family", "Q", "--cache-path", str(cp)])
+    assert code == 0 and out.endswith("3 groups\n")
+    assert cp.read_text() == "keep me\n"
+    assert os.listdir(tmp_path) == ["not-a-dir"]
+
+
+def test_stray_files_in_the_cache_directory_are_ignored(capsys, tmp_path):
+    cp = tmp_path / "cache"
+    cp.mkdir()
+    entry = cli._entry_path(str(cp), "D(8)")
+    # a writer killed between its write and its rename leaves a temp file
+    stray = {
+        entry + ".1.2.tmp": json.dumps({"spec": "D(8)", "engine": __version__}),
+        str(cp / "notes.txt"): "foreign\n",
+        str(cp / ".dedekind_cache.json"): "{}\n",
+    }
+    for path, text in stray.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
+        assert code == 0 and out == "4/5\n"
+    assert read_entry(cp, "D(8)")["spec"] == "D(8)"
+    for path, text in stray.items():
+        with open(path) as fh:
+            assert fh.read() == text
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from dedekind.verify import (
     SuiteResult,
     build_corpus,
     compute_corpus_stats,
+    list_corpus,
     run_suites,
 )
+from dedekind.specs import build_group
 
 FAST_CONFIG = CorpusConfig(
     cyclic_orders=(1, 2, 3, 4, 6, 8, 9, 12, 16),
@@ -74,6 +76,20 @@ def test_corpus_skips_are_recorded():
     corpus = build_corpus(tight)
     assert any("D(32)" in note for note in corpus.skipped)
     assert all(e.group.order <= 30 for e in corpus)
+
+
+def test_corpus_listing_matches_the_built_corpus(corpus):
+    # `sweep` builds listed specs one by one with build_group, so the listing
+    # and those groups must agree with what build_corpus builds
+    rows, skipped = list_corpus(corpus.config)
+    assert skipped == corpus.skipped
+    assert [(spec, tag, params, factors) for spec, tag, params, _, factors in rows] == [
+        (e.spec, e.tag, e.params, e.factors) for e in corpus
+    ]
+    assert [order for _, _, _, order, _ in rows] == [e.group.order for e in corpus]
+    for e in corpus:
+        if e.factors and e.group.order <= 48:
+            assert build_group(e.spec).table == e.group.table, e.spec
 
 
 def test_family_filter(fast_corpus):
