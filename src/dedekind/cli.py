@@ -56,6 +56,7 @@ from .specs import build_group, parse_spec
 from .verify import CorpusConfig, list_corpus, run_suites, SUITES
 
 DEFAULT_CACHE_PATH = ".dedekind_cache"
+_CACHE_PATH_HELP = f"cache directory, one file per report (default {DEFAULT_CACHE_PATH})"
 DEFAULT_MAX_ORDER = 512
 
 
@@ -411,7 +412,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_spec_flags(sp, cache: bool = True) -> None:
+def _add_spec_flags(sp, report: bool = True) -> None:
     sp.add_argument("spec", help="group spec, e.g. 'M(2,5)' or 'C(3) x D(8)'")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument(
@@ -420,18 +421,14 @@ def _add_spec_flags(sp, cache: bool = True) -> None:
         default=DEFAULT_MAX_ORDER,
         help=f"construction order cap (default {DEFAULT_MAX_ORDER})",
     )
-    sp.add_argument(
-        "--allow-slow",
-        action="store_true",
-        help=f"compute d* above order {DSTAR_ORDER_LIMIT}",
-    )
-    if cache:
-        sp.add_argument("--no-cache", action="store_true", help="bypass the report cache")
+    if report:
         sp.add_argument(
-            "--cache-path",
-            default=DEFAULT_CACHE_PATH,
-            help=f"cache directory, one file per report (default {DEFAULT_CACHE_PATH})",
+            "--allow-slow",
+            action="store_true",
+            help=f"compute d* above order {DSTAR_ORDER_LIMIT}",
         )
+        sp.add_argument("--no-cache", action="store_true", help="bypass the report cache")
+        sp.add_argument("--cache-path", default=DEFAULT_CACHE_PATH, help=_CACHE_PATH_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,12 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_dstar)
 
     sp = sub.add_parser("lattice", help="subgroup lattice listing or DOT diagram")
-    _add_spec_flags(sp, cache=False)
+    _add_spec_flags(sp, report=False)
     sp.add_argument("--dot", action="store_true", help="emit a Graphviz digraph")
     sp.set_defaults(func=cmd_lattice)
 
     sp = sub.add_parser("sections", help="census of sections H/K")
-    _add_spec_flags(sp, cache=False)
+    _add_spec_flags(sp, report=False)
     sp.set_defaults(func=cmd_sections)
 
     sp = sub.add_parser("verify", help="run theorem verification suites")
@@ -496,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-order", type=int, default=DEFAULT_MAX_ORDER, help="skip larger groups"
     )
     sp.add_argument("--no-cache", action="store_true", help="bypass the report cache")
-    sp.add_argument("--cache-path", default=DEFAULT_CACHE_PATH)
+    sp.add_argument("--cache-path", default=DEFAULT_CACHE_PATH, help=_CACHE_PATH_HELP)
     sp.set_defaults(func=cmd_sweep)
 
     return parser

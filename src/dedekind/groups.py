@@ -247,13 +247,12 @@ class FiniteGroup:
 
 
 def _mask_elements(mask: int) -> list[int]:
+    """Set-bit indices in time linear in their count, for sparse bitsets too."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -128,12 +128,14 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
         hgens = lat.subgroups[hi].gens
         if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
             continue  # H is abelian: every section has d' = 1
-        # subgroups of H come no later than H in the (order, mask) ordering
-        members = [m for m in masks[: hi + 1] if m & ~hmask == 0]
-        orbit_reps: set[int] = set()
+        # subgroups of H (below_h) come no later than H in the (order, mask) ordering
+        below_h = orbit_reps = 0
         normals: list[int] = []
         seen: set[int] = set()
-        for m in members:
+        for i, m in enumerate(masks[: hi + 1]):
+            if m & ~hmask:
+                continue
+            below_h |= 1 << i
             if m in seen:
                 continue
             orbit, frontier = {m}, [m]
@@ -145,23 +147,15 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
                         orbit.add(c)
                         frontier.append(c)
             seen |= orbit
-            orbit_reps.add(m)
+            orbit_reps |= 1 << i
             if len(orbit) == 1:
-                normals.append(m)
+                normals.append(i)
         for k in normals:
-            above = [m for m in members if k & ~m == 0]
-            val = Fraction(sum(1 for m in above if m in orbit_reps), len(above))
+            above = lat.up(k) & below_h
+            val = Fraction((above & orbit_reps).bit_count(), above.bit_count())
             if val < best:
                 best = val
     return best
-
-
-def _cyclic_mask(g: FiniteGroup, x: int) -> int:
-    mask, y = 1, x
-    while y:
-        mask |= 1 << y
-        y = g.table[y][x]
-    return mask
 
 
 def is_dedekind(g: FiniteGroup) -> bool:
@@ -170,7 +164,7 @@ def is_dedekind(g: FiniteGroup) -> bool:
         return True
     gens = g.generating_set
     for x in range(1, g.order):
-        mask = _cyclic_mask(g, x)
+        mask = g.closure((x,))[0]
         if not _normal_within(g, mask, gens):
             return False
     return True

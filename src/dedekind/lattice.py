@@ -7,10 +7,14 @@ normalizes H and has x^p in H, so that H<x> is the union of p cosets of H and
 needs no closure.  That reaches every subgroup of a solvable group; for a
 non-solvable group the generic closure H -> <H, x> finishes the job.
 
+The order is read from containment bitsets (`SubgroupLattice.up`).  The
+(order, mask) index order is a linear extension, so joins and covers (the
+transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).
+
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
-brute-force enumeration and the triple-by-triple modular-law scan stay as
-independent oracles for the tests.
+brute-force enumeration, the pairwise cover scan and the triple-by-triple
+modular-law scan stay as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -196,8 +200,8 @@ class SubgroupLattice:
     """The full subgroup lattice of a finite group.
 
     Subgroups are indexed in a canonical order (by order, then bitmask) and
-    grouped into conjugacy classes; joins, meets, normalizers and covering
-    relations are computed on demand.
+    grouped into conjugacy classes; containment bitsets (`up`), joins, meets
+    and normalizers are computed on demand.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -209,12 +213,9 @@ class SubgroupLattice:
         ]
         self._index = {m: i for i, m in enumerate(masks)}
         self._masks = masks
-        self._join_memo: dict[tuple[int, int], int] = {}
+        self._holders: list[int] | None = None
         self._classes: list[tuple[int, ...]] | None = None
         self._class_of: list[int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
 
     @property
     def size(self) -> int:
@@ -297,26 +298,34 @@ class SubgroupLattice:
     def meet(self, i: int, j: int) -> int:
         return self._index[self._masks[i] & self._masks[j]]
 
+    def up(self, i: int) -> int:
+        """Bitset of the indices of the subgroups that contain subgroup i.
+
+        The AND over i's generators x of holders[x], the subgroups holding x,
+        built on the first call; holders[0] (the identity) is every subgroup.
+        """
+        holders = self._holders
+        if holders is None:
+            n = len(self._masks)
+            rows = [bytearray((n + 7) >> 3) for _ in range(self.group.order)]
+            for k, m in enumerate(self._masks):
+                byte, bit = k >> 3, 1 << (k & 7)
+                for x in _mask_elements(m):
+                    rows[x][byte] |= bit
+            holders = self._holders = [int.from_bytes(r, "little") for r in rows]
+        out = holders[0]
+        for x in self.subgroups[i].gens:
+            out &= holders[x]
+        return out
+
     def join(self, i: int, j: int) -> int:
         """Smallest subgroup containing subgroups i and j.
 
         Every subgroup containing both contains their join, so in the
-        (order, mask) ordering the join is the first one from max(i, j) on
-        whose mask contains both masks.
+        (order, mask) ordering the join is the lowest index in both up-sets.
         """
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        memo = self._join_memo
-        if key in memo:
-            return memo[key]
-        masks = self._masks
-        need = masks[i] | masks[j]
-        k = j
-        while need & ~masks[k]:
-            k += 1
-        memo[key] = k
-        return k
+        both = self.up(i) & self.up(j)
+        return (both & -both).bit_length() - 1
 
     def normalizer(self, i: int) -> int:
         """Bitmask of the normalizer of subgroup i in the whole group.
@@ -350,7 +359,43 @@ def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
 
 
 def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with subgroup i maximal in subgroup j."""
+    """Covering pairs (i, j) with subgroup i maximal in subgroup j.
+
+    The index order is a linear extension, so the lowest index above i is an
+    upper cover of i; dropping its up-set and repeating yields the rest.
+    Sorted by (j, -|i|, i).
+    """
+    edges: list[tuple[int, int]] = []
+    for i in range(lat.size):
+        rest = lat.up(i) ^ (1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            edges.append((i, j))
+            rest &= ~lat.up(j)
+    edges.sort(key=lambda e: (e[1], -lat.subgroups[e[0]].order, e[0]))
+    return edges
+
+
+def maximal_subgroup_indices(lat: SubgroupLattice) -> list[int]:
+    """Indices of the maximal proper subgroups, by decreasing order then index."""
+    top = lat.size - 1
+    by_order = sorted(range(top), key=lambda i: -lat.subgroups[i].order)
+    return [i for i in by_order if lat.up(i) == (1 << top) | (1 << i)]
+
+
+def frattini_subgroup(g: FiniteGroup, lat: SubgroupLattice | None = None) -> Subgroup:
+    """Intersection of the maximal subgroups (the whole group if none exist)."""
+    if lat is None:
+        lat = subgroup_lattice(g)
+    masks = lat._masks
+    acc = masks[-1]
+    for i in maximal_subgroup_indices(lat):
+        acc &= masks[i]
+    return lat.subgroups[lat.index_of(acc)]
+
+
+def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
+    """Covering pairs by a quadratic pairwise scan; the oracle for `hasse_edges`."""
     edges: list[tuple[int, int]] = []
     masks = lat._masks
     orders = [s.order for s in lat.subgroups]
@@ -369,31 +414,6 @@ def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
                 edges.append((i, j))
             accepted.append(i)
     return edges
-
-
-def maximal_subgroup_indices(lat: SubgroupLattice) -> list[int]:
-    """Indices of the maximal proper subgroups."""
-    masks = lat._masks
-    top = len(masks) - 1
-    out: list[int] = []
-    for i in sorted(range(top), key=lambda i: -lat.subgroups[i].order):
-        if not any(masks[i] & ~masks[k] == 0 for k in out):
-            out.append(i)
-    return out
-
-
-def frattini_subgroup(g: FiniteGroup, lat: SubgroupLattice | None = None) -> Subgroup:
-    """Intersection of the maximal subgroups (the whole group if none exist)."""
-    if lat is None:
-        lat = subgroup_lattice(g)
-    masks = lat._masks
-    maximal = maximal_subgroup_indices(lat)
-    if not maximal:
-        return lat.subgroups[-1]
-    acc = masks[-1]
-    for i in maximal:
-        acc &= masks[i]
-    return lat.subgroups[lat.index_of(acc)]
 
 
 def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:
@@ -463,16 +483,6 @@ def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
     return None
 
 
-def _bits(mask: int) -> list[int]:
-    """Set-bit indices in time linear in their count, for sparse cover bitsets."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
     """None if the lattice satisfies the modular law, else a witness triple.
 
@@ -492,7 +502,7 @@ def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
             cs = covers[a]
             if cs & (cs - 1) == 0:
                 continue
-            members = _bits(cs)
+            members = _mask_elements(cs)
             for s, b in enumerate(members):
                 cb = covers[b]
                 for c in members[s + 1:]:
@@ -516,13 +526,13 @@ def _semimodular_witness(
     if dual:
         bottom = masks[b] & masks[c]
         for top, y in ((b, c), (c, b)):
-            for z in _bits(covers[top]):
+            for z in _mask_elements(covers[top]):
                 if masks[z] != bottom and bottom & ~masks[z] == 0:
                     return ModularityWitness(z, y, top)
     else:
         top = masks[lat.join(b, c)]
         for x, y in ((b, c), (c, b)):
-            for z in _bits(covers[x]):
+            for z in _mask_elements(covers[x]):
                 if masks[z] != top and masks[z] & ~top == 0:
                     return ModularityWitness(x, y, z)
     raise AssertionError("semimodularity failed without a witness")

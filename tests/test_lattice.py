@@ -1,5 +1,7 @@
 """Subgroup enumeration, conjugacy classing, and lattice structure."""
 
+import time
+
 import pytest
 
 from conftest import brute_force_subgroup_classes
@@ -8,6 +10,7 @@ from dedekind.families import cyclic, dihedral, elementary_abelian, modular_grou
 from dedekind.groups import Perm, closure_from_generators, direct_product
 from dedekind.lattice import (
     all_subgroup_masks,
+    brute_force_hasse_edges,
     brute_force_is_modular,
     brute_force_subgroup_masks,
     conjugate_mask,
@@ -17,6 +20,7 @@ from dedekind.lattice import (
     maximal_subgroup_indices,
     subgroup_lattice,
 )
+from dedekind.specs import build_group
 
 
 def test_subgroup_counts_for_known_groups(zoo):
@@ -109,8 +113,8 @@ def test_normality_and_normalizers(zoo):
 
 
 def test_meet_and_join(zoo):
-    for name in ("d8", "s3", "a4", "d12", "he3"):
-        lat = subgroup_lattice(zoo[name])
+    for name, g in zoo.items():
+        lat = subgroup_lattice(g)
         for i, a in enumerate(lat.subgroups):
             for j, b in enumerate(lat.subgroups):
                 m = lat.subgroups[lat.meet(i, j)].mask
@@ -144,6 +148,28 @@ def test_hasse_edges_are_covers(zoo):
         for i, j in hasse_edges(chain)
     }
     assert chain_orders == {(1, 2), (2, 4), (4, 8), (8, 16)}
+
+
+def test_hasse_edges_match_oracle_on_corpus(corpus):
+    for e in corpus:
+        lat = subgroup_lattice(e.group)
+        oracle = brute_force_hasse_edges(lat)
+        assert hasse_edges(lat) == oracle, e.spec
+        top = lat.size - 1
+        assert maximal_subgroup_indices(lat) == [i for i, j in oracle if j == top], e.spec
+
+
+def test_near_cap_covers_and_modularity_are_fast():
+    # 7,420 subgroups, on which the pairwise cover scan takes several seconds
+    lat = subgroup_lattice(build_group("D(8) x EA(2,4)"))
+    start = time.perf_counter()
+    edges = hasse_edges(lat)
+    w = is_lattice_modular(lat)
+    elapsed = time.perf_counter() - start
+    assert len(edges) == 64_695
+    assert w is not None
+    assert_genuine_witness(lat, w)
+    assert elapsed < 5.0
 
 
 def test_maximal_subgroups(zoo):

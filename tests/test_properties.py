@@ -22,8 +22,10 @@ from dedekind.groups import direct_product, is_isomorphic
 from dedekind.invariants import d_prime, d_star
 from dedekind.lattice import (
     all_subgroup_masks,
+    brute_force_hasse_edges,
     brute_force_is_modular,
     brute_force_subgroup_masks,
+    hasse_edges,
     is_lattice_modular,
     subgroup_lattice,
 )
@@ -116,7 +118,9 @@ def test_invariant_bundle(name):
     # trivial and full subgroups present and normal
     assert lat.subgroups[0].mask == 1 and lat.subgroups[-1].mask == full
     assert lat.is_normal(0) and lat.is_normal(lat.size - 1)
-    # the cover-graph modularity test agrees with the triple-by-triple oracle
+    # the up-set covers and the cover-graph modularity test agree with the
+    # pairwise and triple-by-triple oracles
+    assert hasse_edges(lat) == brute_force_hasse_edges(lat)
     assert (is_lattice_modular(lat) is None) == (brute_force_is_modular(lat) is None)
     # ratio bounds
     dp = d_prime(g)

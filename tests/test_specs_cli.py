@@ -123,6 +123,16 @@ def test_lattice_listing_and_dot(capsys):
     assert all(s["normal"] for s in data["subgroups"])
 
 
+def test_allow_slow_only_on_report_commands(capsys):
+    for command in ("lattice", "sections"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "D(8)", "--allow-slow"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-slow" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["dstar", "D(8)", "--allow-slow", "--no-cache"])
+    assert (code, out) == (0, "4/5\n")
+
+
 def test_sections_command(capsys):
     code, out, _ = run_cli(capsys, ["sections", "Q(8)", "--json"])
     assert code == 0
