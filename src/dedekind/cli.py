@@ -5,8 +5,11 @@ requested computation, and print either a human-readable table or, with
 --json, a machine format with a fixed key order so identical invocations
 produce byte-identical output.  Invariant reports are cached in a local
 directory, one JSON file per spec written by an atomic rename and checked
-against the engine version when read; verification failures, parameter
-errors, and budget caps map to distinct exit codes.
+when read against the engine revision (the package version plus a hash of
+the package's module sources, so an entry written by other engine code is
+recomputed); verification failures, parameter errors, and budget caps map
+to distinct exit codes.  The argument parser is built on the first `main`
+call and reused by every later call in the process.
 
 Exit codes: 0 success, 2 spec parse error, 3 invalid parameter or structure,
 4 order/budget/isomorphism cap exceeded, 5 verification failure.
@@ -15,6 +18,7 @@ Exit codes: 0 success, 2 spec parse error, 3 invalid parameter or structure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -63,6 +67,23 @@ DEFAULT_MAX_ORDER = 512
 # ---------------------------------------------------------------------------
 # cache
 
+@functools.cache
+def engine_revision() -> str:
+    """The package version plus a short sha256 of its module sources, sorted by name.
+
+    Computed on the first cache access, not at import, so a process that never
+    reads or writes the cache never pays for it.
+    """
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            source = fh.read()
+        digest.update(f"{name}\0{len(source)}\0".encode())
+        digest.update(source)
+    return f"{__version__}+{digest.hexdigest()[:12]}"
+
+
 def _entry_path(cache_dir: str, spec: str) -> str:
     """The file that holds the cached report for a canonical spec."""
     return os.path.join(cache_dir, hashlib.sha256(spec.encode()).hexdigest()[:32] + ".json")
@@ -73,7 +94,7 @@ def _cache_get(cache_dir: str, spec: str) -> InvariantReport | None:
     try:
         with open(_entry_path(cache_dir, spec), "rb") as fh:
             hit = json.load(fh)
-        if not isinstance(hit, dict) or hit.get("engine") != __version__:
+        if not isinstance(hit, dict) or hit.get("engine") != engine_revision():
             return None
         report = InvariantReport.from_json_dict(hit["report"])
         consistent = (
@@ -99,7 +120,7 @@ def _cache_put(cache_dir: str, report: InvariantReport) -> None:
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     entry = {
         "spec": report.spec,
-        "engine": __version__,
+        "engine": engine_revision(),
         "saved_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "report": report.to_json_dict(),
     }
@@ -499,8 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call, built on the first one, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

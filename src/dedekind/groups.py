@@ -1,9 +1,12 @@
 """Concrete finite groups as explicit multiplication tables.
 
 Elements are the integers 0..order-1 and element 0 is always the identity.
-Construction validates the Latin-square and identity/inverse axioms; the
-(cubic) associativity axiom is left to `assert_associative`, which tests
-call on every constructed group shape.
+Construction validates the Latin-square and identity/inverse axioms with one
+set per row and per column: n entries are a permutation of the elements iff
+their set is the element set.  Only a failing row is scanned entry by entry,
+to name its first out-of-range entry.  The (cubic)
+associativity axiom is left to `assert_associative`, which tests call on
+every constructed group shape.
 """
 
 from __future__ import annotations
@@ -103,23 +106,21 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise InvalidParameter("a group needs at least one element")
+        # A row or column of n entries is a permutation iff its set is the
+        # element set; the per-entry scan runs only to word a row's error.
+        elements = set(range(n))
         rows = []
-        col_masks = [0] * n
-        full = (1 << n) - 1
         for i, row in enumerate(table):
             row = tuple(row)
             if len(row) != n:
                 raise InvalidParameter(f"row {i} has length {len(row)}, expected {n}")
-            seen = 0
-            for j, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
-                seen |= 1 << v
-                col_masks[j] |= 1 << v
-            if seen != full:
+            if set(row) != elements:
+                for j, v in enumerate(row):
+                    if not 0 <= v < n:
+                        raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
                 raise InvalidParameter(f"row {i} is not a permutation of the elements")
             rows.append(row)
-        if any(m != full for m in col_masks):
+        if any(set(col) != elements for col in zip(*rows)):
             raise InvalidParameter("some column is not a permutation of the elements")
         if rows[0] != tuple(range(n)) or any(rows[i][0] != i for i in range(n)):
             raise InvalidParameter("element 0 must be a two-sided identity")

@@ -489,30 +489,29 @@ def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
     A finite lattice is modular iff it is upper and lower semimodular
     (Birkhoff, Lattice Theory, 1967): whenever b and c cover a, b v c covers
     both, and dually.  b v c covers both iff b and c have a common upper cover,
-    so the test needs only the cover graph from `hasse_edges`, as bitsets.
+    so the test needs only the cover graph from `hasse_edges`, kept as
+    ascending index lists so that its memory is O(edges).
     """
     n = len(lat.subgroups)
-    up = [0] * n
-    down = [0] * n
+    up: list[list[int]] = [[] for _ in range(n)]
+    down: list[list[int]] = [[] for _ in range(n)]
     for i, j in hasse_edges(lat):
-        up[i] |= 1 << j
-        down[j] |= 1 << i
+        up[i].append(j)
+        down[j].append(i)
+    for covers in down:
+        covers.sort()
     for covers, dual in ((up, False), (down, True)):
-        for a in range(n):
-            cs = covers[a]
-            if cs & (cs - 1) == 0:
-                continue
-            members = _mask_elements(cs)
-            for s, b in enumerate(members):
-                cb = covers[b]
+        for members in covers:
+            for s, b in enumerate(members[:-1]):
+                cb = set(covers[b])
                 for c in members[s + 1:]:
-                    if not cb & covers[c]:
+                    if cb.isdisjoint(covers[c]):
                         return _semimodular_witness(lat, covers, b, c, dual)
     return None
 
 
 def _semimodular_witness(
-    lat: SubgroupLattice, covers: list[int], b: int, c: int, dual: bool
+    lat: SubgroupLattice, covers: list[list[int]], b: int, c: int, dual: bool
 ) -> ModularityWitness:
     """A modular-law violation from b, c that cover (dual: are covered by) one a
     without sharing an upper (dual: lower) cover.
@@ -526,13 +525,13 @@ def _semimodular_witness(
     if dual:
         bottom = masks[b] & masks[c]
         for top, y in ((b, c), (c, b)):
-            for z in _mask_elements(covers[top]):
+            for z in covers[top]:
                 if masks[z] != bottom and bottom & ~masks[z] == 0:
                     return ModularityWitness(z, y, top)
     else:
         top = masks[lat.join(b, c)]
         for x, y in ((b, c), (c, b)):
-            for z in _mask_elements(covers[x]):
+            for z in covers[x]:
                 if masks[z] != top and masks[z] & ~top == 0:
                     return ModularityWitness(x, y, z)
     raise AssertionError("semimodularity failed without a witness")

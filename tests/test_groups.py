@@ -1,6 +1,9 @@
 """Core group machinery: tables, products, quotients, isomorphism."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_valid_group
 from dedekind.errors import (
@@ -28,15 +31,129 @@ from dedekind.groups import (
 from dedekind.lattice import subgroup_lattice
 
 
+# A loop (a Latin square with a two-sided identity 0) in which element 2 has
+# right inverse 3 but 3 * 2 = 1.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+BAD_TABLES = [
+    ([], "a group needs at least one element"),
+    ([[0, 1], [1, 0], [2, 0]], "row 0 has length 2, expected 3"),
+    ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+    ([[0, 1], [2, 0]], "entry table[1][0]=2 out of range"),
+    ([[0, 1], [1, 1]], "row 1 is not a permutation of the elements"),
+    ([[0, 1], [0, 1]], "some column is not a permutation of the elements"),
+    ([[1, 0], [0, 1]], "element 0 must be a two-sided identity"),
+    (LOOP5, "element 2 has no two-sided inverse"),
+]
+
+
 def test_table_validation_rejects_bad_tables():
-    with pytest.raises(InvalidParameter):
-        FiniteGroup([])
-    with pytest.raises(InvalidParameter):
-        FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
-    with pytest.raises(InvalidParameter):
-        FiniteGroup([[1, 0], [0, 1]])  # 0 not the identity
-    with pytest.raises(InvalidParameter):
-        FiniteGroup([[0, 1], [1, 0], [2, 0]])  # ragged row
+    for table, message in BAD_TABLES:
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            FiniteGroup(table)
+
+
+def _entrywise_validation(table) -> None:
+    """The per-entry bitmask validator that the set checks replaced, kept as
+    the oracle: raise InvalidParameter with its message, or return."""
+    n = len(table)
+    if n == 0:
+        raise InvalidParameter("a group needs at least one element")
+    rows = []
+    col_masks = [0] * n
+    full = (1 << n) - 1
+    for i, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != n:
+            raise InvalidParameter(f"row {i} has length {len(row)}, expected {n}")
+        seen = 0
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
+            seen |= 1 << v
+            col_masks[j] |= 1 << v
+        if seen != full:
+            raise InvalidParameter(f"row {i} is not a permutation of the elements")
+        rows.append(row)
+    if any(m != full for m in col_masks):
+        raise InvalidParameter("some column is not a permutation of the elements")
+    if rows[0] != tuple(range(n)) or any(rows[i][0] != i for i in range(n)):
+        raise InvalidParameter("element 0 must be a two-sided identity")
+    for i in range(n):
+        if rows[rows[i].index(0)][i] != 0:
+            raise InvalidParameter(f"element {i} has no two-sided inverse")
+
+
+def _relabel(table, perm):
+    """The table with every element x renamed perm[x]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
+
+
+VALID_TABLES = [
+    [list(r) for r in g.table]
+    for g in (cyclic(2), cyclic(5), dihedral(6), dihedral(8), generalized_quaternion(8))
+]
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A valid table or LOOP5, relabelled, then hit by up to two local faults.
+
+    A relabelling that moves 0 breaks the identity; one that fixes 0 keeps
+    LOOP5 a loop without two-sided inverses.  The local faults are a swapped
+    pair of entries, an out-of-range entry and a ragged row.
+    """
+    table = draw(st.sampled_from(VALID_TABLES + [LOOP5]))
+    n = len(table)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+    else:
+        perm = [0] + draw(st.permutations(range(1, n)))
+    table = _relabel(table, perm)
+
+    def cell():
+        a = draw(st.sampled_from([i for i, row in enumerate(table) if row]))
+        return a, draw(st.integers(0, len(table[a]) - 1))
+
+    for kind in draw(st.lists(st.sampled_from(["swap", "range", "ragged"]), max_size=2)):
+        if kind == "swap":
+            (a, b), (c, d) = cell(), cell()
+            table[a][b], table[c][d] = table[c][d], table[a][b]
+        elif kind == "range":
+            a, b = cell()
+            table[a][b] = draw(st.one_of(st.integers(-3, -1), st.integers(n, n + 3)))
+        elif draw(st.booleans()):
+            table[draw(st.integers(0, n - 1))].append(draw(st.integers(0, n - 1)))
+        else:
+            table[cell()[0]].pop()
+    return table
+
+
+@given(table=corrupted_tables())
+@settings(max_examples=200, deadline=None)
+def test_table_validation_matches_entrywise_oracle(table):
+    try:
+        _entrywise_validation(table)
+        expected = None
+    except InvalidParameter as exc:
+        expected = str(exc)
+    try:
+        FiniteGroup(table)
+        got = None
+    except InvalidParameter as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def test_zoo_groups_satisfy_axioms(zoo):

@@ -2,8 +2,11 @@
 
 import json
 import os
+import shutil
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -223,7 +226,7 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
 
     assert os.listdir(cp) == [os.path.basename(cli._entry_path(cp, "D(16)"))]
     entry = read_entry(cp, "D(16)")
-    assert entry["spec"] == "D(16)" and entry["engine"] == __version__
+    assert entry["spec"] == "D(16)" and entry["engine"] == cli.engine_revision()
 
 
 def test_cache_transparent_up_to_timing(capsys, tmp_path):
@@ -252,7 +255,47 @@ def test_stale_engine_entries_are_recomputed(capsys, tmp_path):
     # the poisoned stale entry is ignored, recomputed, and overwritten
     code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
     assert code == 0 and out == "4/5\n"
-    assert read_entry(cp, "D(8)")["engine"] == __version__
+    assert read_entry(cp, "D(8)")["engine"] == cli.engine_revision()
+
+
+def test_entries_stamped_with_the_bare_version_are_recomputed(capsys, tmp_path):
+    cp = tmp_path / "cache"
+    run_cli(capsys, ["info", "D(8)", "--cache-path", str(cp)])
+    entry = read_entry(cp, "D(8)")
+    assert entry["engine"].startswith(__version__ + "+")
+    # a self-consistent entry is served as it is, marked timing and all ...
+    entry["report"]["ms"] = 424242
+    write_entry(cp, "D(8)", entry)
+    _, out, _ = run_cli(capsys, ["info", "D(8)", "--json", "--cache-path", str(cp)])
+    assert json.loads(out)["ms"] == 424242
+    # ... but not when it carries the bare version, as older engines wrote it
+    entry["engine"] = __version__
+    write_entry(cp, "D(8)", entry)
+    _, out, _ = run_cli(capsys, ["info", "D(8)", "--json", "--cache-path", str(cp)])
+    assert json.loads(out)["ms"] != 424242
+    assert read_entry(cp, "D(8)")["engine"] == cli.engine_revision()
+
+
+def _engine_revision_of(package_dir: Path) -> str:
+    code = "from dedekind import cli; print(cli.engine_revision())"
+    env = {**os.environ, "PYTHONPATH": str(package_dir.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+def test_engine_revision_follows_the_module_sources(tmp_path):
+    package = tmp_path / "dedekind"
+    shutil.copytree(
+        Path(cli.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    before = _engine_revision_of(package)
+    assert before == cli.engine_revision()
+    with open(package / "invariants.py", "a") as fh:
+        fh.write("# an edit that changes no value still changes the revision\n")
+    after = _engine_revision_of(package)
+    assert after != before and after.startswith(__version__ + "+")
 
 
 def test_inconsistent_cached_entries_are_recomputed(capsys, tmp_path):
@@ -362,7 +405,7 @@ def test_corrupt_cache_file_is_ignored(capsys, tmp_path):
     cp = tmp_path / "cache"
     cp.mkdir()
     entry = cli._entry_path(str(cp), "D(8)")
-    for corrupt in ("{ not json", "", "[1, 2]", '{"engine": "%s", "report": "x"}' % __version__):
+    for corrupt in ("{ not json", "", "[1, 2]", '{"engine": "%s", "report": "x"}' % cli.engine_revision()):
         with open(entry, "w") as fh:
             fh.write(corrupt)
         code, out, _ = run_cli(capsys, ["dprime", "D(8)", "--cache-path", str(cp)])
@@ -402,6 +445,75 @@ def test_stray_files_in_the_cache_directory_are_ignored(capsys, tmp_path):
     for path, text in stray.items():
         with open(path) as fh:
             assert fh.read() == text
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+
+
+def test_parser_is_built_at_most_once(capsys, tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cp = str(tmp_path / "cache")
+    for argv in (
+        ["info", "D(8)", "--cache-path", cp],
+        ["dprime", "D(8)", "--cache-path", cp],
+        ["dstar", "Q(8)", "--json", "--no-cache"],
+        ["lattice", "D(8)", "--dot"],
+        ["sections", "C(4)"],
+        ["formula", "dihedral", "4"],
+        ["density", "1", "2", "0.05"],
+        ["sweep", "--family", "Q", "--max-order", "16", "--no-cache"],
+    ):
+        assert run_cli(capsys, argv)[0] == 0, argv
+    with pytest.raises(SystemExit):
+        cli.main(["info"])
+    assert len(builds) == 1
+
+
+def test_no_state_leaks_between_calls(capsys, tmp_path):
+    cp = tmp_path / "cache"
+    assert run_cli(capsys, ["info", "D(8)", "--no-cache"])[0] == 0
+    assert run_cli(capsys, ["info", "D(8)", "--cache-path", str(cp)])[0] == 0
+    assert os.path.exists(cli._entry_path(str(cp), "D(8)"))
+
+    big = ["dprime", "D(8) x EA(2,3)", "--no-cache"]
+    assert run_cli(capsys, big + ["--max-order", "8"])[0] == 4
+    assert run_cli(capsys, big) == (0, "681/937\n", "")
+
+
+def _fresh_process_output(argv) -> str:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "dedekind.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout
+
+
+def test_usage_errors_and_version_leave_later_output_unchanged(capsys):
+    argv = ["lattice", "D(8)", "--json"]
+    fresh = _fresh_process_output(argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lattice", "D(8)", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run_cli(capsys, argv) == (0, fresh, "")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"dedekind {__version__}\n"
+    assert run_cli(capsys, argv) == (0, fresh, "")
 
 
 # ---------------------------------------------------------------------------
