@@ -284,7 +284,7 @@ def cmd_sections(args) -> int:
     total = 0
     for sec in sections(group):
         total += 1
-        key = (sec.h.order, sec.quotient.order)
+        key = (sec.h.order, sec.order)
         shapes[key] = shapes.get(key, 0) + 1
     rows = [
         {"h_order": h, "quotient_order": q, "count": c}

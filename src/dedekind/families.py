@@ -9,6 +9,7 @@ encodings map the pair (i, j) to index i * (second range) + j, which keeps
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import product
 
 from .errors import InvalidParameter, OrderCapExceeded
@@ -31,9 +32,24 @@ __all__ = [
 ]
 
 
-def _check_cap(order: int, cap: int, what: str) -> None:
-    if order > cap:
-        raise OrderCapExceeded(f"{what} has order {order}, above the cap {cap}")
+_EXACT_ORDER_BITS = 1 << 16
+
+
+def _check_cap(what: str, cap: int, base: int, exp: int = 1, factor: int = 1) -> int:
+    """The order factor * base**exp, or OrderCapExceeded above the cap.
+
+    When the lower bound 2**(exp * (bits(base) - 1)) on base**exp already
+    passes both the cap and 2**_EXACT_ORDER_BITS, the power is not computed.
+    An order too long to print is written as a power, e.g. 3^100000000.
+    """
+    shown = f"{base}^{exp}" if factor == 1 else f"{factor} * {base}^{exp}"
+    if exp * (base.bit_length() - 1) <= max(cap.bit_length(), _EXACT_ORDER_BITS):
+        order = factor * base**exp
+        if order <= cap:
+            return order
+        with suppress(ValueError):  # longer than Python's int-to-str digit limit
+            shown = str(order)
+    raise OrderCapExceeded(f"{what} has order {shown}, above the cap {cap}")
 
 
 def _require_prime(p: int, name: str) -> None:
@@ -45,7 +61,7 @@ def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Cyclic group of order n."""
     if n < 1:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
-    _check_cap(n, order_cap, f"C({n})")
+    _check_cap(f"C({n})", order_cap, n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     g = FiniteGroup(table, name=f"C({n})")
     assert n == 1 or g.element_orders[1] == n
@@ -57,8 +73,7 @@ def elementary_abelian(p: int, r: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
     _require_prime(p, "p")
     if r < 1:
         raise InvalidParameter(f"rank must be >= 1, got {r}")
-    order = p**r
-    _check_cap(order, order_cap, f"EA({p},{r})")
+    order = _check_cap(f"EA({p},{r})", order_cap, p, r)
     digits = list(product(range(p), repeat=r))
     # product() varies the last position fastest; flip so digit 0 is fastest
     index = {d: sum(c * p**k for k, c in enumerate(d)) for d in digits}
@@ -76,7 +91,7 @@ def dihedral(two_n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group of order two_n (rotations x, reflection y)."""
     if two_n < 6 or two_n % 2:
         raise InvalidParameter(f"dihedral order must be even and >= 6, got {two_n}")
-    _check_cap(two_n, order_cap, f"D({two_n})")
+    _check_cap(f"D({two_n})", order_cap, two_n)
     n = two_n // 2
     table = [[0] * two_n for _ in range(two_n)]
     for i, j in product(range(n), range(2)):
@@ -95,7 +110,7 @@ def generalized_quaternion(two_to_n: int, order_cap: int = DEFAULT_ORDER_CAP) ->
     m = two_to_n
     if m < 8 or m & (m - 1):
         raise InvalidParameter(f"quaternion order must be a power of two >= 8, got {m}")
-    _check_cap(m, order_cap, f"Q({m})")
+    _check_cap(f"Q({m})", order_cap, m)
     half, quarter = m // 2, m // 4
     table = [[0] * m for _ in range(m)]
     for i, j in product(range(half), range(2)):
@@ -117,8 +132,7 @@ def modular_group(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
         raise InvalidParameter(
             f"modular group needs n >= 4 for p = 2 and n >= 3 otherwise, got ({p},{n})"
         )
-    order = p**n
-    _check_cap(order, order_cap, f"M({p},{n})")
+    order = _check_cap(f"M({p},{n})", order_cap, p, n)
     pn1 = p ** (n - 1)
     m = p ** (n - 2) + 1
     m_pows = [pow(m, j, pn1) for j in range(p)]
@@ -140,8 +154,7 @@ def heisenberg(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     _require_prime(p, "p")
     if p == 2:
         raise InvalidParameter("the Heisenberg family here is for odd p (p = 2 gives D(8))")
-    order = p**3
-    _check_cap(order, order_cap, f"He({p})")
+    order = _check_cap(f"He({p})", order_cap, p, 3)
     p2 = p * p
     table = [[0] * order for _ in range(order)]
     for a, b, c in product(range(p), repeat=3):
@@ -169,8 +182,7 @@ def h_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
         raise InvalidParameter(f"need s >= t >= 1, got s={s}, t={t}")
     if p == 2 and s + t < 3:
         raise InvalidParameter("p = 2 needs s + t >= 3")
-    order = p ** (s + t + 1)
-    _check_cap(order, order_cap, f"H({p},{s},{t})")
+    order = _check_cap(f"H({p},{s},{t})", order_cap, p, s + t + 1)
     ps, pt = p**s, p**t
     blk = pt * p
     table = [[0] * order for _ in range(order)]
@@ -206,8 +218,7 @@ def k_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
         raise InvalidParameter(f"need s >= 2 and t >= 1, got s={s}, t={t}")
     if p == 2 and s + t < 4:
         raise InvalidParameter("p = 2 needs s + t >= 4")
-    order = p ** (s + t)
-    _check_cap(order, order_cap, f"K({p},{s},{t})")
+    order = _check_cap(f"K({p},{s},{t})", order_cap, p, s + t)
     ps, pt = p**s, p**t
     m = p ** (s - 1) + 1
     m_pows = [pow(m, j, ps) for j in range(p)]
@@ -243,8 +254,7 @@ def schmidt_gpqn(p: int, q: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
         if (q - 1) % p == 0:
             hint = f"; parameters look swapped, try ({q},{p},{n})"
         raise InvalidParameter(f"q = {q} must divide p - 1 = {p - 1}{hint}")
-    order = p * q ** (n - 1)
-    _check_cap(order, order_cap, f"G({p},{q},{n})")
+    order = _check_cap(f"G({p},{q},{n})", order_cap, q, n - 1, factor=p)
     m = next(
         m for m in range(2, p) if multiplicative_order(m, p) == q
     )
@@ -290,8 +300,7 @@ def elementary_rtimes_cq(p: int, q: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
     if p == q:
         raise InvalidParameter("p and q must be distinct primes")
     r = multiplicative_order(p, q)
-    order = p**r * q
-    _check_cap(order, order_cap, f"SD({p},{q})")
+    _check_cap(f"SD({p},{q})", order_cap, p, r, factor=q)
     phi = [1] * q  # 1 + x + ... + x^(q-1)
     factor = None
     for coeffs in product(range(p), repeat=r):

@@ -219,32 +219,27 @@ class LimitTrendVerdict:
     note: str = "numerical trend check, not a proof"
 
 
-_DEFAULT_SAMPLES = {
+_LIMIT_SAMPLES = {
     "modular": (4, 5, 6, 8, 12, 20, 50, 200, 1000, 10_000),
     "schmidt": (2, 3, 4, 6, 10, 20, 50, 200, 1000, 10_000),
     "dihedral": (3, 4, 5, 6, 8, 10, 15, 20, 25, 30),
     "heisenberg": (3, 5, 7, 11, 17, 29, 53, 101, 211, 401, 809, 1601, 2503),
 }
+_LIMIT_EPSILON = Fraction(1, 1000)
 
 
-def limit_trend(
-    family: str,
-    p: int | None = None,
-    epsilon: Fraction = Fraction(1, 1000),
-    samples=None,
-) -> LimitTrendVerdict:
-    """Check that the closed form approaches its limit over sampled parameters.
+def limit_trend(family: str, p: int | None = None) -> LimitTrendVerdict:
+    """Check that the closed form approaches its limit over the sampled parameters.
 
-    Confirms |value - limit| decreases strictly along the samples and ends
-    below epsilon.  This is a numerical trend check, not a proof.
+    Confirms |value - limit| decreases strictly along the family's samples
+    and ends below 1/1000.  This is a numerical trend check, not a proof.
     """
     if family not in _FAMILY_EVAL:
         raise InvalidParameter(f"unknown family {family!r}")
-    samples = tuple(samples) if samples is not None else _DEFAULT_SAMPLES[family]
     limit = _FAMILY_LIMIT[family]
-    gaps = [abs(_FAMILY_EVAL[family](v, p) - limit) for v in samples]
-    ok = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < epsilon
-    return LimitTrendVerdict(family, limit, gaps[-1], Fraction(epsilon), ok)
+    gaps = [abs(_FAMILY_EVAL[family](v, p) - limit) for v in _LIMIT_SAMPLES[family]]
+    ok = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < _LIMIT_EPSILON
+    return LimitTrendVerdict(family, limit, gaps[-1], _LIMIT_EPSILON, ok)
 
 
 @dataclass(frozen=True)
@@ -270,7 +265,10 @@ def density_sequence(
     """
     if not 1 <= a < b:
         raise InvalidParameter(f"need 1 <= a < b, got a={a}, b={b}")
-    eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
+    try:
+        eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
+    except (TypeError, ValueError, OverflowError):  # not a number, or nan / inf
+        raise InvalidParameter(f"epsilon must be a positive number, got {epsilon!r}") from None
     if eps <= 0:
         raise InvalidParameter("epsilon must be positive")
     k = b - a

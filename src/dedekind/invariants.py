@@ -9,13 +9,14 @@ the ratio into a section-monotone quantity suitable for threshold criteria.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from .groups import (
     FiniteGroup,
-    GroupFingerprint,
     Subgroup,
     induced_subgroup,
     is_isomorphic,
@@ -38,6 +39,7 @@ __all__ = [
     "SchmidtStructureReport",
     "d_prime",
     "sections",
+    "sections_over",
     "d_star",
     "is_dedekind",
     "has_modular_lattice",
@@ -61,19 +63,19 @@ def d_prime(g: FiniteGroup) -> Fraction:
 
 @dataclass(frozen=True)
 class Section:
-    """A section H/K of a group: K normal in H, with the quotient realized."""
+    """A section H/K of a group: K normal in H; the quotient is built on first read."""
 
     h: Subgroup
     k: Subgroup
-    quotient: FiniteGroup
 
     @property
     def order(self) -> int:
-        return self.quotient.order
+        return self.h.order // self.k.order
 
-    @property
-    def fingerprint(self) -> GroupFingerprint:
-        return self.quotient.fingerprint
+    @cached_property
+    def quotient(self) -> FiniteGroup:
+        hgrp, emb = induced_subgroup(self.h.parent, self.h)
+        return quotient(hgrp, _local_mask(emb, self.k.mask))[0]
 
 
 def _normal_within(g: FiniteGroup, kmask: int, hgens: tuple[int, ...]) -> bool:
@@ -88,18 +90,19 @@ def _local_mask(embedding: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def sections(g: FiniteGroup):
+def sections_over(h: Subgroup, ks) -> Iterator[Section]:
+    """Yield the sections H/K for the subgroups K in ks that lie in H and are normal in it."""
+    for k in ks:
+        if not k.mask & ~h.mask and _normal_within(h.parent, k.mask, h.gens):
+            yield Section(h, k)
+
+
+def sections(g: FiniteGroup) -> Iterator[Section]:
     """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H)."""
     lat = subgroup_lattice(g)
-    for h in lat.subgroups:
-        hgrp, emb = induced_subgroup(g, h)
-        for k in lat.subgroups:
-            if k.order > h.order or k.mask & ~h.mask:
-                continue
-            if not _normal_within(g, k.mask, h.gens):
-                continue
-            q, _ = quotient(hgrp, _local_mask(emb, k.mask))
-            yield Section(h, k, q)
+    for hi, h in enumerate(lat.subgroups):
+        # subgroups of H come no later than H in the (order, mask) ordering
+        yield from sections_over(h, lat.subgroups[: hi + 1])
 
 
 def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
@@ -128,28 +131,15 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
         hgens = lat.subgroups[hi].gens
         if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
             continue  # H is abelian: every section has d' = 1
-        # subgroups of H (below_h) come no later than H in the (order, mask) ordering
-        below_h = orbit_reps = 0
+        # subgroups of H come no later than H in the (order, mask) ordering
+        below = [i for i, m in enumerate(masks[: hi + 1]) if not m & ~hmask]
+        below_h = sum(1 << i for i in below)
+        orbit_reps = 0
         normals: list[int] = []
-        seen: set[int] = set()
-        for i, m in enumerate(masks[: hi + 1]):
-            if m & ~hmask:
-                continue
-            below_h |= 1 << i
-            if m in seen:
-                continue
-            orbit, frontier = {m}, [m]
-            while frontier:
-                x = frontier.pop()
-                for a in hgens:
-                    c = conjugate_mask(g, x, a)
-                    if c not in orbit:
-                        orbit.add(c)
-                        frontier.append(c)
-            seen |= orbit
-            orbit_reps |= 1 << i
+        for orbit in lat.orbits(below, hgens):
+            orbit_reps |= 1 << orbit[0]
             if len(orbit) == 1:
-                normals.append(i)
+                normals.append(orbit[0])
         for k in normals:
             above = lat.up(k) & below_h
             val = Fraction((above & orbit_reps).bit_count(), above.bit_count())
@@ -190,14 +180,11 @@ def sylow_subgroups(
 
 
 def is_nilpotent(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
-    """Whether every Sylow subgroup is normal."""
+    """Whether every Sylow subgroup is normal (the unique one of its order)."""
     if g.is_abelian:
         return True
     lat = lat if lat is not None else subgroup_lattice(g)
-    for p, sylow in sylow_subgroups(g, lat).items():
-        if not lat.is_normal(lat.index_of(sylow.mask)):
-            return False
-    return True
+    return lat.is_nilpotent(lat.size - 1)
 
 
 def is_iwasawa(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
@@ -210,21 +197,12 @@ def is_schmidt(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
     """Non-nilpotent with every proper subgroup nilpotent.
 
     It suffices to test the maximal subgroups (subgroups of nilpotent groups
-    are nilpotent), one representative per conjugacy class.
+    are nilpotent), each on g's own lattice.
     """
     lat = lat if lat is not None else subgroup_lattice(g)
     if is_nilpotent(g, lat):
         return False
-    seen: set[int] = set()
-    for i in maximal_subgroup_indices(lat):
-        cls = lat.class_of(i)
-        if cls in seen:
-            continue
-        seen.add(cls)
-        sub, _ = induced_subgroup(g, lat.subgroups[i])
-        if not is_nilpotent(sub):
-            return False
-    return True
+    return all(lat.is_nilpotent(i) for i in maximal_subgroup_indices(lat))
 
 
 @dataclass(frozen=True)
@@ -265,7 +243,7 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
     p = normal_primes[0]
     (q,) = [r for r in factors if r != p]
     psub, qsub = sylows[p], sylows[q]
-    qgrp, _ = induced_subgroup(g, qsub)
+    qgrp, qemb = induced_subgroup(g, qsub)
     if max(qgrp.element_orders) != qgrp.order:
         raise StructureViolation(f"Sylow {q}-subgroup is not cyclic")
 
@@ -276,7 +254,6 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
     pgrp, pemb = induced_subgroup(g, psub)
     phi_p_local = frattini_subgroup(pgrp)
     phi_p = {pemb[i] for i in phi_p_local.elements()}
-    qemb = induced_subgroup(g, qsub)[1]
     phi_q_local = frattini_subgroup(qgrp)
     phi_q = {qemb[i] for i in phi_q_local.elements()}
     prod_mask = 0

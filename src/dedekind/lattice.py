@@ -19,8 +19,11 @@ modular-law scan stay as independent oracles for the tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .errors import LatticeBudgetExceeded
 from .groups import FiniteGroup, Subgroup, _mask_elements
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_LATTICE_BUDGET = 100_000
+_ORDER = attrgetter("order")
 
 
 def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:
@@ -200,8 +204,9 @@ class SubgroupLattice:
     """The full subgroup lattice of a finite group.
 
     Subgroups are indexed in a canonical order (by order, then bitmask) and
-    grouped into conjugacy classes; containment bitsets (`up`), joins, meets
-    and normalizers are computed on demand.
+    grouped into conjugacy classes by the one orbit routine (`orbits`);
+    containment bitsets (`up`), joins, meets, normalizers and nilpotency are
+    computed on demand.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -213,9 +218,6 @@ class SubgroupLattice:
         ]
         self._index = {m: i for i, m in enumerate(masks)}
         self._masks = masks
-        self._holders: list[int] | None = None
-        self._classes: list[tuple[int, ...]] | None = None
-        self._class_of: list[int] | None = None
 
     @property
     def size(self) -> int:
@@ -227,49 +229,46 @@ class SubgroupLattice:
         except KeyError:
             raise KeyError(f"bitmask {mask:#x} is not a subgroup") from None
 
-    def _compute_classes(self) -> None:
-        n = len(self._masks)
-        class_of = [-1] * n
-        classes: list[tuple[int, ...]] = []
-        if self.group.is_abelian:
-            for i in range(n):
-                class_of[i] = i
-                classes.append((i,))
-        else:
-            gens = self.group.generating_set
-            for i in range(n):
-                if class_of[i] >= 0:
-                    continue
-                orbit = [i]
-                frontier = [self._masks[i]]
-                seen = {self._masks[i]}
-                while frontier:
-                    m = frontier.pop()
-                    for a in gens:
-                        c = conjugate_mask(self.group, m, a)
-                        if c not in seen:
-                            seen.add(c)
-                            frontier.append(c)
-                            orbit.append(self._index[c])
-                cid = len(classes)
-                orbit.sort()
-                classes.append(tuple(orbit))
-                for j in orbit:
-                    class_of[j] = cid
-        self._classes = classes
-        self._class_of = class_of
+    def orbits(self, indices, gens) -> list[tuple[int, ...]]:
+        """Orbits, as sorted index tuples in order of first appearance, of the
+        subgroups `indices` (a set closed under conjugation by `gens`).
 
-    @property
+        Each conjugation costs one `conjugate_mask` and one index lookup.
+        """
+        g, masks, index = self.group, self._masks, self._index
+        seen = bytearray(len(masks))
+        out: list[tuple[int, ...]] = []
+        for i in indices:
+            if seen[i]:
+                continue
+            seen[i] = 1
+            orbit = [i]
+            for j in orbit:
+                m = masks[j]
+                for a in gens:
+                    k = index[conjugate_mask(g, m, a)]
+                    if not seen[k]:
+                        seen[k] = 1
+                        orbit.append(k)
+            out.append(tuple(sorted(orbit)))
+        return out
+
+    @cached_property
     def classes(self) -> list[tuple[int, ...]]:
         """Conjugacy classes of subgroups, each a sorted index tuple."""
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
+        gens = () if self.group.is_abelian else self.group.generating_set
+        return self.orbits(range(self.size), gens)
+
+    @cached_property
+    def _class_ids(self) -> list[int]:
+        out = [0] * self.size
+        for cid, cls in enumerate(self.classes):
+            for j in cls:
+                out[j] = cid
+        return out
 
     def class_of(self, i: int) -> int:
-        if self._class_of is None:
-            self._compute_classes()
-        return self._class_of[i]
+        return self._class_ids[i]
 
     def class_representatives(self) -> list[int]:
         return [cls[0] for cls in self.classes]
@@ -291,6 +290,21 @@ class SubgroupLattice:
     def is_normal(self, i: int) -> bool:
         return len(self.classes[self.class_of(i)]) == 1
 
+    def of_order(self, order: int) -> list[Subgroup]:
+        """The subgroups of the given order, a run of the index order."""
+        subs = self.subgroups
+        lo = bisect_left(subs, order, key=_ORDER)
+        return subs[lo : bisect_right(subs, order, lo, key=_ORDER)]
+
+    def is_nilpotent(self, i: int) -> bool:
+        """Whether subgroup H = i is nilpotent: for each prime p dividing |H|,
+        exactly one subgroup of H has order |H|_p (each Sylow subgroup is normal)."""
+        m = self._masks[i]
+        return all(
+            sum(1 for s in self.of_order(p**a) if not s.mask & ~m) == 1
+            for p, a in prime_factorization(self.subgroups[i].order).items()
+        )
+
     def contains(self, i: int, j: int) -> bool:
         """Whether subgroup i contains subgroup j."""
         return (self._masks[j] & ~self._masks[i]) == 0
@@ -298,21 +312,23 @@ class SubgroupLattice:
     def meet(self, i: int, j: int) -> int:
         return self._index[self._masks[i] & self._masks[j]]
 
+    @cached_property
+    def _holders(self) -> list[int]:
+        """Per element x, the bitset of the indices of the subgroups holding x."""
+        rows = [bytearray((self.size + 7) >> 3) for _ in range(self.group.order)]
+        for k, m in enumerate(self._masks):
+            byte, bit = k >> 3, 1 << (k & 7)
+            for x in _mask_elements(m):
+                rows[x][byte] |= bit
+        return [int.from_bytes(r, "little") for r in rows]
+
     def up(self, i: int) -> int:
         """Bitset of the indices of the subgroups that contain subgroup i.
 
-        The AND over i's generators x of holders[x], the subgroups holding x,
-        built on the first call; holders[0] (the identity) is every subgroup.
+        The AND over i's generators x of the subgroups holding x;
+        holders[0] (the identity) is every subgroup.
         """
         holders = self._holders
-        if holders is None:
-            n = len(self._masks)
-            rows = [bytearray((n + 7) >> 3) for _ in range(self.group.order)]
-            for k, m in enumerate(self._masks):
-                byte, bit = k >> 3, 1 << (k & 7)
-                for x in _mask_elements(m):
-                    rows[x][byte] |= bit
-            holders = self._holders = [int.from_bytes(r, "little") for r in rows]
         out = holders[0]
         for x in self.subgroups[i].gens:
             out &= holders[x]

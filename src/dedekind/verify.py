@@ -49,7 +49,6 @@ from .groups import (
     direct_product,
     induced_subgroup,
     is_isomorphic,
-    quotient,
     semidirect_product,
 )
 from .invariants import (
@@ -61,6 +60,7 @@ from .invariants import (
     is_q_self_dual,
     schmidt_structure_check,
     sections,
+    sections_over,
     sylow_subgroups,
 )
 from .lattice import (
@@ -300,8 +300,14 @@ class Check:
 @dataclass
 class SuiteResult:
     suite: str
-    checks: list[Check]
-    antecedents: dict[str, int]
+    checks: list[Check] = field(default_factory=list)
+    antecedents: dict[str, int] = field(default_factory=dict)
+
+    def check(self, description: str, ok: bool, witness: str = "") -> None:
+        self.checks.append(Check(description, bool(ok), str(witness)))
+
+    def count(self, key: str, n: int = 1) -> None:
+        self.antecedents[key] = self.antecedents.get(key, 0) + n
 
     @property
     def passed(self) -> int:
@@ -328,24 +334,6 @@ class SuiteResult:
         }
 
 
-class _Suite:
-    """Mutable accumulator behind a SuiteResult."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checks: list[Check] = []
-        self.antecedents: dict[str, int] = {}
-
-    def check(self, description: str, ok: bool, witness: str = "") -> None:
-        self.checks.append(Check(description, bool(ok), str(witness)))
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.antecedents[key] = self.antecedents.get(key, 0) + n
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.checks, dict(self.antecedents))
-
-
 def _is_p_group(order: int) -> int | None:
     """The prime p when order is a nontrivial power of p, else None."""
     fact = prime_factorization(order)
@@ -366,7 +354,7 @@ def suite_formulas(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRe
     """Closed forms versus enumeration for all four families, subgroup counts
     of elementary abelian groups, the composite-family count formula, and the
     monotonicity / limit trends of the family values."""
-    s = _Suite("formulas")
+    s = SuiteResult("formulas")
     for e in corpus.family("M"):
         p, n = e.params
         r = stats[e.spec]
@@ -503,7 +491,7 @@ def suite_formulas(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRe
             trend.ok,
             f"final gap {trend.final_gap} vs epsilon {trend.epsilon}",
         )
-    return s.result()
+    return s
 
 
 def _one_class_candidates(order: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -533,7 +521,7 @@ def suite_one_class(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
     two one-class families: every constructed instance has nu = 1 (forward),
     and every corpus group with nu = 1 is isomorphic to an instance (converse,
     tested up to the isomorphism-search order cap)."""
-    s = _Suite("one-class")
+    s = SuiteResult("one-class")
     cfg = corpus.config
     for e in corpus.family("M") + corpus.family("G"):
         r = stats[e.spec]
@@ -577,7 +565,7 @@ def suite_one_class(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
             d16.nu > 1,
             f"nu = {d16.nu}",
         )
-    return s.result()
+    return s
 
 
 def suite_schmidt_structure(
@@ -587,7 +575,7 @@ def suite_schmidt_structure(
     p-subgroup extended by a cyclic Sylow q-subgroup with the expected center,
     Frattini subgroup, chief factor size p^r (r the order of p mod q), and
     normal-subgroup layout."""
-    s = _Suite("schmidt-structure")
+    s = SuiteResult("schmidt-structure")
     expected_r = {"SD(2,3)": 2, "SD(2,7)": 3, "SD(3,13)": 3}
     for e in corpus:
         r = stats[e.spec]
@@ -619,13 +607,13 @@ def suite_schmidt_structure(
                 not r.flags["schmidt"],
                 f"flags: {r.flags}",
             )
-    return s.result()
+    return s
 
 
 def suite_self_dual(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteResult:
     """Modular-family groups are quotient self-dual: every quotient is
     isomorphic to a subgroup.  A quaternion control shows the test can say no."""
-    s = _Suite("self-dual")
+    s = SuiteResult("self-dual")
     for e in corpus.family("M"):
         s.count("modular_instances")
         ok = is_q_self_dual(e.group)
@@ -637,7 +625,7 @@ def suite_self_dual(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
             "Q(8): not quotient self-dual (its four-element quotient is not a subgroup)",
             not is_q_self_dual(q8.group),
         )
-    return s.result()
+    return s
 
 
 def suite_ratio_equality(
@@ -645,7 +633,7 @@ def suite_ratio_equality(
 ) -> SuiteResult:
     """The subgroup-class ratio and its section minimum coincide on the
     modular and extraspecial families."""
-    s = _Suite("ratio-equality")
+    s = SuiteResult("ratio-equality")
     for e in corpus.family("M") + corpus.family("He"):
         r = stats[e.spec]
         s.count("instances")
@@ -654,14 +642,14 @@ def suite_ratio_equality(
             r.d_star is not None and r.d_star == r.d_prime,
             f"d' = {r.d_prime}, d* = {_fraction(r.d_star)}",
         )
-    return s.result()
+    return s
 
 
 def suite_modularity(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteResult:
     """For p-groups, d* above 4/5 forces a modular subgroup lattice, and for
     odd p the threshold drops to 11/19; D(8) and He(3) sit exactly on the
     respective thresholds without modular lattices, so both are sharp."""
-    s = _Suite("modularity")
+    s = SuiteResult("modularity")
     for e in corpus:
         r = stats[e.spec]
         p = _is_p_group(e.group.order)
@@ -691,14 +679,14 @@ def suite_modularity(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
                 r.d_star == thr and not r.flags["modular_lattice"],
                 f"d* = {_fraction(r.d_star)}, modular_lattice = {r.flags['modular_lattice']}",
             )
-    return s.result()
+    return s
 
 
 def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteResult:
     """d* above 2/3 forces nilpotency, and for odd-order groups it forces a
     direct product of p-groups with modular lattices; the threshold is sharp
     at the order-6 dihedral group."""
-    s = _Suite("nilpotency")
+    s = SuiteResult("nilpotency")
     for e in corpus:
         r = stats[e.spec]
         if r.d_star is None or r.d_star <= Fraction(2, 3):
@@ -732,13 +720,13 @@ def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
             boundary.d_star == Fraction(2, 3) and not boundary.flags["nilpotent"],
             f"d* = {_fraction(boundary.d_star)}, nilpotent = {boundary.flags['nilpotent']}",
         )
-    return s.result()
+    return s
 
 
 def suite_iwasawa(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteResult:
     """d* above 4/5 forces a nilpotent group with modular lattice; sharp at
     D(8), and exercised by at least one non-abelian group."""
-    s = _Suite("iwasawa")
+    s = SuiteResult("iwasawa")
     nonabelian = 0
     for e in corpus:
         r = stats[e.spec]
@@ -773,7 +761,7 @@ def suite_iwasawa(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
             d8.d_star == Fraction(4, 5) and not d8.flags["iwasawa"],
             f"d* = {_fraction(d8.d_star)}, iwasawa = {d8.flags['iwasawa']}",
         )
-    return s.result()
+    return s
 
 
 def suite_dedekind_threshold(
@@ -783,7 +771,7 @@ def suite_dedekind_threshold(
     threshold (4/5 at order 8) forces every subgroup normal; each modular-family
     group sits exactly on its threshold without being Dedekind, and at order 8
     the d' form is two-sided."""
-    s = _Suite("dedekind-threshold")
+    s = SuiteResult("dedekind-threshold")
     for e in corpus:
         p = _is_p_group(e.group.order)
         if p is None:
@@ -827,11 +815,15 @@ def suite_dedekind_threshold(
             (r.d_prime > Fraction(4, 5)) == r.flags["dedekind"],
             f"d' = {r.d_prime}, dedekind = {r.flags['dedekind']}",
         )
-    return s.result()
+    return s
 
 
 def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None:
-    """Orders (|H|, |K|) of the first section H/K of g isomorphic to target."""
+    """Orders (|H|, |K|) of the first section H/K of g isomorphic to target.
+
+    H runs over the class representatives of g's lattice and K over the
+    subgroups of g of order |H|/|target| that lie in H and are normal in it.
+    """
     tno = target.order
     tfp = target.fingerprint
     lat = subgroup_lattice(g)
@@ -839,18 +831,13 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
         h = lat.subgroups[hi]
         if h.order % tno:
             continue
-        hgrp, _ = induced_subgroup(g, h)
-        hlat = subgroup_lattice(hgrp)
-        want_k = hgrp.order // tno
-        for ki, k in enumerate(hlat.subgroups):
-            if k.order != want_k or not hlat.is_normal(ki):
-                continue
-            q, _ = quotient(hgrp, k.mask)
+        for sec in sections_over(h, lat.of_order(h.order // tno)):
+            q = sec.quotient
             if q.fingerprint != tfp:
                 continue
             try:
                 if is_isomorphic(q, target):
-                    return (h.order, k.order)
+                    return (h.order, sec.k.order)
             except IsoCapExceeded:
                 continue
     return None
@@ -864,7 +851,7 @@ def suite_hk_sections(
     every large-enough K-family group that is not itself modular contains a
     smaller modular-family section.  Both order-32 readings of an ambiguously
     labeled K instance are checked explicitly."""
-    s = _Suite("hk-sections")
+    s = SuiteResult("hk-sections")
     for e in corpus.family("H"):
         p, st_, t = e.params
         if p == 2:
@@ -928,7 +915,7 @@ def suite_hk_sections(
             found is not None,
             f"H of order {found[0]}, K of order {found[1]}" if found else "no section found",
         )
-    return s.result()
+    return s
 
 
 def suite_extremal_values(
@@ -937,7 +924,7 @@ def suite_extremal_values(
     """The two order-16 extremal candidates attain 17/23 and 27/35, the
     2-power dihedral groups satisfy d' = d*, and no corpus 2-group of matching
     order dips below the dihedral value (evidence for minimality, not proof)."""
-    s = _Suite("extremal-values")
+    s = SuiteResult("extremal-values")
     cfg = corpus.config
     ea = elementary_abelian(2, 2)
     swap = (0, 2, 1, 3)  # exchange the two basis coordinates
@@ -1007,7 +994,7 @@ def suite_extremal_values(
             d32.d_prime == Fraction(7, 18) and d32.d_star == Fraction(7, 18),
             f"d' = {d32.d_prime}, d* = {_fraction(d32.d_star)}",
         )
-    return s.result()
+    return s
 
 
 def suite_density(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteResult:
@@ -1015,7 +1002,7 @@ def suite_density(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
     prime budget, with exact rational gaps strictly decreasing, disjoint
     strictly increasing prime subsequences, and values rebuilt from the closed
     form; small targets are also realized exactly by one-class groups."""
-    s = _Suite("density")
+    s = SuiteResult("density")
     cfg = corpus.config
     for a, b in cfg.density_targets:
         target = Fraction(a, b)
@@ -1070,7 +1057,7 @@ def suite_density(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
             ok = ok and got == value
             wit += f", enumeration gives {got}"
         s.check(f"a/(a+1) = {a}/{a + 1} is realized by {spec}", ok, wit)
-    return s.result()
+    return s
 
 
 def suite_consistency(
@@ -1081,7 +1068,7 @@ def suite_consistency(
     sizes, agreement with a brute-force subgroup oracle, agreement between
     the interval d* and the literal section-by-section minimum, and
     monotonicity of d* under taking sections."""
-    s = _Suite("consistency")
+    s = SuiteResult("consistency")
     for e in corpus:
         if e.tag != "product":
             continue
@@ -1176,8 +1163,10 @@ def suite_consistency(
         bad = ""
         tested = 0
         for sec in sections(g):
+            if sec.order in (1, g.order):
+                continue
             q = sec.quotient
-            if q.order in (1, g.order) or q.fingerprint in seen_fp:
+            if q.fingerprint in seen_fp:
                 continue
             seen_fp.add(q.fingerprint)
             tested += 1
@@ -1192,7 +1181,7 @@ def suite_consistency(
             not bad,
             bad or f"{tested} section shapes tested",
         )
-    return s.result()
+    return s
 
 
 # ---------------------------------------------------------------------------

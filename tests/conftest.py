@@ -16,9 +16,14 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import FiniteGroup, assert_associative
-from dedekind.invariants import d_prime, sections
-from dedekind.lattice import brute_force_subgroup_masks, conjugate_mask
+from dedekind.groups import FiniteGroup, assert_associative, induced_subgroup
+from dedekind.invariants import d_prime, sections, sylow_subgroups
+from dedekind.lattice import (
+    brute_force_subgroup_masks,
+    conjugate_mask,
+    maximal_subgroup_indices,
+    subgroup_lattice,
+)
 from dedekind.verify import Corpus, CorpusConfig, build_corpus
 
 
@@ -59,6 +64,27 @@ def brute_force_subgroup_classes(g: FiniteGroup) -> list[frozenset[int]]:
 def literal_d_star(g: FiniteGroup) -> Fraction:
     """d* by definition: d' of every section's quotient group, minimized."""
     return min(d_prime(s.quotient) for s in sections(g))
+
+
+def literal_is_nilpotent(g: FiniteGroup) -> bool:
+    """Nilpotency as every Sylow subgroup being normal, read off g's own lattice."""
+    lat = subgroup_lattice(g)
+    return all(
+        lat.is_normal(lat.index_of(sylow.mask))
+        for sylow in sylow_subgroups(g, lat).values()
+    )
+
+
+def literal_is_schmidt(g: FiniteGroup) -> bool:
+    """Minimal non-nilpotency by definition: g is not nilpotent, and each
+    maximal subgroup, induced as a group, is nilpotent on its own lattice."""
+    if literal_is_nilpotent(g):
+        return False
+    lat = subgroup_lattice(g)
+    return all(
+        literal_is_nilpotent(induced_subgroup(g, lat.subgroups[i])[0])
+        for i in maximal_subgroup_indices(lat)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import literal_d_star
+from conftest import literal_d_star, literal_is_nilpotent, literal_is_schmidt
 from dedekind.errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from dedekind.families import (
     cyclic,
@@ -30,6 +30,8 @@ from dedekind.invariants import (
     sections,
     sylow_subgroups,
 )
+from dedekind.lattice import SubgroupLattice
+from dedekind.specs import build_group
 
 
 def test_d_prime_known_values(zoo):
@@ -62,6 +64,30 @@ def test_nilpotency(zoo):
     for name in ("s3", "d12", "a4", "g12"):
         assert not is_nilpotent(zoo[name]), name
     assert is_nilpotent(direct_product(zoo["d8"], cyclic(3)))
+
+
+def test_nilpotency_flags_match_the_induced_subgroup_oracle(zoo, corpus):
+    groups = list(zoo.items()) + [
+        (e.spec, e.group) for e in corpus if e.group.order <= 128
+    ]
+    for name, g in groups:
+        assert is_nilpotent(g) == literal_is_nilpotent(g), name
+        assert is_schmidt(g) == literal_is_schmidt(g), name
+
+
+@pytest.mark.parametrize("spec", ["C27Q8", "D(12)"])
+def test_report_builds_one_lattice(spec, monkeypatch):
+    built = []
+    init = SubgroupLattice.__init__
+
+    def counting(self, group):
+        built.append(group.order)
+        init(self, group)
+
+    monkeypatch.setattr(SubgroupLattice, "__init__", counting)
+    g = build_group(spec)
+    compute_report(g, spec=spec)
+    assert built == [g.order]
 
 
 def test_iwasawa(zoo):
@@ -121,17 +147,17 @@ def test_sylow_subgroups(zoo):
 
 
 def test_sections_census(zoo):
-    q8 = zoo["q8"]
-    secs = list(sections(q8))
-    assert len(secs) == 18
-    for sec in secs:
-        assert sec.h.order % sec.quotient.order == 0
-        assert sec.k.mask & ~sec.h.mask == 0
-        assert sec.order == sec.quotient.order
+    for name, count in (("q8", 18), ("d12", 49), ("a4", 23), ("he3", 58)):
+        secs = list(sections(zoo[name]))
+        assert len(secs) == count, name
+        for sec in secs:
+            assert sec.h.order % sec.quotient.order == 0
+            assert sec.k.mask & ~sec.h.mask == 0
+            assert sec.order == sec.quotient.order
     # quotient of the whole group by its center is the Klein group
     assert any(
         sec.h.order == 8 and sec.k.order == 2 and sec.quotient.is_abelian
-        for sec in secs
+        for sec in sections(zoo["q8"])
     )
 
 

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,10 @@ def test_density_command(capsys):
     assert len(data["steps"]) >= 1
     # unreachable epsilon within a tiny budget is a budget error
     assert run_cli(capsys, ["density", "1", "2", "1e-9", "--prime-budget", "10"])[0] == 4
+    # an epsilon that is not a finite number is a parameter error, not a traceback
+    for eps in ("abc", "nan", "inf"):
+        code, _, err = run_cli(capsys, ["density", "1", "2", eps])
+        assert code == 3 and "epsilon must be a positive number" in err, eps
 
 
 def test_sweep_command(capsys, tmp_path, monkeypatch):
@@ -201,6 +206,23 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, ["info", "M(4,3)", "--cache-path", cp])[0] == 3
     assert run_cli(capsys, ["info", "D(1024)", "--cache-path", cp])[0] == 4
     assert run_cli(capsys, ["dstar", "D(512)", "--max-order", "600", "--cache-path", cp])[0] == 4
+
+
+@pytest.mark.parametrize(
+    "spec, shown",
+    [
+        ("EA(2,100000)", "2^100000"),
+        ("EA(3,100000000)", "3^100000000"),
+        ("K(3,100000000,2)", "3^100000002"),
+        ("EA(2,20)", "1048576"),
+    ],
+)
+def test_huge_exponents_hit_the_cap_at_once(capsys, spec, shown):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, ["dprime", spec, "--no-cache"])
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert err == f"error: {spec} has order {shown}, above the cap 512\n"
 
 
 # ---------------------------------------------------------------------------
