@@ -299,6 +299,8 @@ def elementary_rtimes_cq(p: int, q: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
     _require_prime(q, "q")
     if p == q:
         raise InvalidParameter("p and q must be distinct primes")
+    if q > order_cap:  # r may take q steps to find, and q * p^r is past the cap anyway
+        raise OrderCapExceeded(f"SD({p},{q}) has order {q} * {p}^r, above the cap {order_cap}")
     r = multiplicative_order(p, q)
     _check_cap(f"SD({p},{q})", order_cap, p, r, factor=q)
     phi = [1] * q  # 1 + x + ... + x^(q-1)

@@ -6,6 +6,7 @@ oracle against which lattice enumeration is tested, and vice versa.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,8 +278,11 @@ def density_sequence(
     n = 1
     while True:
         if n * k + k > prime_budget:
+            shown = "epsilon"
+            with suppress(ValueError):  # longer than Python's int-to-str digit limit
+                shown = str(eps)
             raise BudgetExhausted(
-                f"gap < {eps} not reached within the first {prime_budget} odd primes"
+                f"gap < {shown} not reached within the first {prime_budget} odd primes"
             )
         primes = tuple(nth_odd_prime(n * k + i) for i in range(1, k + 1))
         value = Fraction(1)

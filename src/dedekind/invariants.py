@@ -18,12 +18,12 @@ from .errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _mask_elements,
     induced_subgroup,
     is_isomorphic,
     quotient,
 )
 from .lattice import (
-    SubgroupLattice,
     conjugate_mask,
     is_lattice_modular,
     frattini_subgroup,
@@ -39,7 +39,6 @@ __all__ = [
     "SchmidtStructureReport",
     "d_prime",
     "sections",
-    "sections_over",
     "d_star",
     "is_dedekind",
     "has_modular_lattice",
@@ -75,34 +74,21 @@ class Section:
     @cached_property
     def quotient(self) -> FiniteGroup:
         hgrp, emb = induced_subgroup(self.h.parent, self.h)
-        return quotient(hgrp, _local_mask(emb, self.k.mask))[0]
+        return quotient(hgrp, sum(1 << i for i, e in enumerate(emb) if self.k.mask >> e & 1))[0]
 
 
 def _normal_within(g: FiniteGroup, kmask: int, hgens: tuple[int, ...]) -> bool:
     return all(conjugate_mask(g, kmask, a) == kmask for a in hgens)
 
 
-def _local_mask(embedding: tuple[int, ...], mask: int) -> int:
-    out = 0
-    for i, e in enumerate(embedding):
-        if (mask >> e) & 1:
-            out |= 1 << i
-    return out
-
-
-def sections_over(h: Subgroup, ks) -> Iterator[Section]:
-    """Yield the sections H/K for the subgroups K in ks that lie in H and are normal in it."""
-    for k in ks:
-        if not k.mask & ~h.mask and _normal_within(h.parent, k.mask, h.gens):
-            yield Section(h, k)
-
-
 def sections(g: FiniteGroup) -> Iterator[Section]:
     """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H)."""
     lat = subgroup_lattice(g)
     for hi, h in enumerate(lat.subgroups):
-        # subgroups of H come no later than H in the (order, mask) ordering
-        yield from sections_over(h, lat.subgroups[: hi + 1])
+        for ki in _mask_elements(lat.below(hi)):
+            k = lat.subgroups[ki]
+            if _normal_within(g, k.mask, h.gens):
+                yield Section(h, k)
 
 
 def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
@@ -124,19 +110,15 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     if g.is_abelian:
         return Fraction(1)
     lat = subgroup_lattice(g)
-    masks = lat._masks
     best = Fraction(1)
     for hi in lat.class_representatives():
-        hmask = masks[hi]
         hgens = lat.subgroups[hi].gens
         if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
             continue  # H is abelian: every section has d' = 1
-        # subgroups of H come no later than H in the (order, mask) ordering
-        below = [i for i, m in enumerate(masks[: hi + 1]) if not m & ~hmask]
-        below_h = sum(1 << i for i in below)
+        below_h = lat.below(hi)
         orbit_reps = 0
         normals: list[int] = []
-        for orbit in lat.orbits(below, hgens):
+        for orbit in lat.orbits(_mask_elements(below_h), hgens):
             orbit_reps |= 1 << orbit[0]
             if len(orbit) == 1:
                 normals.append(orbit[0])
@@ -160,48 +142,39 @@ def is_dedekind(g: FiniteGroup) -> bool:
     return True
 
 
-def has_modular_lattice(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
-    lat = lat if lat is not None else subgroup_lattice(g)
-    if lat.nu == 0:
-        return True
-    return is_lattice_modular(lat) is None
+def has_modular_lattice(g: FiniteGroup) -> bool:
+    lat = subgroup_lattice(g)
+    return lat.nu == 0 or is_lattice_modular(lat) is None
 
 
-def sylow_subgroups(
-    g: FiniteGroup, lat: SubgroupLattice | None = None
-) -> dict[int, Subgroup]:
+def sylow_subgroups(g: FiniteGroup) -> dict[int, Subgroup]:
     """One Sylow p-subgroup per prime divisor of |g| (first in canonical order)."""
-    lat = lat if lat is not None else subgroup_lattice(g)
-    out: dict[int, Subgroup] = {}
-    for p, a in sorted(prime_factorization(g.order).items()):
-        pa = p**a
-        out[p] = next(s for s in lat.subgroups if s.order == pa)
-    return out
+    lat = subgroup_lattice(g)
+    return {p: lat.of_order(p**a)[0] for p, a in sorted(prime_factorization(g.order).items())}
 
 
-def is_nilpotent(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
+def is_nilpotent(g: FiniteGroup) -> bool:
     """Whether every Sylow subgroup is normal (the unique one of its order)."""
     if g.is_abelian:
         return True
-    lat = lat if lat is not None else subgroup_lattice(g)
+    lat = subgroup_lattice(g)
     return lat.is_nilpotent(lat.size - 1)
 
 
-def is_iwasawa(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
+def is_iwasawa(g: FiniteGroup) -> bool:
     """Nilpotent with a modular subgroup lattice."""
-    lat = lat if lat is not None else subgroup_lattice(g)
-    return is_nilpotent(g, lat) and has_modular_lattice(g, lat)
+    return is_nilpotent(g) and has_modular_lattice(g)
 
 
-def is_schmidt(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
+def is_schmidt(g: FiniteGroup) -> bool:
     """Non-nilpotent with every proper subgroup nilpotent.
 
     It suffices to test the maximal subgroups (subgroups of nilpotent groups
     are nilpotent), each on g's own lattice.
     """
-    lat = lat if lat is not None else subgroup_lattice(g)
-    if is_nilpotent(g, lat):
+    if is_nilpotent(g):
         return False
+    lat = subgroup_lattice(g)
     return all(lat.is_nilpotent(i) for i in maximal_subgroup_indices(lat))
 
 
@@ -226,16 +199,14 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
     normal subgroup avoids Q and either contains P or sits inside Z(G).
     Raises StructureViolation naming the first failing clause.
     """
-    lat = subgroup_lattice(g)
-    if not is_schmidt(g, lat):
+    if not is_schmidt(g):
         raise InvalidParameter("group is not minimal non-nilpotent")
     factors = prime_factorization(g.order)
     if len(factors) != 2:
         raise StructureViolation("order must have exactly two prime divisors")
-    sylows = sylow_subgroups(g, lat)
-    normal_primes = [
-        p for p, s in sylows.items() if lat.is_normal(lat.index_of(s.mask))
-    ]
+    lat = subgroup_lattice(g)
+    sylows = sylow_subgroups(g)
+    normal_primes = [p for p, s in sylows.items() if lat.is_normal(lat.index_of(s.mask))]
     if len(normal_primes) != 1:
         raise StructureViolation(
             f"expected exactly one normal Sylow subgroup, found {len(normal_primes)}"
@@ -243,34 +214,33 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
     p = normal_primes[0]
     (q,) = [r for r in factors if r != p]
     psub, qsub = sylows[p], sylows[q]
-    qgrp, qemb = induced_subgroup(g, qsub)
-    if max(qgrp.element_orders) != qgrp.order:
+    if max(g.element_orders[x] for x in qsub.elements()) != qsub.order:
         raise StructureViolation(f"Sylow {q}-subgroup is not cyclic")
 
     zmask = g.center_mask
-    phi_g = frattini_subgroup(g, lat)
+    phi_g = frattini_subgroup(g)
     if zmask != phi_g.mask:
         raise StructureViolation("Z(G) != Phi(G)")
-    pgrp, pemb = induced_subgroup(g, psub)
-    phi_p_local = frattini_subgroup(pgrp)
-    phi_p = {pemb[i] for i in phi_p_local.elements()}
-    phi_q_local = frattini_subgroup(qgrp)
-    phi_q = {qemb[i] for i in phi_q_local.elements()}
+    # L(P) and L(Q) are the intervals [1, P] and [1, Q] of L(G)
+    phi_p = frattini_subgroup(g, lat.index_of(psub.mask))
+    phi_q = frattini_subgroup(g, lat.index_of(qsub.mask))
     prod_mask = 0
-    for a in phi_p:
+    for a in phi_p.elements():
         row = g.table[a]
-        for b in phi_q:
+        for b in phi_q.elements():
             prod_mask |= 1 << row[b]
-    if prod_mask != phi_g.mask or prod_mask.bit_count() != len(phi_p) * len(phi_q):
+    if prod_mask != phi_g.mask or prod_mask.bit_count() != phi_p.order * phi_q.order:
         raise StructureViolation("Phi(G) != Phi(P) x Phi(Q)")
 
     r = multiplicative_order(p, q)
-    top_quot, _ = quotient(pgrp, phi_p_local.mask)
-    if top_quot.order != p**r:
-        raise StructureViolation(
-            f"|P/Phi(P)| = {top_quot.order}, expected p^r = {p**r}"
-        )
-    if not (top_quot.is_abelian and top_quot.exponent in (1, p)):
+    top_order = psub.order // phi_p.order
+    if top_order != p**r:
+        raise StructureViolation(f"|P/Phi(P)| = {top_order}, expected p^r = {p**r}")
+    # P/Phi(P) is generated by the images of P's generators: it is elementary
+    # abelian iff their p-th powers and commutators all lie in Phi(P)
+    gens = psub.gens
+    words = [g.power(a, p) for a in gens] + [g.commutator(a, b) for a in gens for b in gens]
+    if not all(x in phi_p for x in words):
         raise StructureViolation("P/Phi(P) is not elementary abelian")
 
     for cls in lat.classes:
@@ -302,9 +272,9 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
     )
 
 
-def is_q_self_dual(g: FiniteGroup, lat: SubgroupLattice | None = None) -> bool:
+def is_q_self_dual(g: FiniteGroup) -> bool:
     """Whether every quotient of g is isomorphic to some subgroup of g."""
-    lat = lat if lat is not None else subgroup_lattice(g)
+    lat = subgroup_lattice(g)
     reps_by_order: dict[int, list[int]] = {}
     for i in lat.class_representatives():
         reps_by_order.setdefault(lat.subgroups[i].order, []).append(i)
@@ -388,15 +358,15 @@ def compute_report(
     ds: Fraction | None = None
     if want_d_star and (g.order <= DSTAR_ORDER_LIMIT or allow_slow):
         ds = d_star(g, allow_slow=allow_slow)
-    nilpotent = is_nilpotent(g, lat)
-    modular = has_modular_lattice(g, lat)
+    nilpotent = is_nilpotent(g)
+    modular = has_modular_lattice(g)
     flags = {
         "abelian": g.is_abelian,
         "dedekind": lat.nu == 0,
         "nilpotent": nilpotent,
         "iwasawa": nilpotent and modular,
         "modular_lattice": modular,
-        "schmidt": is_schmidt(g, lat),
+        "schmidt": is_schmidt(g),
     }
     ms = int(round((time.perf_counter() - t0) * 1000))
     return InvariantReport(

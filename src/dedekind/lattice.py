@@ -7,9 +7,12 @@ normalizes H and has x^p in H, so that H<x> is the union of p cosets of H and
 needs no closure.  That reaches every subgroup of a solvable group; for a
 non-solvable group the generic closure H -> <H, x> finishes the job.
 
-The order is read from containment bitsets (`SubgroupLattice.up`).  The
-(order, mask) index order is a linear extension, so joins and covers (the
-transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).
+The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
+The (order, mask) index order is a linear extension, so joins and covers (the
+transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).  L(H)
+is the interval [1, H] of L(G) (R. Schmidt, Subgroup Lattices of Groups, 1994),
+so questions about the subgroups of H are answered on that interval: the
+functions that take a `top` index work on [1, top], the whole lattice by default.
 
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
@@ -205,8 +208,8 @@ class SubgroupLattice:
 
     Subgroups are indexed in a canonical order (by order, then bitmask) and
     grouped into conjugacy classes by the one orbit routine (`orbits`);
-    containment bitsets (`up`), joins, meets, normalizers and nilpotency are
-    computed on demand.
+    containment bitsets (`up`, `below`), joins, meets, normalizers and
+    nilpotency are computed on demand.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -305,10 +308,6 @@ class SubgroupLattice:
             for p, a in prime_factorization(self.subgroups[i].order).items()
         )
 
-    def contains(self, i: int, j: int) -> bool:
-        """Whether subgroup i contains subgroup j."""
-        return (self._masks[j] & ~self._masks[i]) == 0
-
     def meet(self, i: int, j: int) -> int:
         return self._index[self._masks[i] & self._masks[j]]
 
@@ -333,6 +332,12 @@ class SubgroupLattice:
         for x in self.subgroups[i].gens:
             out &= holders[x]
         return out
+
+    def below(self, i: int) -> int:
+        """Bitset of the indices of the subgroups in subgroup i, the dual of `up`:
+        they come no later than i, so one pass over the masks spells it."""
+        m = self._masks[i]
+        return int("".join(["0" if mj & ~m else "1" for mj in self._masks[i::-1]]), 2)
 
     def join(self, i: int, j: int) -> int:
         """Smallest subgroup containing subgroups i and j.
@@ -374,16 +379,17 @@ def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
     return g._lattice
 
 
-def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with subgroup i maximal in subgroup j.
+def hasse_edges(lat: SubgroupLattice, top: int | None = None) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) with subgroup i maximal in subgroup j, in [1, top].
 
     The index order is a linear extension, so the lowest index above i is an
     upper cover of i; dropping its up-set and repeating yields the rest.
     Sorted by (j, -|i|, i).
     """
+    within = None if top is None else lat.below(top)
     edges: list[tuple[int, int]] = []
-    for i in range(lat.size):
-        rest = lat.up(i) ^ (1 << i)
+    for i in range(lat.size) if within is None else _mask_elements(within):
+        rest = (lat.up(i) if within is None else lat.up(i) & within) ^ (1 << i)
         while rest:
             j = (rest & -rest).bit_length() - 1
             edges.append((i, j))
@@ -392,20 +398,23 @@ def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
     return edges
 
 
-def maximal_subgroup_indices(lat: SubgroupLattice) -> list[int]:
-    """Indices of the maximal proper subgroups, by decreasing order then index."""
-    top = lat.size - 1
-    by_order = sorted(range(top), key=lambda i: -lat.subgroups[i].order)
-    return [i for i in by_order if lat.up(i) == (1 << top) | (1 << i)]
+def maximal_subgroup_indices(lat: SubgroupLattice, top: int | None = None) -> list[int]:
+    """Indices of the maximal subgroups of subgroup top, by decreasing order then index."""
+    if top is None:
+        top, within, members = lat.size - 1, -1, range(lat.size - 1)
+    else:
+        within = lat.below(top)
+        members = _mask_elements(within ^ (1 << top))
+    by_order = sorted(members, key=lambda i: -lat.subgroups[i].order)
+    return [i for i in by_order if lat.up(i) & within == (1 << top) | (1 << i)]
 
 
-def frattini_subgroup(g: FiniteGroup, lat: SubgroupLattice | None = None) -> Subgroup:
-    """Intersection of the maximal subgroups (the whole group if none exist)."""
-    if lat is None:
-        lat = subgroup_lattice(g)
+def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> Subgroup:
+    """Intersection of the maximal subgroups of subgroup top (top if none exist)."""
+    lat = subgroup_lattice(g)
     masks = lat._masks
-    acc = masks[-1]
-    for i in maximal_subgroup_indices(lat):
+    acc = masks[-1 if top is None else top]
+    for i in maximal_subgroup_indices(lat, top):
         acc &= masks[i]
     return lat.subgroups[lat.index_of(acc)]
 
@@ -499,8 +508,8 @@ def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
     return None
 
 
-def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
-    """None if the lattice satisfies the modular law, else a witness triple.
+def is_lattice_modular(lat: SubgroupLattice, top: int | None = None) -> ModularityWitness | None:
+    """None if the interval [1, top] satisfies the modular law, else a witness triple.
 
     A finite lattice is modular iff it is upper and lower semimodular
     (Birkhoff, Lattice Theory, 1967): whenever b and c cover a, b v c covers
@@ -508,10 +517,10 @@ def is_lattice_modular(lat: SubgroupLattice) -> ModularityWitness | None:
     so the test needs only the cover graph from `hasse_edges`, kept as
     ascending index lists so that its memory is O(edges).
     """
-    n = len(lat.subgroups)
+    n = lat.size if top is None else top + 1
     up: list[list[int]] = [[] for _ in range(n)]
     down: list[list[int]] = [[] for _ in range(n)]
-    for i, j in hasse_edges(lat):
+    for i, j in hasse_edges(lat, top):
         up[i].append(j)
         down[j].append(i)
     for covers in down:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import InvalidParameter
+from .errors import BudgetExhausted, InvalidParameter
 
 __all__ = [
     "is_prime",
@@ -13,18 +13,31 @@ __all__ = [
 ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all 13 bases (Sorenson and Webster, 2017)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
+    """Miller-Rabin over the 13 prime bases 2..41, exact below _MR_EXACT_BELOW.
+
+    Above it, a number those rounds cannot prove composite raises
+    BudgetExhausted instead of being trial-divided up to sqrt(n).
+    """
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    if n < 43 * 43:  # no prime factor up to its square root
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
+    if n >= _MR_EXACT_BELOW:
+        raise BudgetExhausted(
+            f"cannot prove {n} prime: Miller-Rabin to the bases 2..41 is exact only below "
+            f"{_MR_EXACT_BELOW}"
+        )
     return True
 
 

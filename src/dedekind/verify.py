@@ -46,26 +46,27 @@ from .formulas import (
 from .groups import (
     DEFAULT_ISO_CAP,
     FiniteGroup,
+    _mask_elements,
     direct_product,
-    induced_subgroup,
     is_isomorphic,
     semidirect_product,
 )
 from .invariants import (
     InvariantReport,
+    Section,
+    _normal_within,
     compute_report,
     d_prime,
     d_star,
-    has_modular_lattice,
     is_q_self_dual,
     schmidt_structure_check,
     sections,
-    sections_over,
     sylow_subgroups,
 )
 from .lattice import (
     brute_force_subgroup_masks,
     conjugate_mask,
+    is_lattice_modular,
     subgroup_lattice,
 )
 from .numbertheory import is_prime, multiplicative_order, nth_odd_prime, prime_factorization
@@ -700,11 +701,10 @@ def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
         if e.group.order % 2:
             s.count("odd_order_over_2_3")
             lat = subgroup_lattice(e.group)
-            sylows = sylow_subgroups(e.group, lat)
+            sylows = sylow_subgroups(e.group)
             bad = ""
             for p, sub in sorted(sylows.items()):
-                sgrp, _ = induced_subgroup(e.group, sub)
-                if not has_modular_lattice(sgrp):
+                if is_lattice_modular(lat, lat.index_of(sub.mask)) is not None:
                     bad = f"Sylow {p}-subgroup has a non-modular lattice"
                     break
             s.check(
@@ -822,7 +822,7 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
     """Orders (|H|, |K|) of the first section H/K of g isomorphic to target.
 
     H runs over the class representatives of g's lattice and K over the
-    subgroups of g of order |H|/|target| that lie in H and are normal in it.
+    subgroups of H of order |H|/|target| that are normal in it.
     """
     tno = target.order
     tfp = target.fingerprint
@@ -831,13 +831,15 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
         h = lat.subgroups[hi]
         if h.order % tno:
             continue
-        for sec in sections_over(h, lat.of_order(h.order // tno)):
-            q = sec.quotient
+        for k in (lat.subgroups[ki] for ki in _mask_elements(lat.below(hi))):
+            if k.order * tno != h.order or not _normal_within(g, k.mask, h.gens):
+                continue
+            q = Section(h, k).quotient
             if q.fingerprint != tfp:
                 continue
             try:
                 if is_isomorphic(q, target):
-                    return (h.order, sec.k.order)
+                    return (h.order, k.order)
             except IsoCapExceeded:
                 continue
     return None

@@ -71,7 +71,7 @@ def literal_is_nilpotent(g: FiniteGroup) -> bool:
     lat = subgroup_lattice(g)
     return all(
         lat.is_normal(lat.index_of(sylow.mask))
-        for sylow in sylow_subgroups(g, lat).values()
+        for sylow in sylow_subgroups(g).values()
     )
 
 

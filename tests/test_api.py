@@ -1,5 +1,6 @@
 """The package's public surface: the names README's Library section documents."""
 
+import ast
 import os
 import re
 import subprocess
@@ -32,3 +33,21 @@ def test_public_api():
     assert "'dedekind'" in loaded
     assert "'dedekind.verify'" not in loaded
     assert "'dedekind.cli'" not in loaded
+
+
+def test_runtime_imports_only_the_standard_library():
+    package = Path(dedekind.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".", 1)[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"

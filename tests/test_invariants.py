@@ -90,6 +90,21 @@ def test_report_builds_one_lattice(spec, monkeypatch):
     assert built == [g.order]
 
 
+@pytest.mark.parametrize("spec", ["SD(2,3)", "G(7,3,3)", "D(6)"])
+def test_schmidt_structure_check_builds_one_lattice(spec, monkeypatch):
+    built = []
+    init = SubgroupLattice.__init__
+
+    def counting(self, group):
+        built.append(group.order)
+        init(self, group)
+
+    monkeypatch.setattr(SubgroupLattice, "__init__", counting)
+    g = build_group(spec)
+    schmidt_structure_check(g)
+    assert built == [g.order]
+
+
 def test_iwasawa(zoo):
     assert is_iwasawa(zoo["q8"])
     assert is_iwasawa(zoo["m16"])

@@ -7,7 +7,7 @@ import pytest
 from conftest import brute_force_subgroup_classes
 from dedekind.errors import LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
-from dedekind.groups import Perm, closure_from_generators, direct_product
+from dedekind.groups import Perm, closure_from_generators, direct_product, induced_subgroup
 from dedekind.lattice import (
     all_subgroup_masks,
     brute_force_hasse_edges,
@@ -227,6 +227,40 @@ def test_modularity_matches_oracle_on_corpus(corpus):
     assert checked >= 300
 
 
+def test_intervals_match_the_induced_subgroup_oracle(corpus):
+    """[1, H] of G's lattice, against H induced as a group with a lattice of its own."""
+    checked = 0
+    for e in corpus:
+        g = e.group
+        if g.order > 64:
+            continue
+        lat = subgroup_lattice(g)
+        masks = lat._masks
+        for i in lat.class_representatives():
+            assert lat.below(i) == sum(1 << j for j, m in enumerate(masks) if not m & ~masks[i]), e.spec
+            hgrp, emb = induced_subgroup(g, lat.subgroups[i])
+            hlat = subgroup_lattice(hgrp)
+
+            def mask_in_g(local):
+                return sum(1 << emb[x] for x in range(hgrp.order) if local >> x & 1)
+
+            def in_g(local_indices):
+                return [masks.index(mask_in_g(hlat._masks[j])) for j in local_indices]
+
+            assert sorted(hasse_edges(lat, i)) == sorted(
+                zip(in_g(a for a, _ in hasse_edges(hlat)), in_g(b for _, b in hasse_edges(hlat)))
+            ), e.spec
+            maximal = maximal_subgroup_indices(lat, i)
+            assert sorted(maximal) == sorted(in_g(maximal_subgroup_indices(hlat))), e.spec
+            assert [lat.subgroups[j].order for j in maximal] == [
+                hlat.subgroups[j].order for j in maximal_subgroup_indices(hlat)
+            ]
+            assert frattini_subgroup(g, i).mask == mask_in_g(frattini_subgroup(hgrp).mask), e.spec
+            assert (is_lattice_modular(lat, i) is None) == (is_lattice_modular(hlat) is None), e.spec
+            checked += 1
+    assert checked >= 1800
+
+
 def test_lattice_budget(zoo):
     with pytest.raises(LatticeBudgetExceeded):
         all_subgroup_masks(elementary_abelian(2, 4), budget=10)
@@ -249,6 +283,6 @@ def test_index_and_contains(zoo):
     for i, a in enumerate(lat.subgroups):
         assert lat.index_of(a.mask) == i
         for j, b in enumerate(lat.subgroups):
-            assert lat.contains(i, j) == (a.mask & b.mask == b.mask)
+            assert (lat.below(i) >> j & 1) == (a.mask & b.mask == b.mask)
     with pytest.raises(KeyError):
         lat.index_of(0b1011)  # not a subgroup of d8

@@ -3,9 +3,11 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_subgroup_classes, literal_d_star
+from dedekind.errors import BudgetExhausted
 from dedekind.families import (
     cyclic,
     dihedral,
@@ -209,3 +211,25 @@ def test_nth_odd_prime(k):
     assert nth_odd_prime(k + 1) > p
     # exactly k odd primes up to and including p
     assert sum(1 for m in range(3, p + 1) if is_prime(m)) == k
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial(n)]
+    # Carmichael and strong pseudoprimes to small bases are still composite
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    assert is_prime(100000000000000000039) and not is_prime(100000000000000000041)
+
+
+def test_is_prime_past_its_exact_range():
+    # a small factor or a failed round still decides; a number the rounds cannot
+    # prove composite is a budget error
+    assert not is_prime(2**89 + 1)  # divisible by 3
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+    with pytest.raises(BudgetExhausted):
+        is_prime(2**89 - 1)  # a Mersenne prime above 3.3e24
+    with pytest.raises(BudgetExhausted):
+        is_prime(3317044064679887385961981)  # composite, strong pseudoprime to 2..41

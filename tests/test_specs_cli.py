@@ -164,6 +164,10 @@ def test_density_command(capsys):
     assert len(data["steps"]) >= 1
     # unreachable epsilon within a tiny budget is a budget error
     assert run_cli(capsys, ["density", "1", "2", "1e-9", "--prime-budget", "10"])[0] == 4
+    # an epsilon too long to print is still a budget error, not a traceback
+    code, _, err = run_cli(capsys, ["density", "1", "2", "1e-5000", "--prime-budget", "10"])
+    assert code == 4
+    assert err == "error: gap < epsilon not reached within the first 10 odd primes\n"
     # an epsilon that is not a finite number is a parameter error, not a traceback
     for eps in ("abc", "nan", "inf"):
         code, _, err = run_cli(capsys, ["density", "1", "2", eps])
@@ -223,6 +227,20 @@ def test_huge_exponents_hit_the_cap_at_once(capsys, spec, shown):
     assert time.perf_counter() - start < 5
     assert code == 4
     assert err == f"error: {spec} has order {shown}, above the cap 512\n"
+
+
+@pytest.mark.parametrize("spec", ["He(100000000000000000039)", "SD(2,100000000000000000039)"])
+def test_huge_primes_hit_the_cap_at_once(capsys, spec):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, ["dprime", spec, "--no-cache"])
+    assert time.perf_counter() - start < 1
+    assert code == 4 and "above the cap 512" in err
+
+
+def test_huge_composite_is_a_parameter_error(capsys):
+    code, _, err = run_cli(capsys, ["dprime", "He(100000000000000000041)", "--no-cache"])
+    assert code == 3
+    assert err == "error: p must be prime, got 100000000000000000041\n"
 
 
 # ---------------------------------------------------------------------------
