@@ -247,13 +247,18 @@ class FiniteGroup:
         return _closure(self.table, tuple(gens))
 
 
+_BYTE_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
+
+
 def _mask_elements(mask: int) -> list[int]:
-    """Set-bit indices in time linear in their count, for sparse bitsets too."""
+    """Set-bit indices in one pass over the bytes of mask, so in time linear in
+    its length also for the lattice-sized bitsets of `SubgroupLattice.below`."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    for base, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            base <<= 3
+            for b in _BYTE_BITS[byte]:
+                out.append(base + b)
     return out
 
 

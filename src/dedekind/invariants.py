@@ -81,10 +81,12 @@ def _normal_within(g: FiniteGroup, kmask: int, hgens: tuple[int, ...]) -> bool:
     return all(conjugate_mask(g, kmask, a) == kmask for a in hgens)
 
 
-def sections(g: FiniteGroup) -> Iterator[Section]:
-    """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H)."""
+def sections(g: FiniteGroup, hi: int | None = None) -> Iterator[Section]:
+    """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H);
+    with hi, only those whose H is subgroup hi of g's lattice."""
     lat = subgroup_lattice(g)
-    for hi, h in enumerate(lat.subgroups):
+    for hi in range(lat.size) if hi is None else (hi,):
+        h = lat.subgroups[hi]
         for ki in _mask_elements(lat.below(hi)):
             k = lat.subgroups[ki]
             if _normal_within(g, k.mask, h.gens):

@@ -386,10 +386,10 @@ def hasse_edges(lat: SubgroupLattice, top: int | None = None) -> list[tuple[int,
     upper cover of i; dropping its up-set and repeating yields the rest.
     Sorted by (j, -|i|, i).
     """
-    within = None if top is None else lat.below(top)
+    within = lat.below(lat.size - 1 if top is None else top)
     edges: list[tuple[int, int]] = []
-    for i in range(lat.size) if within is None else _mask_elements(within):
-        rest = (lat.up(i) if within is None else lat.up(i) & within) ^ (1 << i)
+    for i in _mask_elements(within):
+        rest = lat.up(i) & within ^ (1 << i)
         while rest:
             j = (rest & -rest).bit_length() - 1
             edges.append((i, j))
@@ -400,22 +400,19 @@ def hasse_edges(lat: SubgroupLattice, top: int | None = None) -> list[tuple[int,
 
 def maximal_subgroup_indices(lat: SubgroupLattice, top: int | None = None) -> list[int]:
     """Indices of the maximal subgroups of subgroup top, by decreasing order then index."""
-    if top is None:
-        top, within, members = lat.size - 1, -1, range(lat.size - 1)
-    else:
-        within = lat.below(top)
-        members = _mask_elements(within ^ (1 << top))
-    by_order = sorted(members, key=lambda i: -lat.subgroups[i].order)
+    top = lat.size - 1 if top is None else top
+    within = lat.below(top)
+    by_order = sorted(_mask_elements(within ^ (1 << top)), key=lambda i: -lat.subgroups[i].order)
     return [i for i in by_order if lat.up(i) & within == (1 << top) | (1 << i)]
 
 
 def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> Subgroup:
     """Intersection of the maximal subgroups of subgroup top (top if none exist)."""
     lat = subgroup_lattice(g)
-    masks = lat._masks
-    acc = masks[-1 if top is None else top]
+    top = lat.size - 1 if top is None else top
+    acc = lat._masks[top]
     for i in maximal_subgroup_indices(lat, top):
-        acc &= masks[i]
+        acc &= lat._masks[i]
     return lat.subgroups[lat.index_of(acc)]
 
 

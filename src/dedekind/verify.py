@@ -46,15 +46,12 @@ from .formulas import (
 from .groups import (
     DEFAULT_ISO_CAP,
     FiniteGroup,
-    _mask_elements,
     direct_product,
     is_isomorphic,
     semidirect_product,
 )
 from .invariants import (
     InvariantReport,
-    Section,
-    _normal_within,
     compute_report,
     d_prime,
     d_star,
@@ -828,18 +825,17 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
     tfp = target.fingerprint
     lat = subgroup_lattice(g)
     for hi in lat.class_representatives():
-        h = lat.subgroups[hi]
-        if h.order % tno:
+        if lat.subgroups[hi].order % tno:
             continue
-        for k in (lat.subgroups[ki] for ki in _mask_elements(lat.below(hi))):
-            if k.order * tno != h.order or not _normal_within(g, k.mask, h.gens):
+        for sec in sections(g, hi):
+            if sec.order != tno:
                 continue
-            q = Section(h, k).quotient
+            q = sec.quotient
             if q.fingerprint != tfp:
                 continue
             try:
                 if is_isomorphic(q, target):
-                    return (h.order, k.order)
+                    return (sec.h.order, sec.k.order)
             except IsoCapExceeded:
                 continue
     return None

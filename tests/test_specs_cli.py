@@ -237,6 +237,13 @@ def test_huge_primes_hit_the_cap_at_once(capsys, spec):
     assert code == 4 and "above the cap 512" in err
 
 
+def test_prime_past_the_cap_names_the_order_by_r(capsys):
+    # q > cap fails before the multiplicative order r of p mod q is found
+    code, _, err = run_cli(capsys, ["dprime", "SD(2,521)", "--no-cache"])
+    assert code == 4
+    assert err == "error: SD(2,521) has order 521 * 2^r, above the cap 512\n"
+
+
 def test_huge_composite_is_a_parameter_error(capsys):
     code, _, err = run_cli(capsys, ["dprime", "He(100000000000000000041)", "--no-cache"])
     assert code == 3
