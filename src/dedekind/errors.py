@@ -42,8 +42,4 @@ class BudgetExhausted(DedekindError):
 
 
 class ParseError(DedekindError, ValueError):
-    """A group-spec string could not be parsed; carries the offset."""
-
-    def __init__(self, message: str, position: int = -1):
-        super().__init__(message)
-        self.position = position
+    """A group-spec string could not be parsed; the message names the offset."""

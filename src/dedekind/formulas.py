@@ -203,11 +203,10 @@ def sequence_monotonicity(family: str, params, p: int | None = None) -> Monotoni
     decreasing = all(a > b for a, b in zip(values, values[1:]))
     if decreasing:
         return MonotonicityVerdict(family, "strictly decreasing", None, values)
+    # the first step that breaks the direction of the first step
     up = values[0] < values[1]
-    for i, (a, b) in enumerate(zip(values, values[1:])):
-        if (a >= b) if up else (a <= b):
-            return MonotonicityVerdict(family, "not monotone", i, values)
-    return MonotonicityVerdict(family, "not monotone", 0, values)
+    i = next(i for i, (a, b) in enumerate(zip(values, values[1:])) if (a >= b if up else a <= b))
+    return MonotonicityVerdict(family, "not monotone", i, values)
 
 
 @dataclass(frozen=True)

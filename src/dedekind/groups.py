@@ -30,12 +30,11 @@ __all__ = [
     "FiniteGroup",
     "GroupFingerprint",
     "Subgroup",
-    "Homomorphism",
     "closure_from_generators",
     "direct_product",
     "semidirect_product",
+    "section_group",
     "quotient",
-    "induced_subgroup",
     "center",
     "derived_subgroup",
     "assert_associative",
@@ -119,6 +118,9 @@ class FiniteGroup:
                     if not 0 <= v < n:
                         raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
                 raise InvalidParameter(f"row {i} is not a permutation of the elements")
+            if type(sum(row)) is not int:  # a float or Fraction equal to an element
+                j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int))
+                raise InvalidParameter(f"entry table[{i}][{j}]={v!r} is not an integer")
             rows.append(row)
         if any(set(col) != elements for col in zip(*rows)):
             raise InvalidParameter("some column is not a permutation of the elements")
@@ -132,10 +134,8 @@ class FiniteGroup:
             inverses.append(b)
         self.order = n
         self.table = tuple(rows)
-        self.identity = 0
         self.inverses = tuple(inverses)
         self.name = name
-        self._induced_cache: dict[int, tuple["FiniteGroup", tuple[int, ...]]] = {}
         self._lattice = None
 
     def __repr__(self):
@@ -224,9 +224,16 @@ class FiniteGroup:
 
     @cached_property
     def derived_mask(self) -> int:
-        comms = {self.commutator(a, b) for a in range(self.order) for b in range(self.order)}
-        comms.discard(0)
-        mask, _ = _closure(self.table, sorted(comms))
+        """G' as the normal closure of the commutators of the generators."""
+        gens = self.generating_set
+        ngens = sorted({self.commutator(a, b) for a in gens for b in gens} - {0})
+        mask = _closure(self.table, ngens)[0]
+        for x in ngens:  # grows during iteration
+            for a in gens:
+                y = self.conj(a, x)
+                if not (mask >> y) & 1:
+                    ngens.append(y)
+                    mask = _closure(self.table, ngens)[0]
         return mask
 
     @cached_property
@@ -300,15 +307,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"<subgroup of order {self.order} in {self.parent.name or 'G'}>"
-
-
-@dataclass(frozen=True, eq=False)
-class Homomorphism:
-    """A map between groups given element-wise; mapping[a] is the image of a."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    mapping: tuple[int, ...]
 
 
 def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -420,7 +418,31 @@ def _as_mask(g: FiniteGroup, sub) -> int:
     return int(sub)
 
 
-def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, Homomorphism]:
+def section_group(
+    g: FiniteGroup, hmask: int, kmask: int = 1
+) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The section H/K as a group read off g's table, plus the coset number of
+    each element of g (-1 outside H).  The cosets xK are numbered in order of
+    first appearance, x in H ascending, so K = 1 gives H with its elements
+    renumbered in ascending order.  H must be a subgroup of g and K a normal
+    subgroup of H; neither is checked."""
+    t = g.table
+    kelems = _mask_elements(kmask)
+    proj = [-1] * g.order
+    reps: list[int] = []
+    for x in _mask_elements(hmask):
+        if proj[x] < 0:
+            row = t[x]
+            for k in kelems:
+                proj[row[k]] = len(reps)
+            reps.append(x)
+    table = [[proj[t[a][b]] for b in reps] for a in reps]
+    h, k = len(reps) * len(kelems), len(kelems)
+    name = g.name and g.name + (f"|{h}" if h < g.order else "") + (f"/N{k}" if k > 1 else "")
+    return FiniteGroup(table, name=name), tuple(proj)
+
+
+def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient G/N with its projection; raises NotNormal when N is not normal."""
     mask = _as_mask(g, normal)
     if not mask & 1:
@@ -438,37 +460,7 @@ def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, Homomorphism]:
                 raise NotNormal(
                     f"subgroup of order {len(elems)} is not normal in {g.name or 'G'}"
                 )
-    proj = [-1] * g.order
-    reps: list[int] = []
-    for x in range(g.order):
-        if proj[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        row = t[x]
-        for n in elems:
-            proj[row[n]] = idx
-    q_table = [[proj[t[a][b]] for b in reps] for a in reps]
-    q = FiniteGroup(q_table, name=f"{g.name}/N{len(elems)}" if g.name else "")
-    return q, Homomorphism(g, q, tuple(proj))
-
-
-def induced_subgroup(g: FiniteGroup, sub) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """The subgroup as a group in its own right, plus its embedding into g."""
-    mask = _as_mask(g, sub)
-    cached = g._induced_cache.get(mask)
-    if cached is not None:
-        return cached
-    elems = _mask_elements(mask)
-    index = {e: i for i, e in enumerate(elems)}
-    t = g.table
-    table = [[index[t[a][b]] for b in elems] for a in elems]
-    out = (
-        FiniteGroup(table, name=f"{g.name}|{len(elems)}" if g.name else ""),
-        tuple(elems),
-    )
-    g._induced_cache[mask] = out
-    return out
+    return section_group(g, (1 << g.order) - 1, mask)
 
 
 def center(g: FiniteGroup) -> Subgroup:
@@ -513,14 +505,15 @@ def assert_associative(g: FiniteGroup) -> None:
 
 def find_isomorphism(
     g: FiniteGroup, h: FiniteGroup, cap: int = DEFAULT_ISO_CAP
-) -> Homomorphism | None:
-    """Search for an isomorphism g -> h; None when provably none exists."""
+) -> tuple[int, ...] | None:
+    """Search for an isomorphism g -> h, as the image of each element of g;
+    None when provably none exists."""
     if g.order != h.order:
         return None
     if g.fingerprint != h.fingerprint:
         return None
     if g.order == 1:
-        return Homomorphism(g, h, (0,))
+        return (0,)
     if g.order > cap:
         raise IsoCapExceeded(f"isomorphism search above order cap {cap}")
     gens = g.generating_set
@@ -575,10 +568,7 @@ def find_isomorphism(
             images.pop()
         return None
 
-    phi = dfs(0)
-    if phi is None:
-        return None
-    return Homomorphism(g, h, phi)
+    return dfs(0)
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup, cap: int = DEFAULT_ISO_CAP) -> bool:

@@ -19,9 +19,9 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _mask_elements,
-    induced_subgroup,
     is_isomorphic,
     quotient,
+    section_group,
 )
 from .lattice import (
     conjugate_mask,
@@ -62,7 +62,8 @@ def d_prime(g: FiniteGroup) -> Fraction:
 
 @dataclass(frozen=True)
 class Section:
-    """A section H/K of a group: K normal in H; the quotient is built on first read."""
+    """A section H/K of a group: K normal in H; the quotient is built from the
+    group's table on first read."""
 
     h: Subgroup
     k: Subgroup
@@ -73,8 +74,7 @@ class Section:
 
     @cached_property
     def quotient(self) -> FiniteGroup:
-        hgrp, emb = induced_subgroup(self.h.parent, self.h)
-        return quotient(hgrp, sum(1 << i for i, e in enumerate(emb) if self.k.mask >> e & 1))[0]
+        return section_group(self.h.parent, self.h.mask, self.k.mask)[0]
 
 
 def _normal_within(g: FiniteGroup, kmask: int, hgens: tuple[int, ...]) -> bool:
@@ -287,13 +287,10 @@ def is_q_self_dual(g: FiniteGroup) -> bool:
         if n.is_trivial or n.is_whole:
             continue
         q, _ = quotient(g, n.mask)
-        found = False
-        for i in reps_by_order.get(q.order, []):
-            sub, _ = induced_subgroup(g, lat.subgroups[i])
-            if is_isomorphic(q, sub):
-                found = True
-                break
-        if not found:
+        if not any(
+            is_isomorphic(q, section_group(g, lat.subgroups[i].mask)[0])
+            for i in reps_by_order.get(q.order, [])
+        ):
             return False
     return True
 

@@ -61,7 +61,7 @@ class _Scanner:
         return self.pos >= len(self.text)
 
     def fail(self, message: str):
-        raise ParseError(f"{message} at position {self.pos}", position=self.pos)
+        raise ParseError(f"{message} at position {self.pos}")
 
     def take_tag(self) -> str:
         self.skip_ws()

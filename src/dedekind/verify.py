@@ -73,6 +73,8 @@ from .specs import build_group
 # ---------------------------------------------------------------------------
 # corpus
 
+DENSITY_PRIME_BUDGET = 500  # odd primes a density sequence may use
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -119,7 +121,6 @@ class CorpusConfig:
     product_order_cap: int = 216
     density_targets: tuple[tuple[int, int], ...] = ((1, 2), (2, 3), (2, 5), (3, 7))
     density_epsilon: Fraction = Fraction(1, 100)
-    density_prime_budget: int = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -1004,12 +1005,12 @@ def suite_density(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
     cfg = corpus.config
     for a, b in cfg.density_targets:
         target = Fraction(a, b)
-        steps = density_sequence(a, b, cfg.density_epsilon, cfg.density_prime_budget)
+        steps = density_sequence(a, b, cfg.density_epsilon, DENSITY_PRIME_BUDGET)
         s.count("targets")
         s.count(f"steps_to_{a}_{b}", len(steps))
         s.check(
             f"target {a}/{b}: gap drops below {cfg.density_epsilon} within "
-            f"{cfg.density_prime_budget} odd primes",
+            f"{DENSITY_PRIME_BUDGET} odd primes",
             bool(steps) and steps[-1].gap < cfg.density_epsilon,
             f"{len(steps)} steps, final gap {steps[-1].gap if steps else '-'}",
         )

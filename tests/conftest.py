@@ -16,7 +16,7 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import FiniteGroup, assert_associative, induced_subgroup
+from dedekind.groups import FiniteGroup, assert_associative, quotient, section_group
 from dedekind.invariants import d_prime, sections, sylow_subgroups
 from dedekind.lattice import (
     brute_force_subgroup_masks,
@@ -82,9 +82,24 @@ def literal_is_schmidt(g: FiniteGroup) -> bool:
         return False
     lat = subgroup_lattice(g)
     return all(
-        literal_is_nilpotent(induced_subgroup(g, lat.subgroups[i])[0])
+        literal_is_nilpotent(section_group(g, lat.subgroups[i].mask)[0])
         for i in maximal_subgroup_indices(lat)
     )
+
+
+def literal_derived_mask(g: FiniteGroup) -> int:
+    """G' by definition: the subgroup generated by all n^2 commutators."""
+    comms = {g.commutator(a, b) for a in range(g.order) for b in range(g.order)}
+    return g.closure(sorted(comms))[0]
+
+
+def two_step_section(g: FiniteGroup, hmask: int, kmask: int) -> FiniteGroup:
+    """H/K in two steps: H's table by hand (elements ascending), then the
+    validated quotient by K."""
+    elems = [x for x in range(g.order) if hmask >> x & 1]
+    index = {e: i for i, e in enumerate(elems)}
+    hgrp = FiniteGroup([[index[g.mul(a, b)] for b in elems] for a in elems])
+    return quotient(hgrp, sum(1 << index[e] for e in elems if kmask >> e & 1))[0]
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from dedekind.families import (
 from dedekind.groups import direct_product, is_isomorphic, semidirect_product
 from dedekind.invariants import d_prime, d_star
 from dedekind.lattice import subgroup_lattice
-from dedekind.verify import compute_corpus_stats, run_suites
+from dedekind.verify import DENSITY_PRIME_BUDGET, compute_corpus_stats, run_suites
 
 MODULAR_PAIRS = ((2, 4), (2, 5), (3, 3), (3, 4), (5, 3))
 
@@ -213,7 +213,7 @@ def test_acceptance_7_density_demonstration(capsys, corpus, suites):
         for key in ("steps_to_1_2", "steps_to_2_3", "steps_to_2_5", "steps_to_3_7"):
             assert density.antecedents[key] >= 1, key
         assert corpus.config.density_epsilon == Fraction(1, 100)
-        assert corpus.config.density_prime_budget == 500
+        assert DENSITY_PRIME_BUDGET == 500
 
         formulas = suites["formulas"]
         assert formulas.ok

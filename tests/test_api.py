@@ -1,6 +1,7 @@
 """The package's public surface: the names README's Library section documents."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -51,3 +52,21 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".", 1)[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_every_submodule_all_names_exist():
+    package = Path(dedekind.__file__).resolve().parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    checked = 0
+    for name in modules:
+        module = importlib.import_module(f"dedekind.{name}")
+        exported = getattr(module, "__all__", None)
+        if exported is None:
+            continue
+        missing = [n for n in exported if not hasattr(module, n)]
+        assert not missing, f"dedekind.{name}.__all__ names missing {missing}"
+        namespace: dict = {}
+        exec(f"from dedekind.{name} import *", namespace)
+        assert set(exported) <= namespace.keys()
+        checked += 1
+    assert checked >= 7

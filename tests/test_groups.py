@@ -1,11 +1,13 @@
 """Core group machinery: tables, products, quotients, isomorphism."""
 
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_valid_group
+from conftest import assert_valid_group, literal_derived_mask
 from dedekind.errors import (
     InvalidParameter,
     IsoCapExceeded,
@@ -23,11 +25,12 @@ from dedekind.groups import (
     derived_subgroup,
     direct_product,
     find_isomorphism,
-    induced_subgroup,
     is_isomorphic,
     quotient,
+    section_group,
     semidirect_product,
 )
+from dedekind.invariants import sections
 from dedekind.lattice import subgroup_lattice
 
 
@@ -51,6 +54,10 @@ BAD_TABLES = [
     ([[0, 1], [0, 1]], "some column is not a permutation of the elements"),
     ([[1, 0], [0, 1]], "element 0 must be a two-sided identity"),
     (LOOP5, "element 2 has no two-sided inverse"),
+    # entries equal to elements pass the set checks, but are not ints
+    ([[0, 1.0], [1.0, 0]], "entry table[0][1]=1.0 is not an integer"),
+    ([[0, 1], [1, Fraction(0)]], "entry table[1][1]=Fraction(0, 1) is not an integer"),
+    ([[0, 1], [Decimal(1), 0]], "entry table[1][0]=Decimal('1') is not an integer"),
 ]
 
 
@@ -251,15 +258,15 @@ def test_quotient_of_quaternion_is_klein(zoo):
     q8 = zoo["q8"]
     lat = subgroup_lattice(q8)
     z = next(s for s in lat.subgroups if s.order == 2)
-    q, hom = quotient(q8, z)
+    q, proj = quotient(q8, z)
     assert q.order == 4
     assert is_isomorphic(q, zoo["ea4"])
-    # hom is a surjective homomorphism with kernel z
-    assert sorted(set(hom.mapping)) == list(range(4))
+    # proj is a surjective homomorphism with kernel z
+    assert sorted(set(proj)) == list(range(4))
     for a in range(q8.order):
         for b in range(q8.order):
-            assert hom.mapping[q8.mul(a, b)] == q.mul(hom.mapping[a], hom.mapping[b])
-    kernel = [a for a in range(q8.order) if hom.mapping[a] == 0]
+            assert proj[q8.mul(a, b)] == q.mul(proj[a], proj[b])
+    kernel = [a for a in range(q8.order) if proj[a] == 0]
     assert sorted(kernel) == sorted(
         a for a in range(q8.order) if (z.mask >> a) & 1
     )
@@ -291,12 +298,38 @@ def test_induced_subgroup_embeds(zoo):
     d8 = zoo["d8"]
     lat = subgroup_lattice(d8)
     for sub in lat.subgroups:
-        h, emb = induced_subgroup(d8, sub)
+        h, proj = section_group(d8, sub.mask)
+        emb = sub.elements()
+        assert [proj[x] for x in emb] == list(range(sub.order))
+        assert all(proj[x] == -1 for x in range(d8.order) if x not in sub)
         assert h.order == sub.order
         assert len(emb) == sub.order
         for a in range(h.order):
             for b in range(h.order):
                 assert emb[h.mul(a, b)] == d8.mul(emb[a], emb[b])
+
+
+def test_section_group_projects_h_onto_h_mod_k(zoo):
+    g = zoo["d12"]
+    checked = 0
+    for sec in sections(g):
+        q, proj = section_group(g, sec.h.mask, sec.k.mask)
+        helems = sec.h.elements()
+        assert all(proj[x] == -1 for x in range(g.order) if x not in sec.h)
+        assert [x for x in helems if proj[x] == 0] == sec.k.elements()
+        assert sorted(set(proj[x] for x in helems)) == list(range(q.order))
+        for a in helems:
+            for b in helems:
+                assert proj[g.mul(a, b)] == q.mul(proj[a], proj[b])
+        checked += 1
+    assert checked == 49
+
+
+def test_derived_mask_matches_the_commutator_oracle(zoo, corpus):
+    groups = list(zoo.values()) + [e.group for e in corpus if e.group.order <= 64]
+    for g in groups:
+        assert g.derived_mask == literal_derived_mask(g), g.name
+    assert any(g.derived_mask != 1 for g in groups)
 
 
 def test_is_isomorphic_separates_known_groups(zoo):
@@ -312,12 +345,12 @@ def test_is_isomorphic_separates_known_groups(zoo):
 def test_find_isomorphism_returns_real_map(zoo):
     q8 = zoo["q8"]
     other = generalized_quaternion(8)
-    hom = find_isomorphism(q8, other)
-    assert hom is not None
-    assert sorted(hom.mapping) == list(range(8))
+    phi = find_isomorphism(q8, other)
+    assert phi is not None
+    assert sorted(phi) == list(range(8))
     for a in range(8):
         for b in range(8):
-            assert hom.mapping[q8.mul(a, b)] == other.mul(hom.mapping[a], hom.mapping[b])
+            assert phi[q8.mul(a, b)] == other.mul(phi[a], phi[b])
     assert find_isomorphism(q8, zoo["d8"]) is None
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import literal_d_star, literal_is_nilpotent, literal_is_schmidt
+from conftest import literal_d_star, literal_is_nilpotent, literal_is_schmidt, two_step_section
 from dedekind.errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from dedekind.families import (
     cyclic,
@@ -14,7 +14,7 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import direct_product, is_isomorphic
+from dedekind.groups import FiniteGroup, direct_product, is_isomorphic
 from dedekind.invariants import (
     InvariantReport,
     compute_report,
@@ -103,6 +103,38 @@ def test_schmidt_structure_check_builds_one_lattice(spec, monkeypatch):
     g = build_group(spec)
     schmidt_structure_check(g)
     assert built == [g.order]
+
+
+def test_section_quotients_match_the_two_step_oracle(corpus):
+    """Each section's quotient against H built by hand and then quotiented by
+    K, on every section of every corpus group of order at most 32."""
+    checked = 0
+    for e in corpus:
+        if e.group.order > 32:
+            continue
+        for sec in sections(e.group):
+            oracle = two_step_section(e.group, sec.h.mask, sec.k.mask)
+            assert sec.quotient.table == oracle.table, (e.spec, sec.h.order, sec.k.order)
+            checked += 1
+    assert checked >= 3000
+
+
+@pytest.mark.parametrize("spec", ["D(12)", "He(3)", "SD(2,3)"])
+def test_section_quotients_build_one_group_each(spec, monkeypatch):
+    """Each section's quotient is read straight off G's table: no group is
+    built for H on the way."""
+    g = build_group(spec)
+    secs = list(sections(g))
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting(self, table, name=""):
+        built.append(len(table))
+        init(self, table, name)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    assert [sec.quotient.order for sec in secs] == [sec.order for sec in secs]
+    assert built == [sec.order for sec in secs]
 
 
 def test_iwasawa(zoo):

@@ -7,7 +7,7 @@ import pytest
 from conftest import brute_force_subgroup_classes
 from dedekind.errors import LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
-from dedekind.groups import Perm, closure_from_generators, direct_product, induced_subgroup
+from dedekind.groups import Perm, closure_from_generators, direct_product, section_group
 from dedekind.lattice import (
     all_subgroup_masks,
     brute_force_hasse_edges,
@@ -238,7 +238,7 @@ def test_intervals_match_the_induced_subgroup_oracle(corpus):
         masks = lat._masks
         for i in lat.class_representatives():
             assert lat.below(i) == sum(1 << j for j, m in enumerate(masks) if not m & ~masks[i]), e.spec
-            hgrp, emb = induced_subgroup(g, lat.subgroups[i])
+            hgrp, emb = section_group(g, masks[i])[0], lat.subgroups[i].elements()
             hlat = subgroup_lattice(hgrp)
 
             def mask_in_g(local):
