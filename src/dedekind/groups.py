@@ -4,9 +4,9 @@ Elements are the integers 0..order-1 and element 0 is always the identity.
 Construction validates the Latin-square and identity/inverse axioms with one
 set per row and per column: n entries are a permutation of the elements iff
 their set is the element set.  Only a failing row is scanned entry by entry,
-to name its first out-of-range entry.  The (cubic)
-associativity axiom is left to `assert_associative`, which tests call on
-every constructed group shape.
+to name its first out-of-range entry.  The cubic associativity axiom is not
+checked: the family constructors and products build their tables from
+associative operations, and the test suite certifies each construction.
 """
 
 from __future__ import annotations
@@ -26,65 +26,19 @@ from .errors import (
 __all__ = [
     "DEFAULT_ORDER_CAP",
     "DEFAULT_ISO_CAP",
-    "Perm",
     "FiniteGroup",
     "GroupFingerprint",
     "Subgroup",
-    "closure_from_generators",
     "direct_product",
     "semidirect_product",
     "section_group",
     "quotient",
-    "center",
-    "derived_subgroup",
-    "assert_associative",
     "find_isomorphism",
     "is_isomorphic",
 ]
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_ISO_CAP = 128
-
-
-@dataclass(frozen=True)
-class Perm:
-    """Permutation of {0..d-1}; images[i] is where point i goes."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        d = len(self.images)
-        if sorted(self.images) != list(range(d)):
-            raise InvalidParameter(f"not a permutation of 0..{d - 1}: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @staticmethod
-    def identity(degree: int) -> "Perm":
-        return Perm(tuple(range(degree)))
-
-    @staticmethod
-    def from_cycles(degree: int, cycles) -> "Perm":
-        """Build a permutation from disjoint cycles, e.g. [(0, 1, 2)]."""
-        images = list(range(degree))
-        for cyc in cycles:
-            for i, pt in enumerate(cyc):
-                images[pt] = cyc[(i + 1) % len(cyc)]
-        return Perm(tuple(images))
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        # apply self first, then other
-        if self.degree != other.degree:
-            raise InvalidParameter("cannot compose permutations of different degree")
-        return Perm(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> "Perm":
-        out = [0] * self.degree
-        for i, j in enumerate(self.images):
-            out[j] = i
-        return Perm(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -144,9 +98,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -309,32 +260,6 @@ class Subgroup:
         return f"<subgroup of order {self.order} in {self.parent.name or 'G'}>"
 
 
-def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Group generated by permutations, numbered in discovery order from the identity."""
-    gens = list(gens)
-    if not gens:
-        raise InvalidParameter("need at least one generator")
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
-        raise InvalidParameter("generators must share one degree")
-    ident = Perm.identity(degree)
-    elems = [ident]
-    index = {ident.images: 0}
-    for p in elems:  # grows during iteration
-        for g in gens:
-            q = p * g
-            if q.images not in index:
-                if len(elems) >= max_order:
-                    raise OrderCapExceeded(
-                        f"closure exceeds the order cap {max_order}"
-                    )
-                index[q.images] = len(elems)
-                elems.append(q)
-    n = len(elems)
-    table = [[index[(a * b).images] for b in elems] for a in elems]
-    return FiniteGroup(table, name=f"closure of {len(gens)} perms on {degree} points")
-
-
 def direct_product(
     g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
@@ -461,46 +386,6 @@ def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]]:
                     f"subgroup of order {len(elems)} is not normal in {g.name or 'G'}"
                 )
     return section_group(g, (1 << g.order) - 1, mask)
-
-
-def center(g: FiniteGroup) -> Subgroup:
-    mask = g.center_mask
-    return Subgroup(g, mask, mask.bit_count())
-
-
-def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    mask = g.derived_mask
-    return Subgroup(g, mask, mask.bit_count())
-
-
-def assert_associative(g: FiniteGroup) -> None:
-    """Certify associativity; cubic scan for small orders, generator test above.
-
-    The generator variant relies on the fact that checking a*(s*c) == (a*s)*c
-    for all a, c and s in a set that reaches every element by left-bracketed
-    products certifies full associativity.
-    """
-    t = g.table
-    n = g.order
-    if n <= 64:
-        for a in range(n):
-            ra = t[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = t[b]
-                for c in range(n):
-                    if t[ab][c] != ra[rb[c]]:
-                        raise AssertionError(f"associativity fails at ({a},{b},{c})")
-        return
-    probes = set(g.generating_set) | {0}
-    for s in probes:
-        rs = t[s]
-        for a in range(n):
-            ra = t[a]
-            ras = t[ra[s]]
-            for c in range(n):
-                if ra[rs[c]] != ras[c]:
-                    raise AssertionError(f"associativity fails at ({a},{s},{c})")
 
 
 def find_isomorphism(

@@ -99,11 +99,18 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     L(H/K) is the interval [K, H] of L(g), and H/K-conjugacy on it is
     H-conjugacy (R. Schmidt, Subgroup Lattices of Groups, 1994, Sec. 1), so
     no quotient group is built.  Conjugate subgroups H give isomorphic
-    sections, so one H per conjugacy class suffices.  The subgroups of H are
-    split into orbits under conjugation by H.  K is normal in H exactly when
-    its orbit is a singleton; conjugation then fixes K, so every orbit lies
-    either inside [K, H] or outside it, and d'(H/K) is the number of orbits
-    over the number of subgroups among those containing K.
+    sections, so one H per conjugacy class suffices, and a Dedekind H (every
+    subgroup normal) has d' = 1 on every section.  If g itself is Dedekind
+    (nu = 0), so is every section, and d* = 1 at once.
+
+    The H-orbits are counted, not walked.  By the orbit-counting
+    (Cauchy-Frobenius) lemma the number of H-orbits on a set S of subgroups
+    closed under H-conjugation is (1/|H|) sum over L in S of w(L), where
+    w(L) = |H n N_G(L)| is the order of L's stabilizer.  N_G(L) is read off
+    the lattice (`SubgroupLattice.normalizer_index`) once per L.  K is
+    normal in H exactly when w(K) = |H|; then [K, H] is closed under
+    H-conjugation, so d'(H/K) is that orbit count over |[K, H]|.  The
+    subgroups of H are bucketed by w, so each count is a few popcounts.
     """
     if g.order > DSTAR_ORDER_LIMIT and not allow_slow:
         raise OrderCapExceeded(
@@ -112,24 +119,36 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     if g.is_abelian:
         return Fraction(1)
     lat = subgroup_lattice(g)
-    best = Fraction(1)
+    if lat.nu == 0:
+        return Fraction(1)
+    masks = lat._masks
+    normalizer: dict[int, int] = {}
+    best_num, best_den = 1, 1
     for hi in lat.class_representatives():
-        hgens = lat.subgroups[hi].gens
+        h = lat.subgroups[hi]
+        hgens = h.gens
         if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
             continue  # H is abelian: every section has d' = 1
+        hmask, horder = h.mask, h.order
         below_h = lat.below(hi)
-        orbit_reps = 0
-        normals: list[int] = []
-        for orbit in lat.orbits(_mask_elements(below_h), hgens):
-            orbit_reps |= 1 << orbit[0]
-            if len(orbit) == 1:
-                normals.append(orbit[0])
+        by_weight: dict[int, list[int]] = {}
+        for li in _mask_elements(below_h):
+            n = normalizer.get(li)
+            if n is None:
+                n = normalizer[li] = masks[lat.normalizer_index(li)]
+            by_weight.setdefault((hmask & n).bit_count(), []).append(li)
+        normals = by_weight.pop(horder)
+        if not by_weight:
+            continue  # H is Dedekind
+        buckets = [(w, sum(1 << li for li in ls)) for w, ls in by_weight.items()]
+        buckets.append((horder, sum(1 << k for k in normals)))
         for k in normals:
             above = lat.up(k) & below_h
-            val = Fraction((above & orbit_reps).bit_count(), above.bit_count())
-            if val < best:
-                best = val
-    return best
+            orbits = sum(w * (above & b).bit_count() for w, b in buckets) // horder
+            size = above.bit_count()
+            if orbits * best_den < best_num * size:
+                best_num, best_den = orbits, size
+    return Fraction(best_num, best_den)
 
 
 def is_dedekind(g: FiniteGroup) -> bool:

@@ -8,11 +8,17 @@ needs no closure.  That reaches every subgroup of a solvable group; for a
 non-solvable group the generic closure H -> <H, x> finishes the job.
 
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
-The (order, mask) index order is a linear extension, so joins and covers (the
-transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).  L(H)
-is the interval [1, H] of L(G) (R. Schmidt, Subgroup Lattices of Groups, 1994),
-so questions about the subgroups of H are answered on that interval: the
-functions that take a `top` index work on [1, top], the whole lattice by default.
+`up(i)` is an AND of per-element "subgroups holding x" bitsets.  `below(i)`
+has two forms with the same value: one pass over the masks up to i, or the
+complement of the subgroups holding some element outside subgroup i; each call
+takes the one with fewer steps.  The (order, mask) index order is a linear
+extension, so joins and covers (the transitive reduction) follow from up-sets
+(Aho, Garey and Ullman, 1972).  L(H) is the interval [1, H] of L(G) (R.
+Schmidt, Subgroup Lattices of Groups, 1994), so questions about the subgroups
+of H are answered on that interval: the functions that take a `top` index work
+on [1, top], the whole lattice by default.  A normalizer is read off the
+lattice too (`normalizer_index`): by orbit-stabilizer its order is |G| over the
+size of the conjugacy class.
 
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
@@ -207,9 +213,8 @@ class SubgroupLattice:
     """The full subgroup lattice of a finite group.
 
     Subgroups are indexed in a canonical order (by order, then bitmask) and
-    grouped into conjugacy classes by the one orbit routine (`orbits`);
-    containment bitsets (`up`, `below`), joins, meets, normalizers and
-    nilpotency are computed on demand.
+    grouped into conjugacy classes; containment bitsets (`up`, `below`), joins,
+    meets, normalizers and nilpotency are computed on demand.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -232,16 +237,18 @@ class SubgroupLattice:
         except KeyError:
             raise KeyError(f"bitmask {mask:#x} is not a subgroup") from None
 
-    def orbits(self, indices, gens) -> list[tuple[int, ...]]:
-        """Orbits, as sorted index tuples in order of first appearance, of the
-        subgroups `indices` (a set closed under conjugation by `gens`).
+    @cached_property
+    def classes(self) -> list[tuple[int, ...]]:
+        """Conjugacy classes of subgroups, as sorted index tuples in order of
+        first appearance: the orbits under conjugation by G's generators.
 
         Each conjugation costs one `conjugate_mask` and one index lookup.
         """
         g, masks, index = self.group, self._masks, self._index
+        gens = () if g.is_abelian else g.generating_set
         seen = bytearray(len(masks))
         out: list[tuple[int, ...]] = []
-        for i in indices:
+        for i in range(len(masks)):
             if seen[i]:
                 continue
             seen[i] = 1
@@ -255,12 +262,6 @@ class SubgroupLattice:
                         orbit.append(k)
             out.append(tuple(sorted(orbit)))
         return out
-
-    @cached_property
-    def classes(self) -> list[tuple[int, ...]]:
-        """Conjugacy classes of subgroups, each a sorted index tuple."""
-        gens = () if self.group.is_abelian else self.group.generating_set
-        return self.orbits(range(self.size), gens)
 
     @cached_property
     def _class_ids(self) -> list[int]:
@@ -293,11 +294,16 @@ class SubgroupLattice:
     def is_normal(self, i: int) -> bool:
         return len(self.classes[self.class_of(i)]) == 1
 
-    def of_order(self, order: int) -> list[Subgroup]:
-        """The subgroups of the given order, a run of the index order."""
+    def _order_run(self, order: int) -> tuple[int, int]:
+        """The index range [lo, hi) of the subgroups of the given order."""
         subs = self.subgroups
         lo = bisect_left(subs, order, key=_ORDER)
-        return subs[lo : bisect_right(subs, order, lo, key=_ORDER)]
+        return lo, bisect_right(subs, order, lo, key=_ORDER)
+
+    def of_order(self, order: int) -> list[Subgroup]:
+        """The subgroups of the given order, a run of the index order."""
+        lo, hi = self._order_run(order)
+        return self.subgroups[lo:hi]
 
     def is_nilpotent(self, i: int) -> bool:
         """Whether subgroup H = i is nilpotent: for each prime p dividing |H|,
@@ -334,10 +340,24 @@ class SubgroupLattice:
         return out
 
     def below(self, i: int) -> int:
-        """Bitset of the indices of the subgroups in subgroup i, the dual of `up`:
-        they come no later than i, so one pass over the masks spells it."""
-        m = self._masks[i]
-        return int("".join(["0" if mj & ~m else "1" for mj in self._masks[i::-1]]), 2)
+        """Bitset of the indices of the subgroups in subgroup i, the dual of `up`.
+
+        They come no later than i, so one pass over the first i + 1 masks
+        spells it.  Dually, a subgroup lies outside i iff it holds an element
+        outside i, so it is also the complement of the OR of the holders of
+        the |G| - |i| elements outside i, cut to indices <= i.  The call takes
+        the form with fewer steps: the pass for small subgroups low in the
+        order, the ORs for large ones.
+        """
+        masks = self._masks
+        m = masks[i]
+        if self.group.order - m.bit_count() > i:
+            return int("".join(["0" if mj & ~m else "1" for mj in masks[i::-1]]), 2)
+        holders = self._holders
+        outside = 0
+        for x in _mask_elements(masks[-1] ^ m):
+            outside |= holders[x]
+        return ~outside & ((1 << (i + 1)) - 1)
 
     def join(self, i: int, j: int) -> int:
         """Smallest subgroup containing subgroups i and j.
@@ -370,6 +390,27 @@ class SubgroupLattice:
             if conjugate_mask(g, m, a) == m:
                 out |= coset
         return out
+
+    def normalizer_index(self, i: int) -> int:
+        """Index of the normalizer N_G(L) of subgroup L = i, read off the lattice.
+
+        By orbit-stabilizer |N_G(L)| = |G| / |class of L|, and every subgroup
+        normalizing L lies in N_G(L).  So N_G(L) is the one subgroup of that
+        order above L whose generators conjugate L into itself, which they do
+        iff they conjugate L's generators into L.  A lone candidate needs no
+        conjugation.  `normalizer` scans cosets instead and stays the
+        independent check of the premise.
+        """
+        g, subs = self.group, self.subgroups
+        lo, hi = self._order_run(g.order // len(self.classes[self._class_ids[i]]))
+        candidates = self.up(i) >> lo & ((1 << (hi - lo)) - 1)
+        if candidates and candidates & (candidates - 1) == 0:
+            return lo + candidates.bit_length() - 1
+        m, lgens = self._masks[i], subs[i].gens
+        for j in _mask_elements(candidates):
+            if all(m >> g.conj(a, x) & 1 for a in subs[lo + j].gens for x in lgens):
+                return lo + j
+        raise AssertionError("no subgroup of the orbit-stabilizer order normalizes L")
 
 
 def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:

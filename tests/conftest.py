@@ -1,11 +1,13 @@
-"""Shared fixtures and slow-but-obvious oracle helpers for the test suite."""
+"""Shared fixtures, test-only group builders, and slow-but-obvious oracle helpers."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from dedekind.errors import InvalidParameter, OrderCapExceeded
 from dedekind.families import (
     cyclic,
     dihedral,
@@ -16,9 +18,17 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import FiniteGroup, assert_associative, quotient, section_group
+from dedekind.groups import (
+    DEFAULT_ORDER_CAP,
+    FiniteGroup,
+    Subgroup,
+    _mask_elements,
+    quotient,
+    section_group,
+)
 from dedekind.invariants import d_prime, sections, sylow_subgroups
 from dedekind.lattice import (
+    SubgroupLattice,
     brute_force_subgroup_masks,
     conjugate_mask,
     maximal_subgroup_indices,
@@ -27,13 +37,113 @@ from dedekind.lattice import (
 from dedekind.verify import Corpus, CorpusConfig, build_corpus
 
 
+@dataclass(frozen=True)
+class Perm:
+    """Permutation of {0..d-1}; images[i] is where point i goes."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        d = len(self.images)
+        if sorted(self.images) != list(range(d)):
+            raise InvalidParameter(f"not a permutation of 0..{d - 1}: {self.images}")
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    @staticmethod
+    def identity(degree: int) -> "Perm":
+        return Perm(tuple(range(degree)))
+
+    @staticmethod
+    def from_cycles(degree: int, cycles) -> "Perm":
+        """Build a permutation from disjoint cycles, e.g. [(0, 1, 2)]."""
+        images = list(range(degree))
+        for cyc in cycles:
+            for i, pt in enumerate(cyc):
+                images[pt] = cyc[(i + 1) % len(cyc)]
+        return Perm(tuple(images))
+
+    def __mul__(self, other: "Perm") -> "Perm":
+        # apply self first, then other
+        if self.degree != other.degree:
+            raise InvalidParameter("cannot compose permutations of different degree")
+        return Perm(tuple(other.images[i] for i in self.images))
+
+
+def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Group generated by permutations, numbered in discovery order from the identity."""
+    gens = list(gens)
+    if not gens:
+        raise InvalidParameter("need at least one generator")
+    degree = gens[0].degree
+    if any(g.degree != degree for g in gens):
+        raise InvalidParameter("generators must share one degree")
+    ident = Perm.identity(degree)
+    elems = [ident]
+    index = {ident.images: 0}
+    for p in elems:  # grows during iteration
+        for g in gens:
+            q = p * g
+            if q.images not in index:
+                if len(elems) >= max_order:
+                    raise OrderCapExceeded(
+                        f"closure exceeds the order cap {max_order}"
+                    )
+                index[q.images] = len(elems)
+                elems.append(q)
+    table = [[index[(a * b).images] for b in elems] for a in elems]
+    return FiniteGroup(table, name=f"closure of {len(gens)} perms on {degree} points")
+
+
+def center(g: FiniteGroup) -> Subgroup:
+    mask = g.center_mask
+    return Subgroup(g, mask, mask.bit_count())
+
+
+def derived_subgroup(g: FiniteGroup) -> Subgroup:
+    mask = g.derived_mask
+    return Subgroup(g, mask, mask.bit_count())
+
+
+def assert_associative(g: FiniteGroup) -> None:
+    """Certify associativity; cubic scan for small orders, generator test above.
+
+    The generator variant relies on the fact that checking a*(s*c) == (a*s)*c
+    for all a, c and s in a set that reaches every element by left-bracketed
+    products certifies full associativity.
+    """
+    t = g.table
+    n = g.order
+    if n <= 64:
+        for a in range(n):
+            ra = t[a]
+            for b in range(n):
+                ab = ra[b]
+                rb = t[b]
+                for c in range(n):
+                    if t[ab][c] != ra[rb[c]]:
+                        raise AssertionError(f"associativity fails at ({a},{b},{c})")
+        return
+    probes = set(g.generating_set) | {0}
+    for s in probes:
+        rs = t[s]
+        for a in range(n):
+            ra = t[a]
+            ras = t[ra[s]]
+            for c in range(n):
+                if ra[rs[c]] != ras[c]:
+                    raise AssertionError(f"associativity fails at ({a},{s},{c})")
+
+
 def assert_valid_group(g: FiniteGroup) -> None:
     """Full axiom check: the constructor enforces Latin square, identity,
     and inverses, so this adds associativity and power/order coherence."""
     assert_associative(g)
     for a in range(g.order):
-        assert g.mul(a, g.inv(a)) == 0
-        assert g.mul(g.inv(a), a) == 0
+        assert g.mul(a, g.inverses[a]) == 0
+        assert g.mul(g.inverses[a], a) == 0
     for a, k in enumerate(g.element_orders):
         assert k >= 1 and g.order % k == 0
         assert g.power(a, k) == 0
@@ -59,6 +169,66 @@ def brute_force_subgroup_classes(g: FiniteGroup) -> list[frozenset[int]]:
         seen |= orbit
         classes.append(frozenset(orbit))
     return classes
+
+
+def string_below(lat: SubgroupLattice, i: int) -> int:
+    """below(i) by one pass over the masks up to i, spelled as a binary string."""
+    m = lat._masks[i]
+    return int("".join(["0" if mj & ~m else "1" for mj in lat._masks[i::-1]]), 2)
+
+
+def orbits(lat: SubgroupLattice, indices, gens) -> list[tuple[int, ...]]:
+    """Orbits, as sorted index tuples in order of first appearance, of the
+    subgroups `indices` (a set closed under conjugation by `gens`), walked
+    breadth first with one `conjugate_mask` per conjugation."""
+    g, masks, index = lat.group, lat._masks, lat._index
+    seen = bytearray(len(masks))
+    out: list[tuple[int, ...]] = []
+    for i in indices:
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for j in orbit:
+            m = masks[j]
+            for a in gens:
+                k = index[conjugate_mask(g, m, a)]
+                if not seen[k]:
+                    seen[k] = 1
+                    orbit.append(k)
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
+def orbit_d_star(g: FiniteGroup) -> Fraction:
+    """d* on lattice intervals with the H-orbits walked by conjugation.
+
+    For each class representative H, the subgroups of H are split into
+    orbits under conjugation by H; K is normal in H exactly when its orbit is
+    a singleton, and d'(H/K) is the number of orbits over the number of
+    subgroups among those containing K.
+    """
+    if g.is_abelian:
+        return Fraction(1)
+    lat = subgroup_lattice(g)
+    best = Fraction(1)
+    for hi in lat.class_representatives():
+        hgens = lat.subgroups[hi].gens
+        if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
+            continue  # H is abelian: every section has d' = 1
+        below_h = string_below(lat, hi)
+        orbit_reps = 0
+        normals: list[int] = []
+        for orbit in orbits(lat, _mask_elements(below_h), hgens):
+            orbit_reps |= 1 << orbit[0]
+            if len(orbit) == 1:
+                normals.append(orbit[0])
+        for k in normals:
+            above = lat.up(k) & below_h
+            val = Fraction((above & orbit_reps).bit_count(), above.bit_count())
+            if val < best:
+                best = val
+    return best
 
 
 def literal_d_star(g: FiniteGroup) -> Fraction:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import assert_valid_group
+from conftest import assert_valid_group, center, derived_subgroup
 from dedekind.errors import InvalidParameter, OrderCapExceeded
 from dedekind.families import (
     c27_rtimes_q8,
@@ -17,7 +17,7 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import center, derived_subgroup, is_isomorphic
+from dedekind.groups import is_isomorphic
 
 
 def test_cyclic():

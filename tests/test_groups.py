@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_valid_group, literal_derived_mask
+from conftest import (
+    Perm,
+    assert_valid_group,
+    center,
+    closure_from_generators,
+    derived_subgroup,
+    literal_derived_mask,
+)
 from dedekind.errors import (
     InvalidParameter,
     IsoCapExceeded,
@@ -19,10 +26,6 @@ from dedekind.errors import (
 from dedekind.families import cyclic, dihedral, generalized_quaternion, heisenberg
 from dedekind.groups import (
     FiniteGroup,
-    Perm,
-    center,
-    closure_from_generators,
-    derived_subgroup,
     direct_product,
     find_isomorphism,
     is_isomorphic,
@@ -186,7 +189,7 @@ def test_power_and_commutator(zoo):
     for a in range(d8.order):
         assert d8.power(a, 0) == 0
         assert d8.power(a, 1) == a
-        assert d8.power(a, -1) == d8.inv(a)
+        assert d8.power(a, -1) == d8.inverses[a]
     for a in range(d8.order):
         for b in range(d8.order):
             # with [a, b] = a^-1 b^-1 a b we get (b a) [a, b] = a b

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import literal_d_star, literal_is_nilpotent, literal_is_schmidt, two_step_section
+from conftest import (
+    literal_d_star,
+    literal_is_nilpotent,
+    literal_is_schmidt,
+    orbit_d_star,
+    two_step_section,
+)
+from dedekind import invariants, lattice
 from dedekind.errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from dedekind.families import (
     cyclic,
@@ -30,7 +37,7 @@ from dedekind.invariants import (
     sections,
     sylow_subgroups,
 )
-from dedekind.lattice import SubgroupLattice
+from dedekind.lattice import SubgroupLattice, subgroup_lattice
 from dedekind.specs import build_group
 
 
@@ -232,6 +239,40 @@ def test_d_star_matches_section_oracle(zoo):
     for name in ("s3", "d8", "d12", "a4", "he3", "m16", "g12", "q8", "d16"):
         g = zoo[name]
         assert d_star(g) == literal_d_star(g), name
+
+
+def test_d_star_matches_orbit_oracle_on_corpus(corpus):
+    """Orbit counting against H-orbits walked by conjugation, past the
+    literal section oracle's reach."""
+    checked = 0
+    for e in corpus:
+        if e.group.order > 128:
+            continue
+        assert d_star(e.group) == orbit_d_star(e.group), e.spec
+        checked += 1
+    assert checked >= 280
+
+
+def test_d_star_of_a_dedekind_group_needs_no_normalizer(monkeypatch):
+    g = build_group("Q(8) x EA(2,4)")
+    lat = subgroup_lattice(g)
+    assert (lat.size, lat.nu) == (3132, 0)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        SubgroupLattice, "normalizer_index", counting("lookup", SubgroupLattice.normalizer_index)
+    )
+    for module in (lattice, invariants):
+        monkeypatch.setattr(module, "conjugate_mask", counting("conjugate", module.conjugate_mask))
+    assert d_star(g) == 1
+    assert calls == []
 
 
 def test_d_star_order_gate():

@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from conftest import brute_force_subgroup_classes
+from conftest import Perm, brute_force_subgroup_classes, closure_from_generators, string_below
 from dedekind.errors import LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
-from dedekind.groups import Perm, closure_from_generators, direct_product, section_group
+from dedekind.groups import direct_product, section_group
 from dedekind.lattice import (
     all_subgroup_masks,
     brute_force_hasse_edges,
@@ -110,6 +110,33 @@ def test_normality_and_normalizers(zoo):
             # orbit-stabilizer: class size times normalizer size is the order
             cls = next(c for c in lat.classes if i in c)
             assert len(cls) * nz.bit_count() == g.order, name
+
+
+def test_normalizer_lookup_matches_the_coset_scan(zoo):
+    groups = dict(zoo, d8xea8=build_group("D(8) x EA(2,3)"))
+    for name, g in groups.items():
+        lat = subgroup_lattice(g)
+        for i in range(lat.size):
+            assert lat.subgroups[lat.normalizer_index(i)].mask == lat.normalizer(i), (name, i)
+
+
+@pytest.mark.parametrize(
+    "spec, bitset_form",
+    [
+        ("D(8) x EA(2,3)", True),
+        ("He(3) x EA(3,2)", True),
+        ("M(2,9)", False),
+        ("H(2,3,3) x C(3)", False),
+    ],
+)
+def test_below_matches_the_string_oracle(spec, bitset_form):
+    g = build_group(spec)
+    lat = subgroup_lattice(g)
+    # below(i) ORs holders when fewer elements lie outside i than masks precede it
+    ors = sum(1 for i, sub in enumerate(lat.subgroups) if g.order - sub.order <= i)
+    assert (ors > lat.size // 2) == bitset_form
+    for i in range(lat.size):
+        assert lat.below(i) == string_below(lat, i), (spec, i)
 
 
 def test_meet_and_join(zoo):
