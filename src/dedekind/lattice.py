@@ -8,17 +8,15 @@ needs no closure.  That reaches every subgroup of a solvable group; for a
 non-solvable group the generic closure H -> <H, x> finishes the job.
 
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
-`up(i)` is an AND of per-element "subgroups holding x" bitsets.  `below(i)`
-has two forms with the same value: one pass over the masks up to i, or the
-complement of the subgroups holding some element outside subgroup i; each call
-takes the one with fewer steps.  The (order, mask) index order is a linear
-extension, so joins and covers (the transitive reduction) follow from up-sets
-(Aho, Garey and Ullman, 1972).  L(H) is the interval [1, H] of L(G) (R.
-Schmidt, Subgroup Lattices of Groups, 1994), so questions about the subgroups
-of H are answered on that interval: the functions that take a `top` index work
-on [1, top], the whole lattice by default.  A normalizer is read off the
-lattice too (`normalizer_index`): by orbit-stabilizer its order is |G| over the
-size of the conjugacy class.
+`up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
+`below(i)` the complement of an OR of them over the elements outside subgroup
+i.  The (order, mask) index order is a linear extension, so joins and covers
+(the transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).
+L(H) is the interval [1, H] of L(G) (R. Schmidt, Subgroup Lattices of Groups,
+1994), so questions about the subgroups of H are answered on that interval:
+the functions that take a `top` index work on [1, top], the whole lattice by
+default.  A normalizer is read off the lattice too (`normalizer_index`): by
+orbit-stabilizer its order is |G| over the size of the conjugacy class.
 
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
@@ -342,17 +340,13 @@ class SubgroupLattice:
     def below(self, i: int) -> int:
         """Bitset of the indices of the subgroups in subgroup i, the dual of `up`.
 
-        They come no later than i, so one pass over the first i + 1 masks
-        spells it.  Dually, a subgroup lies outside i iff it holds an element
-        outside i, so it is also the complement of the OR of the holders of
-        the |G| - |i| elements outside i, cut to indices <= i.  The call takes
-        the form with fewer steps: the pass for small subgroups low in the
-        order, the ORs for large ones.
+        A subgroup lies outside i iff it holds an element outside i, so this
+        is the complement of the OR of the holders of the |G| - |i| elements
+        outside i.  The subgroups in i come no later than i, so it is cut to
+        indices <= i.
         """
         masks = self._masks
         m = masks[i]
-        if self.group.order - m.bit_count() > i:
-            return int("".join(["0" if mj & ~m else "1" for mj in masks[i::-1]]), 2)
         holders = self._holders
         outside = 0
         for x in _mask_elements(masks[-1] ^ m):

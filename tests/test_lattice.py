@@ -121,20 +121,10 @@ def test_normalizer_lookup_matches_the_coset_scan(zoo):
 
 
 @pytest.mark.parametrize(
-    "spec, bitset_form",
-    [
-        ("D(8) x EA(2,3)", True),
-        ("He(3) x EA(3,2)", True),
-        ("M(2,9)", False),
-        ("H(2,3,3) x C(3)", False),
-    ],
+    "spec", ["D(8) x EA(2,3)", "He(3) x EA(3,2)", "M(2,9)", "H(2,3,3) x C(3)"]
 )
-def test_below_matches_the_string_oracle(spec, bitset_form):
-    g = build_group(spec)
-    lat = subgroup_lattice(g)
-    # below(i) ORs holders when fewer elements lie outside i than masks precede it
-    ors = sum(1 for i, sub in enumerate(lat.subgroups) if g.order - sub.order <= i)
-    assert (ors > lat.size // 2) == bitset_form
+def test_below_matches_the_string_oracle(spec):
+    lat = subgroup_lattice(build_group(spec))
     for i in range(lat.size):
         assert lat.below(i) == string_below(lat, i), (spec, i)
 
