@@ -176,16 +176,7 @@ class FiniteGroup:
     @cached_property
     def derived_mask(self) -> int:
         """G' as the normal closure of the commutators of the generators."""
-        gens = self.generating_set
-        ngens = sorted({self.commutator(a, b) for a in gens for b in gens} - {0})
-        mask = _closure(self.table, ngens)[0]
-        for x in ngens:  # grows during iteration
-            for a in gens:
-                y = self.conj(a, x)
-                if not (mask >> y) & 1:
-                    ngens.append(y)
-                    mask = _closure(self.table, ngens)[0]
-        return mask
+        return _derived_subgroup(self, self.generating_set)[0]
 
     @cached_property
     def fingerprint(self) -> GroupFingerprint:
@@ -231,6 +222,20 @@ def _closure(table, gens) -> tuple[int, list[int]]:
                 mask |= 1 << y
                 elems.append(y)
     return mask, elems
+
+
+def _derived_subgroup(g: FiniteGroup, gens) -> tuple[int, list[int]]:
+    """The derived subgroup of <gens> as (mask, generators): the normal closure
+    in <gens> of the commutators of the generators."""
+    ngens = sorted({g.commutator(a, b) for a in gens for b in gens} - {0})
+    mask = _closure(g.table, ngens)[0]
+    for x in ngens:  # grows during iteration
+        for a in gens:
+            y = g.conj(a, x)
+            if not (mask >> y) & 1:
+                ngens.append(y)
+                mask = _closure(g.table, ngens)[0]
+    return mask, ngens
 
 
 @dataclass(frozen=True, eq=False)

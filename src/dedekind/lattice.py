@@ -1,11 +1,14 @@
 """Subgroup lattice enumeration and lattice-level invariants.
 
 Subgroups are bitmasks over element indices.  Enumeration is by cyclic
-extension (J. Neubüser, Numer. Math. 2, 1960): it seeds with every cyclic
-subgroup and extends a subgroup H only by an element x of p-power order that
-normalizes H and has x^p in H, so that H<x> is the union of p cosets of H and
-needs no closure.  That reaches every subgroup of a solvable group; for a
-non-solvable group the generic closure H -> <H, x> finishes the job.
+extension (J. Neubüser, Numer. Math. 2, 1960) along a composition series of
+G: starting from the trivial subgroup, a subgroup H is extended only by an
+element x of p-power order that normalizes H, has x^p in H and lies below H's
+place in the series, so that H<x> is the union of p cosets of H, needs no
+closure, and has H as its one canonical parent (B. D. McKay, J. Algorithms
+26, 1998).  So each subgroup of a solvable group is built exactly once.  A
+non-solvable group has no such series; its subgroups come from the generic
+closure H -> <H, x>, seeded with the cyclic subgroups.
 
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
@@ -33,7 +36,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .errors import LatticeBudgetExceeded
-from .groups import FiniteGroup, Subgroup, _mask_elements
+from .groups import FiniteGroup, Subgroup, _derived_subgroup, _mask_elements
 from .numbertheory import is_prime_power, prime_factorization
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "SubgroupLattice",
     "subgroup_lattice",
     "all_subgroup_masks",
+    "composition_series",
     "conjugate_mask",
     "hasse_edges",
     "maximal_subgroup_indices",
@@ -66,20 +70,19 @@ def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:
     return out
 
 
-def _prime_roots(g: FiniteGroup) -> tuple[list[list[int]], list[int]]:
+def _prime_roots(g: FiniteGroup) -> tuple[list[int], list[int]]:
     """Roots of the prime-power elements, for cyclic extension.
 
-    For every x of order p^k (p prime, k >= 1), prime[x] = p and x appears in
-    roots[x^p]; all other entries of `prime` are 0.
+    For every x of order p^k (p prime, k >= 1), prime[x] = p and bit x is set
+    in roots[x^p]; all other entries of `prime` are 0.
     """
-    n = g.order
     table = g.table
     orders = g.element_orders
     prime_of_order = {}
     for k in set(orders):
         factors = prime_factorization(k)
         prime_of_order[k] = next(iter(factors)) if len(factors) == 1 else 0
-    roots: list[list[int]] = [[] for _ in range(n)]
+    roots = [0] * g.order
     prime = [prime_of_order[k] for k in orders]
     for x, p in enumerate(prime):
         if not p:
@@ -87,8 +90,47 @@ def _prime_roots(g: FiniteGroup) -> tuple[list[list[int]], list[int]]:
         y = x
         for _ in range(p - 1):
             y = table[y][x]
-        roots[y].append(x)
+        roots[y] |= 1 << x
     return roots, prime
+
+
+def composition_series(g: FiniteGroup) -> list[int] | None:
+    """Masks of a composition series G = S_0 > S_1 > ... > S_m = 1, each S_j
+    normal of prime index in S_{j-1}; None when g is not solvable.
+
+    The derived series is refined factor by factor.  In an abelian factor
+    A/D every C with D <= C <= A is normal in A, so C climbs from D to A by one
+    element x of prime order p modulo C at a time, and C<x> is the union of
+    the p cosets C x^j.
+    """
+    table = g.table
+    derived = [(1 << g.order) - 1]
+    gens = g.generating_set
+    while derived[-1] != 1:
+        mask, gens = (1, []) if g.is_abelian else _derived_subgroup(g, gens)
+        if mask == derived[-1]:
+            return None
+        derived.append(mask)
+    c, celems, ascending = 1, [0], [1]
+    for a in derived[-2::-1]:
+        while c != a:
+            y = a & ~c
+            y = (y & -y).bit_length() - 1
+            k, z = 1, y
+            while not c >> z & 1:  # k = the order of y modulo C
+                z = table[z][y]
+                k += 1
+            p = min(prime_factorization(k))
+            x = g.power(y, k // p)
+            xj, new = x, []
+            for _ in range(p - 1):
+                new += [table[h][xj] for h in celems]
+                xj = table[xj][x]
+            celems += new
+            for z in new:
+                c |= 1 << z
+            ascending.append(c)
+    return ascending[::-1]
 
 
 def all_subgroup_masks(
@@ -96,76 +138,76 @@ def all_subgroup_masks(
 ) -> dict[int, tuple[int, ...]]:
     """All subgroups of g as {mask: generating tuple}.
 
-    Cyclic extension: starting from the cyclic subgroups, a subgroup H is
-    extended only by an element x of p-power order that normalizes H and has
-    x^p in H, so K = H<x> is the union of the p cosets H x^j.  Every element
-    of the coset Hx gives the same K, so the coset is marked as tried.  In a
-    solvable group every subgroup has a composition series with prime-index
-    steps, and each step is such an extension, so this reaches every
-    subgroup.  It reaches the whole group only when g is solvable; otherwise
-    the search goes on from every subgroup found with the generic closure
+    Cyclic extension along a composition series G = S_0 > ... > S_m = 1
+    (`composition_series`), so that each subgroup is built once, from a
+    canonical parent (canonical augmentation, B. D. McKay, J. Algorithms 26,
+    1998).  Let depth(x) be the largest j with x in S_j, and the level of H
+    the largest j with H <= S_j.  A subgroup K != 1 has one
+    canonical parent P = K n S_j, for the least j with K not in S_j: P is
+    normal of prime index p in K, and K = P<x> for every x of p-power order
+    in K \\ P, of depth j - 1 < level(P).  So H is extended only by an x of
+    p-power order with depth(x) < level(H), x^p in H and x normalizing H;
+    then K = H<x> is the union of the p cosets H x^j, its level is depth(x),
+    and H is its canonical parent.  The elements of K \\ H give the same K,
+    so they are marked as tried.
+
+    A non-solvable group has no such series and goes to the generic closure
     (`_generic_extension`).
     """
-    n = g.order
+    series = composition_series(g)
+    if series is None:
+        return _generic_extension(g, budget)
     table, inverses = g.table, g.inverses
-    seen: dict[int, tuple[int, ...]] = {1: ()}
-    elems_of: dict[int, list[int]] = {1: [0]}
-    for x in range(1, n):
-        mask, elems, y = 1, [0], x
-        while y != 0:
-            mask |= 1 << y
-            elems.append(y)
-            y = table[y][x]
-        if mask not in seen:
-            seen[mask] = (x,)
-            elems_of[mask] = elems
-    if len(seen) > budget:
-        raise LatticeBudgetExceeded(f"more than {budget} subgroups")
     roots, prime = _prime_roots(g)
-    queue = deque(seen)
-    while queue:
-        hmask = queue.popleft()
-        helems = elems_of[hmask]
-        hgens = seen[hmask]
-        tried = hmask
-        for y in helems:
-            for x in roots[y]:
-                if (tried >> x) & 1:
-                    continue
-                row_x, inv_x = table[x], inverses[x]
-                if any(not (hmask >> table[row_x[h]][inv_x]) & 1 for h in hgens):
-                    # no element of Hx normalizes H either
-                    for h in helems:
-                        tried |= 1 << table[h][x]
-                    continue
-                kmask, kelems = hmask, list(helems)
-                xj = x
-                for j in range(1, prime[x]):
-                    for h in helems:
-                        z = table[h][xj]
-                        kmask |= 1 << z
-                        kelems.append(z)
-                    if j == 1:
-                        tried |= kmask
-                    xj = table[xj][x]
-                if kmask not in seen:
-                    seen[kmask] = hgens + (x,)
-                    elems_of[kmask] = kelems
-                    if len(seen) > budget:
-                        raise LatticeBudgetExceeded(f"more than {budget} subgroups")
-                    queue.append(kmask)
-    if (1 << n) - 1 not in seen:
-        _generic_extension(g, seen, elems_of, budget)
+    orders = g.element_orders
+    depth = [0] * g.order
+    for j, s in enumerate(series):
+        for x in _mask_elements(s):
+            depth[x] = j
+    seen: dict[int, tuple[int, ...]] = {1: ()}
+    # (mask, elements, generators, level, OR of the roots of the elements)
+    stack = [(1, [0], (), len(series) - 1, roots[0])]
+    while stack:
+        hmask, helems, hgens, level, rooted = stack.pop()
+        untried = rooted & ~series[level]
+        while untried:
+            x = (untried & -untried).bit_length() - 1
+            row_x, inv_x = table[x], inverses[x]
+            if any(not (hmask >> table[row_x[h]][inv_x]) & 1 for h in hgens):
+                # no element of Hx normalizes H either
+                coset = 0
+                for h in helems:
+                    coset |= 1 << table[h][x]
+                untried &= ~coset
+                continue
+            kmask, kelems, krooted = hmask, list(helems), rooted
+            xj = x
+            for _ in range(prime[x] - 1):
+                for h in helems:
+                    z = table[h][xj]
+                    kmask |= 1 << z
+                    kelems.append(z)
+                    krooted |= roots[z]
+                xj = table[xj][x]
+            untried &= ~kmask
+            # any element of K \ H generates K over H; one of largest order
+            # replaces the generators of H among its powers, which keeps the
+            # tuples that `up` and the normality tests walk short
+            y = best = max(kelems[len(helems):], key=orders.__getitem__)
+            powers, row_best = 1, table[best]
+            while y:
+                powers |= 1 << y
+                y = row_best[y]
+            kgens = tuple(h for h in hgens if not powers >> h & 1) + (best,)
+            seen[kmask] = kgens
+            if len(seen) > budget:
+                raise LatticeBudgetExceeded(f"more than {budget} subgroups")
+            stack.append((kmask, kelems, kgens, depth[x], krooted))
     return seen
 
 
-def _generic_extension(
-    g: FiniteGroup,
-    seen: dict[int, tuple[int, ...]],
-    elems_of: dict[int, list[int]],
-    budget: int,
-) -> None:
-    """Add to `seen` every subgroup reachable from it by H -> <H, x>.
+def _generic_extension(g: FiniteGroup, budget: int) -> dict[int, tuple[int, ...]]:
+    """All subgroups of g by the generic closure H -> <H, x>, from the cyclic ones.
 
     x runs over the prime-power elements outside H, and <H, x> is closed by
     `FiniteGroup.closure`.  Seeded with the cyclic subgroups this reaches
@@ -175,6 +217,15 @@ def _generic_extension(
     """
     n = g.order
     table = g.table
+    seen: dict[int, tuple[int, ...]] = {1: ()}
+    elems_of: dict[int, list[int]] = {1: [0]}
+    for x in range(1, n):
+        mask, elems = g.closure((x,))
+        if mask not in seen:
+            seen[mask] = (x,)
+            elems_of[mask] = elems
+    if len(seen) > budget:
+        raise LatticeBudgetExceeded(f"more than {budget} subgroups")
     ppow = [x for x in range(1, n) if is_prime_power(g.element_orders[x])]
     queue = deque(seen)
     while queue:
@@ -196,6 +247,7 @@ def _generic_extension(
                 if len(seen) > budget:
                     raise LatticeBudgetExceeded(f"more than {budget} subgroups")
                 queue.append(kmask)
+    return seen
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dedekind.lattice import (
     brute_force_hasse_edges,
     brute_force_is_modular,
     brute_force_subgroup_masks,
+    composition_series,
     conjugate_mask,
     frattini_subgroup,
     hasse_edges,
@@ -20,6 +21,7 @@ from dedekind.lattice import (
     maximal_subgroup_indices,
     subgroup_lattice,
 )
+from dedekind.numbertheory import is_prime
 from dedekind.specs import build_group
 
 
@@ -64,13 +66,49 @@ def test_enumeration_matches_brute_force_oracle(zoo):
     assert set(all_subgroup_masks(g24)) == brute_force_subgroup_masks(g24)
 
 
-def test_non_solvable_group_enumeration():
-    # A5 is not solvable, so cyclic extension cannot reach it and the
-    # generic closure has to finish the enumeration
+def _s4():
+    """Derived length 3 (S4 > A4 > V4 > 1), one more than any corpus group."""
+    s4 = closure_from_generators(
+        [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 1)])]
+    )
+    assert s4.order == 24
+    return s4
+
+
+def _a5():
     a5 = closure_from_generators(
         [Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
     )
     assert a5.order == 60
+    return a5
+
+
+def test_enumeration_matches_brute_force_on_small_corpus_groups(corpus):
+    small = [(e.spec, e.group) for e in corpus if e.group.order <= 32]
+    assert len({g.order for _, g in small if g.order > 24}) >= 4
+    for name, g in small + [("S4", _s4())]:
+        assert set(all_subgroup_masks(g)) == brute_force_subgroup_masks(g), name
+
+
+def test_composition_series_steps_are_normal_of_prime_index(corpus):
+    for name, g in [(e.spec, e.group) for e in corpus] + [("S4", _s4())]:
+        series = composition_series(g)
+        assert series[0] == (1 << g.order) - 1 and series[-1] == 1, name
+        for upper, lower in zip(series, series[1:]):
+            elems = [x for x in range(g.order) if lower >> x & 1]
+            assert g.closure(elems)[0] == lower, name
+            assert lower & ~upper == 0 and is_prime(upper.bit_count() // lower.bit_count()), name
+            # upper is lower with one element x adjoined, so x normalizing
+            # lower makes lower normal in upper
+            x = (upper & ~lower).bit_length() - 1
+            assert conjugate_mask(g, lower, x) == lower, name
+    assert composition_series(_a5()) is None
+
+
+def test_non_solvable_group_enumeration():
+    # A5 is not solvable, so it has no composition series with prime-index
+    # steps, and the generic closure enumerates its subgroups
+    a5 = _a5()
     masks = all_subgroup_masks(a5)
     assert set(masks) == brute_force_subgroup_masks(a5)
     for mask, gens in masks.items():
@@ -281,6 +319,8 @@ def test_intervals_match_the_induced_subgroup_oracle(corpus):
 def test_lattice_budget(zoo):
     with pytest.raises(LatticeBudgetExceeded):
         all_subgroup_masks(elementary_abelian(2, 4), budget=10)
+    with pytest.raises(LatticeBudgetExceeded):
+        all_subgroup_masks(_a5(), budget=10)
 
 
 def test_class_representatives(zoo):
