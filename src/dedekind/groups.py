@@ -32,6 +32,7 @@ __all__ = [
     "direct_product",
     "semidirect_product",
     "section_group",
+    "section_table",
     "quotient",
     "find_isomorphism",
     "is_isomorphic",
@@ -142,19 +143,31 @@ class FiniteGroup:
 
     @cached_property
     def generating_set(self) -> tuple[int, ...]:
-        """A small generating tuple, chosen greedily by element order."""
-        if self.order == 1:
-            return ()
-        orders = self.element_orders
+        """A small generating tuple, chosen greedily by element order: each
+        pick is the element of largest order, lowest index among ties, outside
+        the subgroup generated so far.
+
+        That subgroup's element list grows in place: its old elements are
+        closed under the earlier generators and need only the new one, while
+        the new elements need every generator.
+        """
+        orders, t = self.element_orders, self.table
         gens: list[int] = []
         mask, elems = 1, [0]
-        while len(elems) < self.order:
-            best = max(
-                (g for g in range(self.order) if not (mask >> g) & 1),
-                key=lambda g: (orders[g], -g),
-            )
-            gens.append(best)
-            mask, elems = _closure(self.table, gens)
+        for a in sorted(range(self.order), key=lambda x: (-orders[x], x)):
+            if len(elems) == self.order:
+                break
+            if mask >> a & 1:
+                continue
+            gens.append(a)
+            old = len(elems)
+            for i, x in enumerate(elems):  # grows during iteration
+                row = t[x]
+                for b in gens if i >= old else (a,):
+                    y = row[b]
+                    if not mask >> y & 1:
+                        mask |= 1 << y
+                        elems.append(y)
         return tuple(gens)
 
     @cached_property
@@ -348,14 +361,16 @@ def _as_mask(g: FiniteGroup, sub) -> int:
     return int(sub)
 
 
-def section_group(
+def section_table(
     g: FiniteGroup, hmask: int, kmask: int = 1
-) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """The section H/K as a group read off g's table, plus the coset number of
-    each element of g (-1 outside H).  The cosets xK are numbered in order of
-    first appearance, x in H ascending, so K = 1 gives H with its elements
-    renumbered in ascending order.  H must be a subgroup of g and K a normal
-    subgroup of H; neither is checked."""
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The multiplication table of the section H/K read off g's table, not
+    validated, plus the coset number of each element of g (-1 outside H).
+    The cosets xK are numbered in order of first appearance, x in H
+    ascending, so K = 1 gives H with its elements renumbered in ascending
+    order.  H must be a subgroup of g and K a normal subgroup of H; neither
+    is checked.  Equal tables are equal groups, so the table serves as a
+    hashable key."""
     t = g.table
     kelems = _mask_elements(kmask)
     proj = [-1] * g.order
@@ -366,10 +381,20 @@ def section_group(
             for k in kelems:
                 proj[row[k]] = len(reps)
             reps.append(x)
-    table = [[proj[t[a][b]] for b in reps] for a in reps]
-    h, k = len(reps) * len(kelems), len(kelems)
+    table = tuple(tuple([proj[t[a][b]] for b in reps]) for a in reps)
+    return table, tuple(proj)
+
+
+def section_group(
+    g: FiniteGroup, hmask: int, kmask: int = 1
+) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The section H/K as a validated group, plus the projection of
+    `section_table`."""
+    table, proj = section_table(g, hmask, kmask)
+    k = kmask.bit_count()
+    h = len(table) * k
     name = g.name and g.name + (f"|{h}" if h < g.order else "") + (f"/N{k}" if k > 1 else "")
-    return FiniteGroup(table, name=name), tuple(proj)
+    return FiniteGroup(table, name=name), proj
 
 
 def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -24,10 +24,10 @@ from .groups import (
     section_group,
 )
 from .lattice import (
-    conjugate_mask,
     is_lattice_modular,
     frattini_subgroup,
     maximal_subgroup_indices,
+    normalizes,
     subgroup_lattice,
 )
 from .numbertheory import multiplicative_order, prime_factorization
@@ -77,10 +77,6 @@ class Section:
         return section_group(self.h.parent, self.h.mask, self.k.mask)[0]
 
 
-def _normal_within(g: FiniteGroup, kmask: int, hgens: tuple[int, ...]) -> bool:
-    return all(conjugate_mask(g, kmask, a) == kmask for a in hgens)
-
-
 def sections(g: FiniteGroup, hi: int | None = None) -> Iterator[Section]:
     """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H);
     with hi, only those whose H is subgroup hi of g's lattice."""
@@ -89,7 +85,7 @@ def sections(g: FiniteGroup, hi: int | None = None) -> Iterator[Section]:
         h = lat.subgroups[hi]
         for ki in _mask_elements(lat.below(hi)):
             k = lat.subgroups[ki]
-            if _normal_within(g, k.mask, h.gens):
+            if normalizes(g, k.mask, k.gens, h.gens):
                 yield Section(h, k)
 
 
@@ -156,11 +152,7 @@ def is_dedekind(g: FiniteGroup) -> bool:
     if g.is_abelian:
         return True
     gens = g.generating_set
-    for x in range(1, g.order):
-        mask = g.closure((x,))[0]
-        if not _normal_within(g, mask, gens):
-            return False
-    return True
+    return all(normalizes(g, g.closure((x,))[0], (x,), gens) for x in range(1, g.order))
 
 
 def has_modular_lattice(g: FiniteGroup) -> bool:

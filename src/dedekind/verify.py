@@ -48,6 +48,7 @@ from .groups import (
     FiniteGroup,
     direct_product,
     is_isomorphic,
+    section_table,
     semidirect_product,
 )
 from .invariants import (
@@ -62,8 +63,8 @@ from .invariants import (
 )
 from .lattice import (
     brute_force_subgroup_masks,
-    conjugate_mask,
     is_lattice_modular,
+    normalizes,
     subgroup_lattice,
 )
 from .numbertheory import is_prime, multiplicative_order, nth_odd_prime, prime_factorization
@@ -1100,11 +1101,7 @@ def suite_consistency(
         g = e.group
         lat = subgroup_lattice(g)
         gens = g.generating_set
-        normal = sum(
-            1
-            for sub in lat.subgroups
-            if all(conjugate_mask(g, sub.mask, a) == sub.mask for a in gens)
-        )
+        normal = sum(1 for sub in lat.subgroups if normalizes(g, sub.mask, sub.gens, gens))
         s.count("bookkeeping_entries")
         s.check(
             f"{e.spec}: k' = |N| + nu with |N| recounted from scratch",
@@ -1135,13 +1132,15 @@ def suite_consistency(
             oracle == set(lat._masks),
             f"oracle {len(oracle)}, enumeration {lat.size}",
         )
-    # the literal oracle's quotients repeat: few distinct tables among many sections
+    # the literal oracle's quotients repeat: few distinct tables among many
+    # sections, so a group is built and validated once per raw table
     d_prime_by_table: dict[tuple[tuple[int, ...], ...], Fraction] = {}
 
-    def d_prime_of(q: FiniteGroup) -> Fraction:
-        if q.table not in d_prime_by_table:
-            d_prime_by_table[q.table] = d_prime(q)
-        return d_prime_by_table[q.table]
+    def d_prime_of(g: FiniteGroup, sec) -> Fraction:
+        table = section_table(g, sec.h.mask, sec.k.mask)[0]
+        if table not in d_prime_by_table:
+            d_prime_by_table[table] = d_prime(FiniteGroup(table))
+        return d_prime_by_table[table]
 
     for e in corpus:
         if e.group.order > 64:
@@ -1149,7 +1148,7 @@ def suite_consistency(
         r = stats[e.spec]
         if r.d_star is None:
             continue
-        literal = min(d_prime_of(sec.quotient) for sec in sections(e.group))
+        literal = min(d_prime_of(e.group, sec) for sec in sections(e.group))
         s.count("prune_agreement_entries")
         s.check(
             f"{e.spec}: pruned and literal d* agree",
@@ -1163,13 +1162,17 @@ def suite_consistency(
         r = stats[e.spec]
         if r.d_star is None:
             continue
-        seen_fp = set()
+        seen_tables, seen_fp = set(), set()
         bad = ""
         tested = 0
         for sec in sections(g):
             if sec.order in (1, g.order):
                 continue
-            q = sec.quotient
+            table = section_table(g, sec.h.mask, sec.k.mask)[0]
+            if table in seen_tables:  # equal tables have equal fingerprints
+                continue
+            seen_tables.add(table)
+            q = FiniteGroup(table)
             if q.fingerprint in seen_fp:
                 continue
             seen_fp.add(q.fingerprint)

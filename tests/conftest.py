@@ -263,6 +263,39 @@ def literal_derived_mask(g: FiniteGroup) -> int:
     return g.closure(sorted(comms))[0]
 
 
+def greedy_generating_set(g: FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating tuple, re-closing from scratch after each pick:
+    the element of largest order, lowest index among ties, outside the
+    subgroup generated so far."""
+    if g.order == 1:
+        return ()
+    orders = g.element_orders
+    gens: list[int] = []
+    mask, elems = 1, [0]
+    while len(elems) < g.order:
+        best = max(
+            (x for x in range(g.order) if not mask >> x & 1),
+            key=lambda x: (orders[x], -x),
+        )
+        gens.append(best)
+        mask, elems = g.closure(gens)
+    return tuple(gens)
+
+
+def conjugation_sections(g: FiniteGroup) -> list[tuple[int, int]]:
+    """The lattice index pairs (H, K) of every section H/K of g, H ascending
+    and then K: K runs over the subgroups inside H, and K is normal in H when
+    conjugating K's whole bitset by each generator of H gives K back."""
+    lat = subgroup_lattice(g)
+    return [
+        (hi, ki)
+        for hi, h in enumerate(lat.subgroups)
+        for ki, k in enumerate(lat.subgroups)
+        if not k.mask & ~h.mask
+        and all(conjugate_mask(g, k.mask, a) == k.mask for a in h.gens)
+    ]
+
+
 def two_step_section(g: FiniteGroup, hmask: int, kmask: int) -> FiniteGroup:
     """H/K in two steps: H's table by hand (elements ascending), then the
     validated quotient by K."""

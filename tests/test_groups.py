@@ -13,6 +13,7 @@ from conftest import (
     center,
     closure_from_generators,
     derived_subgroup,
+    greedy_generating_set,
     literal_derived_mask,
 )
 from dedekind.errors import (
@@ -210,6 +211,13 @@ def test_closure_method(zoo):
     assert mask == 1 and elems == [0]
     full, _ = d8.closure(list(d8.generating_set))
     assert full == (1 << d8.order) - 1
+
+
+def test_generating_set_matches_the_from_scratch_greedy(zoo, corpus):
+    groups = list(zoo.items()) + [(e.spec, e.group) for e in corpus if e.group.order <= 128]
+    assert len(groups) > 280
+    for name, g in groups:
+        assert g.generating_set == greedy_generating_set(g), name
 
 
 def test_closure_from_generators_builds_symmetric_group():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    conjugation_sections,
     literal_d_star,
     literal_is_nilpotent,
     literal_is_schmidt,
@@ -63,6 +64,26 @@ def test_dedekind_predicate(zoo):
     # d' = 1 exactly characterizes these groups
     for name in ("c12", "q8", "d8", "he3", "a4"):
         assert (d_prime(zoo[name]) == 1) == is_dedekind(zoo[name]), name
+
+
+def test_dedekind_predicate_matches_the_lattice_on_corpus(corpus):
+    verdicts = set()
+    for e in corpus:
+        if e.group.order > 64:
+            continue
+        got = is_dedekind(e.group)
+        assert got == (subgroup_lattice(e.group).nu == 0), e.spec
+        verdicts.add((e.group.is_abelian, got))
+    # non-abelian groups on both sides, not only the abelian short cut
+    assert {(False, True), (False, False)} <= verdicts
+
+
+def test_sections_match_the_full_conjugation_oracle(zoo, corpus):
+    groups = list(zoo.items()) + [(e.spec, e.group) for e in corpus if e.group.order <= 32]
+    for name, g in groups:
+        lat = subgroup_lattice(g)
+        got = [(lat.index_of(s.h.mask), lat.index_of(s.k.mask)) for s in sections(g)]
+        assert got == conjugation_sections(g), name
 
 
 def test_nilpotency(zoo):
@@ -270,7 +291,8 @@ def test_d_star_of_a_dedekind_group_needs_no_normalizer(monkeypatch):
         SubgroupLattice, "normalizer_index", counting("lookup", SubgroupLattice.normalizer_index)
     )
     for module in (lattice, invariants):
-        monkeypatch.setattr(module, "conjugate_mask", counting("conjugate", module.conjugate_mask))
+        monkeypatch.setattr(module, "normalizes", counting("normality test", module.normalizes))
+    monkeypatch.setattr(lattice, "conjugate_mask", counting("conjugate", lattice.conjugate_mask))
     assert d_star(g) == 1
     assert calls == []
 

@@ -58,6 +58,15 @@ def test_every_mask_is_a_subgroup(zoo):
                 assert (mask >> g.mul(a, b)) & 1
 
 
+def test_lattice_generators_close_to_their_masks(corpus):
+    # the normality tests conjugate only a subgroup's generators, which is
+    # sound only if the generators give back the whole subgroup
+    groups = [(e.spec, e.group) for e in corpus if e.group.order <= 64]
+    for name, g in groups + [("S4", _s4()), ("A5", _a5())]:
+        for sub in subgroup_lattice(g).subgroups:
+            assert g.closure(sub.gens)[0] == sub.mask, (name, sub.order)
+
+
 def test_enumeration_matches_brute_force_oracle(zoo):
     for name in ("c12", "ea8", "s3", "d8", "d12", "q8", "a4", "d16", "g12"):
         g = zoo[name]

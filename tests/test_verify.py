@@ -137,6 +137,21 @@ def test_suites_catch_corrupted_stats(fast_corpus, fast_stats):
     assert any(victim in c.witness or victim in c.description for c in results[0].checks if not c.ok)
 
 
+def test_consistency_recount_catches_a_corrupted_normal_count(fast_corpus, fast_stats):
+    # k' moves with |N|, so k' = |N| + nu still holds and only the recount of
+    # the normal subgroups from the lattice can catch it
+    victim = "D(8)"
+    r = fast_stats[victim]
+    poisoned = dict(fast_stats)
+    poisoned[victim] = dataclasses.replace(
+        r, normal_count=r.normal_count + 1, k_prime=r.k_prime + 1
+    )
+    result = run_suites(["consistency"], corpus=fast_corpus, stats=poisoned)[0]
+    assert [c.description for c in result.checks if not c.ok] == [
+        f"{victim}: k' = |N| + nu with |N| recounted from scratch"
+    ]
+
+
 def test_suite_result_json_shape(fast_corpus, fast_stats):
     r = run_suites(["ratio-equality"], corpus=fast_corpus, stats=fast_stats)[0]
     data = r.to_json_dict()
