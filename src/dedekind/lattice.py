@@ -21,15 +21,17 @@ the functions that take a `top` index work on [1, top], the whole lattice by
 default.  A normalizer is read off the lattice too (`normalizer_index`): by
 orbit-stabilizer its order is |G| over the size of the conjugacy class.
 
-Whether elements a normalize a subgroup K = <k_1, ..., k_r> is tested on K's
-generators (`normalizes`): a K a^-1 = K iff every a k_i a^-1 lies in K, r
-table lookups instead of |K| (D. F. Holt, B. Eick and E. A. O'Brien,
-Handbook of Computational Group Theory, 2005).  Only the conjugacy classes,
-which need the image subgroup itself, conjugate whole bitsets
-(`conjugate_mask`).
+Conjugation acts on a subgroup K = <k_1, ..., k_r> through its generators.
+Whether elements a normalize K is tested by `normalizes`: a K a^-1 = K iff
+every a k_i a^-1 lies in K, r table lookups instead of |K| (D. F. Holt,
+B. Eick and E. A. O'Brien, Handbook of Computational Group Theory, 2005).
+The conjugacy classes read the image subgroup off the holder bitsets, as
+`join` does: a K a^-1 = <a k_1 a^-1, ..., a k_r a^-1> is the lowest index
+in the AND of the holders of those r elements.
 
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
+covers are walked lazily and the test stops at its first witness.  The
 brute-force enumeration, the pairwise cover scan and the triple-by-triple
 modular-law scan stay as independent oracles for the tests.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -52,7 +55,6 @@ __all__ = [
     "subgroup_lattice",
     "all_subgroup_masks",
     "composition_series",
-    "conjugate_mask",
     "normalizes",
     "hasse_edges",
     "maximal_subgroup_indices",
@@ -62,20 +64,6 @@ __all__ = [
 
 DEFAULT_LATTICE_BUDGET = 100_000
 _ORDER = attrgetter("order")
-
-
-def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:
-    """Image of the subgroup bitmask under x -> a x a^-1."""
-    t, ia = g.table, g.inverses[a]
-    ra = t[a]
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        out |= 1 << t[ra[x]][ia]
-        m ^= low
-    return out
 
 
 def normalizes(g: FiniteGroup, kmask: int, kgens, agens) -> bool:
@@ -314,21 +302,32 @@ class SubgroupLattice:
         """Conjugacy classes of subgroups, as sorted index tuples in order of
         first appearance: the orbits under conjugation by G's generators.
 
-        Each conjugation costs one `conjugate_mask` and one index lookup.
+        a K a^-1 is generated by the images a k a^-1 of K's generators k, so,
+        as in `join`, its index is the lowest one in the AND of their holder
+        bitsets.  One row x -> a x a^-1 per generator a of G is built up
+        front; each conjugation then costs r ANDs for r generators of K.  In
+        an abelian G every class is a singleton.
         """
-        g, masks, index = self.group, self._masks, self._index
-        gens = () if g.is_abelian else g.generating_set
-        seen = bytearray(len(masks))
+        g = self.group
+        if g.is_abelian:
+            return [(i,) for i in range(self.size)]
+        t, inv = g.table, g.inverses
+        rows = [[t[t[a][x]][inv[a]] for x in range(g.order)] for a in g.generating_set]
+        holders, subs = self._holders, self.subgroups
+        seen = bytearray(self.size)
         out: list[tuple[int, ...]] = []
-        for i in range(len(masks)):
+        for i in range(self.size):
             if seen[i]:
                 continue
             seen[i] = 1
             orbit = [i]
             for j in orbit:
-                m = masks[j]
-                for a in gens:
-                    k = index[conjugate_mask(g, m, a)]
+                kgens = subs[j].gens
+                for row in rows:
+                    both = holders[0]
+                    for x in kgens:
+                        both &= holders[row[x]]
+                    k = (both & -both).bit_length() - 1
                     if not seen[k]:
                         seen[k] = 1
                         orbit.append(k)
@@ -449,18 +448,17 @@ class SubgroupLattice:
         table = g.table
         m, hgens = self._masks[i], self.subgroups[i].gens
         helems = _mask_elements(m)
-        done = out = 0
+        # per element: 0 until its coset is scanned, then the digit "1" if
+        # the coset normalizes H and "0" if not
+        digit = bytearray(g.order)
         for a in range(g.order):
-            if (done >> a) & 1:
+            if digit[a]:
                 continue
+            d = 49 if normalizes(g, m, hgens, (a,)) else 48
             row = table[a]
-            coset = 0
             for h in helems:
-                coset |= 1 << row[h]
-            done |= coset
-            if normalizes(g, m, hgens, (a,)):
-                out |= coset
-        return out
+                digit[row[h]] = d
+        return int(digit[::-1], 2)
 
     def normalizer_index(self, i: int) -> int:
         """Index of the normalizer N_G(L) of subgroup L = i, read off the lattice.
@@ -494,20 +492,27 @@ def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
 def hasse_edges(lat: SubgroupLattice, top: int | None = None) -> list[tuple[int, int]]:
     """Covering pairs (i, j) with subgroup i maximal in subgroup j, in [1, top].
 
-    The index order is a linear extension, so the lowest index above i is an
-    upper cover of i; dropping its up-set and repeating yields the rest.
     Sorted by (j, -|i|, i).
     """
     within = lat.below(lat.size - 1 if top is None else top)
-    edges: list[tuple[int, int]] = []
-    for i in _mask_elements(within):
-        rest = lat.up(i) & within ^ (1 << i)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            edges.append((i, j))
-            rest &= ~lat.up(j)
+    edges = [(i, j) for i in _mask_elements(within) for j in _upper_covers(lat, i, within)]
     edges.sort(key=lambda e: (e[1], -lat.subgroups[e[0]].order, e[0]))
     return edges
+
+
+def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
+    """The upper covers of i among the indices in the bitset `within`, ascending.
+
+    The index order is a linear extension, so the lowest index above i is an
+    upper cover of i; dropping its up-set and repeating yields the rest.
+    """
+    covers = []
+    rest = lat.up(i) & within ^ (1 << i)
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        covers.append(j)
+        rest &= ~lat.up(j)
+    return covers
 
 
 def maximal_subgroup_indices(lat: SubgroupLattice, top: int | None = None) -> list[int]:
@@ -623,32 +628,56 @@ def is_lattice_modular(lat: SubgroupLattice, top: int | None = None) -> Modulari
     A finite lattice is modular iff it is upper and lower semimodular
     (Birkhoff, Lattice Theory, 1967): whenever b and c cover a, b v c covers
     both, and dually.  b v c covers both iff b and c have a common upper cover,
-    so the test needs only the cover graph from `hasse_edges`, kept as
-    ascending index lists so that its memory is O(edges).
+    so the test needs only the cover graph.  The upper covers of each element
+    are walked from `up` when first asked for and kept, and the pairs of a
+    are checked before those of a + 1, so a non-modular lattice usually
+    stops after a few covers.  Only when the upper half passes are the kept
+    covers inverted into lower-cover lists for the dual half.  The memory is
+    O(edges).
     """
     n = lat.size if top is None else top + 1
-    up: list[list[int]] = [[] for _ in range(n)]
+    within = lat.below(n - 1)
+    up: list[list[int] | None] = [None] * n
+
+    def upper(i: int) -> list[int]:
+        covers = up[i]
+        if covers is None:
+            covers = up[i] = _upper_covers(lat, i, within)
+        return covers
+
+    members = _mask_elements(within)
+    witness = _semimodular_scan(lat, members, upper, False)
+    if witness is not None:
+        return witness
     down: list[list[int]] = [[] for _ in range(n)]
-    for i, j in hasse_edges(lat, top):
-        up[i].append(j)
-        down[j].append(i)
-    for covers in down:
-        covers.sort()
-    for covers, dual in ((up, False), (down, True)):
-        for members in covers:
-            for s, b in enumerate(members[:-1]):
-                cb = set(covers[b])
-                for c in members[s + 1:]:
-                    if cb.isdisjoint(covers[c]):
-                        return _semimodular_witness(lat, covers, b, c, dual)
+    for a in members:
+        for j in up[a]:
+            down[j].append(a)
+    return _semimodular_scan(lat, members, down.__getitem__, True)
+
+
+def _semimodular_scan(
+    lat: SubgroupLattice, members: list[int], covers: Callable[[int], list[int]], dual: bool
+) -> ModularityWitness | None:
+    """The first pair b < c of covers(a) with no common cover, for a in
+    `members` ascending, as a witness; covers(x) lists the upper (dual:
+    lower) covers of x, ascending."""
+    for a in members:
+        above = covers(a)
+        for s, b in enumerate(above[:-1]):
+            cb = set(covers(b))
+            for c in above[s + 1:]:
+                if cb.isdisjoint(covers(c)):
+                    return _semimodular_witness(lat, covers, b, c, dual)
     return None
 
 
 def _semimodular_witness(
-    lat: SubgroupLattice, covers: list[list[int]], b: int, c: int, dual: bool
+    lat: SubgroupLattice, covers: Callable[[int], list[int]], b: int, c: int, dual: bool
 ) -> ModularityWitness:
     """A modular-law violation from b, c that cover (dual: are covered by) one a
-    without sharing an upper (dual: lower) cover.
+    without sharing an upper (dual: lower) cover; covers(x) lists the upper
+    (dual: lower) covers of x.
 
     Upper case: some z has b < z < b v c (or the same with b and c swapped);
     then c ^ z = a, so (x, y, z) = (b, c, z) gives b v (c ^ z) = b but
@@ -659,13 +688,13 @@ def _semimodular_witness(
     if dual:
         bottom = masks[b] & masks[c]
         for top, y in ((b, c), (c, b)):
-            for z in covers[top]:
+            for z in covers(top):
                 if masks[z] != bottom and bottom & ~masks[z] == 0:
                     return ModularityWitness(z, y, top)
     else:
         top = masks[lat.join(b, c)]
         for x, y in ((b, c), (c, b)):
-            for z in covers[x]:
+            for z in covers(x):
                 if masks[z] != top and masks[z] & ~top == 0:
                     return ModularityWitness(x, y, z)
     raise AssertionError("semimodularity failed without a witness")

@@ -30,7 +30,6 @@ from dedekind.invariants import d_prime, sections, sylow_subgroups
 from dedekind.lattice import (
     SubgroupLattice,
     brute_force_subgroup_masks,
-    conjugate_mask,
     maximal_subgroup_indices,
     subgroup_lattice,
 )
@@ -150,6 +149,16 @@ def assert_valid_group(g: FiniteGroup) -> None:
         for j in range(1, k):
             assert g.power(a, j) != 0
     assert g.exponent % max(g.element_orders) == 0
+
+
+def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:
+    """Image of the subgroup bitmask under x -> a x a^-1, element by element."""
+    t, ia = g.table, g.inverses[a]
+    ra = t[a]
+    out = 0
+    for x in _mask_elements(mask):
+        out |= 1 << t[ra[x]][ia]
+    return out
 
 
 def brute_force_subgroup_classes(g: FiniteGroup) -> list[frozenset[int]]:

@@ -4,7 +4,15 @@ import time
 
 import pytest
 
-from conftest import Perm, brute_force_subgroup_classes, closure_from_generators, string_below
+from conftest import (
+    Perm,
+    brute_force_subgroup_classes,
+    closure_from_generators,
+    conjugate_mask,
+    orbits,
+    string_below,
+)
+from dedekind import lattice
 from dedekind.errors import LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
 from dedekind.groups import direct_product, section_group
@@ -14,7 +22,6 @@ from dedekind.lattice import (
     brute_force_is_modular,
     brute_force_subgroup_masks,
     composition_series,
-    conjugate_mask,
     frattini_subgroup,
     hasse_edges,
     is_lattice_modular,
@@ -59,9 +66,10 @@ def test_every_mask_is_a_subgroup(zoo):
 
 
 def test_lattice_generators_close_to_their_masks(corpus):
-    # the normality tests conjugate only a subgroup's generators, which is
-    # sound only if the generators give back the whole subgroup
-    groups = [(e.spec, e.group) for e in corpus if e.group.order <= 64]
+    # the normality tests and the conjugacy classes conjugate only a
+    # subgroup's generators, which is sound only if the generators give back
+    # the whole subgroup
+    groups = [(e.spec, e.group) for e in corpus]
     for name, g in groups + [("S4", _s4()), ("A5", _a5())]:
         for sub in subgroup_lattice(g).subgroups:
             assert g.closure(sub.gens)[0] == sub.mask, (name, sub.order)
@@ -137,6 +145,17 @@ def test_conjugacy_classes_match_brute_force(zoo):
         # the engine's classes carry the same masks
         engine = {frozenset(lat.subgroups[i].mask for i in cls) for cls in lat.classes}
         assert engine == set(oracle), name
+
+
+def test_classes_match_the_whole_bitset_orbits(corpus):
+    # the engine reads each conjugate off the holder bitsets of the images of
+    # a subgroup's generators; the oracle conjugates every element and looks
+    # the whole bitset up
+    groups = [(e.spec, e.group) for e in corpus]
+    groups += [(spec, build_group(spec)) for spec in ("D(8) x EA(2,3)", "He(3) x EA(3,2)")]
+    for name, g in groups + [("S4", _s4()), ("A5", _a5())]:
+        lat = subgroup_lattice(g)
+        assert lat.classes == orbits(lat, range(lat.size), g.generating_set), name
 
 
 def test_normality_and_normalizers(zoo):
@@ -289,6 +308,50 @@ def test_modularity_matches_oracle_on_corpus(corpus):
             assert_genuine_witness(lat, w)
         checked += 1
     assert checked >= 300
+
+
+@pytest.mark.parametrize(
+    "spec, witness",
+    [
+        ("D(8) x EA(2,3)", (8, 16, 139)),
+        ("He(3) x EA(3,2)", (14, 41, 159)),
+        ("D(8) x EA(2,4)", (16, 32, 491)),
+        ("M(2,6)", None),
+    ],
+)
+def test_modularity_walks_covers_without_the_edge_list(spec, witness, monkeypatch):
+    # the first witness found is pinned; the covers are walked lazily, so
+    # the full, sorted edge list is never built
+    lat = subgroup_lattice(build_group(spec))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hasse_edges(*args)
+
+    monkeypatch.setattr(lattice, "hasse_edges", counting)
+    w = is_lattice_modular(lat)
+    assert calls == []
+    if witness is None:
+        # modular but not Dedekind, so both semimodular halves run in full
+        assert lat.nu > 0
+        assert w is None and brute_force_is_modular(lat) is None
+    else:
+        assert (w.x, w.y, w.z) == witness
+        assert_genuine_witness(lat, w)
+
+
+@pytest.mark.parametrize("spec", ["SD(2,3)", "SD(2,7)"])
+def test_lower_semimodular_scan_finds_a_genuine_witness(spec):
+    # every tested lattice that is not modular already fails the upper half,
+    # so the dual half is run on its own here, on the oracle's lower covers
+    lat = subgroup_lattice(build_group(spec))
+    down = [[] for _ in range(lat.size)]
+    for i, j in sorted(brute_force_hasse_edges(lat)):
+        down[j].append(i)
+    w = lattice._semimodular_scan(lat, list(range(lat.size)), down.__getitem__, True)
+    assert w is not None
+    assert_genuine_witness(lat, w)
 
 
 def test_intervals_match_the_induced_subgroup_oracle(corpus):
