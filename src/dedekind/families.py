@@ -1,10 +1,12 @@
 """Constructors for the group families the engine knows by name.
 
-Every constructor builds the multiplication table from an explicit element
-encoding, then asserts its defining relations on designated generators, so a
-bad table fails at build time rather than in a later enumeration.  Two-part
-encodings map the pair (i, j) to index i * (second range) + j, which keeps
-(0, 0) at index 0 as the identity.
+Every constructor names an explicit element encoding and computes, from its
+formula, only the rows of the generators it names (x, y and z).
+`groups.cayley_rows` composes every other row from those, so no table is
+filled entry by entry.  The constructor then asserts its defining relations
+on the same generators, so a bad table fails at build time rather than in a
+later enumeration.  Two-part encodings map the pair (i, j) to index
+i * (second range) + j, which keeps (0, 0) at index 0 as the identity.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from contextlib import suppress
 from itertools import product
 
 from .errors import InvalidParameter, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, semidirect_product
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, cayley_rows, semidirect_product
 from .numbertheory import is_prime, multiplicative_order
 
 __all__ = [
@@ -62,8 +64,8 @@ def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
     _check_cap(f"C({n})", order_cap, n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    g = FiniteGroup(table, name=f"C({n})")
+    gen_rows = {1: (*range(1, n), 0)} if n > 1 else {}
+    g = FiniteGroup(cayley_rows(n, gen_rows), name=f"C({n})")
     assert n == 1 or g.element_orders[1] == n
     return g
 
@@ -74,15 +76,11 @@ def elementary_abelian(p: int, r: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
     if r < 1:
         raise InvalidParameter(f"rank must be >= 1, got {r}")
     order = _check_cap(f"EA({p},{r})", order_cap, p, r)
-    digits = list(product(range(p), repeat=r))
-    # product() varies the last position fastest; flip so digit 0 is fastest
-    index = {d: sum(c * p**k for k, c in enumerate(d)) for d in digits}
-    table = [[0] * order for _ in range(order)]
-    for d1 in digits:
-        i = index[d1]
-        for d2 in digits:
-            table[i][index[d2]] = index[tuple((a + b) % p for a, b in zip(d1, d2))]
-    g = FiniteGroup(table, name=f"EA({p},{r})")
+    gen_rows = {}
+    for k in range(r):  # p^k adds 1 to digit k of v
+        pk = p**k
+        gen_rows[pk] = [v + pk if v // pk % p < p - 1 else v - (p - 1) * pk for v in range(order)]
+    g = FiniteGroup(cayley_rows(order, gen_rows), name=f"EA({p},{r})")
     assert all(g.element_orders[p**k] == p for k in range(r))
     return g
 
@@ -93,13 +91,15 @@ def dihedral(two_n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise InvalidParameter(f"dihedral order must be even and >= 6, got {two_n}")
     _check_cap(f"D({two_n})", order_cap, two_n)
     n = two_n // 2
-    table = [[0] * two_n for _ in range(two_n)]
-    for i, j in product(range(n), range(2)):
-        for k, l in product(range(n), range(2)):
-            rot = (i + (k if j == 0 else -k)) % n
-            table[i * 2 + j][k * 2 + l] = rot * 2 + (j ^ l)
-    g = FiniteGroup(table, name=f"D({two_n})")
+
+    def row(i: int, j: int) -> list[int]:
+        return [
+            ((i + (k if j == 0 else -k)) % n) * 2 + (j ^ l)
+            for k, l in product(range(n), range(2))
+        ]
+
     x, y = 2, 1
+    g = FiniteGroup(cayley_rows(two_n, {x: row(1, 0), y: row(0, 1)}), name=f"D({two_n})")
     assert g.element_orders[x] == n and g.element_orders[y] == 2
     assert g.mul(y, x) == g.mul(g.power(x, n - 1), y)
     return g
@@ -112,13 +112,15 @@ def generalized_quaternion(two_to_n: int, order_cap: int = DEFAULT_ORDER_CAP) ->
         raise InvalidParameter(f"quaternion order must be a power of two >= 8, got {m}")
     _check_cap(f"Q({m})", order_cap, m)
     half, quarter = m // 2, m // 4
-    table = [[0] * m for _ in range(m)]
-    for i, j in product(range(half), range(2)):
-        for k, l in product(range(half), range(2)):
-            rot = (i + (k if j == 0 else -k) + (quarter if j and l else 0)) % half
-            table[i * 2 + j][k * 2 + l] = rot * 2 + (j ^ l)
-    g = FiniteGroup(table, name=f"Q({m})")
+
+    def row(i: int, j: int) -> list[int]:
+        return [
+            ((i + (k if j == 0 else -k) + (quarter if j and l else 0)) % half) * 2 + (j ^ l)
+            for k, l in product(range(half), range(2))
+        ]
+
     x, y = 2, 1
+    g = FiniteGroup(cayley_rows(m, {x: row(1, 0), y: row(0, 1)}), name=f"Q({m})")
     assert g.element_orders[x] == half
     assert g.mul(y, y) == g.power(x, quarter)
     assert g.mul(y, x) == g.mul(g.power(x, half - 1), y)
@@ -136,14 +138,15 @@ def modular_group(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     pn1 = p ** (n - 1)
     m = p ** (n - 2) + 1
     m_pows = [pow(m, j, pn1) for j in range(p)]
-    table = [[0] * order for _ in range(order)]
-    for i, j in product(range(pn1), range(p)):
-        row = table[i * p + j]
+
+    def row(i: int, j: int) -> list[int]:
         mj = m_pows[j]
-        for k, l in product(range(pn1), range(p)):
-            row[k * p + l] = ((i + k * mj) % pn1) * p + (j + l) % p
-    g = FiniteGroup(table, name=f"M({p},{n})")
+        return [
+            ((i + k * mj) % pn1) * p + (j + l) % p for k, l in product(range(pn1), range(p))
+        ]
+
     x, y = p, 1
+    g = FiniteGroup(cayley_rows(order, {x: row(1, 0), y: row(0, 1)}), name=f"M({p},{n})")
     assert g.element_orders[x] == pn1 and g.element_orders[y] == p
     assert g.mul(y, x) == g.mul(g.power(x, m), y)
     return g
@@ -156,16 +159,16 @@ def heisenberg(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise InvalidParameter("the Heisenberg family here is for odd p (p = 2 gives D(8))")
     order = _check_cap(f"He({p})", order_cap, p, 3)
     p2 = p * p
-    table = [[0] * order for _ in range(order)]
-    for a, b, c in product(range(p), repeat=3):
-        i = a * p2 + b * p + c
-        row = table[i]
-        for d, e, f in product(range(p), repeat=3):
-            row[d * p2 + e * p + f] = (
-                ((a + d) % p) * p2 + ((b + e) % p) * p + (c + f + a * e) % p
-            )
-    g = FiniteGroup(table, name=f"He({p})")
+
+    def row(a: int, b: int, c: int) -> list[int]:
+        return [
+            ((a + d) % p) * p2 + ((b + e) % p) * p + (c + f + a * e) % p
+            for d, e, f in product(range(p), repeat=3)
+        ]
+
     x, y, z = p2, p, 1
+    gen_rows = {x: row(1, 0, 0), y: row(0, 1, 0), z: row(0, 0, 1)}
+    g = FiniteGroup(cayley_rows(order, gen_rows), name=f"He({p})")
     assert g.exponent == p
     assert g.commutator(x, y) == z
     assert g.commutator(x, z) == 0 and g.commutator(y, z) == 0
@@ -185,16 +188,16 @@ def h_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     order = _check_cap(f"H({p},{s},{t})", order_cap, p, s + t + 1)
     ps, pt = p**s, p**t
     blk = pt * p
-    table = [[0] * order for _ in range(order)]
-    for a, b, c in product(range(ps), range(pt), range(p)):
-        i = a * blk + b * p + c
-        row = table[i]
-        for d, e, f in product(range(ps), range(pt), range(p)):
-            row[d * blk + e * p + f] = (
-                ((a + d) % ps) * blk + ((b + e) % pt) * p + (c + f + a * e) % p
-            )
-    g = FiniteGroup(table, name=f"H({p},{s},{t})")
+
+    def row(a: int, b: int, c: int) -> list[int]:
+        return [
+            ((a + d) % ps) * blk + ((b + e) % pt) * p + (c + f + a * e) % p
+            for d, e, f in product(range(ps), range(pt), range(p))
+        ]
+
     x, y, z = blk, p, 1
+    gen_rows = {x: row(1, 0, 0), y: row(0, 1, 0), z: row(0, 0, 1)}
+    g = FiniteGroup(cayley_rows(order, gen_rows), name=f"H({p},{s},{t})")
     assert g.element_orders[x] == ps and g.element_orders[y] == pt
     assert g.element_orders[z] == p and g.commutator(x, y) == z
     assert g.commutator(x, z) == 0 and g.commutator(y, z) == 0
@@ -222,14 +225,15 @@ def k_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     ps, pt = p**s, p**t
     m = p ** (s - 1) + 1
     m_pows = [pow(m, j, ps) for j in range(p)]
-    table = [[0] * order for _ in range(order)]
-    for i, j in product(range(ps), range(pt)):
-        row = table[i * pt + j]
+
+    def row(i: int, j: int) -> list[int]:
         mj = m_pows[j % p]
-        for k, l in product(range(ps), range(pt)):
-            row[k * pt + l] = ((i + k * mj) % ps) * pt + (j + l) % pt
-    g = FiniteGroup(table, name=f"K({p},{s},{t})")
+        return [
+            ((i + k * mj) % ps) * pt + (j + l) % pt for k, l in product(range(ps), range(pt))
+        ]
+
     x, y = pt, 1
+    g = FiniteGroup(cayley_rows(order, {x: row(1, 0), y: row(0, 1)}), name=f"K({p},{s},{t})")
     assert g.element_orders[x] == ps and g.element_orders[y] == pt
     assert g.mul(y, x) == g.mul(g.power(x, m), y)
     want = 0
@@ -260,14 +264,13 @@ def schmidt_gpqn(p: int, q: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
     )
     qn = q ** (n - 1)
     m_pows = [pow(m, j, p) for j in range(q)]
-    table = [[0] * order for _ in range(order)]
-    for i, j in product(range(p), range(qn)):
-        row = table[i * qn + j]
+
+    def row(i: int, j: int) -> list[int]:
         mj = m_pows[j % q]
-        for k, l in product(range(p), range(qn)):
-            row[k * qn + l] = ((i + k * mj) % p) * qn + (j + l) % qn
-    g = FiniteGroup(table, name=f"G({p},{q},{n})")
+        return [((i + k * mj) % p) * qn + (j + l) % qn for k, l in product(range(p), range(qn))]
+
     x, y = qn, 1
+    g = FiniteGroup(cayley_rows(order, {x: row(1, 0), y: row(0, 1)}), name=f"G({p},{q},{n})")
     assert g.element_orders[x] == p and g.element_orders[y] == qn
     assert g.conj(y, x) == g.power(x, m)
     assert multiplicative_order(m, p) == q
@@ -288,6 +291,36 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
     return num[:dd]
 
 
+def _companion_action(p: int, q: int, r: int) -> list[list[int]]:
+    """The action of C_q on C_p^r in `elementary_rtimes_cq`: element h acts as
+    the h-th power of the companion matrix of the first (by ascending
+    coefficient tuples, constant term first) monic degree-r divisor of
+    1 + x + ... + x^(q-1) over F_p, on the base-p digits of each element."""
+    phi = [1] * q  # 1 + x + ... + x^(q-1)
+    factor = None
+    for coeffs in product(range(p), repeat=r):
+        cand = list(coeffs) + [1]
+        if not any(_poly_rem(phi, cand, p)):
+            factor = cand
+            break
+    assert factor is not None
+    pr = p**r
+
+    def apply_matrix(v: int) -> int:
+        digits = [(v // p**k) % p for k in range(r)]
+        top = digits[r - 1]
+        new = [(-top * factor[0]) % p]
+        for k in range(1, r):
+            new.append((digits[k - 1] - top * factor[k]) % p)
+        return sum(c * p**k for k, c in enumerate(new))
+
+    step = [apply_matrix(v) for v in range(pr)]
+    action = [list(range(pr))]
+    for _ in range(1, q):
+        action.append([step[v] for v in action[-1]])
+    return action
+
+
 def elementary_rtimes_cq(p: int, q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """C_p^r x| C_q acting faithfully, r the multiplicative order of p mod q.
 
@@ -303,30 +336,9 @@ def elementary_rtimes_cq(p: int, q: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
         raise OrderCapExceeded(f"SD({p},{q}) has order {q} * {p}^r, above the cap {order_cap}")
     r = multiplicative_order(p, q)
     _check_cap(f"SD({p},{q})", order_cap, p, r, factor=q)
-    phi = [1] * q  # 1 + x + ... + x^(q-1)
-    factor = None
-    for coeffs in product(range(p), repeat=r):
-        cand = list(coeffs) + [1]
-        if not any(_poly_rem(phi, cand, p)):
-            factor = cand
-            break
-    assert factor is not None
-    ea = elementary_abelian(p, r, order_cap=order_cap)
-    pr = p**r
-
-    def apply_matrix(v: int) -> int:
-        digits = [(v // p**k) % p for k in range(r)]
-        top = digits[r - 1]
-        new = [(-top * factor[0]) % p]
-        for k in range(1, r):
-            new.append((digits[k - 1] - top * factor[k]) % p)
-        return sum(c * p**k for k, c in enumerate(new))
-
-    step = [apply_matrix(v) for v in range(pr)]
-    action = [list(range(pr))]
-    for _ in range(1, q):
-        action.append([step[v] for v in action[-1]])
+    action = _companion_action(p, q, r)
     assert all(action[j] != action[0] for j in range(1, q)), "action must be faithful"
+    ea = elementary_abelian(p, r, order_cap=order_cap)
     g = semidirect_product(ea, cyclic(q, order_cap=order_cap), action, order_cap=order_cap)
     g.name = f"SD({p},{q})"
     return g

@@ -4,15 +4,18 @@ Elements are the integers 0..order-1 and element 0 is always the identity.
 Construction validates the Latin-square and identity/inverse axioms with one
 set per row and per column: n entries are a permutation of the elements iff
 their set is the element set.  Only a failing row is scanned entry by entry,
-to name its first out-of-range entry.  The cubic associativity axiom is not
-checked: the family constructors and products build their tables from
-associative operations, and the test suite certifies each construction.
+to name its first bad entry.  The cubic associativity axiom is not checked:
+the family constructors and products compose their tables from the rows of
+a few generators (`cayley_rows`), which is only sound for a group, and the
+test suite certifies each construction against an entry-by-entry oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     InvalidParameter,
@@ -29,6 +32,7 @@ __all__ = [
     "FiniteGroup",
     "GroupFingerprint",
     "Subgroup",
+    "cayley_rows",
     "direct_product",
     "semidirect_product",
     "section_group",
@@ -70,14 +74,21 @@ class FiniteGroup:
                 raise InvalidParameter(f"row {i} has length {len(row)}, expected {n}")
             if set(row) != elements:
                 for j, v in enumerate(row):
-                    if not 0 <= v < n:
+                    try:
+                        inside = 0 <= v < n
+                    except TypeError:  # e.g. a string, which does not compare with ints
+                        raise InvalidParameter(
+                            f"entry table[{i}][{j}]={v!r} is not an integer"
+                        ) from None
+                    if not inside:
                         raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
                 raise InvalidParameter(f"row {i} is not a permutation of the elements")
             if type(sum(row)) is not int:  # a float or Fraction equal to an element
                 j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int))
                 raise InvalidParameter(f"entry table[{i}][{j}]={v!r} is not an integer")
             rows.append(row)
-        if any(set(col) != elements for col in zip(*rows)):
+        # every entry is now an int in range, so n distinct entries are all of them
+        if any(len(set(col)) != n for col in zip(*rows)):
             raise InvalidParameter("some column is not a permutation of the elements")
         if rows[0] != tuple(range(n)) or any(rows[i][0] != i for i in range(n)):
             raise InvalidParameter("element 0 must be a two-sided identity")
@@ -278,23 +289,64 @@ class Subgroup:
         return f"<subgroup of order {self.order} in {self.parent.name or 'G'}>"
 
 
+def cayley_rows(n: int, gen_rows) -> list[tuple[int, ...]]:
+    """Every row of the table of a group of order n from the rows of a few
+    generators: `gen_rows` maps each generator s to its row, s * y for y in
+    0..n-1.
+
+    The rows form the left-regular representation, so row(x * s) is row(x)
+    composed with row(s): entry y is row(x)[row(s)[y]], one `itemgetter`
+    call per row.  A breadth-first walk from the identity reaches every
+    element once.  Raises InvalidParameter when the generators reach fewer
+    than n elements.  Associativity is assumed, not checked: for a table
+    that is not a group's, the composed rows differ from its rows.
+    """
+    rows: list = [None] * n
+    rows[0] = tuple(range(n))
+    pickers = [(s, itemgetter(*row)) for s, row in gen_rows.items()]
+    reached = [0]
+    for x in reached:  # grows during iteration
+        rx = rows[x]
+        for s, pick in pickers:
+            y = rx[s]
+            if rows[y] is None:
+                rows[y] = pick(rx)
+                reached.append(y)
+    if len(reached) != n:
+        raise InvalidParameter(
+            f"generators {sorted(gen_rows)} reach {len(reached)} of {n} elements"
+        )
+    return rows
+
+
+def _product_rows(n_grp: FiniteGroup, h_grp: FiniteGroup, acts=None) -> list:
+    """The rows of N x| H, element n*|H|+h for the pair (n, h), composed by
+    `cayley_rows` from those of (s, 1) and (1, t) for s and t in the factors'
+    generating sets.  acts[t] is the permutation of N by which t acts; None
+    is the trivial action, a direct product."""
+    hn = h_grp.order
+    gen_rows = {}
+    for s in n_grp.generating_set:  # (s, 1)(n2, h2) = (s n2, h2)
+        gen_rows[s * hn] = tuple(
+            chain.from_iterable(range(k * hn, k * hn + hn) for k in n_grp.table[s])
+        )
+    for t in h_grp.generating_set:  # (1, t)(n2, h2) = (action[t](n2), t h2)
+        hrow = h_grp.table[t]
+        act = range(n_grp.order) if acts is None else acts[t]
+        gen_rows[t] = [k * hn + v for k in act for v in hrow]
+    return cayley_rows(n_grp.order * hn, gen_rows)
+
+
 def direct_product(
     g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
-    """Direct product; element a*|H|+b stands for the pair (a, b)."""
+    """Direct product; element a*|H|+b stands for the pair (a, b).  Its rows
+    are composed from those of the factors' generators (`_product_rows`)."""
     n = g.order * h.order
     if n > order_cap:
         raise OrderCapExceeded(f"product of order {n} exceeds the cap {order_cap}")
-    hn = h.order
-    gt, ht = g.table, h.table
-    table = []
-    for a in range(g.order):
-        ga = gt[a]
-        for b in range(hn):
-            hb = ht[b]
-            table.append([ga[c] * hn + hb[d] for c in range(g.order) for d in range(hn)])
     name = f"{g.name} x {h.name}" if g.name and h.name else ""
-    return FiniteGroup(table, name=name)
+    return FiniteGroup(_product_rows(g, h), name=name)
 
 
 def semidirect_product(
@@ -303,11 +355,13 @@ def semidirect_product(
     action,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
-    """Semidirect product N x| H.
+    """Semidirect product N x| H; element n*|H|+h stands for the pair (n, h).
 
     `action[h]` is the permutation of N's elements by which h acts; the pair
     (n1, h1)*(n2, h2) = (n1 * action[h1](n2), h1*h2).  Every action[h] must be
-    an automorphism of N and h -> action[h] must be a homomorphism.
+    an automorphism of N and h -> action[h] must be a homomorphism; both are
+    checked a whole row at a time.  The rows are then composed from those of
+    the factors' generators (`_product_rows`).
     """
     order = n_grp.order * h_grp.order
     if order > order_cap:
@@ -316,41 +370,24 @@ def semidirect_product(
         raise NotAnAction("need one permutation of N per element of H")
     acts = [tuple(a) for a in action]
     nn = n_grp.order
+    elements = set(range(nn))
+    nt, ht = n_grp.table, h_grp.table
     for h, perm in enumerate(acts):
-        if sorted(perm) != list(range(nn)):
+        if len(perm) != nn or set(perm) != elements or type(sum(perm)) is not int:
             raise NotAnAutomorphism(f"action of element {h} is not a bijection on N")
-        nt = n_grp.table
-        for n1 in range(nn):
-            row = nt[n1]
-            pn1 = perm[n1]
-            for n2 in range(nn):
-                if perm[row[n2]] != nt[pn1][perm[n2]]:
-                    raise NotAnAutomorphism(
-                        f"action of element {h} breaks multiplication in N"
-                    )
-    ht = h_grp.table
-    for h1 in range(h_grp.order):
-        for h2 in range(h_grp.order):
-            composed = acts[ht[h1][h2]]
-            a1, a2 = acts[h1], acts[h2]
-            if any(composed[x] != a1[a2[x]] for x in range(nn)):
+        image = perm.__getitem__
+        for n1, row in enumerate(nt):  # perm(n1 n2) == perm(n1) perm(n2)
+            if list(map(image, row)) != list(map(nt[perm[n1]].__getitem__, perm)):
+                raise NotAnAutomorphism(
+                    f"action of element {h} breaks multiplication in N"
+                )
+    for h1, a1 in enumerate(acts):
+        hrow = ht[h1]
+        for h2, a2 in enumerate(acts):  # action[h1 h2] == action[h1] o action[h2]
+            if acts[hrow[h2]] != tuple(map(a1.__getitem__, a2)):
                 raise NotAnAction("action map is not a homomorphism into Aut(N)")
-    hn = h_grp.order
-    nt = n_grp.table
-    table = []
-    for n1 in range(nn):
-        for h1 in range(hn):
-            act = acts[h1]
-            hrow = ht[h1]
-            row = [0] * order
-            base = nt[n1]
-            for n2 in range(nn):
-                tn = base[act[n2]] * hn
-                for h2 in range(hn):
-                    row[n2 * hn + h2] = tn + hrow[h2]
-            table.append(row)
     name = f"{n_grp.name} x| {h_grp.name}" if n_grp.name and h_grp.name else ""
-    return FiniteGroup(table, name=name)
+    return FiniteGroup(_product_rows(n_grp, h_grp, acts), name=name)
 
 
 def _as_mask(g: FiniteGroup, sub) -> int:

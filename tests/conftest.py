@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 import pytest
 
 from dedekind.errors import InvalidParameter, OrderCapExceeded
 from dedekind.families import (
+    _companion_action,
     cyclic,
     dihedral,
     elementary_abelian,
@@ -18,6 +21,7 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
+from dedekind.numbertheory import multiplicative_order
 from dedekind.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -27,6 +31,7 @@ from dedekind.groups import (
     section_group,
 )
 from dedekind.invariants import d_prime, sections, sylow_subgroups
+from dedekind.specs import parse_spec
 from dedekind.lattice import (
     SubgroupLattice,
     brute_force_subgroup_masks,
@@ -149,6 +154,140 @@ def assert_valid_group(g: FiniteGroup) -> None:
         for j in range(1, k):
             assert g.power(a, j) != 0
     assert g.exponent % max(g.element_orders) == 0
+
+
+# Entry-by-entry table builders: each fills every one of the n^2 entries from
+# the family's encoding, with no generator rows and no validation, as the
+# constructors did before they composed rows.  `entrywise_table` is the
+# oracle the composed tables must equal.
+
+
+def entrywise_cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def entrywise_elementary_abelian(p, r):
+    digits = list(product(range(p), repeat=r))
+    # product() varies the last position fastest; flip so digit 0 is fastest
+    index = {d: sum(c * p**k for k, c in enumerate(d)) for d in digits}
+    table = [[0] * p**r for _ in digits]
+    for d1 in digits:
+        for d2 in digits:
+            table[index[d1]][index[d2]] = index[tuple((a + b) % p for a, b in zip(d1, d2))]
+    return table
+
+
+def _entrywise_dihedral_like(two_n, quarter):
+    n = two_n // 2
+    table = [[0] * two_n for _ in range(two_n)]
+    for i, j in product(range(n), range(2)):
+        for k, l in product(range(n), range(2)):
+            rot = (i + (k if j == 0 else -k) + (quarter if j and l else 0)) % n
+            table[i * 2 + j][k * 2 + l] = rot * 2 + (j ^ l)
+    return table
+
+
+def entrywise_dihedral(two_n):
+    return _entrywise_dihedral_like(two_n, 0)
+
+
+def entrywise_quaternion(m):
+    return _entrywise_dihedral_like(m, m // 4)
+
+
+def _entrywise_metacyclic(a_order, b_order, m, m_period):
+    """x of order a_order, y of order b_order, y x y^-1 = x^m, m^m_period = 1."""
+    m_pows = [pow(m, j, a_order) for j in range(m_period)]
+    table = [[0] * (a_order * b_order) for _ in range(a_order * b_order)]
+    for i, j in product(range(a_order), range(b_order)):
+        row = table[i * b_order + j]
+        mj = m_pows[j % m_period]
+        for k, l in product(range(a_order), range(b_order)):
+            row[k * b_order + l] = ((i + k * mj) % a_order) * b_order + (j + l) % b_order
+    return table
+
+
+def entrywise_modular(p, n):
+    return _entrywise_metacyclic(p ** (n - 1), p, p ** (n - 2) + 1, p)
+
+
+def entrywise_k_pst(p, s, t):
+    return _entrywise_metacyclic(p**s, p**t, p ** (s - 1) + 1, p)
+
+
+def entrywise_schmidt(p, q, n):
+    m = next(m for m in range(2, p) if multiplicative_order(m, p) == q)
+    return _entrywise_metacyclic(p, q ** (n - 1), m, q)
+
+
+def entrywise_h_pst(p, s, t):
+    ps, pt = p**s, p**t
+    blk = pt * p
+    table = [[0] * (ps * blk) for _ in range(ps * blk)]
+    for a, b, c in product(range(ps), range(pt), range(p)):
+        row = table[a * blk + b * p + c]
+        for d, e, f in product(range(ps), range(pt), range(p)):
+            row[d * blk + e * p + f] = (
+                ((a + d) % ps) * blk + ((b + e) % pt) * p + (c + f + a * e) % p
+            )
+    return table
+
+
+def entrywise_direct_product(gt, ht):
+    gn, hn = len(gt), len(ht)
+    return [
+        [gt[a][c] * hn + ht[b][d] for c in range(gn) for d in range(hn)]
+        for a in range(gn)
+        for b in range(hn)
+    ]
+
+
+def entrywise_semidirect_product(nt, ht, action):
+    nn, hn = len(nt), len(ht)
+    table = []
+    for n1 in range(nn):
+        for h1 in range(hn):
+            row = [0] * (nn * hn)
+            for n2 in range(nn):
+                tn = nt[n1][action[h1][n2]] * hn
+                for h2 in range(hn):
+                    row[n2 * hn + h2] = tn + ht[h1][h2]
+            table.append(row)
+    return table
+
+
+def entrywise_sd(p, q):
+    r = multiplicative_order(p, q)
+    return entrywise_semidirect_product(
+        entrywise_elementary_abelian(p, r), entrywise_cyclic(q), _companion_action(p, q, r)
+    )
+
+
+def entrywise_c27q8():
+    invert = [(-v) % 27 for v in range(27)]
+    action = [list(range(27)) if h % 2 == 0 else invert for h in range(8)]
+    return entrywise_semidirect_product(entrywise_cyclic(27), entrywise_quaternion(8), action)
+
+
+ENTRYWISE_BUILDERS = {
+    "C": entrywise_cyclic,
+    "EA": entrywise_elementary_abelian,
+    "D": entrywise_dihedral,
+    "Q": entrywise_quaternion,
+    "M": entrywise_modular,
+    "He": lambda p: entrywise_h_pst(p, 1, 1),
+    "G": entrywise_schmidt,
+    "H": entrywise_h_pst,
+    "K": entrywise_k_pst,
+    "SD": entrywise_sd,
+    "C27Q8": entrywise_c27q8,
+}
+
+
+def entrywise_table(spec: str) -> tuple[tuple[int, ...], ...]:
+    """The table of the spec's group, every entry computed on its own."""
+    atoms = [ENTRYWISE_BUILDERS[tag](*params) for tag, params in parse_spec(spec).atoms]
+    return tuple(map(tuple, reduce(entrywise_direct_product, atoms)))
 
 
 def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import assert_valid_group, center, derived_subgroup
+from conftest import assert_valid_group, center, derived_subgroup, entrywise_table
 from dedekind.errors import InvalidParameter, OrderCapExceeded
 from dedekind.families import (
+    FAMILY_BUILDERS,
     c27_rtimes_q8,
     cyclic,
     dihedral,
@@ -17,7 +18,23 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import is_isomorphic
+from dedekind.groups import cayley_rows, is_isomorphic
+from dedekind.specs import build_group
+
+# The nine big-specs groups of the benchmark, then larger products.
+LARGE_SPECS = [
+    "D(256)",
+    "SD(3,13)",
+    "M(2,9)",
+    "D(8) x EA(2,3)",
+    "H(2,3,3) x C(3)",
+    "K(2,3,2) x C(2) x C(3)",
+    "H(3,2,2)",
+    "C27Q8",
+    "He(5) x C(3)",
+    "EA(2,7) x C(3)",
+    "Q(8) x EA(2,5)",
+]
 
 
 def test_cyclic():
@@ -157,3 +174,32 @@ def test_c27_rtimes_q8():
     assert g.order == 216
     assert not g.is_abelian
     assert center(g).order == 2
+
+
+def test_corpus_tables_match_the_entrywise_oracle(corpus):
+    for e in corpus.entries:
+        want = entrywise_table(e.spec)
+        assert build_group(e.spec).table == want, e.spec
+        assert e.group.table == want, e.spec
+
+
+@pytest.mark.parametrize("spec", LARGE_SPECS)
+def test_large_tables_match_the_entrywise_oracle(spec):
+    assert build_group(spec).table == entrywise_table(spec)
+
+
+def test_every_family_at_small_orders_is_a_group(corpus):
+    small = [e for e in corpus.entries if e.group.order <= 32]
+    # C27Q8 has the single order 216
+    assert {e.tag for e in small} == set(FAMILY_BUILDERS) - {"C27Q8"} | {"product"}
+    for e in small:
+        g = build_group(e.spec)
+        assert_valid_group(g)
+        assert g.table == entrywise_table(e.spec), e.spec
+
+
+def test_cayley_rows_needs_generators_of_the_whole_group():
+    d8 = dihedral(8)
+    assert cayley_rows(8, {2: d8.table[2], 1: d8.table[1]}) == list(d8.table)
+    with pytest.raises(InvalidParameter, match=r"^generators \[2\] reach 4 of 8 elements$"):
+        cayley_rows(8, {2: d8.table[2]})  # the rotation alone

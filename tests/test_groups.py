@@ -62,6 +62,8 @@ BAD_TABLES = [
     ([[0, 1.0], [1.0, 0]], "entry table[0][1]=1.0 is not an integer"),
     ([[0, 1], [1, Fraction(0)]], "entry table[1][1]=Fraction(0, 1) is not an integer"),
     ([[0, 1], [Decimal(1), 0]], "entry table[1][0]=Decimal('1') is not an integer"),
+    # an entry no int compares with is worded the same
+    ([[0, "a"], ["a", 0]], "entry table[0][1]='a' is not an integer"),
 ]
 
 
@@ -255,14 +257,19 @@ def test_semidirect_product_dihedral():
 
 
 def test_semidirect_product_rejects_bad_actions():
-    c4, c2 = cyclic(4), cyclic(2)
-    with pytest.raises(NotAnAutomorphism):
+    c4, c2, c3 = cyclic(4), cyclic(2), cyclic(3)
+    with pytest.raises(NotAnAutomorphism, match="^action of element 1 breaks multiplication in N$"):
         # swaps the identity away from 0
         semidirect_product(c4, c2, [(0, 1, 2, 3), (1, 0, 3, 2)])
-    with pytest.raises(NotAnAction):
+    with pytest.raises(NotAnAction, match="^action map is not a homomorphism into Aut"):
         # invert has order 2 but is assigned to a generator acting like order 1
-        c3 = cyclic(3)
         semidirect_product(c4, c3, [(0, 1, 2, 3), (0, 3, 2, 1), (0, 1, 2, 3)])
+    # a non-numeric, repeated, missing or non-integer image
+    for bad in ([0, 2, "x"], [0, 2, 2], [0, 2], [0, 2.0, 1]):
+        with pytest.raises(NotAnAutomorphism, match="^action of element 1 is not a bijection"):
+            semidirect_product(c3, c2, [[0, 1, 2], bad])
+    with pytest.raises(NotAnAction, match="^need one permutation of N per element of H$"):
+        semidirect_product(c3, c2, [[0, 1, 2]])
 
 
 def test_quotient_of_quaternion_is_klein(zoo):
