@@ -25,6 +25,7 @@ import os
 import sys
 import threading
 import time
+from contextlib import suppress
 from fractions import Fraction
 
 from . import __version__
@@ -56,8 +57,9 @@ from .invariants import (
     sections,
 )
 from .lattice import hasse_edges, subgroup_lattice
+from .numbertheory import is_prime, multiplicative_order
 from .specs import build_group, parse_spec
-from .verify import CorpusConfig, list_corpus, run_suites, SUITES
+from .verify import list_corpus, run_suites, SUITES
 
 DEFAULT_CACHE_PATH = ".dedekind_cache"
 _CACHE_PATH_HELP = f"cache directory, one file per report (default {DEFAULT_CACHE_PATH})"
@@ -304,7 +306,7 @@ def cmd_sections(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suites if args.suites else ["all"]
-    results = run_suites(names, config=CorpusConfig())
+    results = run_suites(names)
     if args.json:
         _emit_json(
             {
@@ -379,6 +381,47 @@ _FORMULA_DISPATCH = {
 }
 
 
+def _formula_bits(family: str, params: list[int]) -> int:
+    """A lower bound on the bit length of the larger term of the family's value in lowest terms.
+
+    Only the dihedral, gaussian and schmidt-section values grow exponentially
+    with a parameter.  The bound is 0 for the other families and for
+    parameters the formula rejects, so the formula reports those itself.
+    """
+    if family == "dihedral":
+        (n,) = params
+        # (3n - 1) / (2^n + n - 1): reduction divides the denominator by at most 3n - 1
+        return n - (3 * n).bit_length()
+    if family == "gaussian":
+        r, i, p = params
+        # at least p^(i(r-i)), its term for the full i x (r-i) box of partitions
+        return i * (r - i) * (p.bit_length() - 1) if 0 <= i <= r and p >= 2 else 0
+    if family == "schmidt-section":
+        p, q, r = params
+        if is_prime(p) and is_prime(q) and p != q and r == multiplicative_order(p, q):
+            # |L| = a + p^r + 1 with a >= [r, r//2]_p >= p^(r//2 (r - r//2)); reducing
+            # k'/|L| divides |L| by a divisor of p^r + 3 - 4q, and q < p^r, so by < 4p^r
+            return (r // 2) * (r - r // 2) * (p.bit_length() - 1) - r * p.bit_length() - 2
+    return 0
+
+
+def _formula_text(family: str, params: list[int], fn) -> str:
+    """The family's value as text, or BudgetExhausted if it passes Python's int-to-str limit.
+
+    A value that `_formula_bits` shows to be too long is refused before it is
+    computed, so a huge parameter cannot hang the command.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # 2^bits > 10^limit once bits * 1000 > limit * 3322, as log2(10) < 3.322
+    if not limit or _formula_bits(family, params) * 1000 <= limit * 3322:
+        value = fn(*params)
+        with suppress(ValueError):  # a term longer than the digit limit
+            return str(value)
+    raise BudgetExhausted(
+        f"the {family} value has a term past Python's int-to-str limit of {limit} digits"
+    )
+
+
 def cmd_formula(args) -> int:
     if args.family not in _FORMULA_DISPATCH:
         raise InvalidParameter(
@@ -390,29 +433,22 @@ def cmd_formula(args) -> int:
             f"family {args.family!r} takes {arity} parameters ({names}), "
             f"got {len(args.params)}"
         )
-    value = fn(*args.params)
+    text = _formula_text(args.family, args.params, fn)
     if args.json:
-        _emit_json(
-            {
-                "family": args.family,
-                "params": list(args.params),
-                "value": str(value),
-            }
-        )
+        _emit_json({"family": args.family, "params": list(args.params), "value": text})
     else:
-        _emit(str(value))
+        _emit(text)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = CorpusConfig()
     reports = []
-    for spec, tag, _, order, _ in list_corpus(cfg)[0]:
+    for spec, tag, _, order, _ in list_corpus():
         if order > args.max_order or (args.family is not None and tag != args.family):
             continue
         report = None if args.no_cache else _cache_get(args.cache_path, spec)
         if report is None or _lacks_d_star(report):
-            report = compute_report(build_group(spec, order_cap=cfg.order_cap), spec=spec)
+            report = compute_report(build_group(spec), spec=spec)
             if not args.no_cache:
                 _cache_put(args.cache_path, report)
         reports.append(report)

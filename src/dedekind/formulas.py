@@ -122,7 +122,9 @@ def gaussian_binomial(r: int, i: int, p: int) -> int:
     if p < 2:
         raise InvalidParameter(f"need p >= 2, got {p}")
     result = 1
-    for k in range(i):
+    # [r, i] = [r, r - i]; the partial products [r, k] grow up to k = r/2, so
+    # taking the smaller side keeps every one of them below the result
+    for k in range(min(i, r - i)):
         result, rem = divmod(result * (p ** (r - k) - 1), p ** (k + 1) - 1)
         assert rem == 0
     return result

@@ -32,8 +32,9 @@ in the AND of the holders of those r elements.
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
 covers are walked lazily and the test stops at its first witness.  The
-brute-force enumeration, the pairwise cover scan and the triple-by-triple
-modular-law scan stay as independent oracles for the tests.
+brute-force enumeration stays here as the `consistency` suite's independent
+oracle.  The pairwise cover scan and the triple-by-triple modular-law scan,
+oracles for `hasse_edges` and `is_lattice_modular`, live with the tests.
 """
 
 from __future__ import annotations
@@ -533,28 +534,6 @@ def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> Subgroup:
     return lat.subgroups[lat.index_of(acc)]
 
 
-def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
-    """Covering pairs by a quadratic pairwise scan; the oracle for `hasse_edges`."""
-    edges: list[tuple[int, int]] = []
-    masks = lat._masks
-    orders = [s.order for s in lat.subgroups]
-    for j in range(len(masks)):
-        mj, oj = masks[j], orders[j]
-        below = [
-            i
-            for i in range(j)
-            if oj % orders[i] == 0 and orders[i] < oj and masks[i] & ~mj == 0
-        ]
-        below.sort(key=lambda i: -orders[i])
-        accepted: list[int] = []
-        for i in below:
-            mi = masks[i]
-            if not any(mi & ~masks[k] == 0 for k in accepted):
-                edges.append((i, j))
-            accepted.append(i)
-    return edges
-
-
 def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:
     """Every subgroup mask, found the slow and obvious way.
 
@@ -590,36 +569,6 @@ def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:
                 found.add(new)
                 frontier.append(new)
     return found
-
-
-def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
-    """The modular law checked triple by triple; the oracle for `is_lattice_modular`.
-
-    Checks join(x, meet(y, z)) == meet(join(x, y), z) for every pair x <= z
-    and every y; the first violation in scan order is returned.  Triples where
-    both sides agree for order reasons (x = z, y comparable with z, x <= y)
-    are skipped, so only genuinely at-risk triples cost a join.  Cubic in
-    |L|, so intended for lattices of a few hundred members.
-    """
-    n = len(lat.subgroups)
-    masks = lat._masks
-    for x in range(n):
-        mx = masks[x]
-        if mx == masks[0]:
-            continue
-        for z in range(n):
-            mz = masks[z]
-            if x == z or mx & ~mz:
-                continue
-            for y in range(n):
-                my = masks[y]
-                if my & ~mz == 0 or mz & ~my == 0 or mx & ~my == 0:
-                    continue
-                left = lat.join(x, lat.meet(y, z))
-                right = lat.meet(lat.join(x, y), z)
-                if left != right:
-                    return ModularityWitness(x, y, z)
-    return None
 
 
 def is_lattice_modular(lat: SubgroupLattice, top: int | None = None) -> ModularityWitness | None:

@@ -1,12 +1,15 @@
-"""Deterministic group corpus and theorem-level verification suites.
+"""The standard group corpus and theorem-level verification suites.
 
-Each suite re-checks one of the engine's headline mathematical claims
-(closed-form counts, threshold implications, structure classifications,
-section existence) against exhaustive enumeration over a corpus of
-constructible groups.  Suites aggregate failures instead of aborting,
-and every implication reports how many corpus entries actually exercised
-its antecedent so that a pass cannot be vacuous.  Checks whose scope the
-corpus cannot exhaust are worded as evidence, not proof.
+The corpus is one fixed listing (`list_corpus`) of 433 groups: small
+members of every constructible family, then coprime direct products of
+them.  Each suite re-checks one of the engine's headline mathematical
+claims (closed-form counts, threshold implications, structure
+classifications, section existence) against exhaustive enumeration over
+that corpus, or over any smaller `Corpus` a test carves from it.  Suites
+aggregate failures instead of aborting, and every implication reports how
+many corpus entries actually exercised its antecedent so that a pass
+cannot be vacuous.  Checks whose scope the corpus cannot exhaust are
+worded as evidence, not proof.
 """
 
 from __future__ import annotations
@@ -75,53 +78,9 @@ from .specs import build_group
 # corpus
 
 DENSITY_PRIME_BUDGET = 500  # odd primes a density sequence may use
-
-
-@dataclass(frozen=True)
-class CorpusConfig:
-    """Parameter ranges for the verification corpus.
-
-    The defaults keep every entry at or under order 512 and every d*
-    computation at or under order 128; shrinking the ranges gives a faster
-    corpus for smoke tests, at the price of weaker antecedent counts.
-    """
-
-    order_cap: int = 512
-    dstar_order_limit: int = 128
-    cyclic_orders: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16, 25, 27)
-    elementary_abelian_params: tuple[tuple[int, int], ...] = (
-        (2, 2),
-        (2, 3),
-        (2, 4),
-        (3, 2),
-        (5, 2),
-    )
-    dihedral_orders: tuple[int, ...] = (6, 8, 10, 12, 16, 32, 64, 128)
-    quaternion_orders: tuple[int, ...] = (8, 16, 32)
-    modular_params: tuple[tuple[int, int], ...] = (
-        (2, 4),
-        (2, 5),
-        (2, 6),
-        (3, 3),
-        (3, 4),
-        (5, 3),
-    )
-    heisenberg_primes: tuple[int, ...] = (3, 5)
-    schmidt_max_order: int = 200
-    hk_max_order: int = 128
-    sd_params: tuple[tuple[int, int], ...] = (
-        (2, 3),
-        (3, 2),
-        (2, 7),
-        (5, 2),
-        (7, 2),
-        (3, 13),
-    )
-    include_c27q8: bool = True
-    product_factor_cap: int = 64
-    product_order_cap: int = 216
-    density_targets: tuple[tuple[int, int], ...] = ((1, 2), (2, 3), (2, 5), (3, 7))
-    density_epsilon: Fraction = Fraction(1, 100)
+DENSITY_TARGETS = ((1, 2), (2, 3), (2, 5), (3, 7))  # the ratios a/b the density suite approaches
+DENSITY_EPSILON = Fraction(1, 100)  # the gap each density sequence must drop below
+CORPUS_DSTAR_ORDER_LIMIT = 128  # d* is computed for corpus entries up to this order
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +94,13 @@ class CorpusEntry:
 
 @dataclass(eq=False)
 class Corpus:
-    config: CorpusConfig
+    """Built corpus entries, with lookup by spec and by family tag.
+
+    `build_corpus()` gives the standard corpus; a test may wrap any list of
+    its entries, e.g. the small ones, to run the suites on a smaller corpus.
+    """
+
     entries: list[CorpusEntry]
-    skipped: list[str] = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.entries)
@@ -163,124 +126,98 @@ def _primes_upto(n: int) -> list[int]:
 CorpusRow = tuple[str, str, tuple[int, ...], int, tuple[str, ...]]
 
 
-def list_corpus(config: CorpusConfig | None = None) -> tuple[list[CorpusRow], list[str]]:
-    """The corpus as rows (spec, tag, params, order, factors), without building a group.
+def list_corpus() -> list[CorpusRow]:
+    """The standard corpus as rows (spec, tag, params, order, factors), without building a group.
 
-    The ordering is fixed by the sweep below, so corpus indices, suite
-    output, and witnesses are stable across runs.  Instances whose order
-    would exceed the cap are skipped and noted in the second list.
+    Family instances come first, family by family: the Schmidt groups
+    G(p,q,n) up to order 200, the H and K families up to order 128.  Then
+    come the direct products of two of them with coprime orders, each factor
+    of order 2 to 64 and the product of order at most 216.  The largest entry
+    is SD(3,13) at order 351.  The ordering is fixed, so corpus indices,
+    suite output and witnesses are stable across runs.
     """
-    cfg = config if config is not None else CorpusConfig()
     rows: list[CorpusRow] = []
-    skipped: list[str] = []
-    seen: set[str] = set()
 
     def add(spec: str, tag: str, params: tuple[int, ...], order: int) -> None:
-        if spec in seen:
-            return
-        if order > cfg.order_cap:
-            skipped.append(f"{spec} (order {order} over cap {cfg.order_cap})")
-            return
-        seen.add(spec)
         rows.append((spec, tag, params, order, ()))
 
-    for n in cfg.cyclic_orders:
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16, 25, 27):
         add(f"C({n})", "C", (n,), n)
-    for p, r in cfg.elementary_abelian_params:
+    for p, r in ((2, 2), (2, 3), (2, 4), (3, 2), (5, 2)):
         add(f"EA({p},{r})", "EA", (p, r), p**r)
-    for m in cfg.dihedral_orders:
+    for m in (6, 8, 10, 12, 16, 32, 64, 128):
         add(f"D({m})", "D", (m,), m)
-    for m in cfg.quaternion_orders:
+    for m in (8, 16, 32):
         add(f"Q({m})", "Q", (m,), m)
-    for p, n in cfg.modular_params:
+    for p, n in ((2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)):
         add(f"M({p},{n})", "M", (p, n), p**n)
-    for p in cfg.heisenberg_primes:
+    for p in (3, 5):
         add(f"He({p})", "He", (p,), p**3)
-    for p in _primes_upto(cfg.schmidt_max_order // 2):
+    for p in _primes_upto(100):
         for q in _primes_upto(p - 1):
             if (p - 1) % q:
                 continue
             n = 2
-            while p * q ** (n - 1) <= cfg.schmidt_max_order:
+            while p * q ** (n - 1) <= 200:
                 add(f"G({p},{q},{n})", "G", (p, q, n), p * q ** (n - 1))
                 n += 1
-    for p in _primes_upto(cfg.hk_max_order):
-        if p**3 > cfg.hk_max_order:
-            break
+    for p in (2, 3, 5):  # the primes with p^3 <= 128
         total = 3 if p == 2 else 2
-        while p ** (total + 1) <= cfg.hk_max_order:
+        while p ** (total + 1) <= 128:
             for s in range((total + 1) // 2, total):
                 t = total - s
                 if s >= t >= 1:
                     add(f"H({p},{s},{t})", "H", (p, s, t), p ** (total + 1))
             total += 1
-    for p in _primes_upto(cfg.hk_max_order):
-        if p**3 > cfg.hk_max_order:
-            break
+    for p in (2, 3, 5):
         total = 4 if p == 2 else 3
-        while p**total <= cfg.hk_max_order:
+        while p**total <= 128:
             for s in range(2, total):
                 t = total - s
                 if t >= 1:
                     add(f"K({p},{s},{t})", "K", (p, s, t), p**total)
             total += 1
-    for p, q in cfg.sd_params:
+    for p, q in ((2, 3), (3, 2), (2, 7), (5, 2), (7, 2), (3, 13)):
         r = multiplicative_order(p, q)
         add(f"SD({p},{q})", "SD", (p, q), p**r * q)
-    if cfg.include_c27q8:
-        add("C27Q8", "C27Q8", (), 216)
+    add("C27Q8", "C27Q8", (), 216)
 
     atoms = list(rows)
     for i, (a, _, _, na, _) in enumerate(atoms):
         for b, _, _, nb, _ in atoms[i + 1 :]:
-            if na == 1 or nb == 1:
-                continue
-            if na > cfg.product_factor_cap or nb > cfg.product_factor_cap:
-                continue
-            if math.gcd(na, nb) != 1:
-                continue
-            if na * nb > min(cfg.product_order_cap, cfg.order_cap):
-                continue
-            spec = f"{a} x {b}"
-            if spec in seen:
-                continue
-            seen.add(spec)
-            rows.append((spec, "product", (), na * nb, (a, b)))
-    return rows, skipped
+            if 1 < na <= 64 and 1 < nb <= 64 and na * nb <= 216 and math.gcd(na, nb) == 1:
+                rows.append((f"{a} x {b}", "product", (), na * nb, (a, b)))
+    return rows
 
 
-def build_corpus(config: CorpusConfig | None = None) -> Corpus:
-    """All family instances in range plus coprime-order direct products.
+def build_corpus() -> Corpus:
+    """The standard corpus: every `list_corpus` row built into a group, in order.
 
-    Every group is built here; a product is built from its two factors'
-    groups, in `list_corpus` order.
+    A product is built from its two factors' groups.
     """
-    cfg = config if config is not None else CorpusConfig()
-    rows, skipped = list_corpus(cfg)
     groups: dict[str, FiniteGroup] = {}
     entries: list[CorpusEntry] = []
-    for spec, tag, params, _, factors in rows:
+    for spec, tag, params, _, factors in list_corpus():
         if factors:
             a, b = factors
-            group = direct_product(groups[a], groups[b], order_cap=cfg.order_cap)
+            group = direct_product(groups[a], groups[b])
         else:
-            group = build_group(spec, order_cap=cfg.order_cap)
+            group = build_group(spec)
         groups[spec] = group
         entries.append(CorpusEntry(spec, group, tag, params, factors))
-    return Corpus(cfg, entries, skipped)
+    return Corpus(entries)
 
 
 def compute_corpus_stats(corpus: Corpus) -> dict[str, InvariantReport]:
     """One InvariantReport per entry, keyed by spec, in corpus order.
 
-    d* is computed only for entries at or under the configured order limit.
+    d* is computed only for entries up to `CORPUS_DSTAR_ORDER_LIMIT`.
     """
-    cfg = corpus.config
     return {
         e.spec: compute_report(
             e.group,
             spec=e.spec,
-            want_d_star=e.group.order <= cfg.dstar_order_limit,
+            want_d_star=e.group.order <= CORPUS_DSTAR_ORDER_LIMIT,
         )
         for e in corpus.entries
     }
@@ -522,7 +459,6 @@ def suite_one_class(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
     and every corpus group with nu = 1 is isomorphic to an instance (converse,
     tested up to the isomorphism-search order cap)."""
     s = SuiteResult("one-class")
-    cfg = corpus.config
     for e in corpus.family("M") + corpus.family("G"):
         r = stats[e.spec]
         s.count("forward_instances")
@@ -542,11 +478,7 @@ def suite_one_class(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
         s.count("converse_tested")
         matched = ""
         for tag, params in _one_class_candidates(e.group.order):
-            cand = (
-                modular_group(*params)
-                if tag == "M"
-                else schmidt_gpqn(*params, order_cap=cfg.order_cap)
-            )
+            cand = modular_group(*params) if tag == "M" else schmidt_gpqn(*params)
             try:
                 if is_isomorphic(e.group, cand):
                     matched = cand.name
@@ -925,7 +857,6 @@ def suite_extremal_values(
     2-power dihedral groups satisfy d' = d*, and no corpus 2-group of matching
     order dips below the dihedral value (evidence for minimality, not proof)."""
     s = SuiteResult("extremal-values")
-    cfg = corpus.config
     ea = elementary_abelian(2, 2)
     swap = (0, 2, 1, 3)  # exchange the two basis coordinates
     ident = (0, 1, 2, 3)
@@ -950,7 +881,7 @@ def suite_extremal_values(
             h221.d_star == Fraction(17, 23),
             f"d* = {_fraction(h221.d_star)}",
         )
-    c2d8 = direct_product(cyclic(2), dihedral(8), order_cap=cfg.order_cap)
+    c2d8 = direct_product(cyclic(2), dihedral(8))
     ds2 = d_star(c2d8)
     s.count("order16_candidates")
     s.check(
@@ -1003,16 +934,15 @@ def suite_density(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
     strictly increasing prime subsequences, and values rebuilt from the closed
     form; small targets are also realized exactly by one-class groups."""
     s = SuiteResult("density")
-    cfg = corpus.config
-    for a, b in cfg.density_targets:
+    for a, b in DENSITY_TARGETS:
         target = Fraction(a, b)
-        steps = density_sequence(a, b, cfg.density_epsilon, DENSITY_PRIME_BUDGET)
+        steps = density_sequence(a, b, DENSITY_EPSILON, DENSITY_PRIME_BUDGET)
         s.count("targets")
         s.count(f"steps_to_{a}_{b}", len(steps))
         s.check(
-            f"target {a}/{b}: gap drops below {cfg.density_epsilon} within "
+            f"target {a}/{b}: gap drops below {DENSITY_EPSILON} within "
             f"{DENSITY_PRIME_BUDGET} odd primes",
-            bool(steps) and steps[-1].gap < cfg.density_epsilon,
+            bool(steps) and steps[-1].gap < DENSITY_EPSILON,
             f"{len(steps)} steps, final gap {steps[-1].gap if steps else '-'}",
         )
         gaps = [st.gap for st in steps]
@@ -1052,7 +982,7 @@ def suite_density(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
         ok = value == Fraction(a, a + 1)
         wit = f"{spec} promises {value}"
         if a <= 4:
-            grp = build_group(spec, order_cap=cfg.order_cap)
+            grp = build_group(spec)
             got = d_prime(grp)
             ok = ok and got == value
             wit += f", enumeration gives {got}"
@@ -1213,12 +1143,14 @@ SUITES: dict[str, object] = {
 
 def run_suites(
     names=None,
-    config: CorpusConfig | None = None,
     corpus: Corpus | None = None,
     stats: dict[str, InvariantReport] | None = None,
 ) -> list[SuiteResult]:
-    """Run the named suites (all of them by default) over one shared corpus."""
-    if names is None or names == ["all"] or names == "all":
+    """Run the named suites (all of them for None or ["all"]) over one shared corpus.
+
+    The corpus defaults to the standard one and the stats to its reports.
+    """
+    if names is None or names == ["all"]:
         names = list(SUITES)
     for name in names:
         if name not in SUITES:
@@ -1226,7 +1158,7 @@ def run_suites(
                 f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
             )
     if corpus is None:
-        corpus = build_corpus(config)
+        corpus = build_corpus()
     if stats is None:
         stats = compute_corpus_stats(corpus)
     return [SUITES[name](corpus, stats) for name in names]

@@ -33,12 +33,13 @@ from dedekind.groups import (
 from dedekind.invariants import d_prime, sections, sylow_subgroups
 from dedekind.specs import parse_spec
 from dedekind.lattice import (
+    ModularityWitness,
     SubgroupLattice,
     brute_force_subgroup_masks,
     maximal_subgroup_indices,
     subgroup_lattice,
 )
-from dedekind.verify import Corpus, CorpusConfig, build_corpus
+from dedekind.verify import Corpus, build_corpus
 
 
 @dataclass(frozen=True)
@@ -300,6 +301,58 @@ def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:
     return out
 
 
+def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
+    """Covering pairs by a quadratic pairwise scan; the oracle for `hasse_edges`."""
+    edges: list[tuple[int, int]] = []
+    masks = lat._masks
+    orders = [s.order for s in lat.subgroups]
+    for j in range(len(masks)):
+        mj, oj = masks[j], orders[j]
+        below = [
+            i
+            for i in range(j)
+            if oj % orders[i] == 0 and orders[i] < oj and masks[i] & ~mj == 0
+        ]
+        below.sort(key=lambda i: -orders[i])
+        accepted: list[int] = []
+        for i in below:
+            mi = masks[i]
+            if not any(mi & ~masks[k] == 0 for k in accepted):
+                edges.append((i, j))
+            accepted.append(i)
+    return edges
+
+
+def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
+    """The modular law checked triple by triple; the oracle for `is_lattice_modular`.
+
+    Checks join(x, meet(y, z)) == meet(join(x, y), z) for every pair x <= z
+    and every y; the first violation in scan order is returned.  Triples where
+    both sides agree for order reasons (x = z, y comparable with z, x <= y)
+    are skipped, so only genuinely at-risk triples cost a join.  Cubic in
+    |L|, so intended for lattices of a few hundred members.
+    """
+    n = len(lat.subgroups)
+    masks = lat._masks
+    for x in range(n):
+        mx = masks[x]
+        if mx == masks[0]:
+            continue
+        for z in range(n):
+            mz = masks[z]
+            if x == z or mx & ~mz:
+                continue
+            for y in range(n):
+                my = masks[y]
+                if my & ~mz == 0 or mz & ~my == 0 or mx & ~my == 0:
+                    continue
+                left = lat.join(x, lat.meet(y, z))
+                right = lat.meet(lat.join(x, y), z)
+                if left != right:
+                    return ModularityWitness(x, y, z)
+    return None
+
+
 def brute_force_subgroup_classes(g: FiniteGroup) -> list[frozenset[int]]:
     """Conjugacy classes of subgroups, from the naive-closure subgroup oracle.
 
@@ -481,4 +534,4 @@ def zoo() -> dict[str, FiniteGroup]:
 @pytest.fixture(scope="session")
 def corpus() -> Corpus:
     """The standard corpus, built once; reports computed on it cache lattices."""
-    return build_corpus(CorpusConfig())
+    return build_corpus()

@@ -26,7 +26,13 @@ from dedekind.families import (
 from dedekind.groups import direct_product, is_isomorphic, semidirect_product
 from dedekind.invariants import d_prime, d_star
 from dedekind.lattice import subgroup_lattice
-from dedekind.verify import DENSITY_PRIME_BUDGET, compute_corpus_stats, run_suites
+from dedekind.verify import (
+    DENSITY_EPSILON,
+    DENSITY_PRIME_BUDGET,
+    DENSITY_TARGETS,
+    compute_corpus_stats,
+    run_suites,
+)
 
 MODULAR_PAIRS = ((2, 4), (2, 5), (3, 3), (3, 4), (5, 3))
 
@@ -40,15 +46,15 @@ def stats(corpus):
 def verify_all(corpus, stats):
     """`dedekind verify all` run once through the CLI, on the shared corpus.
 
-    The spy checks that the command asks for every suite on the default
-    corpus, then runs them on the corpus and stats already built here.
-    Returns the exit code, the output and the results by suite.
+    The spy checks that the command asks for every suite and passes nothing
+    else, so `run_suites` builds the standard corpus, then runs them on the
+    corpus and stats already built here.  Returns the exit code, the output
+    and the results by suite.
     """
     results = []
 
-    def spy(names, config=None):
+    def spy(names):
         assert names == ["all"]
-        assert config == corpus.config
         results.extend(run_suites(names, corpus=corpus, stats=stats))
         return results
 
@@ -212,7 +218,8 @@ def test_acceptance_7_density_demonstration(capsys, corpus, suites):
         assert density.antecedents["targets"] == 4
         for key in ("steps_to_1_2", "steps_to_2_3", "steps_to_2_5", "steps_to_3_7"):
             assert density.antecedents[key] >= 1, key
-        assert corpus.config.density_epsilon == Fraction(1, 100)
+        assert DENSITY_TARGETS == ((1, 2), (2, 3), (2, 5), (3, 7))
+        assert DENSITY_EPSILON == Fraction(1, 100)
         assert DENSITY_PRIME_BUDGET == 500
 
         formulas = suites["formulas"]

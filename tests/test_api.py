@@ -70,3 +70,29 @@ def test_every_submodule_all_names_exist():
         assert set(exported) <= namespace.keys()
         checked += 1
     assert checked >= 7
+
+
+def test_every_module_function_is_used_or_exported():
+    """Each module-level function in the package is referenced elsewhere in
+    the package or named in its module's `__all__`; test-only code belongs in
+    the tests."""
+    package = Path(dedekind.__file__).resolve().parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    names: list[tuple[str, ast.AST]] = []  # every identifier use, with its node
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                names.append((node.attr, node))
+    unused = []
+    for module, tree in sorted(trees.items()):
+        qualified = "dedekind" if module == "__init__" else f"dedekind.{module}"
+        exported = set(getattr(importlib.import_module(qualified), "__all__", ()))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name in exported:
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            if not any(name == fn.name and id(node) not in own for name, node in names):
+                unused.append(f"{module}.{fn.name}")
+    assert not unused, f"module-level functions with no use in the package: {unused}"

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import (
     Perm,
+    brute_force_hasse_edges,
+    brute_force_is_modular,
     brute_force_subgroup_classes,
     closure_from_generators,
     conjugate_mask,
@@ -18,8 +20,6 @@ from dedekind.families import cyclic, dihedral, elementary_abelian, modular_grou
 from dedekind.groups import direct_product, section_group
 from dedekind.lattice import (
     all_subgroup_masks,
-    brute_force_hasse_edges,
-    brute_force_is_modular,
     brute_force_subgroup_masks,
     composition_series,
     frattini_subgroup,

@@ -6,7 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_subgroup_classes, literal_d_star
+from conftest import (
+    brute_force_hasse_edges,
+    brute_force_is_modular,
+    brute_force_subgroup_classes,
+    literal_d_star,
+)
 from dedekind.errors import BudgetExhausted
 from dedekind.families import (
     cyclic,
@@ -24,8 +29,6 @@ from dedekind.groups import direct_product, is_isomorphic
 from dedekind.invariants import d_prime, d_star
 from dedekind.lattice import (
     all_subgroup_masks,
-    brute_force_hasse_edges,
-    brute_force_is_modular,
     brute_force_subgroup_masks,
     hasse_edges,
     is_lattice_modular,

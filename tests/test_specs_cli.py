@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,55 @@ def test_formula_command(capsys):
     # wrong arity and unknown family are parameter errors
     assert run_cli(capsys, ["formula", "modular", "2"])[0] == 3
     assert run_cli(capsys, ["formula", "nonsense", "1"])[0] == 3
+    # parameters the formula rejects are parameter errors, however large
+    assert run_cli(capsys, ["formula", "gaussian", "3000", "5000", "2"])[0] == 3
+    assert run_cli(capsys, ["formula", "schmidt-section", "2", "10007", "5004"])[0] == 3
+
+
+def _too_long(family: str) -> str:
+    limit = sys.get_int_max_str_digits()
+    return (
+        f"error: the {family} value has a term past Python's int-to-str limit of {limit} digits\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "params, want",
+    [
+        pytest.param(["dihedral", "20000"], (4, "", _too_long("dihedral")), id="dihedral-20000"),
+        pytest.param(
+            ["gaussian", "3000", "1500", "2"],
+            (4, "", _too_long("gaussian")),
+            id="gaussian-3000-1500-2",
+        ),
+        pytest.param(
+            ["schmidt-section", "2", "10007", "5003"],
+            (4, "", _too_long("schmidt-section")),
+            id="schmidt-section-2-10007-5003",
+        ),
+        # refused only once computed: 2^14290 has 4,302 digits
+        pytest.param(["dihedral", "14290"], (4, "", _too_long("dihedral")), id="dihedral-14290"),
+        # a linear family with a 4,300-digit parameter
+        pytest.param(
+            ["modular", "2", "9" * 4300], (4, "", _too_long("modular")), id="modular-2-huge-n"
+        ),
+        # 2^14000 + 13999 has 4,215 digits
+        pytest.param(
+            ["dihedral", "14000"],
+            (0, f"{Fraction(41999, 2**14000 + 13999)}\n", ""),
+            id="dihedral-14000",
+        ),
+        # [3000, 2999]_2 = [3000, 1]_2, without passing through [3000, 1500]_2
+        pytest.param(
+            ["gaussian", "3000", "2999", "2"], (0, f"{2**3000 - 1}\n", ""), id="gaussian-3000-2999-2"
+        ),
+    ],
+)
+def test_formula_answers_large_parameters_within_a_second(capsys, params, want):
+    start = time.perf_counter()
+    got = run_cli(capsys, ["formula", *params])
+    assert time.perf_counter() - start < 1.0
+    assert got == want
 
 
 def test_density_command(capsys):

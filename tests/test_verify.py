@@ -1,45 +1,31 @@
-"""Corpus construction and the verification suites on a reduced, fast config."""
+"""The standard corpus listing, and the verification suites on a small corpus carved from it."""
 
 import dataclasses
+import hashlib
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from dedekind.errors import InvalidParameter
 from dedekind.verify import (
+    CORPUS_DSTAR_ORDER_LIMIT,
     Check,
-    CorpusConfig,
+    Corpus,
     SUITES,
     SuiteResult,
-    build_corpus,
     compute_corpus_stats,
     list_corpus,
     run_suites,
 )
 from dedekind.specs import build_group
 
-FAST_CONFIG = CorpusConfig(
-    cyclic_orders=(1, 2, 3, 4, 6, 8, 9, 12, 16),
-    elementary_abelian_params=((2, 2), (2, 3), (3, 2)),
-    dihedral_orders=(6, 8, 16, 32),
-    quaternion_orders=(8,),
-    modular_params=((2, 4), (2, 5), (3, 3)),
-    heisenberg_primes=(3,),
-    schmidt_max_order=50,
-    hk_max_order=64,
-    sd_params=((2, 3), (3, 2)),
-    include_c27q8=False,
-    product_factor_cap=16,
-    product_order_cap=48,
-    density_targets=((1, 2), (2, 3)),
-    density_epsilon=Fraction(1, 20),
-    dstar_order_limit=64,
-)
-
 
 @pytest.fixture(scope="module")
-def fast_corpus():
-    return build_corpus(FAST_CONFIG)
+def fast_corpus(corpus):
+    """The standard corpus entries of order <= 48: 117 groups, every suite exercised."""
+    return Corpus([e for e in corpus if e.group.order <= 48])
 
 
 @pytest.fixture(scope="module")
@@ -47,42 +33,54 @@ def fast_stats(fast_corpus):
     return compute_corpus_stats(fast_corpus)
 
 
-def test_corpus_is_deterministic_and_deduplicated(fast_corpus):
-    again = build_corpus(FAST_CONFIG)
-    assert [e.spec for e in again] == [e.spec for e in fast_corpus]
-    specs = [e.spec for e in fast_corpus]
+def test_corpus_listing_is_pinned():
+    rows = list_corpus()
+    assert len(rows) == 433
+    assert Counter(tag for _, tag, _, _, _ in rows) == {
+        "product": 293,
+        "G": 66,
+        "K": 18,
+        "C": 14,
+        "H": 11,
+        "D": 8,
+        "M": 6,
+        "SD": 6,
+        "EA": 5,
+        "Q": 3,
+        "He": 2,
+        "C27Q8": 1,
+    }
+    assert (
+        hashlib.sha256(repr(rows).encode()).hexdigest()
+        == "0e0f85915c7940b92b38fbde5325f83af16beb5e3154a377b0efb3e4577f0818"
+    )
+
+
+def test_corpus_is_deterministic_and_deduplicated(corpus):
+    assert list_corpus() == list_corpus()
+    specs = [e.spec for e in corpus]
     assert len(specs) == len(set(specs))
 
 
-def test_corpus_contents(fast_corpus):
-    specs = {e.spec for e in fast_corpus}
-    assert {"C(12)", "D(8)", "Q(8)", "M(2,5)", "He(3)", "G(3,2,2)", "SD(2,3)"} <= specs
-    assert "C27Q8" not in specs
+def test_corpus_contents(corpus):
+    specs = {e.spec for e in corpus}
+    assert {"C(12)", "D(8)", "Q(8)", "M(2,5)", "He(3)", "G(3,2,2)", "SD(2,3)", "C27Q8"} <= specs
+    assert max(e.group.order for e in corpus) == corpus.get("SD(3,13)").group.order == 351
     # products are coprime, nontrivial, and within caps
-    for e in fast_corpus:
+    for e in corpus:
         if e.factors:
             a, b = e.factors
-            ga, gb = fast_corpus.get(a).group, fast_corpus.get(b).group
+            ga, gb = corpus.get(a).group, corpus.get(b).group
             assert ga.order > 1 and gb.order > 1
-            from math import gcd
-
             assert gcd(ga.order, gb.order) == 1
-            assert ga.order <= 16 and gb.order <= 16
-            assert e.group.order == ga.order * gb.order <= 48
-
-
-def test_corpus_skips_are_recorded():
-    tight = dataclasses.replace(FAST_CONFIG, order_cap=30, dihedral_orders=(6, 8, 16, 32))
-    corpus = build_corpus(tight)
-    assert any("D(32)" in note for note in corpus.skipped)
-    assert all(e.group.order <= 30 for e in corpus)
+            assert ga.order <= 64 and gb.order <= 64
+            assert e.group.order == ga.order * gb.order <= 216
 
 
 def test_corpus_listing_matches_the_built_corpus(corpus):
     # `sweep` builds listed specs one by one with build_group, so the listing
     # and those groups must agree with what build_corpus builds
-    rows, skipped = list_corpus(corpus.config)
-    assert skipped == corpus.skipped
+    rows = list_corpus()
     assert [(spec, tag, params, factors) for spec, tag, params, _, factors in rows] == [
         (e.spec, e.tag, e.params, e.factors) for e in corpus
     ]
@@ -104,13 +102,14 @@ def test_stats_cover_corpus(fast_corpus, fast_stats):
         r = fast_stats[e.spec]
         assert r.order == e.group.order
         assert 0 < r.d_prime <= 1
-        if e.group.order <= FAST_CONFIG.dstar_order_limit:
+        if e.group.order <= CORPUS_DSTAR_ORDER_LIMIT:
             assert r.d_star is not None and r.d_star <= r.d_prime
         else:
             assert r.d_star is None
 
 
 def test_all_suites_pass_on_reduced_corpus(fast_corpus, fast_stats):
+    assert len(fast_corpus) == 117
     results = run_suites(None, corpus=fast_corpus, stats=fast_stats)
     assert [r.suite for r in results] == list(SUITES)
     for r in results:
