@@ -41,6 +41,7 @@ from .errors import (
     ParseError,
 )
 from .formulas import (
+    DENSITY_PRIME_BUDGET,
     d_prime_dihedral_formula,
     d_prime_heisenberg_formula,
     d_prime_modular_formula,
@@ -49,6 +50,7 @@ from .formulas import (
     density_sequence,
     gaussian_binomial,
 )
+from .groups import DEFAULT_ORDER_CAP
 from .invariants import (
     DSTAR_ORDER_LIMIT,
     InvariantReport,
@@ -57,13 +59,12 @@ from .invariants import (
     sections,
 )
 from .lattice import hasse_edges, subgroup_lattice
-from .numbertheory import is_prime, multiplicative_order
+from .numbertheory import is_order_mod_prime, is_prime
 from .specs import build_group, parse_spec
 from .verify import list_corpus, run_suites, SUITES
 
 DEFAULT_CACHE_PATH = ".dedekind_cache"
 _CACHE_PATH_HELP = f"cache directory, one file per report (default {DEFAULT_CACHE_PATH})"
-DEFAULT_MAX_ORDER = 512
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def _formula_bits(family: str, params: list[int]) -> int:
         return i * (r - i) * (p.bit_length() - 1) if 0 <= i <= r and p >= 2 else 0
     if family == "schmidt-section":
         p, q, r = params
-        if is_prime(p) and is_prime(q) and p != q and r == multiplicative_order(p, q):
+        if is_prime(p) and is_prime(q) and p != q and is_order_mod_prime(r, p, q):
             # |L| = a + p^r + 1 with a >= [r, r//2]_p >= p^(r//2 (r - r//2)); reducing
             # k'/|L| divides |L| by a divisor of p^r + 3 - 4q, and q < p^r, so by < 4p^r
             return (r // 2) * (r - r // 2) * (p.bit_length() - 1) - r * p.bit_length() - 2
@@ -475,8 +476,8 @@ def _add_spec_flags(sp, report: bool = True) -> None:
     sp.add_argument(
         "--max-order",
         type=int,
-        default=DEFAULT_MAX_ORDER,
-        help=f"construction order cap (default {DEFAULT_MAX_ORDER})",
+        default=DEFAULT_ORDER_CAP,
+        help=f"construction order cap (default {DEFAULT_ORDER_CAP})",
     )
     if report:
         sp.add_argument(
@@ -533,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("a", type=int)
     sp.add_argument("b", type=int)
     sp.add_argument("epsilon", help="stop once the gap drops below this, e.g. 0.01")
-    sp.add_argument("--prime-budget", type=int, default=500)
+    sp.add_argument("--prime-budget", type=int, default=DENSITY_PRIME_BUDGET)
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_density)
 
@@ -547,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", help="restrict to one family tag, e.g. M or D")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument(
-        "--max-order", type=int, default=DEFAULT_MAX_ORDER, help="skip larger groups"
+        "--max-order", type=int, default=DEFAULT_ORDER_CAP, help="skip larger groups"
     )
     sp.add_argument("--no-cache", action="store_true", help="bypass the report cache")
     sp.add_argument("--cache-path", default=DEFAULT_CACHE_PATH, help=_CACHE_PATH_HELP)

@@ -3,16 +3,24 @@
 Every constructor names an explicit element encoding and computes, from its
 formula, only the rows of the generators it names (x, y and z).
 `groups.cayley_rows` composes every other row from those, so no table is
-filled entry by entry.  The constructor then asserts its defining relations
-on the same generators, so a bad table fails at build time rather than in a
-later enumeration.  Two-part encodings map the pair (i, j) to index
-i * (second range) + j, which keeps (0, 0) at index 0 as the identity.
+filled entry by entry.  The defining relations are then asserted on the same
+generators, so a bad table fails at build time rather than in a later
+enumeration.  Each encoding is mixed-radix with the identity at index 0.
+
+Two builders serve seven families.  `_metacyclic` builds
+<x, y | x^a = 1, y^b = x^c, y x y^-1 = x^m>, with x^i y^j at index i * b + j,
+for D, Q, M, K and G.  `_central` builds x, y of orders p^s, p^t with central
+commutator z of order p, x^a y^b z^c at index (a * p^t + b) * p + c, for H
+and for He(p) = H(p,1,1).  Each asserts its presentation; a constructor adds
+only its family's own relations (the H and K centres, G's least m, He's
+exponent).
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from itertools import product
+from math import gcd
 
 from .errors import InvalidParameter, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, cayley_rows, semidirect_product
@@ -85,24 +93,59 @@ def elementary_abelian(p: int, r: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
     return g
 
 
+def _metacyclic(name: str, a: int, b: int, m: int, c: int = 0) -> FiniteGroup:
+    """<x, y | x^a = 1, y^b = x^c, y x y^-1 = x^m>, x^i y^j at index i * b + j.
+
+    x^i y^j * x^k y^l = x^(i + k m^j) y^(j + l), where y^(j + l) carries x^c
+    once j + l reaches b.
+    """
+
+    def row(i: int, j: int) -> list[int]:
+        mj = pow(m, j, a)
+        return [
+            ((i + k * mj + (c if j + l >= b else 0)) % a) * b + (j + l) % b
+            for k, l in product(range(a), range(b))
+        ]
+
+    x, y = b, 1
+    g = FiniteGroup(cayley_rows(a * b, {x: row(1, 0), y: row(0, 1)}), name=name)
+    assert g.element_orders[x] == a and g.element_orders[y] == b * (a // gcd(a, c))
+    assert g.power(y, b) == g.power(x, c)
+    assert g.mul(y, x) == g.mul(g.power(x, m), y)
+    return g
+
+
+def _central(name: str, p: int, s: int, t: int) -> FiniteGroup:
+    """x of order p^s, y of order p^t and z = [x, y] of order p, z central.
+
+    x^a y^b z^c sits at index (a * p^t + b) * p + c, and
+    x^a y^b z^c * x^d y^e z^f = x^(a + d) y^(b + e) z^(c + f + a e).
+    """
+    ps, pt = p**s, p**t
+    blk = pt * p
+
+    def row(a: int, b: int, c: int) -> list[int]:
+        return [
+            ((a + d) % ps) * blk + ((b + e) % pt) * p + (c + f + a * e) % p
+            for d, e, f in product(range(ps), range(pt), range(p))
+        ]
+
+    x, y, z = blk, p, 1
+    gen_rows = {x: row(1, 0, 0), y: row(0, 1, 0), z: row(0, 0, 1)}
+    g = FiniteGroup(cayley_rows(ps * blk, gen_rows), name=name)
+    assert g.element_orders[x] == ps and g.element_orders[y] == pt
+    assert g.element_orders[z] == p and g.commutator(x, y) == z
+    assert g.commutator(x, z) == 0 and g.commutator(y, z) == 0
+    return g
+
+
 def dihedral(two_n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group of order two_n (rotations x, reflection y)."""
     if two_n < 6 or two_n % 2:
         raise InvalidParameter(f"dihedral order must be even and >= 6, got {two_n}")
     _check_cap(f"D({two_n})", order_cap, two_n)
     n = two_n // 2
-
-    def row(i: int, j: int) -> list[int]:
-        return [
-            ((i + (k if j == 0 else -k)) % n) * 2 + (j ^ l)
-            for k, l in product(range(n), range(2))
-        ]
-
-    x, y = 2, 1
-    g = FiniteGroup(cayley_rows(two_n, {x: row(1, 0), y: row(0, 1)}), name=f"D({two_n})")
-    assert g.element_orders[x] == n and g.element_orders[y] == 2
-    assert g.mul(y, x) == g.mul(g.power(x, n - 1), y)
-    return g
+    return _metacyclic(f"D({two_n})", n, 2, n - 1)
 
 
 def generalized_quaternion(two_to_n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -111,20 +154,7 @@ def generalized_quaternion(two_to_n: int, order_cap: int = DEFAULT_ORDER_CAP) ->
     if m < 8 or m & (m - 1):
         raise InvalidParameter(f"quaternion order must be a power of two >= 8, got {m}")
     _check_cap(f"Q({m})", order_cap, m)
-    half, quarter = m // 2, m // 4
-
-    def row(i: int, j: int) -> list[int]:
-        return [
-            ((i + (k if j == 0 else -k) + (quarter if j and l else 0)) % half) * 2 + (j ^ l)
-            for k, l in product(range(half), range(2))
-        ]
-
-    x, y = 2, 1
-    g = FiniteGroup(cayley_rows(m, {x: row(1, 0), y: row(0, 1)}), name=f"Q({m})")
-    assert g.element_orders[x] == half
-    assert g.mul(y, y) == g.power(x, quarter)
-    assert g.mul(y, x) == g.mul(g.power(x, half - 1), y)
-    return g
+    return _metacyclic(f"Q({m})", m // 2, 2, m // 2 - 1, m // 4)
 
 
 def modular_group(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -134,22 +164,8 @@ def modular_group(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
         raise InvalidParameter(
             f"modular group needs n >= 4 for p = 2 and n >= 3 otherwise, got ({p},{n})"
         )
-    order = _check_cap(f"M({p},{n})", order_cap, p, n)
-    pn1 = p ** (n - 1)
-    m = p ** (n - 2) + 1
-    m_pows = [pow(m, j, pn1) for j in range(p)]
-
-    def row(i: int, j: int) -> list[int]:
-        mj = m_pows[j]
-        return [
-            ((i + k * mj) % pn1) * p + (j + l) % p for k, l in product(range(pn1), range(p))
-        ]
-
-    x, y = p, 1
-    g = FiniteGroup(cayley_rows(order, {x: row(1, 0), y: row(0, 1)}), name=f"M({p},{n})")
-    assert g.element_orders[x] == pn1 and g.element_orders[y] == p
-    assert g.mul(y, x) == g.mul(g.power(x, m), y)
-    return g
+    _check_cap(f"M({p},{n})", order_cap, p, n)
+    return _metacyclic(f"M({p},{n})", p ** (n - 1), p, p ** (n - 2) + 1)
 
 
 def heisenberg(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -157,21 +173,9 @@ def heisenberg(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     _require_prime(p, "p")
     if p == 2:
         raise InvalidParameter("the Heisenberg family here is for odd p (p = 2 gives D(8))")
-    order = _check_cap(f"He({p})", order_cap, p, 3)
-    p2 = p * p
-
-    def row(a: int, b: int, c: int) -> list[int]:
-        return [
-            ((a + d) % p) * p2 + ((b + e) % p) * p + (c + f + a * e) % p
-            for d, e, f in product(range(p), repeat=3)
-        ]
-
-    x, y, z = p2, p, 1
-    gen_rows = {x: row(1, 0, 0), y: row(0, 1, 0), z: row(0, 0, 1)}
-    g = FiniteGroup(cayley_rows(order, gen_rows), name=f"He({p})")
+    _check_cap(f"He({p})", order_cap, p, 3)
+    g = _central(f"He({p})", p, 1, 1)
     assert g.exponent == p
-    assert g.commutator(x, y) == z
-    assert g.commutator(x, z) == 0 and g.commutator(y, z) == 0
     return g
 
 
@@ -185,22 +189,10 @@ def h_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
         raise InvalidParameter(f"need s >= t >= 1, got s={s}, t={t}")
     if p == 2 and s + t < 3:
         raise InvalidParameter("p = 2 needs s + t >= 3")
-    order = _check_cap(f"H({p},{s},{t})", order_cap, p, s + t + 1)
+    _check_cap(f"H({p},{s},{t})", order_cap, p, s + t + 1)
+    g = _central(f"H({p},{s},{t})", p, s, t)
     ps, pt = p**s, p**t
     blk = pt * p
-
-    def row(a: int, b: int, c: int) -> list[int]:
-        return [
-            ((a + d) % ps) * blk + ((b + e) % pt) * p + (c + f + a * e) % p
-            for d, e, f in product(range(ps), range(pt), range(p))
-        ]
-
-    x, y, z = blk, p, 1
-    gen_rows = {x: row(1, 0, 0), y: row(0, 1, 0), z: row(0, 0, 1)}
-    g = FiniteGroup(cayley_rows(order, gen_rows), name=f"H({p},{s},{t})")
-    assert g.element_orders[x] == ps and g.element_orders[y] == pt
-    assert g.element_orders[z] == p and g.commutator(x, y) == z
-    assert g.commutator(x, z) == 0 and g.commutator(y, z) == 0
     # centre must be <x^p> * <y^p> * <z>
     want = 0
     for a, b in product(range(ps // p), range(pt // p)):
@@ -221,21 +213,9 @@ def k_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
         raise InvalidParameter(f"need s >= 2 and t >= 1, got s={s}, t={t}")
     if p == 2 and s + t < 4:
         raise InvalidParameter("p = 2 needs s + t >= 4")
-    order = _check_cap(f"K({p},{s},{t})", order_cap, p, s + t)
+    _check_cap(f"K({p},{s},{t})", order_cap, p, s + t)
     ps, pt = p**s, p**t
-    m = p ** (s - 1) + 1
-    m_pows = [pow(m, j, ps) for j in range(p)]
-
-    def row(i: int, j: int) -> list[int]:
-        mj = m_pows[j % p]
-        return [
-            ((i + k * mj) % ps) * pt + (j + l) % pt for k, l in product(range(ps), range(pt))
-        ]
-
-    x, y = pt, 1
-    g = FiniteGroup(cayley_rows(order, {x: row(1, 0), y: row(0, 1)}), name=f"K({p},{s},{t})")
-    assert g.element_orders[x] == ps and g.element_orders[y] == pt
-    assert g.mul(y, x) == g.mul(g.power(x, m), y)
+    g = _metacyclic(f"K({p},{s},{t})", ps, pt, p ** (s - 1) + 1)
     want = 0
     for a, b in product(range(ps // p), range(pt // p)):
         want |= 1 << ((a * p) * pt + b * p)
@@ -258,21 +238,11 @@ def schmidt_gpqn(p: int, q: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
         if (q - 1) % p == 0:
             hint = f"; parameters look swapped, try ({q},{p},{n})"
         raise InvalidParameter(f"q = {q} must divide p - 1 = {p - 1}{hint}")
-    order = _check_cap(f"G({p},{q},{n})", order_cap, q, n - 1, factor=p)
+    _check_cap(f"G({p},{q},{n})", order_cap, q, n - 1, factor=p)
     m = next(
         m for m in range(2, p) if multiplicative_order(m, p) == q
     )
-    qn = q ** (n - 1)
-    m_pows = [pow(m, j, p) for j in range(q)]
-
-    def row(i: int, j: int) -> list[int]:
-        mj = m_pows[j % q]
-        return [((i + k * mj) % p) * qn + (j + l) % qn for k, l in product(range(p), range(qn))]
-
-    x, y = qn, 1
-    g = FiniteGroup(cayley_rows(order, {x: row(1, 0), y: row(0, 1)}), name=f"G({p},{q},{n})")
-    assert g.element_orders[x] == p and g.element_orders[y] == qn
-    assert g.conj(y, x) == g.power(x, m)
+    g = _metacyclic(f"G({p},{q},{n})", p, q ** (n - 1), m)
     assert multiplicative_order(m, p) == q
     assert all(multiplicative_order(w, p) != q for w in range(2, m))
     return g

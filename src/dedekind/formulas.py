@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhausted, InvalidParameter
-from .numbertheory import is_prime, multiplicative_order, nth_odd_prime
+from .numbertheory import is_order_mod_prime, is_prime, nth_odd_prime
 
 __all__ = [
     "d_prime_modular_formula",
@@ -31,6 +31,7 @@ __all__ = [
     "LimitTrendVerdict",
     "limit_trend",
     "DensityStep",
+    "DENSITY_PRIME_BUDGET",
     "density_sequence",
     "corollary_a_over_a_plus_one",
 ]
@@ -145,7 +146,7 @@ def schmidt_section_counts(p: int, q: int, r: int) -> FamilyCounts:
     """
     if not is_prime(p) or not is_prime(q) or p == q:
         raise InvalidParameter(f"p, q must be distinct primes, got {p}, {q}")
-    if r != multiplicative_order(p, q):
+    if not is_order_mod_prime(r, p, q):
         raise InvalidParameter(
             f"r = {r} is not the multiplicative order of {p} mod {q}"
         )
@@ -244,6 +245,9 @@ def limit_trend(family: str, p: int | None = None) -> LimitTrendVerdict:
     return LimitTrendVerdict(family, limit, gaps[-1], _LIMIT_EPSILON, ok)
 
 
+DENSITY_PRIME_BUDGET = 500  # odd primes a density sequence may use
+
+
 @dataclass(frozen=True)
 class DensityStep:
     """One term of the sequence approaching a/b: a product of modular values."""
@@ -255,7 +259,7 @@ class DensityStep:
 
 
 def density_sequence(
-    a: int, b: int, epsilon, prime_budget: int = 500
+    a: int, b: int, epsilon, prime_budget: int = DENSITY_PRIME_BUDGET
 ) -> list[DensityStep]:
     """Products of modular-group d' values converging to a/b.
 

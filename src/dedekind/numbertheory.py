@@ -9,6 +9,7 @@ __all__ = [
     "nth_odd_prime",
     "prime_factorization",
     "multiplicative_order",
+    "is_order_mod_prime",
     "is_prime_power",
 ]
 
@@ -84,6 +85,18 @@ def multiplicative_order(a: int, n: int) -> int:
         x = x * a % n
         k += 1
     return k
+
+
+def is_order_mod_prime(r: int, a: int, q: int) -> bool:
+    """Whether r is the multiplicative order of a mod the prime q.
+
+    True iff r divides q - 1, a^r = 1 and a^(r/s) != 1 (mod q) for each prime
+    s dividing r.  r is factored only once the first two tests pass, so a
+    wrong r costs no loop over the powers of a, as `multiplicative_order` does.
+    """
+    if r < 1 or (q - 1) % r or pow(a, r, q) != 1:
+        return False
+    return all(pow(a, r // s, q) != 1 for s in prime_factorization(r))
 
 
 def is_prime_power(n: int) -> bool:

@@ -85,7 +85,11 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than Python's int-to-str digit limit
+            digits, self.pos = self.pos - start, start
+            self.fail(f"integer of {digits} digits is past Python's int-to-str limit")
 
 
 def parse_spec(text: str) -> GroupSpec:

@@ -29,6 +29,7 @@ from .families import (
     schmidt_gpqn,
 )
 from .formulas import (
+    DENSITY_PRIME_BUDGET,
     corollary_a_over_a_plus_one,
     d_prime_dihedral_formula,
     d_prime_heisenberg_formula,
@@ -77,7 +78,6 @@ from .specs import build_group
 # ---------------------------------------------------------------------------
 # corpus
 
-DENSITY_PRIME_BUDGET = 500  # odd primes a density sequence may use
 DENSITY_TARGETS = ((1, 2), (2, 3), (2, 5), (3, 7))  # the ratios a/b the density suite approaches
 DENSITY_EPSILON = Fraction(1, 100)  # the gap each density sequence must drop below
 CORPUS_DSTAR_ORDER_LIMIT = 128  # d* is computed for corpus entries up to this order

@@ -24,14 +24,19 @@ from dedekind.specs import build_group
 # The nine big-specs groups of the benchmark, then larger products.
 LARGE_SPECS = [
     "D(256)",
+    "Q(256)",
     "SD(3,13)",
     "M(2,9)",
     "D(8) x EA(2,3)",
     "H(2,3,3) x C(3)",
+    "H(2,4,4)",
     "K(2,3,2) x C(2) x C(3)",
+    "K(2,2,7)",
+    "G(97,2,3)",
     "H(3,2,2)",
     "C27Q8",
     "He(5) x C(3)",
+    "He(7)",
     "EA(2,7) x C(3)",
     "Q(8) x EA(2,5)",
 ]

@@ -35,6 +35,7 @@ from dedekind.lattice import (
     subgroup_lattice,
 )
 from dedekind.numbertheory import (
+    is_order_mod_prime,
     is_prime,
     multiplicative_order,
     nth_odd_prime,
@@ -193,6 +194,13 @@ def test_multiplicative_order_property(n, a):
     k = multiplicative_order(a, n)
     assert pow(a, k, n) == 1
     assert all(pow(a, j, n) != 1 for j in range(1, k))
+
+
+def test_is_order_mod_prime_matches_the_power_loop():
+    for q in filter(is_prime, range(3, 100)):
+        for a in range(1, q):
+            found = [r for r in range(-1, q + 1) if is_order_mod_prime(r, a, q)]
+            assert found == [multiplicative_order(a, q)], (a, q)
 
 
 @given(n=st.integers(2, 10_000))

@@ -204,6 +204,28 @@ def test_formula_answers_large_parameters_within_a_second(capsys, params, want):
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "r, want",
+    [
+        ("5", (3, "error: r = 5 is not the multiplicative order of 2 mod 1000000000039\n")),
+        ("500000000019", (4, _too_long("schmidt-section"))),  # the true order
+    ],
+)
+def test_schmidt_section_checks_r_without_stepping_through_powers(r, want):
+    # stepping 2^k mod q one k at a time would take 5 * 10^11 steps; the timeout
+    # turns such a hang into a failure
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["formula", "schmidt-section", "2", "1000000000039", r]
+    done = subprocess.run(
+        [sys.executable, "-m", "dedekind.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (want[0], "", want[1])
+
+
 def test_density_command(capsys):
     code, out, _ = run_cli(capsys, ["density", "1", "2", "0.05"])
     assert code == 0
@@ -292,6 +314,34 @@ def test_prime_past_the_cap_names_the_order_by_r(capsys):
     code, _, err = run_cli(capsys, ["dprime", "SD(2,521)", "--no-cache"])
     assert code == 4
     assert err == "error: SD(2,521) has order 521 * 2^r, above the cap 512\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--no-cache"],
+        ["dprime", "--no-cache"],
+        ["dstar", "--no-cache"],
+        ["lattice"],
+        ["sections"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_integer_past_the_digit_limit_is_a_parse_error(capsys, argv):
+    # int() refuses a decimal string longer than Python's int-to-str digit limit
+    spec = "C(" + "9" * 5000 + ")"
+    code, out, err = run_cli(capsys, [argv[0], spec, *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == "error: integer of 5000 digits is past Python's int-to-str limit at position 2\n"
+    with pytest.raises(ParseError):
+        build_group(spec)
+
+
+def test_integer_inside_the_digit_limit_still_hits_the_cap(capsys):
+    n = "9" * 4000
+    code, _, err = run_cli(capsys, ["dprime", f"C({n})", "--no-cache"])
+    assert code == 4
+    assert err == f"error: C({n}) has order {n}, above the cap 512\n"
 
 
 def test_huge_composite_is_a_parameter_error(capsys):
