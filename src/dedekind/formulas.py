@@ -37,42 +37,6 @@ __all__ = [
 ]
 
 
-def _check_modular_params(p: int, n: int) -> None:
-    if not is_prime(p):
-        raise InvalidParameter(f"p must be prime, got {p}")
-    if (p == 2 and n < 4) or (p != 2 and n < 3):
-        raise InvalidParameter(f"no modular group for (p, n) = ({p}, {n})")
-
-
-def d_prime_modular_formula(p: int, n: int) -> Fraction:
-    """d' of the modular group of order p^n: ((n-2)(p+1)+4) / ((n-1)(p+1)+2)."""
-    _check_modular_params(p, n)
-    return Fraction((n - 2) * (p + 1) + 4, (n - 1) * (p + 1) + 2)
-
-
-def d_prime_schmidt_formula(p: int, n: int) -> Fraction:
-    """d' of C_p x| C_(q^(n-1)): 2n / (2n + p - 1), independent of q."""
-    if not is_prime(p):
-        raise InvalidParameter(f"p must be prime, got {p}")
-    if n < 2:
-        raise InvalidParameter(f"need n >= 2, got {n}")
-    return Fraction(2 * n, 2 * n + p - 1)
-
-
-def d_prime_dihedral_formula(n: int) -> Fraction:
-    """d' of the dihedral group of order 2^n: (3n - 1) / (2^n + n - 1)."""
-    if n < 3:
-        raise InvalidParameter(f"need n >= 3, got {n}")
-    return Fraction(3 * n - 1, 2**n + n - 1)
-
-
-def d_prime_heisenberg_formula(p: int) -> Fraction:
-    """d' of the order-p^3 exponent-p group: (2p + 5) / (p^2 + 2p + 4)."""
-    if not is_prime(p) or p == 2:
-        raise InvalidParameter(f"p must be an odd prime, got {p}")
-    return Fraction(2 * p + 5, p * p + 2 * p + 4)
-
-
 @dataclass(frozen=True)
 class FamilyCounts:
     """Closed-form subgroup-lattice counts for one family instance."""
@@ -84,7 +48,10 @@ class FamilyCounts:
 
 
 def modular_counts(p: int, n: int) -> FamilyCounts:
-    _check_modular_params(p, n)
+    if not is_prime(p):
+        raise InvalidParameter(f"p must be prime, got {p}")
+    if (p == 2 and n < 4) or (p != 2 and n < 3):
+        raise InvalidParameter(f"no modular group for (p, n) = ({p}, {n})")
     normal = (n - 2) * (p + 1) + 3
     return FamilyCounts(
         k_prime=normal + 1,
@@ -114,6 +81,30 @@ def heisenberg_counts(p: int) -> FamilyCounts:
     if not is_prime(p) or p == 2:
         raise InvalidParameter(f"p must be an odd prime, got {p}")
     return FamilyCounts(k_prime=2 * p + 5, lattice_size=p * p + 2 * p + 4)
+
+
+def _ratio(counts: FamilyCounts) -> Fraction:
+    return Fraction(counts.k_prime, counts.lattice_size)
+
+
+def d_prime_modular_formula(p: int, n: int) -> Fraction:
+    """d' of the modular group of order p^n: ((n-2)(p+1)+4) / ((n-1)(p+1)+2)."""
+    return _ratio(modular_counts(p, n))
+
+
+def d_prime_schmidt_formula(p: int, n: int) -> Fraction:
+    """d' of C_p x| C_(q^(n-1)): 2n / (2n + p - 1), independent of q."""
+    return _ratio(schmidt_counts(p, n))
+
+
+def d_prime_dihedral_formula(n: int) -> Fraction:
+    """d' of the dihedral group of order 2^n: (3n - 1) / (2^n + n - 1)."""
+    return _ratio(dihedral_counts(n))
+
+
+def d_prime_heisenberg_formula(p: int) -> Fraction:
+    """d' of the order-p^3 exponent-p group: (2p + 5) / (p^2 + 2p + 4)."""
+    return _ratio(heisenberg_counts(p))
 
 
 def gaussian_binomial(r: int, i: int, p: int) -> int:
@@ -158,22 +149,32 @@ def schmidt_section_counts(p: int, q: int, r: int) -> FamilyCounts:
 
 def d_prime_schmidt_section_formula(p: int, q: int, r: int) -> Fraction:
     """d' of C_p^r x| C_q with faithful action: (a_{p,r}+4q-2) / (q(a_{p,r}+p^r+1))."""
-    counts = schmidt_section_counts(p, q, r)
-    return Fraction(counts.k_prime, counts.lattice_size)
+    return _ratio(schmidt_section_counts(p, q, r))
 
 
-_FAMILY_EVAL = {
-    "modular": lambda n, p: d_prime_modular_formula(p, n),
-    "schmidt": lambda n, p: d_prime_schmidt_formula(p, n),
-    "dihedral": lambda n, p: d_prime_dihedral_formula(n),
-    "heisenberg": lambda v, p: d_prime_heisenberg_formula(v),
-}
-
-_FAMILY_LIMIT = {
-    "modular": Fraction(1),
-    "schmidt": Fraction(1),
-    "dihedral": Fraction(0),
-    "heisenberg": Fraction(0),
+# per family: the closed form at (parameter, p), its limit, and the parameters
+# at which `limit_trend` samples it
+_FAMILIES = {
+    "modular": (
+        lambda n, p: d_prime_modular_formula(p, n),
+        Fraction(1),
+        (4, 5, 6, 8, 12, 20, 50, 200, 1000, 10_000),
+    ),
+    "schmidt": (
+        lambda n, p: d_prime_schmidt_formula(p, n),
+        Fraction(1),
+        (2, 3, 4, 6, 10, 20, 50, 200, 1000, 10_000),
+    ),
+    "dihedral": (
+        lambda n, p: d_prime_dihedral_formula(n),
+        Fraction(0),
+        (3, 4, 5, 6, 8, 10, 15, 20, 25, 30),
+    ),
+    "heisenberg": (
+        lambda v, p: d_prime_heisenberg_formula(v),
+        Fraction(0),
+        (3, 5, 7, 11, 17, 29, 53, 101, 211, 401, 809, 1601, 2503),
+    ),
 }
 
 
@@ -195,9 +196,10 @@ def sequence_monotonicity(family: str, params, p: int | None = None) -> Monotoni
     For "modular" and "schmidt", params are the exponents n (p fixed); for
     "dihedral", the exponents n; for "heisenberg", the primes themselves.
     """
-    if family not in _FAMILY_EVAL:
+    if family not in _FAMILIES:
         raise InvalidParameter(f"unknown family {family!r}")
-    values = tuple(_FAMILY_EVAL[family](v, p) for v in params)
+    evaluate = _FAMILIES[family][0]
+    values = tuple(evaluate(v, p) for v in params)
     if len(values) < 2:
         return MonotonicityVerdict(family, "not monotone", 0, values)
     increasing = all(a < b for a, b in zip(values, values[1:]))
@@ -222,12 +224,6 @@ class LimitTrendVerdict:
     note: str = "numerical trend check, not a proof"
 
 
-_LIMIT_SAMPLES = {
-    "modular": (4, 5, 6, 8, 12, 20, 50, 200, 1000, 10_000),
-    "schmidt": (2, 3, 4, 6, 10, 20, 50, 200, 1000, 10_000),
-    "dihedral": (3, 4, 5, 6, 8, 10, 15, 20, 25, 30),
-    "heisenberg": (3, 5, 7, 11, 17, 29, 53, 101, 211, 401, 809, 1601, 2503),
-}
 _LIMIT_EPSILON = Fraction(1, 1000)
 
 
@@ -237,10 +233,10 @@ def limit_trend(family: str, p: int | None = None) -> LimitTrendVerdict:
     Confirms |value - limit| decreases strictly along the family's samples
     and ends below 1/1000.  This is a numerical trend check, not a proof.
     """
-    if family not in _FAMILY_EVAL:
+    if family not in _FAMILIES:
         raise InvalidParameter(f"unknown family {family!r}")
-    limit = _FAMILY_LIMIT[family]
-    gaps = [abs(_FAMILY_EVAL[family](v, p) - limit) for v in _LIMIT_SAMPLES[family]]
+    evaluate, limit, samples = _FAMILIES[family]
+    gaps = [abs(evaluate(v, p) - limit) for v in samples]
     ok = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < _LIMIT_EPSILON
     return LimitTrendVerdict(family, limit, gaps[-1], _LIMIT_EPSILON, ok)
 

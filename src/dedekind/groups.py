@@ -459,7 +459,16 @@ def find_isomorphism(
     g: FiniteGroup, h: FiniteGroup, cap: int = DEFAULT_ISO_CAP
 ) -> tuple[int, ...] | None:
     """Search for an isomorphism g -> h, as the image of each element of g;
-    None when provably none exists."""
+    None when provably none exists.
+
+    Each generator si of g takes its image among the elements of h of its
+    order in turn.  The map is then walked over <s1, ..., si> along x -> x*sj,
+    x*sj going to phi(x)*phi(sj), and the choice is dropped once an element
+    gets two images or two elements share one.  A map consistent on every
+    edge is a homomorphism (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005), so one that survives all of g's generators is an
+    injective homomorphism of g into h, an isomorphism as |g| = |h|.
+    """
     if g.order != h.order:
         return None
     if g.fingerprint != h.fingerprint:
@@ -469,52 +478,37 @@ def find_isomorphism(
     if g.order > cap:
         raise IsoCapExceeded(f"isomorphism search above order cap {cap}")
     gens = g.generating_set
-    prefix_sizes = []
-    for i in range(len(gens)):
-        mask, elems = _closure(g.table, gens[: i + 1])
-        prefix_sizes.append(len(elems))
-    # express every element as a left-bracketed word in the generators
-    order_words: list[tuple[int, int]] = [(-1, -1)] * g.order
-    bfs = [0]
-    seen = 1
-    for x in bfs:
-        row = g.table[x]
-        for gi, gen in enumerate(gens):
-            y = row[gen]
-            if not (seen >> y) & 1:
-                seen |= 1 << y
-                order_words[y] = (x, gi)
-                bfs.append(y)
+    gt, ht = g.table, h.table
     g_orders, h_orders = g.element_orders, h.element_orders
     candidates = [
         [e for e in range(h.order) if h_orders[e] == g_orders[gen]] for gen in gens
     ]
-    ht = h.table
     images: list[int] = []
 
+    def extend() -> list[int] | None:
+        """phi on <s1, ..., si>, or None if it is not an injective homomorphism."""
+        phi = [-1] * g.order
+        phi[0] = 0
+        taken = 1
+        elems = [0]
+        for x in elems:  # grows during iteration
+            row, img_row = gt[x], ht[phi[x]]
+            for gen, img in zip(gens, images):
+                y, v = row[gen], img_row[img]
+                if phi[y] < 0 and not (taken >> v) & 1:
+                    taken |= 1 << v
+                    phi[y] = v
+                    elems.append(y)
+                elif phi[y] != v:
+                    return None
+        return phi
+
     def dfs(depth: int) -> tuple[int, ...] | None:
-        if depth == len(gens):
-            phi = [0] * g.order
-            img_mask = 1
-            for x in bfs[1:]:
-                parent, gi = order_words[x]
-                v = ht[phi[parent]][images[gi]]
-                phi[x] = v
-                img_mask |= 1 << v
-            if img_mask.bit_count() != g.order:
-                return None
-            gt = g.table
-            for a in range(g.order):
-                ra, pa = gt[a], phi[a]
-                for b in range(g.order):
-                    if phi[ra[b]] != ht[pa][phi[b]]:
-                        return None
-            return tuple(phi)
         for img in candidates[depth]:
             images.append(img)
-            mask, elems = _closure(ht, images)
-            if len(elems) == prefix_sizes[depth]:
-                found = dfs(depth + 1)
+            phi = extend()
+            if phi is not None:
+                found = tuple(phi) if depth + 1 == len(gens) else dfs(depth + 1)
                 if found is not None:
                     return found
             images.pop()

@@ -20,7 +20,6 @@ from .groups import (
     Subgroup,
     _mask_elements,
     is_isomorphic,
-    quotient,
     section_group,
 )
 from .lattice import (
@@ -297,7 +296,7 @@ def is_q_self_dual(g: FiniteGroup) -> bool:
         n = lat.subgroups[cls[0]]
         if n.is_trivial or n.is_whole:
             continue
-        q, _ = quotient(g, n.mask)
+        q, _ = section_group(g, (1 << g.order) - 1, n.mask)  # normal: its class is {n}
         if not any(
             is_isomorphic(q, section_group(g, lat.subgroups[i].mask)[0])
             for i in reps_by_order.get(q.order, [])

@@ -87,16 +87,32 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
+_TRIAL_DIVISION_BOUND = 10**6  # so r <= 10^12 is factored as by prime_factorization
+
+
 def is_order_mod_prime(r: int, a: int, q: int) -> bool:
     """Whether r is the multiplicative order of a mod the prime q.
 
     True iff r divides q - 1, a^r = 1 and a^(r/s) != 1 (mod q) for each prime
     s dividing r.  r is factored only once the first two tests pass, so a
     wrong r costs no loop over the powers of a, as `multiplicative_order` does.
+    Trial division stops at _TRIAL_DIVISION_BOUND.  A cofactor left above its
+    square must then be proved prime by `is_prime`, which is exact for r < q
+    once q passed it; one that is not prime raises BudgetExhausted.
     """
     if r < 1 or (q - 1) % r or pow(a, r, q) != 1:
         return False
-    return all(pow(a, r // s, q) != 1 for s in prime_factorization(r))
+    rest, d = r, 2
+    while d <= _TRIAL_DIVISION_BOUND and d * d <= rest:
+        if rest % d == 0:
+            if pow(a, r // d, q) == 1:
+                return False
+            while rest % d == 0:
+                rest //= d
+        d += 1 if d == 2 else 2
+    if rest > _TRIAL_DIVISION_BOUND**2 and not is_prime(rest):
+        raise BudgetExhausted(f"cannot factor r = {r}: its cofactor {rest} is not prime")
+    return rest == 1 or pow(a, r // rest, q) != 1
 
 
 def is_prime_power(n: int) -> bool:

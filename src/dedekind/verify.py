@@ -479,12 +479,9 @@ def suite_one_class(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteR
         matched = ""
         for tag, params in _one_class_candidates(e.group.order):
             cand = modular_group(*params) if tag == "M" else schmidt_gpqn(*params)
-            try:
-                if is_isomorphic(e.group, cand):
-                    matched = cand.name
-                    break
-            except IsoCapExceeded:
-                continue
+            if is_isomorphic(e.group, cand):  # both within DEFAULT_ISO_CAP, checked above
+                matched = cand.name
+                break
         s.check(
             f"{e.spec}: one non-normal class forces membership in a one-class family",
             bool(matched),
@@ -756,7 +753,6 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
     subgroups of H of order |H|/|target| that are normal in it.
     """
     tno = target.order
-    tfp = target.fingerprint
     lat = subgroup_lattice(g)
     for hi in lat.class_representatives():
         if lat.subgroups[hi].order % tno:
@@ -764,11 +760,8 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
         for sec in sections(g, hi):
             if sec.order != tno:
                 continue
-            q = sec.quotient
-            if q.fingerprint != tfp:
-                continue
             try:
-                if is_isomorphic(q, target):
+                if is_isomorphic(sec.quotient, target):
                     return (sec.h.order, sec.k.order)
             except IsoCapExceeded:
                 continue

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from dedekind.errors import InvalidParameter, OrderCapExceeded
+from dedekind.errors import InvalidParameter, IsoCapExceeded, OrderCapExceeded
 from dedekind.families import (
     _companion_action,
     cyclic,
@@ -23,9 +23,11 @@ from dedekind.families import (
 )
 from dedekind.numbertheory import multiplicative_order
 from dedekind.groups import (
+    DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     Subgroup,
+    _closure,
     _mask_elements,
     quotient,
     section_group,
@@ -504,6 +506,76 @@ def two_step_section(g: FiniteGroup, hmask: int, kmask: int) -> FiniteGroup:
     index = {e: i for i, e in enumerate(elems)}
     hgrp = FiniteGroup([[index[g.mul(a, b)] for b in elems] for a in elems])
     return quotient(hgrp, sum(1 << index[e] for e in elems if kmask >> e & 1))[0]
+
+
+def leaf_checked_find_isomorphism(
+    g: FiniteGroup, h: FiniteGroup, cap: int = DEFAULT_ISO_CAP
+) -> tuple[int, ...] | None:
+    """Oracle for `groups.find_isomorphism`, with the same candidates in the
+    same order: each prefix of generator images is kept while the subgroup
+    it generates in h has the size of the prefix's subgroup in g, and each
+    leaf map is rebuilt from a word table and checked on all |G|^2 products."""
+    if g.order != h.order:
+        return None
+    if g.fingerprint != h.fingerprint:
+        return None
+    if g.order == 1:
+        return (0,)
+    if g.order > cap:
+        raise IsoCapExceeded(f"isomorphism search above order cap {cap}")
+    gens = g.generating_set
+    prefix_sizes = []
+    for i in range(len(gens)):
+        mask, elems = _closure(g.table, gens[: i + 1])
+        prefix_sizes.append(len(elems))
+    # express every element as a left-bracketed word in the generators
+    order_words: list[tuple[int, int]] = [(-1, -1)] * g.order
+    bfs = [0]
+    seen = 1
+    for x in bfs:
+        row = g.table[x]
+        for gi, gen in enumerate(gens):
+            y = row[gen]
+            if not (seen >> y) & 1:
+                seen |= 1 << y
+                order_words[y] = (x, gi)
+                bfs.append(y)
+    g_orders, h_orders = g.element_orders, h.element_orders
+    candidates = [
+        [e for e in range(h.order) if h_orders[e] == g_orders[gen]] for gen in gens
+    ]
+    ht = h.table
+    images: list[int] = []
+
+    def dfs(depth: int) -> tuple[int, ...] | None:
+        if depth == len(gens):
+            phi = [0] * g.order
+            img_mask = 1
+            for x in bfs[1:]:
+                parent, gi = order_words[x]
+                v = ht[phi[parent]][images[gi]]
+                phi[x] = v
+                img_mask |= 1 << v
+            if img_mask.bit_count() != g.order:
+                return None
+            gt = g.table
+            for a in range(g.order):
+                ra, pa = gt[a], phi[a]
+                for b in range(g.order):
+                    if phi[ra[b]] != ht[pa][phi[b]]:
+                        return None
+            return tuple(phi)
+        for img in candidates[depth]:
+            images.append(img)
+            mask, elems = _closure(ht, images)
+            if len(elems) == prefix_sizes[depth]:
+                found = dfs(depth + 1)
+                if found is not None:
+                    return found
+            images.pop()
+        return None
+
+    return dfs(0)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Core group machinery: tables, products, quotients, isomorphism."""
 
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,7 @@ from conftest import (
     closure_from_generators,
     derived_subgroup,
     greedy_generating_set,
+    leaf_checked_find_isomorphism,
     literal_derived_mask,
 )
 from dedekind.errors import (
@@ -26,6 +28,7 @@ from dedekind.errors import (
 )
 from dedekind.families import cyclic, dihedral, generalized_quaternion, heisenberg
 from dedekind.groups import (
+    DEFAULT_ISO_CAP,
     FiniteGroup,
     direct_product,
     find_isomorphism,
@@ -370,6 +373,44 @@ def test_find_isomorphism_returns_real_map(zoo):
         for b in range(8):
             assert phi[q8.mul(a, b)] == other.mul(phi[a], phi[b])
     assert find_isomorphism(q8, zoo["d8"]) is None
+
+
+def relabelled(g: FiniteGroup, rng: random.Random) -> FiniteGroup:
+    """g with its non-identity elements renamed by a random permutation."""
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return FiniteGroup(table)
+
+
+def test_find_isomorphism_matches_the_leaf_checked_search(corpus):
+    # the per-choice check visits a subset of the oracle's nodes, so
+    # both return the same first map on every corpus pair of equal
+    # fingerprints; a relabelled copy of each group, too slow for the oracle,
+    # meets choices that break a relation only after the prefix subgroup has
+    # been walked; every map is checked on all |G|^2 products
+    by_fingerprint: dict = {}
+    for e in corpus:
+        g = e.group
+        if g.order <= DEFAULT_ISO_CAP and not g.is_abelian:
+            by_fingerprint.setdefault(g.fingerprint, []).append(g)
+    pairs = [(g, h) for gs in by_fingerprint.values() for g in gs for h in gs]
+    rng = random.Random(0)
+    copies = [(g, relabelled(g, rng)) for gs in by_fingerprint.values() for g in gs]
+    maps = []
+    for g, h in pairs:
+        phi = find_isomorphism(g, h)
+        assert phi == leaf_checked_find_isomorphism(g, h), (g.name, h.name)
+        maps.append((g, h, phi))
+    maps += [(g, h, find_isomorphism(g, h)) for g, h in copies]
+    found = [(g, h, phi) for g, h, phi in maps if phi is not None]
+    assert (len(pairs), len(copies), len(found)) == (318, 202, 308 + 202)
+    for g, h, phi in found:
+        assert sorted(phi) == list(range(g.order))
+        for a, row in enumerate(g.table):
+            assert [phi[x] for x in row] == [h.table[phi[a]][y] for y in phi], g.name
 
 
 def test_isomorphism_cap(zoo):

@@ -17,7 +17,7 @@ from conftest import (
 from dedekind import lattice
 from dedekind.errors import LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
-from dedekind.groups import direct_product, section_group
+from dedekind.groups import direct_product, section_group, semidirect_product
 from dedekind.lattice import (
     all_subgroup_masks,
     brute_force_subgroup_masks,
@@ -310,6 +310,16 @@ def test_modularity_matches_oracle_on_corpus(corpus):
     assert checked >= 300
 
 
+def c5_rtimes_cyclic(m: int):
+    """C5 x| C(m), the generator of C(m) acting as i -> 2i, so through C4."""
+    action = [[pow(2, h, 5) * i % 5 for i in range(5)] for h in range(m)]
+    return semidirect_product(cyclic(5), cyclic(m), action)
+
+
+# groups no spec builds, by the name they get
+NON_SPEC_GROUPS = {f"C(5) x| C({m})": m for m in (4, 8)}
+
+
 @pytest.mark.parametrize(
     "spec, witness",
     [
@@ -317,12 +327,19 @@ def test_modularity_matches_oracle_on_corpus(corpus):
         ("He(3) x EA(3,2)", (14, 41, 159)),
         ("D(8) x EA(2,4)", (16, 32, 491)),
         ("M(2,6)", None),
+        # upper semimodular but not lower, so only the dual scan finds a
+        # witness; both equal brute_force_is_modular's
+        ("C(5) x| C(4)", (1, 7, 6)),
+        ("C(5) x| C(8)", (2, 9, 8)),
     ],
 )
 def test_modularity_walks_covers_without_the_edge_list(spec, witness, monkeypatch):
     # the first witness found is pinned; the covers are walked lazily, so
     # the full, sorted edge list is never built
-    lat = subgroup_lattice(build_group(spec))
+    if spec in NON_SPEC_GROUPS:
+        lat = subgroup_lattice(c5_rtimes_cyclic(NON_SPEC_GROUPS[spec]))
+    else:
+        lat = subgroup_lattice(build_group(spec))
     calls = []
 
     def counting(*args):
@@ -343,8 +360,8 @@ def test_modularity_walks_covers_without_the_edge_list(spec, witness, monkeypatc
 
 @pytest.mark.parametrize("spec", ["SD(2,3)", "SD(2,7)"])
 def test_lower_semimodular_scan_finds_a_genuine_witness(spec):
-    # every tested lattice that is not modular already fails the upper half,
-    # so the dual half is run on its own here, on the oracle's lower covers
+    # these lattices fail the upper half too, so the dual half is run on its
+    # own here, on the oracle's lower covers
     lat = subgroup_lattice(build_group(spec))
     down = [[] for _ in range(lat.size)]
     for i, j in sorted(brute_force_hasse_edges(lat)):

@@ -203,6 +203,20 @@ def test_is_order_mod_prime_matches_the_power_loop():
             assert found == [multiplicative_order(a, q)], (a, q)
 
 
+def test_is_order_mod_prime_past_its_trial_division():
+    # r = q - 1 = 2P with P a prime near 5 * 10^19: P is proved prime by
+    # Miller-Rabin, not trial-divided up to its square root
+    q = 100000000000000000763
+    assert is_order_mod_prime(q - 1, 2, q)
+    assert not is_order_mod_prime(q - 1, 4, q)
+    # r = 1000003 * 1000033 has no factor up to the bound and is not prime, so
+    # the primes s with a^(r/s) to test are unknown
+    r = 1000003 * 1000033
+    q = 24 * r + 1
+    with pytest.raises(BudgetExhausted):
+        is_order_mod_prime(r, pow(2, 24, q), q)
+
+
 @given(n=st.integers(2, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_prime_factorization_reconstructs(n):

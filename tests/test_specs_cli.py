@@ -205,17 +205,34 @@ def test_formula_answers_large_parameters_within_a_second(capsys, params, want):
 
 
 @pytest.mark.parametrize(
-    "r, want",
+    "q, r, want",
     [
-        ("5", (3, "error: r = 5 is not the multiplicative order of 2 mod 1000000000039\n")),
-        ("500000000019", (4, _too_long("schmidt-section"))),  # the true order
+        pytest.param(
+            "1000000000039",
+            "5",
+            (3, "error: r = 5 is not the multiplicative order of 2 mod 1000000000039\n"),
+            id="5-want0",
+        ),
+        pytest.param(  # the true order
+            "1000000000039",
+            "500000000019",
+            (4, _too_long("schmidt-section")),
+            id="500000000019-want1",
+        ),
+        pytest.param(  # q - 1 = 2P with P prime, so r = q - 1 is the true order
+            "100000000000000000763",
+            "100000000000000000762",
+            (4, _too_long("schmidt-section")),
+            id="safe-prime-q",
+        ),
     ],
 )
-def test_schmidt_section_checks_r_without_stepping_through_powers(r, want):
-    # stepping 2^k mod q one k at a time would take 5 * 10^11 steps; the timeout
-    # turns such a hang into a failure
+def test_schmidt_section_checks_r_without_stepping_through_powers(q, r, want):
+    # stepping 2^k mod q one k at a time would take 5 * 10^11 steps, and
+    # trial division of the last r up to the square root of its prime factor
+    # 5 * 10^19 about 3.5 * 10^9; the timeout turns such a hang into a failure
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    argv = ["formula", "schmidt-section", "2", "1000000000039", r]
+    argv = ["formula", "schmidt-section", "2", q, r]
     done = subprocess.run(
         [sys.executable, "-m", "dedekind.cli", *argv],
         env=env,
