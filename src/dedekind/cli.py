@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import threading
-import time
 from contextlib import suppress
 from fractions import Fraction
 
@@ -60,7 +59,7 @@ from .invariants import (
 )
 from .lattice import hasse_edges, subgroup_lattice
 from .numbertheory import is_order_mod_prime, is_prime
-from .specs import build_group, parse_spec
+from .specs import parse_spec
 from .verify import list_corpus, run_suites, SUITES
 
 DEFAULT_CACHE_PATH = ".dedekind_cache"
@@ -124,7 +123,6 @@ def _cache_put(cache_dir: str, report: InvariantReport) -> None:
     entry = {
         "spec": report.spec,
         "engine": engine_revision(),
-        "saved_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "report": report.to_json_dict(),
     }
     try:
@@ -134,15 +132,8 @@ def _cache_put(cache_dir: str, report: InvariantReport) -> None:
             fh.write("\n")
         os.replace(tmp, path)
     except OSError:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def _lacks_d_star(report: InvariantReport, allow_slow: bool = False) -> bool:
-    """Whether report has no d* although compute_report(allow_slow=...) gives one."""
-    return report.d_star is None and (report.order <= DSTAR_ORDER_LIMIT or allow_slow)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +147,23 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
-def _spec_report(args, need_d_star: bool = False) -> InvariantReport:
-    """Resolve a spec to its InvariantReport, via the cache when allowed.
+def _spec_report(args, text: str, need_d_star: bool = False) -> InvariantReport:
+    """The InvariantReport of spec text, served from the cache only as a cold run prints it.
 
-    A cached report is reused unless it lacks a d* that this invocation
-    would compute (or, for an explicit d* request, must refuse above the
-    size gate), whichever command wrote it.
+    That is, within --max-order, and with d* exactly where this call computes
+    it (order <= DSTAR_ORDER_LIMIT, or --allow-slow): a cached d* out of that
+    reach is dropped from the served copy, and a d* request out of it runs cold.
     """
-    spec = parse_spec(args.spec)
+    spec = parse_spec(text)
     canonical = str(spec)
     cached = None if args.no_cache else _cache_get(args.cache_path, canonical)
-    if cached is not None and not _lacks_d_star(cached, args.allow_slow or need_d_star):
-        return cached
+    if cached is not None and cached.order <= args.max_order:
+        if cached.order <= DSTAR_ORDER_LIMIT or args.allow_slow:
+            if cached.d_star is not None:
+                return cached
+        elif not need_d_star:
+            cached.d_star = None
+            return cached
     group = spec.build(order_cap=args.max_order)
     if need_d_star and group.order > DSTAR_ORDER_LIMIT and not args.allow_slow:
         # surface the cap before doing any heavy enumeration
@@ -186,7 +182,7 @@ def _flag_line(flags: dict) -> str:
 # subcommands
 
 def cmd_info(args) -> int:
-    report = _spec_report(args)
+    report = _spec_report(args, args.spec)
     if args.json:
         _emit_json(report.to_json_dict())
         return 0
@@ -207,21 +203,14 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_dprime(args) -> int:
-    report = _spec_report(args)
+def cmd_ratio(args) -> int:
+    """dprime and dstar: the report's field args.ratio, d_prime or d_star."""
+    report = _spec_report(args, args.spec, need_d_star=args.ratio == "d_star")
+    value = str(getattr(report, args.ratio))
     if args.json:
-        _emit_json({"spec": report.spec, "d_prime": str(report.d_prime)})
+        _emit_json({"spec": report.spec, args.ratio: value})
     else:
-        _emit(str(report.d_prime))
-    return 0
-
-
-def cmd_dstar(args) -> int:
-    report = _spec_report(args, need_d_star=True)
-    if args.json:
-        _emit_json({"spec": report.spec, "d_star": str(report.d_star)})
-    else:
-        _emit(str(report.d_star))
+        _emit(value)
     return 0
 
 
@@ -443,16 +432,11 @@ def cmd_formula(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    reports = []
-    for spec, tag, _, order, _ in list_corpus():
-        if order > args.max_order or (args.family is not None and tag != args.family):
-            continue
-        report = None if args.no_cache else _cache_get(args.cache_path, spec)
-        if report is None or _lacks_d_star(report):
-            report = compute_report(build_group(spec), spec=spec)
-            if not args.no_cache:
-                _cache_put(args.cache_path, report)
-        reports.append(report)
+    reports = [
+        _spec_report(args, spec)
+        for spec, tag, _, order, _ in list_corpus()
+        if order <= args.max_order and (args.family is None or tag == args.family)
+    ]
     if args.json:
         _emit_json([r.to_json_dict() for r in reports])
         return 0
@@ -505,11 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dprime", help="subgroup-class ratio d'")
     _add_spec_flags(sp)
-    sp.set_defaults(func=cmd_dprime)
+    sp.set_defaults(func=cmd_ratio, ratio="d_prime")
 
     sp = sub.add_parser("dstar", help="minimum of d' over all sections")
     _add_spec_flags(sp)
-    sp.set_defaults(func=cmd_dstar)
+    sp.set_defaults(func=cmd_ratio, ratio="d_star")
 
     sp = sub.add_parser("lattice", help="subgroup lattice listing or DOT diagram")
     _add_spec_flags(sp, report=False)
@@ -552,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--no-cache", action="store_true", help="bypass the report cache")
     sp.add_argument("--cache-path", default=DEFAULT_CACHE_PATH, help=_CACHE_PATH_HELP)
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=cmd_sweep, allow_slow=False)
 
     return parser
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -321,37 +321,28 @@ class InvariantReport:
     ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "order": self.order,
-            "lattice_size": self.lattice_size,
-            "k_prime": self.k_prime,
-            "normal_count": self.normal_count,
-            "nu": self.nu,
-            "d_prime": {"num": self.d_prime.numerator, "den": self.d_prime.denominator},
-            "d_star": None
-            if self.d_star is None
-            else {"num": self.d_star.numerator, "den": self.d_star.denominator},
-            "flags": dict(sorted(self.flags.items())),
-            "ms": self.ms,
-        }
+        """The fields in order, each Fraction as {"num", "den"} and the flags sorted."""
+        return {name: write(getattr(self, name)) for name, write, _ in _JSON_CODECS}
 
     @staticmethod
     def from_json_dict(data: dict) -> "InvariantReport":
-        return InvariantReport(
-            spec=data["spec"],
-            order=data["order"],
-            lattice_size=data["lattice_size"],
-            k_prime=data["k_prime"],
-            normal_count=data["normal_count"],
-            nu=data["nu"],
-            d_prime=Fraction(data["d_prime"]["num"], data["d_prime"]["den"]),
-            d_star=None
-            if data["d_star"] is None
-            else Fraction(data["d_star"]["num"], data["d_star"]["den"]),
-            flags=dict(data["flags"]),
-            ms=data["ms"],
+        """The inverse of to_json_dict: each field read back by its declared type."""
+        return InvariantReport(**{name: read(data[name]) for name, _, read in _JSON_CODECS})
+
+
+def _json_codec(kind: str):
+    """(to JSON, from JSON) for a report field of the declared type kind."""
+    if kind.startswith("Fraction"):
+        return (
+            lambda x: None if x is None else {"num": x.numerator, "den": x.denominator},
+            lambda x: None if x is None else Fraction(x["num"], x["den"]),
         )
+    if kind.startswith("dict"):
+        return lambda x: dict(sorted(x.items())), dict
+    return lambda x: x, lambda x: x
+
+
+_JSON_CODECS = tuple((f.name, *_json_codec(f.type)) for f in fields(InvariantReport))
 
 
 def compute_report(

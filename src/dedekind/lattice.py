@@ -490,13 +490,13 @@ def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
     return g._lattice
 
 
-def hasse_edges(lat: SubgroupLattice, top: int | None = None) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with subgroup i maximal in subgroup j, in [1, top].
+def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) with subgroup i maximal in subgroup j.
 
     Sorted by (j, -|i|, i).
     """
-    within = lat.below(lat.size - 1 if top is None else top)
-    edges = [(i, j) for i in _mask_elements(within) for j in _upper_covers(lat, i, within)]
+    within = (1 << lat.size) - 1
+    edges = [(i, j) for i in range(lat.size) for j in _upper_covers(lat, i, within)]
     edges.sort(key=lambda e: (e[1], -lat.subgroups[e[0]].order, e[0]))
     return edges
 

@@ -33,7 +33,7 @@ from dedekind.groups import (
     section_group,
 )
 from dedekind.invariants import d_prime, sections, sylow_subgroups
-from dedekind.specs import parse_spec
+from dedekind.specs import build_group, parse_spec
 from dedekind.lattice import (
     ModularityWitness,
     SubgroupLattice,
@@ -291,6 +291,13 @@ def entrywise_table(spec: str) -> tuple[tuple[int, ...], ...]:
     """The table of the spec's group, every entry computed on its own."""
     atoms = [ENTRYWISE_BUILDERS[tag](*params) for tag, params in parse_spec(spec).atoms]
     return tuple(map(tuple, reduce(entrywise_direct_product, atoms)))
+
+
+def central_product_q8_d8() -> FiniteGroup:
+    """Q8 o D8, the extraspecial group 2^(1+4)_- of order 32: Q(8) x D(8) over
+    the diagonal central involution.  Element 36 of the product is the pair of
+    the two factors' central involutions."""
+    return section_group(build_group("Q(8) x D(8)"), (1 << 64) - 1, 1 | 1 << 36)[0]
 
 
 def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:

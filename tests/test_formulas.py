@@ -181,6 +181,20 @@ def test_monotonicity_verdicts():
         sequence_monotonicity("nonsense", (1, 2, 3))
 
 
+def test_monotonicity_verdicts_that_are_not_monotone():
+    # a repeated value is not strict, whichever way the rest goes; a turn is
+    # caught at its first step; one value has no direction at all
+    for family, params, p, first_violation in (
+        ("modular", (4, 5, 5, 6), 2, 1),
+        ("dihedral", (5, 4, 4, 3), None, 1),
+        ("modular", (4, 6, 5), 2, 1),
+        ("modular", (4,), 2, 0),
+    ):
+        v = sequence_monotonicity(family, params, p=p)
+        assert (v.direction, v.first_violation) == ("not monotone", first_violation), params
+        assert not v.ok and len(v.values) == len(params)
+
+
 def test_limit_trends():
     for family, p, limit in (
         ("modular", 2, Fraction(1)),

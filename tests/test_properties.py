@@ -1,7 +1,7 @@
 """Property-based checks of the algebraic invariants the engine relies on."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,7 @@ from dedekind.lattice import (
     is_lattice_modular,
     subgroup_lattice,
 )
+from dedekind import numbertheory
 from dedekind.numbertheory import (
     is_order_mod_prime,
     is_prime,
@@ -209,12 +210,40 @@ def test_is_order_mod_prime_past_its_trial_division():
     q = 100000000000000000763
     assert is_order_mod_prime(q - 1, 2, q)
     assert not is_order_mod_prime(q - 1, 4, q)
-    # r = 1000003 * 1000033 has no factor up to the bound and is not prime, so
-    # the primes s with a^(r/s) to test are unknown
-    r = 1000003 * 1000033
+    # r = 1000003 * 1000033 has no factor up to the bound and is not prime:
+    # Pollard's rho splits it.  The oracle tests a^(r/s) over the known primes s.
+    s1, s2 = 1000003, 1000033
+    r = s1 * s2
     q = 24 * r + 1
+    assert is_prime(s1) and is_prime(s2) and is_prime(q)
+
+    def oracle(a):
+        return pow(a, r, q) == 1 and all(pow(a, r // s, q) != 1 for s in (s1, s2))
+
+    for a, want in ((pow(2, 24, q), True), (pow(2, 24 * s1, q), False)):
+        assert oracle(a) == want
+        assert is_order_mod_prime(r, a, q) == want
+
+
+def test_is_order_mod_prime_splits_every_cofactor_shape(monkeypatch):
+    # cofactors past the trial division: a square, and three primes; each r
+    # is checked against the oracle over its known prime factors
+    p1, p2, p3 = 1000003, 1000033, 1000037
+    for primes in ((p1, p1), (p1, p2, p3)):
+        r = prod(primes)
+        q = next(k * r + 1 for k in range(2, 10**4, 2) if is_prime(k * r + 1))
+        wants = []
+        for m in (1, *set(primes)):
+            a = pow(2, (q - 1) // r * m, q)
+            want = pow(a, r, q) == 1 and all(pow(a, r // p, q) != 1 for p in set(primes))
+            assert is_order_mod_prime(r, a, q) == want, (primes, m)
+            wants.append(want)
+        assert wants == [True] + [False] * len(set(primes)), primes
+    # past its fixed step count the split gives up rather than running on
+    monkeypatch.setattr(numbertheory, "_RHO_STEPS", 64)
+    r = p1 * p2
     with pytest.raises(BudgetExhausted):
-        is_order_mod_prime(r, pow(2, 24, q), q)
+        is_order_mod_prime(r, pow(2, 24, 24 * r + 1), 24 * r + 1)
 
 
 @given(n=st.integers(2, 10_000))

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from dedekind import __version__, cli
+from dedekind import __version__, cli, specs
 from dedekind.errors import InvalidParameter, ParseError
+from dedekind.invariants import compute_report
 from dedekind.specs import build_group, parse_spec
 from dedekind.verify import Check, SuiteResult
 
@@ -266,13 +267,13 @@ def test_density_command(capsys):
 def test_sweep_command(capsys, tmp_path, monkeypatch):
     cp = str(tmp_path / "cache")
     built = []
-    build = cli.build_group
+    build = specs.GroupSpec.build
 
-    def counting(spec, **kwargs):
-        built.append(spec)
-        return build(spec, **kwargs)
+    def counting(spec, *args, **kwargs):
+        built.append(str(spec))
+        return build(spec, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_group", counting)
+    monkeypatch.setattr(specs.GroupSpec, "build", counting)
     code, out, _ = run_cli(capsys, ["sweep", "--family", "M", "--cache-path", cp])
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("M(")]
@@ -283,6 +284,20 @@ def test_sweep_command(capsys, tmp_path, monkeypatch):
     # the sweep populated the cache; a repeat serves identical bytes from it
     code2, out2, _ = run_cli(capsys, ["sweep", "--family", "M", "--cache-path", cp])
     assert out2 == out and len(built) == 6
+
+
+def test_sweep_json_is_the_cold_report_of_each_spec(capsys, tmp_path):
+    cp = str(tmp_path / "cache")
+    argv = ["sweep", "--family", "Q", "--json", "--cache-path", cp]
+    runs = [json.loads(run_cli(capsys, argv)[1]) for _ in range(2)]  # cold, then warm
+    want = [
+        compute_report(build_group(e["spec"]), spec=e["spec"]).to_json_dict() for e in runs[0]
+    ]
+    assert [e["spec"] for e in want] == ["Q(8)", "Q(16)", "Q(32)"]
+    for got in (*runs, want):
+        for e in got:
+            e.pop("ms")
+    assert runs[0] == runs[1] == want
 
 
 def test_sweep_cache_serves_the_same_d_star_as_a_cold_info(capsys, tmp_path):
@@ -391,6 +406,7 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
     assert os.listdir(cp) == [os.path.basename(cli._entry_path(cp, "D(16)"))]
     entry = read_entry(cp, "D(16)")
     assert entry["spec"] == "D(16)" and entry["engine"] == cli.engine_revision()
+    assert sorted(entry) == ["engine", "report", "spec"]
 
 
 def test_cache_transparent_up_to_timing(capsys, tmp_path):
@@ -563,6 +579,47 @@ def test_cached_report_keeps_the_d_star_size_gate(capsys, tmp_path):
     assert run_cli(capsys, ["info", "C(300)", "--cache-path", cp])[0] == 0
     assert run_cli(capsys, ["dstar", "C(300)", "--cache-path", cp])[0] == 4
     assert run_cli(capsys, ["dstar", "C(300)", "--no-cache"])[0] == 4
+    # and the other way: an entry with d* from --allow-slow serves it only to
+    # a call that computes d* itself
+    assert run_cli(capsys, ["dstar", "C(300)", "--allow-slow", "--cache-path", cp])[1] == "1\n"
+    assert read_entry(cp, "C(300)")["report"]["d_star"] == {"num": 1, "den": 1}
+    code, _, err = run_cli(capsys, ["dstar", "C(300)", "--cache-path", cp])
+    assert code == 4 and "needs allow_slow=True" in err
+    _, cold, _ = run_cli(capsys, ["info", "C(300)", "--no-cache"])
+    _, warm, _ = run_cli(capsys, ["info", "C(300)", "--cache-path", cp])
+    assert "d*(G):    -\n" in cold and "d*(G):    -\n" in warm
+    assert run_cli(capsys, ["dstar", "SD(3,13)", "--allow-slow", "--cache-path", cp])[0] == 0
+    for argv in (["info", "C(300)", "--json"], ["sweep", "--family", "SD", "--json"]):
+        _, cold, _ = run_cli(capsys, [*argv, "--no-cache"])
+        _, warm, _ = run_cli(capsys, [*argv, "--cache-path", cp])
+        assert _without_ms(warm) == _without_ms(cold), argv
+    # the entry keeps its d*, and --allow-slow serves it without recomputing
+    assert read_entry(cp, "C(300)")["report"]["d_star"] == {"num": 1, "den": 1}
+    entry = read_entry(cp, "C(300)")
+    entry["report"]["ms"] = 424242
+    write_entry(cp, "C(300)", entry)
+    _, out, _ = run_cli(capsys, ["info", "C(300)", "--allow-slow", "--json", "--cache-path", cp])
+    assert json.loads(out)["ms"] == 424242 and json.loads(out)["d_star"] == {"num": 1, "den": 1}
+
+
+def test_cached_report_keeps_the_order_cap(capsys, tmp_path):
+    cp = str(tmp_path / "cache")
+    spec = "D(8) x EA(2,3)"
+    assert run_cli(capsys, ["dprime", spec, "--cache-path", cp])[1] == "681/937\n"
+    for cache in (["--no-cache"], ["--cache-path", cp]):
+        for command in ("info", "dprime", "dstar"):
+            code, out, err = run_cli(capsys, [command, spec, "--max-order", "8", *cache])
+            assert (code, out) == (4, ""), (command, cache)
+            assert err == "error: product of order 64 exceeds the cap 8\n"
+    # a cap the group is within still serves the entry
+    assert run_cli(capsys, ["dprime", spec, "--max-order", "64", "--cache-path", cp])[1] == "681/937\n"
+
+
+def _without_ms(text: str):
+    data = json.loads(text)
+    for report in data if isinstance(data, list) else [data]:
+        report.pop("ms")
+    return data
 
 
 def test_corrupt_cache_file_is_ignored(capsys, tmp_path):

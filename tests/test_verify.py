@@ -8,16 +8,21 @@ from math import gcd
 
 import pytest
 
+from conftest import central_product_q8_d8
 from dedekind.errors import InvalidParameter
+from dedekind.formulas import d_prime_modular_formula
+from dedekind.invariants import compute_report, is_dedekind
 from dedekind.verify import (
     CORPUS_DSTAR_ORDER_LIMIT,
     Check,
     Corpus,
+    CorpusEntry,
     SUITES,
     SuiteResult,
     compute_corpus_stats,
     list_corpus,
     run_suites,
+    suite_dedekind_threshold,
 )
 from dedekind.specs import build_group
 
@@ -166,3 +171,24 @@ def test_check_and_result_accounting():
         antecedents={"n": 3},
     )
     assert r.passed == 2 and r.failed == 1 and not r.ok
+
+
+def test_the_d_prime_threshold_fails_on_q8_o_d8():
+    # the corpus holds no central product; Q8 o D8 of order 32 is a nilpotent
+    # group, not Dedekind, whose d' passes d'(M(2,5)) = 13/14 while d* does not
+    g = central_product_q8_d8()
+    report = compute_report(g, spec="Q(8) o D(8)")
+    assert (report.order, report.lattice_size, report.k_prime) == (32, 78, 73)
+    assert report.d_prime == Fraction(73, 78) > Fraction(13, 14) == d_prime_modular_formula(2, 5)
+    assert report.d_star == Fraction(4, 5)
+    flags = report.flags
+    assert flags["nilpotent"] and not flags["abelian"]
+    assert not (flags["dedekind"] or flags["modular_lattice"] or flags["iwasawa"])
+    assert not is_dedekind(g)
+    result = suite_dedekind_threshold(
+        Corpus([CorpusEntry("Q(8) o D(8)", g, "product")]), {"Q(8) o D(8)": report}
+    )
+    assert [(c.description, c.ok) for c in result.checks] == [
+        ("Q(8) o D(8): d' > 13/14 forces a Dedekind group", False)
+    ]
+    assert result.antecedents == {"p_groups_n_ge_3": 1, "d_prime_antecedents": 1}
