@@ -99,11 +99,18 @@ def _cache_get(cache_dir: str, spec: str) -> InvariantReport | None:
         if not isinstance(hit, dict) or hit.get("engine") != engine_revision():
             return None
         report = InvariantReport.from_json_dict(hit["report"])
+        flags, dp = report.flags, report.d_prime
         consistent = (
             report.spec == spec
             and report.k_prime == report.normal_count + report.nu
-            and report.d_prime == Fraction(report.k_prime, report.lattice_size)
+            and report.lattice_size > 0  # then d' = k'/|L| by cross-multiplying
+            and dp.numerator * report.lattice_size == dp.denominator * report.k_prime
             and (report.d_star is None or report.d_star <= report.d_prime)
+            and flags["dedekind"] == (report.nu == 0)
+            and flags["iwasawa"] == (flags["nilpotent"] and flags["modular_lattice"])
+            and (flags["dedekind"] or not flags["abelian"])
+            and (flags["modular_lattice"] or not flags["dedekind"])
+            and not (flags["schmidt"] and flags["nilpotent"])
         )
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
         return None

@@ -24,7 +24,7 @@ from math import gcd
 
 from .errors import InvalidParameter, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, cayley_rows, semidirect_product
-from .numbertheory import is_prime, multiplicative_order
+from .numbertheory import is_order_mod_prime, is_prime, multiplicative_order
 
 __all__ = [
     "cyclic",
@@ -239,13 +239,8 @@ def schmidt_gpqn(p: int, q: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
             hint = f"; parameters look swapped, try ({q},{p},{n})"
         raise InvalidParameter(f"q = {q} must divide p - 1 = {p - 1}{hint}")
     _check_cap(f"G({p},{q},{n})", order_cap, q, n - 1, factor=p)
-    m = next(
-        m for m in range(2, p) if multiplicative_order(m, p) == q
-    )
-    g = _metacyclic(f"G({p},{q},{n})", p, q ** (n - 1), m)
-    assert multiplicative_order(m, p) == q
-    assert all(multiplicative_order(w, p) != q for w in range(2, m))
-    return g
+    m = next(m for m in range(2, p) if is_order_mod_prime(q, m, p))
+    return _metacyclic(f"G({p},{q},{n})", p, q ** (n - 1), m)
 
 
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:

@@ -455,9 +455,7 @@ def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]]:
     return section_group(g, (1 << g.order) - 1, mask)
 
 
-def find_isomorphism(
-    g: FiniteGroup, h: FiniteGroup, cap: int = DEFAULT_ISO_CAP
-) -> tuple[int, ...] | None:
+def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> tuple[int, ...] | None:
     """Search for an isomorphism g -> h, as the image of each element of g;
     None when provably none exists.
 
@@ -469,14 +467,12 @@ def find_isomorphism(
     Group Theory, 2005), so one that survives all of g's generators is an
     injective homomorphism of g into h, an isomorphism as |g| = |h|.
     """
-    if g.order != h.order:
-        return None
     if g.fingerprint != h.fingerprint:
         return None
     if g.order == 1:
         return (0,)
-    if g.order > cap:
-        raise IsoCapExceeded(f"isomorphism search above order cap {cap}")
+    if g.order > DEFAULT_ISO_CAP:
+        raise IsoCapExceeded(f"isomorphism search above order cap {DEFAULT_ISO_CAP}")
     gens = g.generating_set
     gt, ht = g.table, h.table
     g_orders, h_orders = g.element_orders, h.element_orders
@@ -517,11 +513,11 @@ def find_isomorphism(
     return dfs(0)
 
 
-def is_isomorphic(g: FiniteGroup, h: FiniteGroup, cap: int = DEFAULT_ISO_CAP) -> bool:
+def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
     """Isomorphism test; abelian pairs settle by element-order histograms."""
     if g.fingerprint != h.fingerprint:
         return False
     if g.is_abelian and h.is_abelian:
         # the histogram of element orders classifies finite abelian groups
         return True
-    return find_isomorphism(g, h, cap=cap) is not None
+    return find_isomorphism(g, h) is not None

@@ -197,9 +197,6 @@ class SchmidtStructureReport:
     p: int
     q: int
     r: int
-    sylow_p_order: int
-    sylow_q_order: int
-    clauses: tuple[str, ...]
 
 
 def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
@@ -269,19 +266,7 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
             raise StructureViolation(
                 f"proper normal subgroup of order {n.order} neither contains P nor lies in Z(G)"
             )
-    return SchmidtStructureReport(
-        p=p,
-        q=q,
-        r=r,
-        sylow_p_order=psub.order,
-        sylow_q_order=qsub.order,
-        clauses=(
-            "normal Sylow p, cyclic Sylow q",
-            "Z(G) = Phi(G) = Phi(P) x Phi(Q)",
-            "P/Phi(P) elementary abelian of rank ord_q(p)",
-            "proper normals avoid Q and contain P or lie in Z(G)",
-        ),
-    )
+    return SchmidtStructureReport(p=p, q=q, r=r)
 
 
 def is_q_self_dual(g: FiniteGroup) -> bool:
@@ -327,19 +312,38 @@ class InvariantReport:
     @staticmethod
     def from_json_dict(data: dict) -> "InvariantReport":
         """The inverse of to_json_dict: each field read back by its declared type."""
-        return InvariantReport(**{name: read(data[name]) for name, _, read in _JSON_CODECS})
+        return InvariantReport(*[read(data[name]) for name, _, read in _JSON_CODECS])
+
+
+_FLAG_NAMES = {"abelian", "dedekind", "nilpotent", "iwasawa", "modular_lattice", "schmidt"}
 
 
 def _json_codec(kind: str):
-    """(to JSON, from JSON) for a report field of the declared type kind."""
+    """(to JSON, from JSON) for a report field of the declared type kind.
+
+    The reader raises TypeError on a value of another type: a bool is not an
+    int, a Fraction's parts are ints, and the flags map the six names to bools.
+    """
+
+    def bad(x):
+        raise TypeError(f"{x!r} is not a JSON {kind}")
+
     if kind.startswith("Fraction"):
+        optional = kind.endswith("None")
         return (
             lambda x: None if x is None else {"num": x.numerator, "den": x.denominator},
-            lambda x: None if x is None else Fraction(x["num"], x["den"]),
+            lambda x: None if x is None and optional
+            else Fraction(x["num"], x["den"]) if type(x["num"]) is int is type(x["den"])
+            else bad(x),
         )
     if kind.startswith("dict"):
-        return lambda x: dict(sorted(x.items())), dict
-    return lambda x: x, lambda x: x
+        return lambda x: dict(sorted(x.items())), lambda x: (
+            dict(x)
+            if type(x) is dict and x.keys() == _FLAG_NAMES and set(map(type, x.values())) == {bool}
+            else bad(x)
+        )
+    t = {"int": int, "str": str}[kind]
+    return lambda x: x, lambda x: x if type(x) is t else bad(x)
 
 
 _JSON_CODECS = tuple((f.name, *_json_codec(f.type)) for f in fields(InvariantReport))

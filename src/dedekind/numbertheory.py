@@ -60,19 +60,34 @@ def nth_odd_prime(k: int) -> int:
     return _ODD_PRIME_CACHE[k - 1]
 
 
+_TRIAL_DIVISION_BOUND = 10**4
+
+
 def prime_factorization(n: int) -> dict[int, int]:
-    """Map each prime divisor of n to its exponent."""
+    """Map each prime divisor of n to its exponent.
+
+    Trial division stops at _TRIAL_DIVISION_BOUND.  A cofactor left at or
+    below its square has no prime factor up to its square root, so it is
+    prime; one above it is split by `_rho_divisor` until `is_prime` proves
+    each part prime.
+    """
     if n < 1:
         raise InvalidParameter(f"cannot factor {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d <= _TRIAL_DIVISION_BOUND and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    parts = [n] if n > 1 else []
+    while parts:
+        s = parts.pop()
+        if s > _TRIAL_DIVISION_BOUND**2 and not is_prime(s):
+            d = _rho_divisor(s)
+            parts += [d, s // d]
+        else:
+            out[s] = out.get(s, 0) + 1
     return out
 
 
@@ -88,7 +103,6 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
-_TRIAL_DIVISION_BOUND = 10**6  # so r <= 10^12 is factored as by prime_factorization
 # Rho steps per split, 10 s at 0.6 us a step.  The worst cofactor below
 # _MR_EXACT_BELOW, two primes near 1.8 * 10^12, took 0.13 to 4.2 M steps (36 runs).
 _RHO_STEPS = 1 << 24
@@ -128,29 +142,11 @@ def is_order_mod_prime(r: int, a: int, q: int) -> bool:
     True iff r divides q - 1, a^r = 1 and a^(r/s) != 1 (mod q) for each prime
     s dividing r.  r is factored only once the first two tests pass, so a
     wrong r costs no loop over the powers of a, as `multiplicative_order` does.
-    Trial division stops at _TRIAL_DIVISION_BOUND; a cofactor left above its
-    square is split by `_rho_divisor` until `is_prime`, exact for r < q once q
-    passed it, proves each part prime.
+    `is_prime` is exact on the parts of r, as r < q and q passed it.
     """
     if r < 1 or (q - 1) % r or pow(a, r, q) != 1:
         return False
-    rest, d = r, 2
-    while d <= _TRIAL_DIVISION_BOUND and d * d <= rest:
-        if rest % d == 0:
-            if pow(a, r // d, q) == 1:
-                return False
-            while rest % d == 0:
-                rest //= d
-        d += 1 if d == 2 else 2
-    parts = [rest] if rest > 1 else []
-    while parts:
-        s = parts.pop()
-        if s > _TRIAL_DIVISION_BOUND**2 and not is_prime(s):
-            d = _rho_divisor(s)
-            parts += [d, s // d]
-        elif pow(a, r // s, q) == 1:
-            return False
-    return True
+    return all(pow(a, r // s, q) != 1 for s in prime_factorization(r))
 
 
 def is_prime_power(n: int) -> bool:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import dedekind
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_public_api():
@@ -96,3 +98,29 @@ def test_every_module_function_is_used_or_exported():
             if not any(name == fn.name and id(node) not in own for name, node in names):
                 unused.append(f"{module}.{fn.name}")
     assert not unused, f"module-level functions with no use in the package: {unused}"
+
+
+def test_the_benchmark_tracer_still_fits_the_sources():
+    # perfbench/tracing.py rebinds module-level names of dedekind; a renamed
+    # or deleted name would break `perfbench/run.py --trace 1` without notice
+    from dedekind import invariants, verify
+    from dedekind.specs import parse_spec
+
+    spec = importlib.util.spec_from_file_location("_dedekind_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        replaced = list(tracer._restore)
+        g = parse_spec("D(8)").build()
+        verify.compute_report(g, spec="D(8)")
+        assert {name for name, *_ in tracer.spans} >= {"invariants.report", "lattice.enumerate"}
+    finally:
+        tracer.uninstall()
+    assert len(replaced) > len(verify.SUITES)
+    for owner, name, original in replaced:
+        now = owner[name] if isinstance(owner, dict) else getattr(owner, name)
+        assert now is original, name
+    # VerifyAll wraps the compute_report that verify calls
+    assert verify.compute_report is invariants.compute_report

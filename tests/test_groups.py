@@ -413,12 +413,21 @@ def test_find_isomorphism_matches_the_leaf_checked_search(corpus):
             assert [phi[x] for x in row] == [h.table[phi[a]][y] for y in phi], g.name
 
 
-def test_isomorphism_cap(zoo):
+def test_isomorphism_cap(zoo, monkeypatch):
     # fingerprint mismatches settle without search, so the cap only binds
     # when a genuine backtracking search would start
-    assert not is_isomorphic(zoo["d16"], zoo["q16"], cap=8)
+    monkeypatch.setattr("dedekind.groups.DEFAULT_ISO_CAP", 8)
+    assert not is_isomorphic(zoo["d16"], zoo["q16"])
     with pytest.raises(IsoCapExceeded):
-        is_isomorphic(zoo["d16"], dihedral(16), cap=8)
+        is_isomorphic(zoo["d16"], dihedral(16))
+
+
+def test_find_isomorphism_on_trivial_and_unequal_orders(zoo):
+    assert find_isomorphism(cyclic(1), FiniteGroup([[0]])) == (0,)
+    # the fingerprints hold the order, so no search starts, even past the cap
+    assert find_isomorphism(cyclic(1), cyclic(2)) is None
+    assert find_isomorphism(zoo["d8"], zoo["d16"]) is None
+    assert find_isomorphism(dihedral(2 * DEFAULT_ISO_CAP), dihedral(4 * DEFAULT_ISO_CAP)) is None
 
 
 def test_fingerprint_fields(zoo):

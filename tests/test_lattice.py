@@ -411,8 +411,14 @@ def test_intervals_match_the_induced_subgroup_oracle(corpus):
 def test_lattice_budget(zoo):
     with pytest.raises(LatticeBudgetExceeded):
         all_subgroup_masks(elementary_abelian(2, 4), budget=10)
-    with pytest.raises(LatticeBudgetExceeded):
-        all_subgroup_masks(_a5(), budget=10)
+    # A5 has 59 subgroups, 32 of them cyclic: a budget of 10 stops the generic
+    # closure on its cyclic seeds, 40 and 58 inside its extension loop
+    a5 = _a5()
+    assert len({a5.closure((x,))[0] for x in range(60)}) == 32
+    for budget in (10, 40, 58):
+        with pytest.raises(LatticeBudgetExceeded):
+            all_subgroup_masks(a5, budget=budget)
+    assert len(all_subgroup_masks(a5, budget=59)) == 59
 
 
 def test_class_representatives(zoo):

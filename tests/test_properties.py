@@ -210,8 +210,8 @@ def test_is_order_mod_prime_past_its_trial_division():
     q = 100000000000000000763
     assert is_order_mod_prime(q - 1, 2, q)
     assert not is_order_mod_prime(q - 1, 4, q)
-    # r = 1000003 * 1000033 has no factor up to the bound and is not prime:
-    # Pollard's rho splits it.  The oracle tests a^(r/s) over the known primes s.
+    # r = 1000003 * 1000033 has no factor up to the trial bound and is not
+    # prime: Pollard's rho splits it.  The oracle tests a^(r/s) over the known primes s.
     s1, s2 = 1000003, 1000033
     r = s1 * s2
     q = 24 * r + 1
@@ -244,6 +244,24 @@ def test_is_order_mod_prime_splits_every_cofactor_shape(monkeypatch):
     r = p1 * p2
     with pytest.raises(BudgetExhausted):
         is_order_mod_prime(r, pow(2, 24, 24 * r + 1), 24 * r + 1)
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (1000003 * 1000033, {1000003: 1, 1000033: 1}),
+        (10007 * 10009, {10007: 1, 10009: 1}),
+        (10007**2, {10007: 2}),
+        (2 * 3**5 * 10007**2, {2: 1, 3: 5, 10007: 2}),
+        (9973 * 10007, {9973: 1, 10007: 1}),
+        (100000000000000000762, {2: 1, 50000000000000000381: 1}),
+    ],
+)
+def test_prime_factorization_past_its_trial_division(n, want):
+    # cofactors above the bound's square are split by rho; each part is prime
+    fac = prime_factorization(n)
+    assert fac == want
+    assert all(is_prime(p) for p in fac) and prod(p**e for p, e in fac.items()) == n
 
 
 @given(n=st.integers(2, 10_000))

@@ -502,6 +502,48 @@ def test_inconsistent_cached_entries_are_recomputed(capsys, tmp_path):
         assert read_entry(cp, "D(8)")["report"][field] == want[field], field
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order", "8"),
+        ("order", None),
+        ("order", True),
+        ("nu", 2.0),
+        ("d_prime", {"num": 4.0, "den": 5}),
+        ("d_star", {"num": True, "den": 1}),
+        ("abelian", 1),
+        ("abelian", True),
+        ("dedekind", True),
+        ("iwasawa", True),
+        ("modular_lattice", True),
+        ("schmidt", True),
+        ("schmidt", None),
+    ],
+)
+def test_wrong_typed_or_contradictory_entries_are_recomputed(capsys, tmp_path, field, value):
+    # a field not of its declared type, or flags that no group has together,
+    # make the entry a miss: each command prints its cold output
+    cp = str(tmp_path / "cache")
+    commands = (["info"], ["info", "--json"], ["dprime"], ["dstar", "--json"])
+
+    def outputs(*cache):
+        got = []
+        for command in commands:
+            code, out, err = run_cli(capsys, [*command, "D(8)", *cache])
+            out = _without_ms(out) if command == ["info", "--json"] else out.split("time:")[0]
+            got.append((code, out, err))
+        return got
+
+    cold = outputs("--no-cache")
+    for i in range(len(commands)):
+        run_cli(capsys, ["dprime", "D(8)", "--cache-path", cp])
+        entry = read_entry(cp, "D(8)")
+        report = entry["report"]
+        (report if field in report else report["flags"])[field] = value
+        write_entry(cp, "D(8)", entry)
+        assert outputs("--cache-path", cp)[i] == cold[i], commands[i]
+
+
 def test_concurrent_writers_keep_each_others_entries(capsys, tmp_path, monkeypatch):
     cp = str(tmp_path / "cache")
     compute = cli.compute_report

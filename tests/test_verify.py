@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -9,6 +10,7 @@ from math import gcd
 import pytest
 
 from conftest import central_product_q8_d8
+from dedekind import cli, verify
 from dedekind.errors import InvalidParameter
 from dedekind.formulas import d_prime_modular_formula
 from dedekind.invariants import compute_report, is_dedekind
@@ -121,6 +123,19 @@ def test_all_suites_pass_on_reduced_corpus(fast_corpus, fast_stats):
         assert r.ok, (r.suite, [c.description for c in r.checks if not c.ok][:3])
         assert len(r.checks) > 0, r.suite
         assert any(v > 0 for v in r.antecedents.values()), r.suite
+
+
+def test_verify_command_builds_its_own_corpus_and_stats(capsys, monkeypatch):
+    # run_suites with no corpus builds the standard one from list_corpus
+    rows = [row for row in list_corpus() if row[3] <= 12]
+    monkeypatch.setattr(verify, "list_corpus", lambda: rows)
+    corpus = verify.build_corpus()
+    assert [e.spec for e in corpus] == [row[0] for row in rows] and len(rows) < 433
+    want = run_suites(["consistency"], corpus=corpus, stats=compute_corpus_stats(corpus))
+    assert cli.main(["verify", "consistency", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["suites"] == [r.to_json_dict() for r in want]
+    assert want[0].passed > 0
 
 
 def test_single_suite_selection(fast_corpus, fast_stats):
