@@ -11,8 +11,10 @@ recomputed); verification failures, parameter errors, and budget caps map
 to distinct exit codes.  The argument parser is built on the first `main`
 call and reused by every later call in the process.
 
-Exit codes: 0 success, 2 spec parse error, 3 invalid parameter or structure,
-4 order/budget/isomorphism cap exceeded, 5 verification failure.
+Exit codes: 0 success, 5 verification failure, and for a package error the
+`exit_code` its class in `errors` carries: 2 spec parse error, 3 invalid
+parameter or structure (`StructureViolation` too), 4 order/budget/isomorphism
+cap exceeded.
 """
 
 from __future__ import annotations
@@ -28,17 +30,7 @@ from contextlib import suppress
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    BudgetExhausted,
-    InvalidParameter,
-    IsoCapExceeded,
-    LatticeBudgetExceeded,
-    NotAnAction,
-    NotAnAutomorphism,
-    NotNormal,
-    OrderCapExceeded,
-    ParseError,
-)
+from .errors import BudgetExhausted, DedekindError, InvalidParameter
 from .formulas import (
     DENSITY_PRIME_BUDGET,
     d_prime_dihedral_formula,
@@ -558,20 +550,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except DedekindError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameter, NotNormal, NotAnAutomorphism, NotAnAction) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        OrderCapExceeded,
-        LatticeBudgetExceeded,
-        IsoCapExceeded,
-        BudgetExhausted,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -180,7 +180,6 @@ _FAMILIES = {
 
 @dataclass(frozen=True)
 class MonotonicityVerdict:
-    family: str
     direction: str  # "strictly increasing" | "strictly decreasing" | "not monotone"
     first_violation: int | None
     values: tuple[Fraction, ...]
@@ -201,22 +200,21 @@ def sequence_monotonicity(family: str, params, p: int | None = None) -> Monotoni
     evaluate = _FAMILIES[family][0]
     values = tuple(evaluate(v, p) for v in params)
     if len(values) < 2:
-        return MonotonicityVerdict(family, "not monotone", 0, values)
+        return MonotonicityVerdict("not monotone", 0, values)
     increasing = all(a < b for a, b in zip(values, values[1:]))
     if increasing:
-        return MonotonicityVerdict(family, "strictly increasing", None, values)
+        return MonotonicityVerdict("strictly increasing", None, values)
     decreasing = all(a > b for a, b in zip(values, values[1:]))
     if decreasing:
-        return MonotonicityVerdict(family, "strictly decreasing", None, values)
+        return MonotonicityVerdict("strictly decreasing", None, values)
     # the first step that breaks the direction of the first step
     up = values[0] < values[1]
     i = next(i for i, (a, b) in enumerate(zip(values, values[1:])) if (a >= b if up else a <= b))
-    return MonotonicityVerdict(family, "not monotone", i, values)
+    return MonotonicityVerdict("not monotone", i, values)
 
 
 @dataclass(frozen=True)
 class LimitTrendVerdict:
-    family: str
     limit: Fraction
     final_gap: Fraction
     epsilon: Fraction
@@ -238,7 +236,7 @@ def limit_trend(family: str, p: int | None = None) -> LimitTrendVerdict:
     evaluate, limit, samples = _FAMILIES[family]
     gaps = [abs(evaluate(v, p) - limit) for v in samples]
     ok = all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < _LIMIT_EPSILON
-    return LimitTrendVerdict(family, limit, gaps[-1], _LIMIT_EPSILON, ok)
+    return LimitTrendVerdict(limit, gaps[-1], _LIMIT_EPSILON, ok)
 
 
 DENSITY_PRIME_BUDGET = 500  # odd primes a density sequence may use

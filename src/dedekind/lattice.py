@@ -48,7 +48,7 @@ from operator import attrgetter
 
 from .errors import LatticeBudgetExceeded
 from .groups import FiniteGroup, Subgroup, _derived_subgroup, _mask_elements
-from .numbertheory import is_prime_power, prime_factorization
+from .numbertheory import prime_factorization, prime_power
 
 __all__ = [
     "DEFAULT_LATTICE_BUDGET",
@@ -90,10 +90,7 @@ def _prime_roots(g: FiniteGroup) -> tuple[list[int], list[int]]:
     """
     table = g.table
     orders = g.element_orders
-    prime_of_order = {}
-    for k in set(orders):
-        factors = prime_factorization(k)
-        prime_of_order[k] = next(iter(factors)) if len(factors) == 1 else 0
+    prime_of_order = {k: (prime_power(k) or (0,))[0] for k in set(orders)}
     roots = [0] * g.order
     prime = [prime_of_order[k] for k in orders]
     for x, p in enumerate(prime):
@@ -237,7 +234,7 @@ def _generic_extension(g: FiniteGroup, budget: int) -> dict[int, tuple[int, ...]
             elems_of[mask] = elems
     if len(seen) > budget:
         raise LatticeBudgetExceeded(f"more than {budget} subgroups")
-    ppow = [x for x in range(1, n) if is_prime_power(g.element_orders[x])]
+    ppow = [x for x in range(1, n) if prime_power(g.element_orders[x])]
     queue = deque(seen)
     while queue:
         hmask = queue.popleft()

@@ -1,4 +1,4 @@
-"""Small number-theoretic helpers used by the group constructors."""
+"""Small number-theoretic helpers: primality, factoring, prime powers and orders."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ __all__ = [
     "prime_factorization",
     "multiplicative_order",
     "is_order_mod_prime",
-    "is_prime_power",
+    "prime_power",
 ]
 
 
@@ -149,8 +149,9 @@ def is_order_mod_prime(r: int, a: int, q: int) -> bool:
     return all(pow(a, r // s, q) != 1 for s in prime_factorization(r))
 
 
-def is_prime_power(n: int) -> bool:
-    """True when n = p^k with p prime and k >= 1."""
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) when n = p^k with p prime and k >= 1, else None (also for n < 2)."""
     if n < 2:
-        return False
-    return len(prime_factorization(n)) == 1
+        return None
+    fact = prime_factorization(n)
+    return next(iter(fact.items())) if len(fact) == 1 else None

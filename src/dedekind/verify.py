@@ -71,7 +71,8 @@ from .lattice import (
     normalizes,
     subgroup_lattice,
 )
-from .numbertheory import is_prime, multiplicative_order, nth_odd_prime, prime_factorization
+from .numbertheory import is_prime, multiplicative_order, nth_odd_prime
+from .numbertheory import prime_factorization, prime_power
 from .specs import build_group
 
 
@@ -271,14 +272,6 @@ class SuiteResult:
         }
 
 
-def _is_p_group(order: int) -> int | None:
-    """The prime p when order is a nontrivial power of p, else None."""
-    fact = prime_factorization(order)
-    if len(fact) == 1:
-        return next(iter(fact))
-    return None
-
-
 def _fraction(r: Fraction | None) -> str:
     return "-" if r is None else str(r)
 
@@ -434,22 +427,13 @@ def suite_formulas(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRe
 def _one_class_candidates(order: int) -> list[tuple[str, tuple[int, ...]]]:
     """Family parameters that could realize a given order with one non-normal class."""
     cands: list[tuple[str, tuple[int, ...]]] = []
-    fact = prime_factorization(order)
-    if len(fact) == 1:
-        ((p, n),) = fact.items()
-        if (p == 2 and n >= 4) or (p > 2 and n >= 3):
-            cands.append(("M", (p, n)))
-    for p in sorted(fact):
-        if fact[p] != 1:
-            continue
-        rest = order // p
-        if rest == 1:
-            continue
-        rf = prime_factorization(rest)
-        if len(rf) == 1:
-            ((q, e),) = rf.items()
-            if q != p and (p - 1) % q == 0:
-                cands.append(("G", (p, q, e + 1)))
+    pk = prime_power(order)
+    if pk and pk[1] >= (4 if pk[0] == 2 else 3):
+        cands.append(("M", pk))
+    for p in sorted(prime_factorization(order)):
+        qe = prime_power(order // p)
+        if qe and qe[0] != p and (p - 1) % qe[0] == 0:  # order = p q^e with q != p
+            cands.append(("G", (p, qe[0], qe[1] + 1)))
     return cands
 
 
@@ -581,8 +565,8 @@ def suite_modularity(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
     s = SuiteResult("modularity")
     for e in corpus:
         r = stats[e.spec]
-        p = _is_p_group(e.group.order)
-        if p is None or r.d_star is None:
+        pk = prime_power(e.group.order)
+        if pk is None or r.d_star is None:
             continue
         s.count("p_groups_with_d_star")
         if r.d_star > Fraction(4, 5):
@@ -592,7 +576,7 @@ def suite_modularity(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
                 r.flags["modular_lattice"],
                 f"d* = {r.d_star}, modular_lattice = {r.flags['modular_lattice']}",
             )
-        if p % 2 and r.d_star > Fraction(11, 19):
+        if pk[0] % 2 and r.d_star > Fraction(11, 19):
             s.count("odd_over_11_19")
             s.check(
                 f"{e.spec}: odd order and d* > 11/19 force a modular lattice",
@@ -703,12 +687,10 @@ def suite_dedekind_threshold(
     has d' = 73/78 > 13/14 without being Dedekind."""
     s = SuiteResult("dedekind-threshold")
     for e in corpus:
-        p = _is_p_group(e.group.order)
-        if p is None:
+        pk = prime_power(e.group.order)
+        if pk is None or pk[1] < 3:
             continue
-        n = prime_factorization(e.group.order)[p]
-        if n < 3:
-            continue
+        p, n = pk
         r = stats[e.spec]
         thr = Fraction(4, 5) if (p, n) == (2, 3) else d_prime_modular_formula(p, n)
         s.count("p_groups_n_ge_3")
@@ -882,7 +864,7 @@ def suite_extremal_values(
         violators = []
         matching = 0
         for e in corpus:
-            if e.group.order != 2**n or _is_p_group(e.group.order) != 2:
+            if e.group.order != 2**n:
                 continue
             rr = stats[e.spec]
             if rr.d_star is None:

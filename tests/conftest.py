@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
+from dedekind.formulas import gaussian_binomial
 from dedekind.numbertheory import multiplicative_order
 from dedekind.groups import (
     DEFAULT_ISO_CAP,
@@ -379,6 +381,53 @@ def brute_force_subgroup_classes(g: FiniteGroup) -> list[frozenset[int]]:
         seen |= orbit
         classes.append(frozenset(orbit))
     return classes
+
+
+@cache
+def _sorted_subgroup_masks(g: FiniteGroup) -> list[int]:
+    """`brute_force_subgroup_masks`, sorted and kept per group object for reuse."""
+    return sorted(brute_force_subgroup_masks(g))
+
+
+def goursat_counts(a: FiniteGroup, p: int, k: int) -> tuple[int, int, int]:
+    """(|L|, k', |N|) of A x EA(p, k) by Goursat's lemma, from A's subgroups alone.
+
+    A subgroup of A x B is a section A2 <| A1 <= A, a section B2 <= B1 <= B and
+    an isomorphism A1/A2 -> B1/B2.  For B = EA(p, k) both quotients are C_p^r:
+    there are N(r) = sum_d [k, d]_p [d, r]_p sections of B and |GL(r, p)|
+    isomorphisms.  B is central, so a in A fixes such a subgroup under
+    conjugation iff a lies in C(A1, A2): it normalizes A1 and A2 and acts
+    trivially on A1/A2.  Burnside's lemma then gives k' = sum |C(A1, A2)| / |A|
+    over the subgroups, and a subgroup is normal iff C(A1, A2) = A.  A's
+    subgroups come from `brute_force_subgroup_masks`, not the enumeration.
+    """
+    t, inv, n = a.table, a.inverses, a.order
+    subs = _sorted_subgroup_masks(a)
+    size = fixed = normal = 0
+    for a1 in subs:
+        e1 = _mask_elements(a1)
+        # A1/A2 is elementary abelian of exponent p iff A2 holds every x^p and [x, y]
+        gens = [a.power(x, p) for x in e1] + [a.commutator(x, y) for x in e1 for y in e1]
+        low = a.closure(gens)[0]
+        # a in A lies in C(A1, A2) iff A2 holds every a x a^-1 x^-1 with x in A1;
+        # as A2 <= A1, that also makes a normalize A1 and A2
+        moved = [sum(1 << y for y in {t[a.conj(g, x)][inv[x]] for x in e1}) for g in range(n)]
+        for a2 in subs:
+            if a2 & ~a1 or low & ~a2:
+                continue
+            r = round(math.log(a1.bit_count() // a2.bit_count(), p))
+            if r > k:
+                continue
+            sections_of_b = sum(
+                gaussian_binomial(k, d, p) * gaussian_binomial(d, r, p) for d in range(r, k + 1)
+            )
+            count = sections_of_b * math.prod(p**r - p**i for i in range(r))
+            cent = sum(not m & ~a2 for m in moved)
+            size += count
+            fixed += count * cent
+            normal += count if cent == n else 0
+    assert fixed % n == 0
+    return size, fixed // n, normal
 
 
 def string_below(lat: SubgroupLattice, i: int) -> int:

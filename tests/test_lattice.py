@@ -11,6 +11,7 @@ from conftest import (
     brute_force_subgroup_classes,
     closure_from_generators,
     conjugate_mask,
+    goursat_counts,
     orbits,
     string_below,
 )
@@ -441,3 +442,43 @@ def test_index_and_contains(zoo):
             assert (lat.below(i) >> j & 1) == (a.mask & b.mask == b.mask)
     with pytest.raises(KeyError):
         lat.index_of(0b1011)  # not a subgroup of d8
+
+
+# Goursat's lemma counts the subgroups of A x EA(p, k) from A's sections alone,
+# an oracle for the lattices too large for the brute-force enumeration
+
+
+def _counts(spec: str) -> tuple[int, int, int]:
+    lat = subgroup_lattice(build_group(spec))
+    return lat.size, lat.k_prime, lat.normal_count
+
+
+@pytest.mark.parametrize(
+    "a, p, k, want",
+    [
+        ("D(8)", 2, 4, (7420, 5276, 3132)),
+        ("M(2,4)", 2, 4, (7727, 6655, 5583)),
+        ("He(3)", 3, 2, (882, 450, 234)),
+        ("Q(8)", 2, 3, (425, 425, 425)),
+    ],
+)
+def test_goursat_counts_match_the_near_cap_lattices(a, p, k, want):
+    assert goursat_counts(build_group(a), p, k) == _counts(f"{a} x EA({p},{k})") == want
+
+
+def test_goursat_counts_match_every_small_non_abelian_atom_times_ea(corpus):
+    atoms = [e for e in corpus if e.tag != "product" and e.group.order <= 16]
+    atoms = [e for e in atoms if not e.group.is_abelian]
+    assert len(atoms) == 19
+    for e in atoms:
+        for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+            if (e.group.order, p, k) == (16, 2, 3):
+                continue  # the six of order 128 would take the test past its 1.5 s
+            spec = f"{e.spec} x EA({p},{k})"
+            assert goursat_counts(e.group, p, k) == _counts(spec), spec
+
+
+def test_goursat_pins_the_near_cap_lattices_too_slow_to_enumerate():
+    # 79,535 and 81,986 subgroups: enumerating and classing them takes seconds
+    assert goursat_counts(build_group("D(8)"), 2, 5) == (79535, 55599, 31663)
+    assert goursat_counts(build_group("M(2,4)"), 2, 5) == (81986, 70018, 58050)

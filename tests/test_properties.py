@@ -41,6 +41,7 @@ from dedekind.numbertheory import (
     multiplicative_order,
     nth_odd_prime,
     prime_factorization,
+    prime_power,
 )
 
 # builders for a pool of groups of order <= 48, by name for readable failures
@@ -262,6 +263,27 @@ def test_prime_factorization_past_its_trial_division(n, want):
     fac = prime_factorization(n)
     assert fac == want
     assert all(is_prime(p) for p in fac) and prod(p**e for p, e in fac.items()) == n
+
+
+def test_prime_power_agrees_with_the_factorization():
+    for n in range(1, 10**4 + 1):
+        fac = prime_factorization(n)
+        assert prime_power(n) == (next(iter(fac.items())) if len(fac) == 1 else None), n
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (2**61, (2, 61)),
+        (3**40, (3, 40)),
+        ((10**6 + 3) ** 2, (1000003, 2)),
+        (1000003 * 1000033, None),
+        (0, None),
+        (-8, None),
+    ],
+)
+def test_prime_power_past_the_trial_division(n, want):
+    assert prime_power(n) == want
 
 
 @given(n=st.integers(2, 10_000))

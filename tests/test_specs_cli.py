@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dedekind import __version__, cli, specs
+from dedekind import __version__, cli, errors, specs
 from dedekind.errors import InvalidParameter, ParseError
 from dedekind.invariants import compute_report
 from dedekind.specs import build_group, parse_spec
@@ -314,6 +314,43 @@ def test_exit_codes(capsys, tmp_path):
     assert run_cli(capsys, ["info", "M(4,3)", "--cache-path", cp])[0] == 3
     assert run_cli(capsys, ["info", "D(1024)", "--cache-path", cp])[0] == 4
     assert run_cli(capsys, ["dstar", "D(512)", "--max-order", "600", "--cache-path", cp])[0] == 4
+
+
+EXIT_CODE_OF = {
+    "DedekindError": 3,
+    "ParseError": 2,
+    "InvalidParameter": 3,
+    "NotNormal": 3,
+    "NotAnAutomorphism": 3,
+    "NotAnAction": 3,
+    "StructureViolation": 3,
+    "OrderCapExceeded": 4,
+    "LatticeBudgetExceeded": 4,
+    "IsoCapExceeded": 4,
+    "BudgetExhausted": 4,
+}
+
+
+def _error_classes(cls=errors.DedekindError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_has_a_chosen_exit_code():
+    # a new error class fails here until it is given a code in the table
+    assert sorted(c.__name__ for c in _error_classes()) == sorted(EXIT_CODE_OF)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_own_code(capsys, monkeypatch, cls):
+    def fail(text):
+        raise cls(f"{cls.__name__} from {text}")
+
+    monkeypatch.setattr(cli, "parse_spec", fail)
+    code, out, err = run_cli(capsys, ["info", "D(8)", "--no-cache"])
+    assert (code, out) == (EXIT_CODE_OF[cls.__name__], "")
+    assert err == f"error: {cls.__name__} from D(8)\n"
 
 
 @pytest.mark.parametrize(
