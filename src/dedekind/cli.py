@@ -4,12 +4,13 @@ Subcommands parse a group spec such as "M(2,5)" or "C(3) x D(8)", run the
 requested computation, and print either a human-readable table or, with
 --json, a machine format with a fixed key order so identical invocations
 produce byte-identical output.  Invariant reports are cached in a local
-directory, one JSON file per spec written by an atomic rename and checked
-when read against the engine revision (the package version plus a hash of
-the package's module sources, so an entry written by other engine code is
-recomputed); verification failures, parameter errors, and budget caps map
-to distinct exit codes.  The argument parser is built on the first `main`
-call and reused by every later call in the process.
+directory, one file per spec written by an atomic rename: a sha256 line,
+then the JSON entry.  An entry is served only when that line matches the
+bytes after it, its engine revision (the package version plus a hash of the
+package's module sources) is this one, and its spec is the requested one;
+any other entry is recomputed.  Verification failures, parameter errors,
+and budget caps map to distinct exit codes.  The argument parser is built on
+the first `main` call and reused by every later call in the process.
 
 Exit codes: 0 success, 5 verification failure, and for a package error the
 `exit_code` its class in `errors` carries: 2 spec parse error, 3 invalid
@@ -30,7 +31,7 @@ from contextlib import suppress
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExhausted, DedekindError, InvalidParameter
+from .errors import BudgetExhausted, DedekindError, InvalidParameter, OrderCapExceeded
 from .formulas import (
     DENSITY_PRIME_BUDGET,
     d_prime_dihedral_formula,
@@ -46,7 +47,6 @@ from .invariants import (
     DSTAR_ORDER_LIMIT,
     InvariantReport,
     compute_report,
-    d_star,
     sections,
 )
 from .lattice import hasse_edges, subgroup_lattice
@@ -84,36 +84,31 @@ def _entry_path(cache_dir: str, spec: str) -> str:
 
 
 def _cache_get(cache_dir: str, spec: str) -> InvariantReport | None:
-    """The cached report for spec, unless it is missing, stale, corrupt or not self-consistent."""
+    """The cached report for spec, if its entry passes three checks, else None.
+
+    The entry's first line must be the sha256 of the bytes after it (the
+    entry is as it was written), its engine must be this engine revision, and
+    its spec must be the requested one.
+    """
     try:
         with open(_entry_path(cache_dir, spec), "rb") as fh:
-            hit = json.load(fh)
-        if not isinstance(hit, dict) or hit.get("engine") != engine_revision():
+            digest, _, body = fh.read().partition(b"\n")
+        if digest != hashlib.sha256(body).hexdigest().encode():
             return None
-        report = InvariantReport.from_json_dict(hit["report"])
-        flags, dp = report.flags, report.d_prime
-        consistent = (
-            report.spec == spec
-            and report.k_prime == report.normal_count + report.nu
-            and report.lattice_size > 0  # then d' = k'/|L| by cross-multiplying
-            and dp.numerator * report.lattice_size == dp.denominator * report.k_prime
-            and (report.d_star is None or report.d_star <= report.d_prime)
-            and flags["dedekind"] == (report.nu == 0)
-            and flags["iwasawa"] == (flags["nilpotent"] and flags["modular_lattice"])
-            and (flags["dedekind"] or not flags["abelian"])
-            and (flags["modular_lattice"] or not flags["dedekind"])
-            and not (flags["schmidt"] and flags["nilpotent"])
-        )
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError):
+        hit = json.loads(body)
+        if hit["engine"] != engine_revision() or hit["spec"] != spec:
+            return None
+        return InvariantReport.from_json_dict(hit["report"])
+    except (OSError, KeyError, TypeError, ValueError):
         return None
-    return report if consistent else None
 
 
 def _cache_put(cache_dir: str, report: InvariantReport) -> None:
     """Store report in its own entry file; on any OSError, cache nothing.
 
-    The entry is written to a temp file whose name is unique to this process
-    and thread, then renamed onto the entry path.  A rename is atomic and no
+    The entry is the sha256 of its JSON body on one line, then that body.
+    It is written to a temp file whose name is unique to this process and
+    thread, then renamed onto the entry path.  A rename is atomic and no
     writer reads what another wrote, so no lock is needed: two writers of one
     spec store equal reports, and the last rename wins.
     """
@@ -124,11 +119,11 @@ def _cache_put(cache_dir: str, report: InvariantReport) -> None:
         "engine": engine_revision(),
         "report": report.to_json_dict(),
     }
+    body = (json.dumps(entry, indent=2, sort_keys=True) + "\n").encode()
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
         os.replace(tmp, path)
     except OSError:
         with suppress(OSError):
@@ -166,7 +161,9 @@ def _spec_report(args, text: str, need_d_star: bool = False) -> InvariantReport:
     group = spec.build(order_cap=args.max_order)
     if need_d_star and group.order > DSTAR_ORDER_LIMIT and not args.allow_slow:
         # surface the cap before doing any heavy enumeration
-        d_star(group, allow_slow=False)
+        raise OrderCapExceeded(
+            f"d* on order {group.order} > {DSTAR_ORDER_LIMIT} needs --allow-slow"
+        )
     report = compute_report(group, spec=canonical, allow_slow=args.allow_slow)
     if not args.no_cache:
         _cache_put(args.cache_path, report)

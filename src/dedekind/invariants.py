@@ -307,46 +307,22 @@ class InvariantReport:
 
     def to_json_dict(self) -> dict:
         """The fields in order, each Fraction as {"num", "den"} and the flags sorted."""
-        return {name: write(getattr(self, name)) for name, write, _ in _JSON_CODECS}
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("d_prime", "d_star"):
+            x = data[name]
+            data[name] = None if x is None else {"num": x.numerator, "den": x.denominator}
+        data["flags"] = dict(sorted(self.flags.items()))
+        return data
 
     @staticmethod
     def from_json_dict(data: dict) -> "InvariantReport":
-        """The inverse of to_json_dict: each field read back by its declared type."""
-        return InvariantReport(*[read(data[name]) for name, _, read in _JSON_CODECS])
-
-
-_FLAG_NAMES = {"abelian", "dedekind", "nilpotent", "iwasawa", "modular_lattice", "schmidt"}
-
-
-def _json_codec(kind: str):
-    """(to JSON, from JSON) for a report field of the declared type kind.
-
-    The reader raises TypeError on a value of another type: a bool is not an
-    int, a Fraction's parts are ints, and the flags map the six names to bools.
-    """
-
-    def bad(x):
-        raise TypeError(f"{x!r} is not a JSON {kind}")
-
-    if kind.startswith("Fraction"):
-        optional = kind.endswith("None")
-        return (
-            lambda x: None if x is None else {"num": x.numerator, "den": x.denominator},
-            lambda x: None if x is None and optional
-            else Fraction(x["num"], x["den"]) if type(x["num"]) is int is type(x["den"])
-            else bad(x),
-        )
-    if kind.startswith("dict"):
-        return lambda x: dict(sorted(x.items())), lambda x: (
-            dict(x)
-            if type(x) is dict and x.keys() == _FLAG_NAMES and set(map(type, x.values())) == {bool}
-            else bad(x)
-        )
-    t = {"int": int, "str": str}[kind]
-    return lambda x: x, lambda x: x if type(x) is t else bad(x)
-
-
-_JSON_CODECS = tuple((f.name, *_json_codec(f.type)) for f in fields(InvariantReport))
+        """The inverse of to_json_dict."""
+        report = InvariantReport(**data)
+        for name in ("d_prime", "d_star"):
+            x = getattr(report, name)
+            if x is not None:
+                setattr(report, name, Fraction(x["num"], x["den"]))
+        return report
 
 
 def compute_report(

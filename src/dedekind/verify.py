@@ -558,6 +558,22 @@ def suite_ratio_equality(
     return s
 
 
+def _witness(r: InvariantReport, flag: str, ratio: str = "d_star") -> str:
+    """A threshold check's detail: the report's ratio (d_star or d_prime) and flag."""
+    name = "d*" if ratio == "d_star" else "d'"
+    return f"{name} = {_fraction(getattr(r, ratio))}, {flag} = {r.flags[flag]}"
+
+
+def _sharp(
+    s: SuiteResult, r: InvariantReport | None, text: str, thr: Fraction, flag: str
+) -> None:
+    """If r is in the stats, check that it attains d* = thr without flag, so the
+    threshold that forces flag cannot be lowered."""
+    if r is not None:
+        s.count("boundary_witnesses")
+        s.check(text, r.d_star == thr and not r.flags[flag], _witness(r, flag))
+
+
 def suite_modularity(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteResult:
     """For p-groups, d* above 4/5 forces a modular subgroup lattice, and for
     odd p the threshold drops to 11/19; D(8) and He(3) sit exactly on the
@@ -571,27 +587,15 @@ def suite_modularity(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
         s.count("p_groups_with_d_star")
         if r.d_star > Fraction(4, 5):
             s.count("over_4_5")
-            s.check(
-                f"{e.spec}: d* > 4/5 forces a modular lattice",
-                r.flags["modular_lattice"],
-                f"d* = {r.d_star}, modular_lattice = {r.flags['modular_lattice']}",
-            )
+            text = f"{e.spec}: d* > 4/5 forces a modular lattice"
+            s.check(text, r.flags["modular_lattice"], _witness(r, "modular_lattice"))
         if pk[0] % 2 and r.d_star > Fraction(11, 19):
             s.count("odd_over_11_19")
-            s.check(
-                f"{e.spec}: odd order and d* > 11/19 force a modular lattice",
-                r.flags["modular_lattice"],
-                f"d* = {r.d_star}, modular_lattice = {r.flags['modular_lattice']}",
-            )
+            text = f"{e.spec}: odd order and d* > 11/19 force a modular lattice"
+            s.check(text, r.flags["modular_lattice"], _witness(r, "modular_lattice"))
     for spec, thr in (("D(8)", Fraction(4, 5)), ("He(3)", Fraction(11, 19))):
-        r = stats.get(spec)
-        if r is not None:
-            s.count("boundary_witnesses")
-            s.check(
-                f"{spec}: attains the threshold {thr} with a non-modular lattice (sharp)",
-                r.d_star == thr and not r.flags["modular_lattice"],
-                f"d* = {_fraction(r.d_star)}, modular_lattice = {r.flags['modular_lattice']}",
-            )
+        text = f"{spec}: attains the threshold {thr} with a non-modular lattice (sharp)"
+        _sharp(s, stats.get(spec), text, thr, "modular_lattice")
     return s
 
 
@@ -605,11 +609,8 @@ def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
         if r.d_star is None or r.d_star <= Fraction(2, 3):
             continue
         s.count("over_2_3")
-        s.check(
-            f"{e.spec}: d* > 2/3 forces nilpotency",
-            r.flags["nilpotent"],
-            f"d* = {r.d_star}, nilpotent = {r.flags['nilpotent']}",
-        )
+        text = f"{e.spec}: d* > 2/3 forces nilpotency"
+        s.check(text, r.flags["nilpotent"], _witness(r, "nilpotent"))
         if e.group.order % 2:
             s.count("odd_order_over_2_3")
             lat = subgroup_lattice(e.group)
@@ -624,14 +625,8 @@ def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
                 r.flags["nilpotent"] and not bad,
                 bad or f"Sylow primes {sorted(sylows)} all lattice-modular",
             )
-    boundary = stats.get("D(6)")
-    if boundary is not None:
-        s.count("boundary_witnesses")
-        s.check(
-            "D(6): attains d* = 2/3 yet is not nilpotent (threshold sharp)",
-            boundary.d_star == Fraction(2, 3) and not boundary.flags["nilpotent"],
-            f"d* = {_fraction(boundary.d_star)}, nilpotent = {boundary.flags['nilpotent']}",
-        )
+    text = "D(6): attains d* = 2/3 yet is not nilpotent (threshold sharp)"
+    _sharp(s, stats.get("D(6)"), text, Fraction(2, 3), "nilpotent")
     return s
 
 
@@ -648,11 +643,8 @@ def suite_iwasawa(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
         if not r.flags["abelian"]:
             nonabelian += 1
             s.count("over_4_5_nonabelian")
-        s.check(
-            f"{e.spec}: d* > 4/5 forces nilpotency with a modular lattice",
-            r.flags["iwasawa"],
-            f"d* = {r.d_star}, iwasawa = {r.flags['iwasawa']}",
-        )
+        text = f"{e.spec}: d* > 4/5 forces nilpotency with a modular lattice"
+        s.check(text, r.flags["iwasawa"], _witness(r, "iwasawa"))
     s.check(
         "at least one non-abelian group exercises the antecedent",
         nonabelian >= 1,
@@ -663,16 +655,10 @@ def suite_iwasawa(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRes
         s.check(
             "M(2,5): d* = 13/14 > 4/5 with the implied structure",
             m32.d_star == Fraction(13, 14) and m32.flags["iwasawa"],
-            f"d* = {_fraction(m32.d_star)}, iwasawa = {m32.flags['iwasawa']}",
+            _witness(m32, "iwasawa"),
         )
-    d8 = stats.get("D(8)")
-    if d8 is not None:
-        s.count("boundary_witnesses")
-        s.check(
-            "D(8): attains d* = 4/5 yet fails the conclusion (threshold sharp)",
-            d8.d_star == Fraction(4, 5) and not d8.flags["iwasawa"],
-            f"d* = {_fraction(d8.d_star)}, iwasawa = {d8.flags['iwasawa']}",
-        )
+    text = "D(8): attains d* = 4/5 yet fails the conclusion (threshold sharp)"
+    _sharp(s, stats.get("D(8)"), text, Fraction(4, 5), "iwasawa")
     return s
 
 
@@ -696,28 +682,19 @@ def suite_dedekind_threshold(
         s.count("p_groups_n_ge_3")
         if r.d_star is not None and r.d_star > thr:
             s.count("d_star_antecedents")
-            s.check(
-                f"{e.spec}: d* > {thr} forces a Dedekind group",
-                r.flags["dedekind"],
-                f"d* = {r.d_star}, dedekind = {r.flags['dedekind']}",
-            )
+            text = f"{e.spec}: d* > {thr} forces a Dedekind group"
+            s.check(text, r.flags["dedekind"], _witness(r, "dedekind"))
         if r.d_prime > thr:
             s.count("d_prime_antecedents")
-            s.check(
-                f"{e.spec}: d' > {thr} forces a Dedekind group",
-                r.flags["dedekind"],
-                f"d' = {r.d_prime}, dedekind = {r.flags['dedekind']}",
-            )
+            text = f"{e.spec}: d' > {thr} forces a Dedekind group"
+            s.check(text, r.flags["dedekind"], _witness(r, "dedekind", ratio="d_prime"))
     for e in corpus.family("M"):
         p, n = e.params
         r = stats[e.spec]
         thr = d_prime_modular_formula(p, n)
         s.count("threshold_witnesses")
-        s.check(
-            f"{e.spec}: attains its threshold {thr} without being Dedekind (sharp)",
-            r.d_star == thr and not r.flags["dedekind"],
-            f"d* = {_fraction(r.d_star)}, dedekind = {r.flags['dedekind']}",
-        )
+        text = f"{e.spec}: attains its threshold {thr} without being Dedekind (sharp)"
+        s.check(text, r.d_star == thr and not r.flags["dedekind"], _witness(r, "dedekind"))
     order8 = [e for e in corpus if e.group.order == 8 and e.tag != "product"]
     for e in order8:
         r = stats[e.spec]
@@ -725,7 +702,7 @@ def suite_dedekind_threshold(
         s.check(
             f"{e.spec}: at order 8, d' > 4/5 holds exactly for Dedekind groups",
             (r.d_prime > Fraction(4, 5)) == r.flags["dedekind"],
-            f"d' = {r.d_prime}, dedekind = {r.flags['dedekind']}",
+            _witness(r, "dedekind", ratio="d_prime"),
         )
     return s
 

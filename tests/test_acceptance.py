@@ -6,7 +6,9 @@ runtime budgets. Criteria that quantify over the whole standard corpus reuse
 one shared in-process verification run.
 """
 
+import hashlib
 import io
+import json
 import time
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
@@ -226,3 +228,13 @@ def test_acceptance_7_density_demonstration(capsys, corpus, suites):
         assert formulas.ok
         assert formulas.antecedents["monotonicity_sequences"] == 6
         assert formulas.antecedents["limit_trends"] == 5
+
+
+def test_verify_all_suite_json_is_pinned(suites):
+    # every suite's checks, antecedents and witnesses, byte for byte: 13
+    # suites, 2,686 checks.  A change that alters suite output on purpose
+    # updates this digest and says why.
+    text = json.dumps([r.to_json_dict() for r in suites.values()], indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fc8d9b05d1b0ff6c98b2f93b176d04d4e5defbcde20819454067d42ceb5c8352"
+    )

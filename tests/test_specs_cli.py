@@ -1,5 +1,6 @@
 """Spec mini-language and the command-line front end, including the cache."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -423,14 +424,29 @@ def test_huge_composite_is_a_parameter_error(capsys):
 # cache behaviour
 
 
+# An entry file is the sha256 of its body on the first line, then the JSON
+# body.  write_entry keeps the old digest line, so the entry reads as changed
+# after it was written; seal_entry stores it under its true digest, as the
+# writer would.
+
+
 def read_entry(cache_dir, spec):
-    with open(cli._entry_path(str(cache_dir), spec)) as fh:
-        return json.load(fh)
+    with open(cli._entry_path(str(cache_dir), spec), "rb") as fh:
+        return json.loads(fh.read().partition(b"\n")[2])
 
 
 def write_entry(cache_dir, spec, entry):
-    with open(cli._entry_path(str(cache_dir), spec), "w") as fh:
-        json.dump(entry, fh)
+    path = cli._entry_path(str(cache_dir), spec)
+    with open(path, "rb") as fh:
+        digest = fh.read().partition(b"\n")[0]
+    with open(path, "wb") as fh:
+        fh.write(digest + b"\n" + json.dumps(entry).encode())
+
+
+def seal_entry(cache_dir, spec, entry):
+    body = json.dumps(entry).encode()
+    with open(cli._entry_path(str(cache_dir), spec), "wb") as fh:
+        fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
 
 def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
@@ -480,14 +496,14 @@ def test_entries_stamped_with_the_bare_version_are_recomputed(capsys, tmp_path):
     run_cli(capsys, ["info", "D(8)", "--cache-path", str(cp)])
     entry = read_entry(cp, "D(8)")
     assert entry["engine"].startswith(__version__ + "+")
-    # a self-consistent entry is served as it is, marked timing and all ...
+    # an entry under its true digest is served as it is, marked timing and all ...
     entry["report"]["ms"] = 424242
-    write_entry(cp, "D(8)", entry)
+    seal_entry(cp, "D(8)", entry)
     _, out, _ = run_cli(capsys, ["info", "D(8)", "--json", "--cache-path", str(cp)])
     assert json.loads(out)["ms"] == 424242
     # ... but not when it carries the bare version, as older engines wrote it
     entry["engine"] = __version__
-    write_entry(cp, "D(8)", entry)
+    seal_entry(cp, "D(8)", entry)
     _, out, _ = run_cli(capsys, ["info", "D(8)", "--json", "--cache-path", str(cp)])
     assert json.loads(out)["ms"] != 424242
     assert read_entry(cp, "D(8)")["engine"] == cli.engine_revision()
@@ -539,6 +555,21 @@ def test_inconsistent_cached_entries_are_recomputed(capsys, tmp_path):
         assert read_entry(cp, "D(8)")["report"][field] == want[field], field
 
 
+def _assert_each_command_prints_cold(capsys, cp, edit):
+    """Each of four commands, run on D(8)'s entry just after edit() changes it, prints
+    what it prints with --no-cache."""
+
+    def output(command, *cache):
+        code, out, err = run_cli(capsys, [*command, "D(8)", *cache])
+        out = _without_ms(out) if command == ["info", "--json"] else out.split("time:")[0]
+        return code, out, err
+
+    for command in (["info"], ["info", "--json"], ["dprime"], ["dstar", "--json"]):
+        run_cli(capsys, ["dprime", "D(8)", "--cache-path", cp])
+        edit()
+        assert output(command, "--cache-path", cp) == output(command, "--no-cache"), command
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -555,30 +586,48 @@ def test_inconsistent_cached_entries_are_recomputed(capsys, tmp_path):
         ("modular_lattice", True),
         ("schmidt", True),
         ("schmidt", None),
+        ("order", 16),
+        ("nilpotent", False),
     ],
 )
 def test_wrong_typed_or_contradictory_entries_are_recomputed(capsys, tmp_path, field, value):
-    # a field not of its declared type, or flags that no group has together,
-    # make the entry a miss: each command prints its cold output
+    # a field changed after the entry was written, to a wrong type, to flags
+    # that no group has together or to a well-typed wrong value, makes the
+    # entry a miss: each command prints its cold output
     cp = str(tmp_path / "cache")
-    commands = (["info"], ["info", "--json"], ["dprime"], ["dstar", "--json"])
 
-    def outputs(*cache):
-        got = []
-        for command in commands:
-            code, out, err = run_cli(capsys, [*command, "D(8)", *cache])
-            out = _without_ms(out) if command == ["info", "--json"] else out.split("time:")[0]
-            got.append((code, out, err))
-        return got
-
-    cold = outputs("--no-cache")
-    for i in range(len(commands)):
-        run_cli(capsys, ["dprime", "D(8)", "--cache-path", cp])
+    def edit():
         entry = read_entry(cp, "D(8)")
         report = entry["report"]
         (report if field in report else report["flags"])[field] = value
         write_entry(cp, "D(8)", entry)
-        assert outputs("--cache-path", cp)[i] == cold[i], commands[i]
+
+    _assert_each_command_prints_cold(capsys, cp, edit)
+
+
+@pytest.mark.parametrize("change", ["cut-short", "byte-flipped", "other-spec"])
+def test_entry_files_changed_or_moved_are_recomputed(capsys, tmp_path, change):
+    # the last byte is the body's final newline and the flipped one is a digit
+    # of nu, so the JSON still parses and only the digest line tells; Q(8)'s
+    # entry copied over D(8)'s passes the digest and fails the spec check
+    cp = str(tmp_path / "cache")
+    path = cli._entry_path(cp, "D(8)")
+
+    def edit():
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        if change == "cut-short":
+            del data[-1]
+        elif change == "byte-flipped":
+            data[data.index(b'"nu": ') + 6] ^= 1
+        else:
+            run_cli(capsys, ["dprime", "Q(8)", "--cache-path", cp])
+            with open(cli._entry_path(cp, "Q(8)"), "rb") as fh:
+                data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    _assert_each_command_prints_cold(capsys, cp, edit)
 
 
 def test_concurrent_writers_keep_each_others_entries(capsys, tmp_path, monkeypatch):
@@ -663,7 +712,7 @@ def test_cached_report_keeps_the_d_star_size_gate(capsys, tmp_path):
     assert run_cli(capsys, ["dstar", "C(300)", "--allow-slow", "--cache-path", cp])[1] == "1\n"
     assert read_entry(cp, "C(300)")["report"]["d_star"] == {"num": 1, "den": 1}
     code, _, err = run_cli(capsys, ["dstar", "C(300)", "--cache-path", cp])
-    assert code == 4 and "needs allow_slow=True" in err
+    assert code == 4 and err == "error: d* on order 300 > 256 needs --allow-slow\n"
     _, cold, _ = run_cli(capsys, ["info", "C(300)", "--no-cache"])
     _, warm, _ = run_cli(capsys, ["info", "C(300)", "--cache-path", cp])
     assert "d*(G):    -\n" in cold and "d*(G):    -\n" in warm
@@ -676,7 +725,7 @@ def test_cached_report_keeps_the_d_star_size_gate(capsys, tmp_path):
     assert read_entry(cp, "C(300)")["report"]["d_star"] == {"num": 1, "den": 1}
     entry = read_entry(cp, "C(300)")
     entry["report"]["ms"] = 424242
-    write_entry(cp, "C(300)", entry)
+    seal_entry(cp, "C(300)", entry)
     _, out, _ = run_cli(capsys, ["info", "C(300)", "--allow-slow", "--json", "--cache-path", cp])
     assert json.loads(out)["ms"] == 424242 and json.loads(out)["d_star"] == {"num": 1, "den": 1}
 
