@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetExhausted, DedekindError, InvalidParameter, OrderCapExceeded
+from .families import FAMILY_BUILDERS
 from .formulas import (
     DENSITY_PRIME_BUDGET,
     d_prime_dihedral_formula,
@@ -428,6 +429,11 @@ def cmd_formula(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    tags = [*FAMILY_BUILDERS, "product"]
+    if args.family is not None and args.family not in tags:
+        raise InvalidParameter(
+            f"unknown family tag {args.family!r}; choose from {', '.join(tags)}"
+        )
     reports = [
         _spec_report(args, spec)
         for spec, tag, _, order, _ in list_corpus()
@@ -525,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_formula)
 
     sp = sub.add_parser("sweep", help="invariant table over the standard corpus")
-    sp.add_argument("--family", help="restrict to one family tag, e.g. M or D")
+    sp.add_argument("--family", help="restrict to one family tag, e.g. M or D, or to product")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument(
         "--max-order", type=int, default=DEFAULT_ORDER_CAP, help="skip larger groups"

@@ -156,29 +156,17 @@ class FiniteGroup:
     def generating_set(self) -> tuple[int, ...]:
         """A small generating tuple, chosen greedily by element order: each
         pick is the element of largest order, lowest index among ties, outside
-        the subgroup generated so far.
-
-        That subgroup's element list grows in place: its old elements are
-        closed under the earlier generators and need only the new one, while
-        the new elements need every generator.
-        """
-        orders, t = self.element_orders, self.table
+        the subgroup generated so far, which `_closure` re-closes after each
+        pick."""
+        orders = self.element_orders
         gens: list[int] = []
         mask, elems = 1, [0]
         for a in sorted(range(self.order), key=lambda x: (-orders[x], x)):
             if len(elems) == self.order:
                 break
-            if mask >> a & 1:
-                continue
-            gens.append(a)
-            old = len(elems)
-            for i, x in enumerate(elems):  # grows during iteration
-                row = t[x]
-                for b in gens if i >= old else (a,):
-                    y = row[b]
-                    if not mask >> y & 1:
-                        mask |= 1 << y
-                        elems.append(y)
+            if not mask >> a & 1:
+                gens.append(a)
+                mask, elems = _closure(self.table, gens)
         return tuple(gens)
 
     @cached_property
@@ -190,7 +178,7 @@ class FiniteGroup:
     @cached_property
     def center_mask(self) -> int:
         t = self.table
-        gens = self.generating_set or (0,)
+        gens = self.generating_set
         mask = 0
         for z in range(self.order):
             if all(t[z][g] == t[g][z] for g in gens):

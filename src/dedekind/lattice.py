@@ -116,7 +116,7 @@ def composition_series(g: FiniteGroup) -> list[int] | None:
     derived = [(1 << g.order) - 1]
     gens = g.generating_set
     while derived[-1] != 1:
-        mask, gens = (1, []) if g.is_abelian else _derived_subgroup(g, gens)
+        mask, gens = _derived_subgroup(g, gens)
         if mask == derived[-1]:
             return None
         derived.append(mask)
@@ -272,7 +272,7 @@ class SubgroupLattice:
 
     Subgroups are indexed in a canonical order (by order, then bitmask) and
     grouped into conjugacy classes; containment bitsets (`up`, `below`), joins,
-    meets, normalizers and nilpotency are computed on demand.
+    normalizers and nilpotency are computed on demand.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -382,9 +382,6 @@ class SubgroupLattice:
             sum(1 for s in self.of_order(p**a) if not s.mask & ~m) == 1
             for p, a in prime_factorization(self.subgroups[i].order).items()
         )
-
-    def meet(self, i: int, j: int) -> int:
-        return self._index[self._masks[i] & self._masks[j]]
 
     @cached_property
     def _holders(self) -> list[int]:

@@ -8,6 +8,8 @@ Grammar (whitespace-insensitive):
           | "H(" p "," s "," t ")" | "K(" p "," s "," t ")"
           | "SD(" p "," q ")" | "C27Q8"
 
+Parameters are written in the ASCII digits 0-9 only.
+
 The canonical form separates atoms with " x " and has no other spaces,
 e.g. "C(3) x D(8)"; parse and str round-trip exactly.
 """
@@ -25,6 +27,8 @@ __all__ = ["GroupSpec", "parse_spec", "build_group"]
 
 # longest tags first so "C27Q8" wins over "C" and "He" over "H"
 _TAGS = sorted(FAMILY_BUILDERS, key=len, reverse=True)
+# str.isdigit also accepts e.g. "²" and "٣", which int() reads or rejects
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,10 @@ class _Scanner:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
+        if self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.fail(f"{self.text[self.pos]!r} is not an ASCII digit")
         if self.pos == start:
             self.fail("expected an integer")
         try:

@@ -30,6 +30,7 @@ from .families import (
 )
 from .formulas import (
     DENSITY_PRIME_BUDGET,
+    FamilyCounts,
     corollary_a_over_a_plus_one,
     d_prime_dihedral_formula,
     d_prime_heisenberg_formula,
@@ -280,6 +281,28 @@ def _fraction(r: Fraction | None) -> str:
 # suites
 
 
+def _check_closed_forms(
+    s: SuiteResult, r: InvariantReport, want: Fraction, c: FamilyCounts, form: str, counts: str
+) -> None:
+    """Check an M, D or He instance: its d' against the `form` closed form, then
+    its (k', |L|), and (|N|, nu) where `c` has them, against the `counts` counts."""
+    s.check(
+        f"{r.spec}: enumerated d' equals the {form} closed form",
+        r.d_prime == want,
+        f"enumerated {r.d_prime}, formula {want}",
+    )
+    got, formula, names = (r.k_prime, r.lattice_size), (c.k_prime, c.lattice_size), "k', |L|"
+    if c.normal_count is not None:
+        got += (r.normal_count, r.nu)
+        formula += (c.normal_count, c.nu)
+        names += ", |N|, nu"
+    s.check(
+        f"{r.spec}: enumerated ({names}) match the {counts} counts",
+        got == formula,
+        f"enumerated {got}, formula {formula}",
+    )
+
+
 def suite_formulas(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteResult:
     """Closed forms versus enumeration for all four families, subgroup counts
     of elementary abelian groups, the composite-family count formula, and the
@@ -287,55 +310,27 @@ def suite_formulas(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRe
     s = SuiteResult("formulas")
     for e in corpus.family("M"):
         p, n = e.params
-        r = stats[e.spec]
         s.count("modular_instances")
-        want = d_prime_modular_formula(p, n)
-        s.check(
-            f"{e.spec}: enumerated d' equals the modular-family closed form",
-            r.d_prime == want,
-            f"enumerated {r.d_prime}, formula {want}",
-        )
-        c = modular_counts(p, n)
-        got = (r.k_prime, r.lattice_size, r.normal_count, r.nu)
-        s.check(
-            f"{e.spec}: enumerated (k', |L|, |N|, nu) match the closed-form counts",
-            got == (c.k_prime, c.lattice_size, c.normal_count, c.nu),
-            f"enumerated {got}, formula {(c.k_prime, c.lattice_size, c.normal_count, c.nu)}",
+        _check_closed_forms(
+            s, stats[e.spec], d_prime_modular_formula(p, n), modular_counts(p, n),
+            "modular-family", "closed-form",
         )
     for e in corpus.family("D"):
         m = e.params[0]
         if m & (m - 1):
             continue  # the closed form covers 2-power orders only
         n = m.bit_length() - 1
-        r = stats[e.spec]
         s.count("dihedral_2power_instances")
-        want = d_prime_dihedral_formula(n)
-        s.check(
-            f"{e.spec}: enumerated d' equals the dihedral closed form",
-            r.d_prime == want,
-            f"enumerated {r.d_prime}, formula {want}",
-        )
-        c = dihedral_counts(n)
-        s.check(
-            f"{e.spec}: enumerated (k', |L|) match the dihedral counts",
-            (r.k_prime, r.lattice_size) == (c.k_prime, c.lattice_size),
-            f"enumerated {(r.k_prime, r.lattice_size)}, formula {(c.k_prime, c.lattice_size)}",
+        _check_closed_forms(
+            s, stats[e.spec], d_prime_dihedral_formula(n), dihedral_counts(n),
+            "dihedral", "dihedral",
         )
     for e in corpus.family("He"):
         p = e.params[0]
-        r = stats[e.spec]
         s.count("heisenberg_instances")
-        want = d_prime_heisenberg_formula(p)
-        s.check(
-            f"{e.spec}: enumerated d' equals the extraspecial closed form",
-            r.d_prime == want,
-            f"enumerated {r.d_prime}, formula {want}",
-        )
-        c = heisenberg_counts(p)
-        s.check(
-            f"{e.spec}: enumerated (k', |L|) match the extraspecial counts",
-            (r.k_prime, r.lattice_size) == (c.k_prime, c.lattice_size),
-            f"enumerated {(r.k_prime, r.lattice_size)}, formula {(c.k_prime, c.lattice_size)}",
+        _check_closed_forms(
+            s, stats[e.spec], d_prime_heisenberg_formula(p), heisenberg_counts(p),
+            "extraspecial", "extraspecial",
         )
     for e in corpus.family("G"):
         p, q, n = e.params

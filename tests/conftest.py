@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -334,6 +335,11 @@ def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
     return edges
 
 
+def meet(lat: SubgroupLattice, i: int, j: int) -> int:
+    """The lattice index of the intersection of subgroups i and j."""
+    return lat.index_of(lat.subgroups[i].mask & lat.subgroups[j].mask)
+
+
 def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
     """The modular law checked triple by triple; the oracle for `is_lattice_modular`.
 
@@ -357,8 +363,8 @@ def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
                 my = masks[y]
                 if my & ~mz == 0 or mz & ~my == 0 or mx & ~my == 0:
                     continue
-                left = lat.join(x, lat.meet(y, z))
-                right = lat.meet(lat.join(x, y), z)
+                left = lat.join(x, meet(lat, y, z))
+                right = meet(lat, lat.join(x, y), z)
                 if left != right:
                     return ModularityWitness(x, y, z)
     return None
@@ -539,6 +545,16 @@ def greedy_generating_set(g: FiniteGroup) -> tuple[int, ...]:
         gens.append(best)
         mask, elems = g.closure(gens)
     return tuple(gens)
+
+
+def relabelled(g: FiniteGroup, rng: random.Random) -> FiniteGroup:
+    """g with its non-identity elements renamed by a random permutation."""
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return FiniteGroup(table)
 
 
 def conjugation_sections(g: FiniteGroup) -> list[tuple[int, int]]:

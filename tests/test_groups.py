@@ -17,6 +17,7 @@ from conftest import (
     greedy_generating_set,
     leaf_checked_find_isomorphism,
     literal_derived_mask,
+    relabelled,
 )
 from dedekind.errors import (
     InvalidParameter,
@@ -373,16 +374,6 @@ def test_find_isomorphism_returns_real_map(zoo):
         for b in range(8):
             assert phi[q8.mul(a, b)] == other.mul(phi[a], phi[b])
     assert find_isomorphism(q8, zoo["d8"]) is None
-
-
-def relabelled(g: FiniteGroup, rng: random.Random) -> FiniteGroup:
-    """g with its non-identity elements renamed by a random permutation."""
-    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
-    table = [[0] * g.order for _ in range(g.order)]
-    for a, row in enumerate(g.table):
-        for b, ab in enumerate(row):
-            table[perm[a]][perm[b]] = perm[ab]
-    return FiniteGroup(table)
 
 
 def test_find_isomorphism_matches_the_leaf_checked_search(corpus):

