@@ -265,6 +265,8 @@ def density_sequence(
     """
     if not 1 <= a < b:
         raise InvalidParameter(f"need 1 <= a < b, got a={a}, b={b}")
+    if prime_budget < 1:
+        raise InvalidParameter(f"prime budget must be at least 1, got {prime_budget}")
     try:
         eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
     except (TypeError, ValueError, OverflowError):  # not a number, or nan / inf

@@ -80,7 +80,7 @@ def sections(g: FiniteGroup, hi: int | None = None) -> Iterator[Section]:
     """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H);
     with hi, only those whose H is subgroup hi of g's lattice."""
     lat = subgroup_lattice(g)
-    for hi in range(lat.size) if hi is None else (hi,):
+    for hi in range(lat.size) if hi is None else (lat.top_index(hi),):
         h = lat.subgroups[hi]
         for ki in _mask_elements(lat.below(hi)):
             k = lat.subgroups[ki]

@@ -13,8 +13,8 @@ closure H -> <H, x>, seeded with the cyclic subgroups.
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
 `below(i)` the complement of an OR of them over the elements outside subgroup
-i.  The (order, mask) index order is a linear extension, so joins and covers
-(the transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).
+i.  The (order, mask) index order is a linear extension, so the covers (the
+transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).
 L(H) is the interval [1, H] of L(G) (R. Schmidt, Subgroup Lattices of Groups,
 1994), so questions about the subgroups of H are answered on that interval:
 the functions that take a `top` index work on [1, top], the whole lattice by
@@ -25,16 +25,17 @@ Conjugation acts on a subgroup K = <k_1, ..., k_r> through its generators.
 Whether elements a normalize K is tested by `normalizes`: a K a^-1 = K iff
 every a k_i a^-1 lies in K, r table lookups instead of |K| (D. F. Holt,
 B. Eick and E. A. O'Brien, Handbook of Computational Group Theory, 2005).
-The conjugacy classes read the image subgroup off the holder bitsets, as
-`join` does: a K a^-1 = <a k_1 a^-1, ..., a k_r a^-1> is the lowest index
-in the AND of the holders of those r elements.
+The conjugacy classes read the image subgroup off the holder bitsets:
+a K a^-1 = <a k_1 a^-1, ..., a k_r a^-1> is the lowest index in the AND of
+the holders of those r elements.
 
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
-covers are walked lazily and the test stops at its first witness.  The
-brute-force enumeration stays here as the `consistency` suite's independent
-oracle.  The pairwise cover scan and the triple-by-triple modular-law scan,
-oracles for `hasse_edges` and `is_lattice_modular`, live with the tests.
+covers are walked lazily, and the test returns the first two covers it meets
+that share no cover.  The brute-force enumeration stays here as the
+`consistency` suite's independent oracle.  The pairwise cover scan and the
+triple-by-triple modular-law scan, oracles for `hasse_edges` and
+`is_lattice_modular`, live with the tests.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .errors import LatticeBudgetExceeded
+from .errors import InvalidParameter, LatticeBudgetExceeded
 from .groups import FiniteGroup, Subgroup, _derived_subgroup, _mask_elements
 from .numbertheory import prime_factorization, prime_power
 
@@ -258,20 +258,11 @@ def _generic_extension(g: FiniteGroup, budget: int) -> dict[int, tuple[int, ...]
     return seen
 
 
-@dataclass(frozen=True)
-class ModularityWitness:
-    """A triple violating the modular law, as lattice indices (x <= z)."""
-
-    x: int
-    y: int
-    z: int
-
-
 class SubgroupLattice:
     """The full subgroup lattice of a finite group.
 
     Subgroups are indexed in a canonical order (by order, then bitmask) and
-    grouped into conjugacy classes; containment bitsets (`up`, `below`), joins,
+    grouped into conjugacy classes; containment bitsets (`up`, `below`),
     normalizers and nilpotency are computed on demand.
     """
 
@@ -295,16 +286,25 @@ class SubgroupLattice:
         except KeyError:
             raise KeyError(f"bitmask {mask:#x} is not a subgroup") from None
 
+    def top_index(self, top: int | None) -> int:
+        """top, checked to index a subgroup; the whole group's index if None."""
+        if top is None:
+            return self.size - 1
+        if not 0 <= top < self.size:
+            raise InvalidParameter(f"subgroup index {top} is not in a lattice of size {self.size}")
+        return top
+
     @cached_property
     def classes(self) -> list[tuple[int, ...]]:
         """Conjugacy classes of subgroups, as sorted index tuples in order of
         first appearance: the orbits under conjugation by G's generators.
 
-        a K a^-1 is generated by the images a k a^-1 of K's generators k, so,
-        as in `join`, its index is the lowest one in the AND of their holder
-        bitsets.  One row x -> a x a^-1 per generator a of G is built up
-        front; each conjugation then costs r ANDs for r generators of K.  In
-        an abelian G every class is a singleton.
+        a K a^-1 is generated by the images a k a^-1 of K's generators k, and
+        every subgroup holding them all contains it, so in the (order, mask)
+        order its index is the lowest one in the AND of their holder bitsets.
+        One row x -> a x a^-1 per generator a of G is built up front; each
+        conjugation then costs r ANDs for r generators of K.  In an abelian G
+        every class is a singleton.
         """
         g = self.group
         if g.is_abelian:
@@ -421,15 +421,6 @@ class SubgroupLattice:
             outside |= holders[x]
         return ~outside & ((1 << (i + 1)) - 1)
 
-    def join(self, i: int, j: int) -> int:
-        """Smallest subgroup containing subgroups i and j.
-
-        Every subgroup containing both contains their join, so in the
-        (order, mask) ordering the join is the lowest index in both up-sets.
-        """
-        both = self.up(i) & self.up(j)
-        return (both & -both).bit_length() - 1
-
     def normalizer(self, i: int) -> int:
         """Bitmask of the normalizer of subgroup i in the whole group.
 
@@ -512,7 +503,7 @@ def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
 
 def maximal_subgroup_indices(lat: SubgroupLattice, top: int | None = None) -> list[int]:
     """Indices of the maximal subgroups of subgroup top, by decreasing order then index."""
-    top = lat.size - 1 if top is None else top
+    top = lat.top_index(top)
     within = lat.below(top)
     by_order = sorted(_mask_elements(within ^ (1 << top)), key=lambda i: -lat.subgroups[i].order)
     return [i for i in by_order if lat.up(i) & within == (1 << top) | (1 << i)]
@@ -521,7 +512,7 @@ def maximal_subgroup_indices(lat: SubgroupLattice, top: int | None = None) -> li
 def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> Subgroup:
     """Intersection of the maximal subgroups of subgroup top (top if none exist)."""
     lat = subgroup_lattice(g)
-    top = lat.size - 1 if top is None else top
+    top = lat.top_index(top)
     acc = lat._masks[top]
     for i in maximal_subgroup_indices(lat, top):
         acc &= lat._masks[i]
@@ -565,22 +556,26 @@ def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:
     return found
 
 
-def is_lattice_modular(lat: SubgroupLattice, top: int | None = None) -> ModularityWitness | None:
-    """None if the interval [1, top] satisfies the modular law, else a witness triple.
+def is_lattice_modular(
+    lat: SubgroupLattice, top: int | None = None
+) -> tuple[int, int, int, bool] | None:
+    """None if the interval [1, top] is modular, else the first semimodularity
+    failure found, as (a, b, c, dual).
 
     A finite lattice is modular iff it is upper and lower semimodular
     (Birkhoff, Lattice Theory, 1967): whenever b and c cover a, b v c covers
     both, and dually.  b v c covers both iff b and c have a common upper cover,
-    so the test needs only the cover graph.  The upper covers of each element
-    are walked from `up` when first asked for and kept, and the pairs of a
-    are checked before those of a + 1, so a non-modular lattice usually
-    stops after a few covers.  Only when the upper half passes are the kept
-    covers inverted into lower-cover lists for the dual half.  The memory is
-    O(edges).
+    so the test needs only the cover graph.  A failure has b < c covering a
+    with no common upper cover, or, when dual, b < c covered by a with no
+    common lower cover.  The upper covers of each element are walked from `up`
+    when first asked for and kept, and the pairs of a are checked before
+    those of a + 1, so a non-modular lattice usually stops after a few covers.
+    Only when the upper half passes are the kept covers inverted into
+    lower-cover lists for the dual half.  The memory is O(edges).
     """
-    n = lat.size if top is None else top + 1
-    within = lat.below(n - 1)
-    up: list[list[int] | None] = [None] * n
+    top = lat.top_index(top)
+    within = lat.below(top)
+    up: list[list[int] | None] = [None] * (top + 1)
 
     def upper(i: int) -> list[int]:
         covers = up[i]
@@ -589,55 +584,28 @@ def is_lattice_modular(lat: SubgroupLattice, top: int | None = None) -> Modulari
         return covers
 
     members = _mask_elements(within)
-    witness = _semimodular_scan(lat, members, upper, False)
-    if witness is not None:
-        return witness
-    down: list[list[int]] = [[] for _ in range(n)]
+    failure = _semimodular_scan(members, upper)
+    if failure is not None:
+        return (*failure, False)
+    down: list[list[int]] = [[] for _ in range(top + 1)]
     for a in members:
         for j in up[a]:
             down[j].append(a)
-    return _semimodular_scan(lat, members, down.__getitem__, True)
+    failure = _semimodular_scan(members, down.__getitem__)
+    return None if failure is None else (*failure, True)
 
 
 def _semimodular_scan(
-    lat: SubgroupLattice, members: list[int], covers: Callable[[int], list[int]], dual: bool
-) -> ModularityWitness | None:
-    """The first pair b < c of covers(a) with no common cover, for a in
-    `members` ascending, as a witness; covers(x) lists the upper (dual:
-    lower) covers of x, ascending."""
+    members: list[int], covers: Callable[[int], list[int]]
+) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with b < c in covers(a) and no common cover, for a
+    in `members` ascending; covers(x) lists the covers of x on one side
+    (upper or lower), ascending."""
     for a in members:
         above = covers(a)
         for s, b in enumerate(above[:-1]):
             cb = set(covers(b))
             for c in above[s + 1:]:
                 if cb.isdisjoint(covers(c)):
-                    return _semimodular_witness(lat, covers, b, c, dual)
+                    return a, b, c
     return None
-
-
-def _semimodular_witness(
-    lat: SubgroupLattice, covers: Callable[[int], list[int]], b: int, c: int, dual: bool
-) -> ModularityWitness:
-    """A modular-law violation from b, c that cover (dual: are covered by) one a
-    without sharing an upper (dual: lower) cover; covers(x) lists the upper
-    (dual: lower) covers of x.
-
-    Upper case: some z has b < z < b v c (or the same with b and c swapped);
-    then c ^ z = a, so (x, y, z) = (b, c, z) gives b v (c ^ z) = b but
-    (b v c) ^ z = z.  Lower case: some z has b ^ c < z < b; then z v c = a,
-    so (x, y, z) = (z, c, b) gives z v (c ^ b) = z but (z v c) ^ b = b.
-    """
-    masks = lat._masks
-    if dual:
-        bottom = masks[b] & masks[c]
-        for top, y in ((b, c), (c, b)):
-            for z in covers(top):
-                if masks[z] != bottom and bottom & ~masks[z] == 0:
-                    return ModularityWitness(z, y, top)
-    else:
-        top = masks[lat.join(b, c)]
-        for x, y in ((b, c), (c, b)):
-            for z in covers(x):
-                if masks[z] != top and masks[z] & ~top == 0:
-                    return ModularityWitness(x, y, z)
-    raise AssertionError("semimodularity failed without a witness")

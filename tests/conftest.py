@@ -38,7 +38,6 @@ from dedekind.groups import (
 from dedekind.invariants import d_prime, sections, sylow_subgroups
 from dedekind.specs import build_group, parse_spec
 from dedekind.lattice import (
-    ModularityWitness,
     SubgroupLattice,
     brute_force_subgroup_masks,
     maximal_subgroup_indices,
@@ -340,11 +339,42 @@ def meet(lat: SubgroupLattice, i: int, j: int) -> int:
     return lat.index_of(lat.subgroups[i].mask & lat.subgroups[j].mask)
 
 
-def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
+def join(lat: SubgroupLattice, i: int, j: int) -> int:
+    """The lattice index of the smallest subgroup containing subgroups i and j.
+
+    Every subgroup containing both contains their join, so in the (order,
+    mask) ordering the join is the lowest index in both up-sets.
+    """
+    both = lat.up(i) & lat.up(j)
+    return (both & -both).bit_length() - 1
+
+
+def is_cover(lat: SubgroupLattice, lo: int, hi: int) -> bool:
+    """Whether subgroup hi covers subgroup lo: [lo, hi] holds the two alone."""
+    return lo != hi and lat.up(lo) & lat.below(hi) == 1 << lo | 1 << hi
+
+
+def assert_semimodularity_failure(lat: SubgroupLattice, failure) -> None:
+    """`is_lattice_modular`'s (a, b, c, dual) is a genuine failure: b < c both
+    cover a, and b v c does not cover both; or, when dual, a covers b < c, and
+    b ^ c is not covered by both."""
+    a, b, c, dual = failure
+    assert b < c
+    if dual:
+        assert is_cover(lat, b, a) and is_cover(lat, c, a)
+        m = meet(lat, b, c)
+        assert not (is_cover(lat, m, b) and is_cover(lat, m, c))
+    else:
+        assert is_cover(lat, a, b) and is_cover(lat, a, c)
+        j = join(lat, b, c)
+        assert not (is_cover(lat, b, j) and is_cover(lat, c, j))
+
+
+def brute_force_is_modular(lat: SubgroupLattice) -> tuple[int, int, int] | None:
     """The modular law checked triple by triple; the oracle for `is_lattice_modular`.
 
     Checks join(x, meet(y, z)) == meet(join(x, y), z) for every pair x <= z
-    and every y; the first violation in scan order is returned.  Triples where
+    and every y; the first violating (x, y, z) in scan order is returned.  Triples where
     both sides agree for order reasons (x = z, y comparable with z, x <= y)
     are skipped, so only genuinely at-risk triples cost a join.  Cubic in
     |L|, so intended for lattices of a few hundred members.
@@ -363,10 +393,10 @@ def brute_force_is_modular(lat: SubgroupLattice) -> ModularityWitness | None:
                 my = masks[y]
                 if my & ~mz == 0 or mz & ~my == 0 or mx & ~my == 0:
                     continue
-                left = lat.join(x, meet(lat, y, z))
-                right = meet(lat, lat.join(x, y), z)
+                left = join(lat, x, meet(lat, y, z))
+                right = meet(lat, join(lat, x, y), z)
                 if left != right:
-                    return ModularityWitness(x, y, z)
+                    return x, y, z
     return None
 
 

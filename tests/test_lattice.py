@@ -6,20 +6,23 @@ import pytest
 
 from conftest import (
     Perm,
+    assert_semimodularity_failure,
     brute_force_hasse_edges,
     brute_force_is_modular,
     brute_force_subgroup_classes,
     closure_from_generators,
     conjugate_mask,
     goursat_counts,
+    join,
     meet,
     orbits,
     string_below,
 )
 from dedekind import lattice
-from dedekind.errors import LatticeBudgetExceeded
+from dedekind.errors import InvalidParameter, LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
 from dedekind.groups import direct_product, section_group, semidirect_product
+from dedekind.invariants import sections
 from dedekind.lattice import (
     all_subgroup_masks,
     brute_force_subgroup_masks,
@@ -204,7 +207,7 @@ def test_meet_and_join(zoo):
             for j, b in enumerate(lat.subgroups):
                 m = lat.subgroups[meet(lat, i, j)].mask
                 assert m == a.mask & b.mask, name
-                jn = lat.subgroups[lat.join(i, j)].mask
+                jn = lat.subgroups[join(lat, i, j)].mask
                 assert jn & a.mask == a.mask and jn & b.mask == b.mask, name
                 # nothing smaller contains both
                 for c in lat.subgroups:
@@ -249,11 +252,10 @@ def test_near_cap_covers_and_modularity_are_fast():
     lat = subgroup_lattice(build_group("D(8) x EA(2,4)"))
     start = time.perf_counter()
     edges = hasse_edges(lat)
-    w = is_lattice_modular(lat)
+    failure = is_lattice_modular(lat)
     elapsed = time.perf_counter() - start
     assert len(edges) == 64_695
-    assert w is not None
-    assert_genuine_witness(lat, w)
+    assert_semimodularity_failure(lat, failure)
     assert elapsed < 5.0
 
 
@@ -274,11 +276,24 @@ def test_frattini_subgroup(zoo):
     assert frattini_subgroup(zoo["m16"]).order == 4
 
 
-def assert_genuine_witness(lat, w):
-    """x <= z, yet the modular law fails at (x, y, z)."""
-    x, y, z = w.x, w.y, w.z
-    assert lat.subgroups[x].mask & lat.subgroups[z].mask == lat.subgroups[x].mask
-    assert meet(lat, lat.join(x, y), z) != lat.join(x, meet(lat, y, z))
+@pytest.mark.parametrize(
+    "call",
+    [
+        # -1 must not read as an empty interval, which is modular and has no
+        # maximal subgroups and no sections
+        lambda g, i: is_lattice_modular(subgroup_lattice(g), i),
+        lambda g, i: maximal_subgroup_indices(subgroup_lattice(g), i),
+        lambda g, i: frattini_subgroup(g, i),
+        lambda g, i: list(sections(g, i)),
+    ],
+    ids=["is_lattice_modular", "maximal_subgroup_indices", "frattini_subgroup", "sections"],
+)
+def test_subgroup_indices_outside_the_lattice_are_rejected(call, zoo):
+    g = zoo["d8"]
+    size = subgroup_lattice(g).size
+    for i in (-1, size):
+        with pytest.raises(InvalidParameter, match=f"subgroup index {i} is not in a lattice of size {size}"):
+            call(g, i)
 
 
 def test_lattice_modularity(zoo):
@@ -289,9 +304,7 @@ def test_lattice_modularity(zoo):
     # and the exponent-p group of order 27
     for name in ("d8", "d12", "d16", "a4", "he3"):
         lat = subgroup_lattice(zoo[name])
-        w = is_lattice_modular(lat)
-        assert w is not None, name
-        assert_genuine_witness(lat, w)
+        assert_semimodularity_failure(lat, is_lattice_modular(lat))
     # the cover-graph test agrees with the triple-by-triple oracle
     for name, g in zoo.items():
         lat = subgroup_lattice(g)
@@ -304,10 +317,10 @@ def test_modularity_matches_oracle_on_corpus(corpus):
         lat = subgroup_lattice(e.group)
         if lat.nu == 0 or lat.size > 200:
             continue
-        w = is_lattice_modular(lat)
-        assert (w is None) == (brute_force_is_modular(lat) is None), e.spec
-        if w is not None:
-            assert_genuine_witness(lat, w)
+        failure = is_lattice_modular(lat)
+        assert (failure is None) == (brute_force_is_modular(lat) is None), e.spec
+        if failure is not None:
+            assert_semimodularity_failure(lat, failure)
         checked += 1
     assert checked >= 300
 
@@ -325,18 +338,18 @@ NON_SPEC_GROUPS = {f"C(5) x| C({m})": m for m in (4, 8)}
 @pytest.mark.parametrize(
     "spec, witness",
     [
-        ("D(8) x EA(2,3)", (8, 16, 139)),
-        ("He(3) x EA(3,2)", (14, 41, 159)),
-        ("D(8) x EA(2,4)", (16, 32, 491)),
+        ("D(8) x EA(2,3)", (0, 8, 16, False)),
+        ("He(3) x EA(3,2)", (0, 14, 41, False)),
+        ("D(8) x EA(2,4)", (0, 16, 32, False)),
         ("M(2,6)", None),
         # upper semimodular but not lower, so only the dual scan finds a
-        # witness; both equal brute_force_is_modular's
-        ("C(5) x| C(4)", (1, 7, 6)),
-        ("C(5) x| C(8)", (2, 9, 8)),
+        # failure
+        ("C(5) x| C(4)", (13, 6, 7, True)),
+        ("C(5) x| C(8)", (15, 8, 9, True)),
     ],
 )
 def test_modularity_walks_covers_without_the_edge_list(spec, witness, monkeypatch):
-    # the first witness found is pinned; the covers are walked lazily, so
+    # the first failure found is pinned; the covers are walked lazily, so
     # the full, sorted edge list is never built
     if spec in NON_SPEC_GROUPS:
         lat = subgroup_lattice(c5_rtimes_cyclic(NON_SPEC_GROUPS[spec]))
@@ -349,15 +362,15 @@ def test_modularity_walks_covers_without_the_edge_list(spec, witness, monkeypatc
         return hasse_edges(*args)
 
     monkeypatch.setattr(lattice, "hasse_edges", counting)
-    w = is_lattice_modular(lat)
+    failure = is_lattice_modular(lat)
     assert calls == []
+    assert failure == witness
     if witness is None:
         # modular but not Dedekind, so both semimodular halves run in full
         assert lat.nu > 0
-        assert w is None and brute_force_is_modular(lat) is None
+        assert brute_force_is_modular(lat) is None
     else:
-        assert (w.x, w.y, w.z) == witness
-        assert_genuine_witness(lat, w)
+        assert_semimodularity_failure(lat, failure)
 
 
 @pytest.mark.parametrize("spec", ["SD(2,3)", "SD(2,7)"])
@@ -368,9 +381,16 @@ def test_lower_semimodular_scan_finds_a_genuine_witness(spec):
     down = [[] for _ in range(lat.size)]
     for i, j in sorted(brute_force_hasse_edges(lat)):
         down[j].append(i)
-    w = lattice._semimodular_scan(lat, list(range(lat.size)), down.__getitem__, True)
-    assert w is not None
-    assert_genuine_witness(lat, w)
+    failure = lattice._semimodular_scan(list(range(lat.size)), down.__getitem__)
+    assert failure is not None
+    assert_semimodularity_failure(lat, (*failure, True))
+
+
+def test_semimodular_scan_compares_every_pair_of_covers():
+    # 1 and 2 share the cover 4, 2 and 3 share 5, but 1 and 3 share none:
+    # a scan of adjacent covers alone would call this semimodular
+    covers = {0: [1, 2, 3], 1: [4], 2: [4, 5], 3: [5], 4: [6], 5: [6], 6: []}
+    assert lattice._semimodular_scan(list(covers), covers.__getitem__) == (0, 1, 3)
 
 
 def test_intervals_match_the_induced_subgroup_oracle(corpus):
@@ -405,7 +425,10 @@ def test_intervals_match_the_induced_subgroup_oracle(corpus):
                 hlat.subgroups[j].order for j in maximal_subgroup_indices(hlat)
             ]
             assert frattini_subgroup(g, i).mask == mask_in_g(frattini_subgroup(hgrp).mask), e.spec
-            assert (is_lattice_modular(lat, i) is None) == (is_lattice_modular(hlat) is None), e.spec
+            failure = is_lattice_modular(lat, i)
+            assert (failure is None) == (is_lattice_modular(hlat) is None), e.spec
+            if failure is not None:
+                assert_semimodularity_failure(lat, failure)
             checked += 1
     assert checked >= 1800
 

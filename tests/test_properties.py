@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    assert_semimodularity_failure,
     brute_force_hasse_edges,
     brute_force_is_modular,
     brute_force_subgroup_classes,
@@ -129,7 +130,10 @@ def test_invariant_bundle(name):
     # the up-set covers and the cover-graph modularity test agree with the
     # pairwise and triple-by-triple oracles
     assert hasse_edges(lat) == brute_force_hasse_edges(lat)
-    assert (is_lattice_modular(lat) is None) == (brute_force_is_modular(lat) is None)
+    failure = is_lattice_modular(lat)
+    assert (failure is None) == (brute_force_is_modular(lat) is None)
+    if failure is not None:
+        assert_semimodularity_failure(lat, failure)
     # ratio bounds
     dp = d_prime(g)
     assert 0 < dp <= 1

@@ -280,6 +280,13 @@ def test_density_command(capsys):
         assert code == 3 and "epsilon must be a positive number" in err, eps
 
 
+def test_density_rejects_a_prime_budget_below_one(capsys):
+    # a parameter error (exit 3), not a budget that ran out (exit 4)
+    for budget in ("0", "-1"):
+        code, _, err = run_cli(capsys, ["density", "1", "2", "0.5", "--prime-budget", budget])
+        assert (code, err) == (3, f"error: prime budget must be at least 1, got {budget}\n")
+
+
 def test_sweep_command(capsys, tmp_path, monkeypatch):
     cp = str(tmp_path / "cache")
     built = []
