@@ -6,6 +6,7 @@ oracle against which lattice enumeration is tested, and vice versa.
 
 from __future__ import annotations
 
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,7 +270,12 @@ def density_sequence(
         raise InvalidParameter(f"prime budget must be at least 1, got {prime_budget}")
     try:
         eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
-    except (TypeError, ValueError, OverflowError):  # not a number, or nan / inf
+    except (TypeError, ValueError, OverflowError):  # not a number, nan / inf, or too long
+        digits = sum(map(str.isdigit, epsilon)) if isinstance(epsilon, str) else 0
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if 0 < limit < digits:
+            msg = f"epsilon has {digits} digits, past Python's int-to-str limit of {limit}"
+            raise InvalidParameter(msg) from None
         raise InvalidParameter(f"epsilon must be a positive number, got {epsilon!r}") from None
     if eps <= 0:
         raise InvalidParameter("epsilon must be positive")

@@ -159,10 +159,10 @@ def has_modular_lattice(g: FiniteGroup) -> bool:
     return lat.nu == 0 or is_lattice_modular(lat) is None
 
 
-def sylow_subgroups(g: FiniteGroup) -> dict[int, Subgroup]:
-    """One Sylow p-subgroup per prime divisor of |g| (first in canonical order)."""
+def sylow_subgroups(g: FiniteGroup) -> dict[int, int]:
+    """The lattice index of one Sylow p-subgroup per prime p of |g|, the first of its order."""
     lat = subgroup_lattice(g)
-    return {p: lat.of_order(p**a)[0] for p, a in sorted(prime_factorization(g.order).items())}
+    return {p: lat._order_run(p**a)[0] for p, a in sorted(prime_factorization(g.order).items())}
 
 
 def is_nilpotent(g: FiniteGroup) -> bool:
@@ -215,14 +215,14 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
         raise StructureViolation("order must have exactly two prime divisors")
     lat = subgroup_lattice(g)
     sylows = sylow_subgroups(g)
-    normal_primes = [p for p, s in sylows.items() if lat.is_normal(lat.index_of(s.mask))]
+    normal_primes = [p for p, i in sylows.items() if lat.is_normal(i)]
     if len(normal_primes) != 1:
         raise StructureViolation(
             f"expected exactly one normal Sylow subgroup, found {len(normal_primes)}"
         )
     p = normal_primes[0]
     (q,) = [r for r in factors if r != p]
-    psub, qsub = sylows[p], sylows[q]
+    psub, qsub = lat.subgroups[sylows[p]], lat.subgroups[sylows[q]]
     if max(g.element_orders[x] for x in qsub.elements()) != qsub.order:
         raise StructureViolation(f"Sylow {q}-subgroup is not cyclic")
 
@@ -231,8 +231,8 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
     if zmask != phi_g.mask:
         raise StructureViolation("Z(G) != Phi(G)")
     # L(P) and L(Q) are the intervals [1, P] and [1, Q] of L(G)
-    phi_p = frattini_subgroup(g, lat.index_of(psub.mask))
-    phi_q = frattini_subgroup(g, lat.index_of(qsub.mask))
+    phi_p = frattini_subgroup(g, sylows[p])
+    phi_q = frattini_subgroup(g, sylows[q])
     prod_mask = 0
     for a in phi_p.elements():
         row = g.table[a]

@@ -273,18 +273,11 @@ class SubgroupLattice:
         self.subgroups = [
             Subgroup(group, m, m.bit_count(), found[m]) for m in masks
         ]
-        self._index = {m: i for i, m in enumerate(masks)}
         self._masks = masks
 
     @property
     def size(self) -> int:
         return len(self.subgroups)
-
-    def index_of(self, mask: int) -> int:
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise KeyError(f"bitmask {mask:#x} is not a subgroup") from None
 
     def top_index(self, top: int | None) -> int:
         """top, checked to index a subgroup; the whole group's index if None."""
@@ -369,18 +362,13 @@ class SubgroupLattice:
         lo = bisect_left(subs, order, key=_ORDER)
         return lo, bisect_right(subs, order, lo, key=_ORDER)
 
-    def of_order(self, order: int) -> list[Subgroup]:
-        """The subgroups of the given order, a run of the index order."""
-        lo, hi = self._order_run(order)
-        return self.subgroups[lo:hi]
-
     def is_nilpotent(self, i: int) -> bool:
         """Whether subgroup H = i is nilpotent: for each prime p dividing |H|,
         exactly one subgroup of H has order |H|_p (each Sylow subgroup is normal)."""
         m = self._masks[i]
         return all(
-            sum(1 for s in self.of_order(p**a) if not s.mask & ~m) == 1
-            for p, a in prime_factorization(self.subgroups[i].order).items()
+            sum(1 for s in self._masks[slice(*self._order_run(p**a))] if not s & ~m) == 1
+            for p, a in prime_factorization(m.bit_count()).items()
         )
 
     @cached_property
@@ -516,7 +504,8 @@ def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> Subgroup:
     acc = lat._masks[top]
     for i in maximal_subgroup_indices(lat, top):
         acc &= lat._masks[i]
-    return lat.subgroups[lat.index_of(acc)]
+    lo, hi = lat._order_run(acc.bit_count())  # the masks ascend within an order
+    return lat.subgroups[bisect_left(lat._masks, acc, lo, hi)]
 
 
 def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:

@@ -15,6 +15,7 @@ worded as evidence, not proof.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,6 +68,7 @@ from .invariants import (
     sylow_subgroups,
 )
 from .lattice import (
+    all_subgroup_masks,
     brute_force_subgroup_masks,
     is_lattice_modular,
     normalizes,
@@ -364,16 +366,13 @@ def suite_formulas(corpus: Corpus, stats: dict[str, InvariantReport]) -> SuiteRe
         r = 2
         while p**r <= 128:
             s.count("gaussian_sweeps")
-            g = elementary_abelian(p, r)
-            lat = subgroup_lattice(g)
-            by_layer: dict[int, int] = {}
-            for sub in lat.subgroups:
-                i = sub.order.bit_length() - 1 if p == 2 else round(math.log(sub.order, p))
-                by_layer[i] = by_layer.get(i, 0) + 1
+            masks = all_subgroup_masks(elementary_abelian(p, r))
+            layer = {p**i: i for i in range(r + 1)}
+            by_layer = Counter(layer[m.bit_count()] for m in masks)
             want_layers = {i: gaussian_binomial(r, i, p) for i in range(r + 1)}
             s.check(
                 f"EA({p},{r}): per-order subgroup counts are the Gaussian binomials",
-                by_layer == want_layers and lat.size == num_subgroups_elem_abelian(p, r),
+                by_layer == want_layers and len(masks) == num_subgroups_elem_abelian(p, r),
                 f"enumerated {sorted(by_layer.items())}, formula {sorted(want_layers.items())}",
             )
             r += 1
@@ -611,8 +610,8 @@ def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
             lat = subgroup_lattice(e.group)
             sylows = sylow_subgroups(e.group)
             bad = ""
-            for p, sub in sorted(sylows.items()):
-                if is_lattice_modular(lat, lat.index_of(sub.mask)) is not None:
+            for p, i in sorted(sylows.items()):
+                if is_lattice_modular(lat, i) is not None:
                     bad = f"Sylow {p}-subgroup has a non-modular lattice"
                     break
             s.check(
@@ -1083,13 +1082,15 @@ def run_suites(
 
     The corpus defaults to the standard one and the stats to its reports.
     """
-    if names is None or names == ["all"]:
+    if names is None or list(names) == ["all"]:
         names = list(SUITES)
-    for name in names:
+    if "all" in names:
+        raise InvalidParameter("'all' runs every suite and takes no other suite names")
+    for i, name in enumerate(names):
         if name not in SUITES:
-            raise InvalidParameter(
-                f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
-            )
+            raise InvalidParameter(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+        if name in names[:i]:
+            raise InvalidParameter(f"suite {name!r} is named more than once")
     if corpus is None:
         corpus = build_corpus()
     if stats is None:

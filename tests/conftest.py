@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -334,9 +335,21 @@ def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
     return edges
 
 
+_MASK_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def mask_index(lat: SubgroupLattice) -> dict[int, int]:
+    """The lattice index of each subgroup bitmask, built once per lattice from
+    its sorted masks, so that the oracles share no lookup with the package."""
+    index = _MASK_INDEX.get(lat)
+    if index is None:
+        index = _MASK_INDEX[lat] = {m: i for i, m in enumerate(lat._masks)}
+    return index
+
+
 def meet(lat: SubgroupLattice, i: int, j: int) -> int:
     """The lattice index of the intersection of subgroups i and j."""
-    return lat.index_of(lat.subgroups[i].mask & lat.subgroups[j].mask)
+    return mask_index(lat)[lat._masks[i] & lat._masks[j]]
 
 
 def join(lat: SubgroupLattice, i: int, j: int) -> int:
@@ -476,7 +489,7 @@ def orbits(lat: SubgroupLattice, indices, gens) -> list[tuple[int, ...]]:
     """Orbits, as sorted index tuples in order of first appearance, of the
     subgroups `indices` (a set closed under conjugation by `gens`), walked
     breadth first with one `conjugate_mask` per conjugation."""
-    g, masks, index = lat.group, lat._masks, lat._index
+    g, masks, index = lat.group, lat._masks, mask_index(lat)
     seen = bytearray(len(masks))
     out: list[tuple[int, ...]] = []
     for i in indices:
@@ -534,10 +547,7 @@ def literal_d_star(g: FiniteGroup) -> Fraction:
 def literal_is_nilpotent(g: FiniteGroup) -> bool:
     """Nilpotency as every Sylow subgroup being normal, read off g's own lattice."""
     lat = subgroup_lattice(g)
-    return all(
-        lat.is_normal(lat.index_of(sylow.mask))
-        for sylow in sylow_subgroups(g).values()
-    )
+    return all(lat.is_normal(i) for i in sylow_subgroups(g).values())
 
 
 def literal_is_schmidt(g: FiniteGroup) -> bool:

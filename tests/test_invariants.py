@@ -11,6 +11,7 @@ from conftest import (
     literal_d_star,
     literal_is_nilpotent,
     literal_is_schmidt,
+    mask_index,
     orbit_d_star,
     relabelled,
     two_step_section,
@@ -84,8 +85,8 @@ def test_dedekind_predicate_matches_the_lattice_on_corpus(corpus):
 def test_sections_match_the_full_conjugation_oracle(zoo, corpus):
     groups = list(zoo.items()) + [(e.spec, e.group) for e in corpus if e.group.order <= 32]
     for name, g in groups:
-        lat = subgroup_lattice(g)
-        got = [(lat.index_of(s.h.mask), lat.index_of(s.k.mask)) for s in sections(g)]
+        index = mask_index(subgroup_lattice(g))
+        got = [(index[s.h.mask], index[s.k.mask]) for s in sections(g)]
         assert got == conjugation_sections(g), name
 
 
@@ -196,7 +197,7 @@ def test_schmidt_predicate_and_structure(zoo):
         # the structure check raises on any failed clause, so a returned
         # report means every clause held
         rep = schmidt_structure_check(g)
-        assert sylow_subgroups(g)[rep.p].order == rep.p**rep.r
+        assert subgroup_lattice(g).subgroups[sylow_subgroups(g)[rep.p]].order == rep.p**rep.r
     for g in (zoo["he3"], zoo["d8"], zoo["d12"], zoo["c12"]):
         assert not is_schmidt(g)
     # out-of-domain input is a parameter error; StructureViolation is
@@ -209,19 +210,20 @@ def test_schmidt_predicate_and_structure(zoo):
 def test_schmidt_structure_fields(zoo):
     rep = schmidt_structure_check(zoo["a4"])
     assert (rep.p, rep.q, rep.r) == (2, 3, 2)
-    sylows = sylow_subgroups(zoo["a4"])
-    assert sylows[rep.p].order == 4 and sylows[rep.q].order == 3
+    sylows, subs = sylow_subgroups(zoo["a4"]), subgroup_lattice(zoo["a4"]).subgroups
+    assert subs[sylows[rep.p]].order == 4 and subs[sylows[rep.q]].order == 3
     rep_s3 = schmidt_structure_check(zoo["s3"])
     assert (rep_s3.p, rep_s3.q, rep_s3.r) == (3, 2, 1)
 
 
 def test_sylow_subgroups(zoo):
-    syl = sylow_subgroups(zoo["d12"])
-    assert sorted(syl) == [2, 3]
-    assert syl[2].order == 4 and syl[3].order == 3
-    syl_a4 = sylow_subgroups(zoo["a4"])
-    assert syl_a4[2].order == 4 and syl_a4[3].order == 3
-    assert sylow_subgroups(zoo["q8"])[2].order == 8
+    # each Sylow subgroup comes back as the first lattice index of its order
+    for name, orders in (("d12", {2: 4, 3: 3}), ("a4", {2: 4, 3: 3}), ("q8", {2: 8})):
+        subs = subgroup_lattice(zoo[name]).subgroups
+        syl = sylow_subgroups(zoo[name])
+        assert sorted(syl) == sorted(orders), name
+        for p, i in syl.items():
+            assert subs[i].order == orders[p] and subs[i - 1].order < orders[p], name
 
 
 def test_sections_census(zoo):

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from dedekind import __version__, cli, errors, specs
-from dedekind.errors import InvalidParameter, ParseError
+from dedekind import __version__, cli, errors, formulas, groups, numbertheory, specs
+from dedekind.errors import InvalidParameter, OrderCapExceeded, ParseError
+from dedekind.lattice import subgroup_lattice
 from dedekind.invariants import compute_report
 from dedekind.specs import build_group, parse_spec
 from dedekind.verify import Check, SuiteResult
@@ -280,6 +281,18 @@ def test_density_command(capsys):
         assert code == 3 and "epsilon must be a positive number" in err, eps
 
 
+def test_density_names_the_digit_limit_for_an_over_long_epsilon(capsys):
+    # a positive number that Fraction refuses at Python's int-to-str limit; the
+    # message gives the length and does not repeat the input
+    limit = sys.get_int_max_str_digits()
+    eps = "0." + "3" * (limit + 700)
+    code, out, err = run_cli(capsys, ["density", "1", "2", eps])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: epsilon has {limit + 701} digits, past Python's int-to-str limit of {limit}\n"
+    )
+
+
 def test_density_rejects_a_prime_budget_below_one(capsys):
     # a parameter error (exit 3), not a budget that ran out (exit 4)
     for budget in ("0", "-1"):
@@ -452,6 +465,66 @@ def test_huge_composite_is_a_parameter_error(capsys):
     code, _, err = run_cli(capsys, ["dprime", "He(100000000000000000041)", "--no-cache"])
     assert code == 3
     assert err == "error: p must be prime, got 100000000000000000041\n"
+
+
+# parameter checks that neither Tier-1's other tests nor `verify all` reach:
+# (CLI argv or a call, the error class, its exact message)
+UNREACHED_CHECKS = [
+    (["info", "H(2,1,1)", "--no-cache"], InvalidParameter, "p = 2 needs s + t >= 3"),
+    (["info", "K(2,2,1)", "--no-cache"], InvalidParameter, "p = 2 needs s + t >= 4"),
+    (
+        ["info", "G(2,3,2)", "--no-cache"],
+        InvalidParameter,
+        "q = 3 must divide p - 1 = 1; parameters look swapped, try (3,2,2)",
+    ),
+    (["formula", "schmidt", "4", "2"], InvalidParameter, "p must be prime, got 4"),
+    (["formula", "gaussian", "3", "1", "1"], InvalidParameter, "need p >= 2, got 1"),
+    (
+        ["formula", "schmidt-section", "2", "2", "1"],
+        InvalidParameter,
+        "p, q must be distinct primes, got 2, 2",
+    ),
+    (
+        lambda: groups.semidirect_product(
+            build_group("C(3)"), build_group("C(2)"), [(0, 1, 2), (0, 2, 1)], order_cap=4
+        ),
+        OrderCapExceeded,
+        "product of order 6 exceeds the cap 4",
+    ),
+    (
+        lambda: groups.quotient(
+            build_group("C(4)"), subgroup_lattice(build_group("C(2)")).subgroups[-1]
+        ),
+        InvalidParameter,
+        "subgroup belongs to a different group",
+    ),
+    (
+        lambda: groups.quotient(build_group("C(4)"), 0b10),
+        InvalidParameter,
+        "normal subgroup must contain the identity",
+    ),
+    (
+        lambda: groups.quotient(build_group("Q(8)"), 0b111),
+        InvalidParameter,
+        "given element set is not a subgroup",
+    ),
+    (lambda: formulas.num_subgroups_elem_abelian(2, -1), InvalidParameter, "need r >= 0, got -1"),
+    (lambda: formulas.limit_trend("nope"), InvalidParameter, "unknown family 'nope'"),
+    (lambda: formulas.corollary_a_over_a_plus_one(0), InvalidParameter, "need a >= 1, got 0"),
+    (lambda: numbertheory.nth_odd_prime(0), InvalidParameter, "odd-prime index must be >= 1, got 0"),
+    (lambda: numbertheory.prime_factorization(0), InvalidParameter, "cannot factor 0"),
+    (lambda: numbertheory.multiplicative_order(2, 4), InvalidParameter, "2 is not a unit mod 4"),
+]
+
+
+@pytest.mark.parametrize("call, cls, message", UNREACHED_CHECKS, ids=[c[2] for c in UNREACHED_CHECKS])
+def test_parameter_checks_raise_their_class_and_message(capsys, call, cls, message):
+    if isinstance(call, list):  # through the CLI, which prints the message
+        assert run_cli(capsys, call) == (cls.exit_code, "", f"error: {message}\n")
+    else:
+        with pytest.raises(cls) as info:
+            call()
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -930,3 +1003,18 @@ def test_verify_exit_codes_via_stub(capsys, monkeypatch):
 
 def test_verify_unknown_suite_is_parameter_error(capsys):
     assert run_cli(capsys, ["verify", "definitely-not-a-suite"])[0] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["all", "formulas"], "'all' runs every suite and takes no other suite names"),
+        (["formulas", "all"], "'all' runs every suite and takes no other suite names"),
+        (["formulas", "formulas"], "suite 'formulas' is named more than once"),
+    ],
+    ids=["all-first", "all-last", "repeated"],
+)
+def test_verify_rejects_a_repeated_suite_or_all_among_names(capsys, argv, message):
+    # rejected before the corpus is built: exit 3 and no output
+    assert run_cli(capsys, ["verify", *argv]) == (3, "", f"error: {message}\n")
+    assert run_cli(capsys, ["verify", *argv, "--json"]) == (3, "", f"error: {message}\n")
