@@ -1,13 +1,22 @@
 """Concrete finite groups as explicit multiplication tables.
 
 Elements are the integers 0..order-1 and element 0 is always the identity.
-Construction validates the Latin-square and identity/inverse axioms with one
-set per row and per column: n entries are a permutation of the elements iff
-their set is the element set.  Only a failing row is scanned entry by entry,
-to name its first bad entry.  The cubic associativity axiom is not checked:
-the family constructors and products compose their tables from the rows of
-a few generators (`cayley_rows`), which is only sound for a group, and the
-test suite certifies each construction against an entry-by-entry oracle.
+A table of order n <= 256 holds `bytes` rows, one byte per entry, and a
+larger one tuples of ints; both index to the same ints.
+
+Construction validates the Latin-square and identity axioms of an n <= 256
+table by byte operations: n bytes are a permutation of the elements iff
+deleting them from bytes(range(n)) leaves nothing, and column j is the
+strided slice flat[j::n] of the joined rows.  That check only accepts.  A
+table it does not accept, and every table above 256, goes through one set
+per row and per column, which words the first failure: n entries are a
+permutation iff their set is the element set, and only a failing row is
+scanned entry by entry, to name its first bad entry.  Inverses are then
+checked on the rows of either kind.  The cubic associativity axiom is not
+checked: the family constructors and products compose their tables from the
+rows of a few generators (`cayley_rows`), which is only sound for a group,
+and the test suite certifies each construction against an entry-by-entry
+oracle.
 """
 
 from __future__ import annotations
@@ -64,42 +73,21 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise InvalidParameter("a group needs at least one element")
-        # A row or column of n entries is a permutation iff its set is the
-        # element set; the per-entry scan runs only to word a row's error.
-        elements = set(range(n))
-        rows = []
-        for i, row in enumerate(table):
-            row = tuple(row)
-            if len(row) != n:
-                raise InvalidParameter(f"row {i} has length {len(row)}, expected {n}")
-            if set(row) != elements:
-                for j, v in enumerate(row):
-                    try:
-                        inside = 0 <= v < n
-                    except TypeError:  # e.g. a string, which does not compare with ints
-                        raise InvalidParameter(
-                            f"entry table[{i}][{j}]={v!r} is not an integer"
-                        ) from None
-                    if not inside:
-                        raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
-                raise InvalidParameter(f"row {i} is not a permutation of the elements")
-            if type(sum(row)) is not int:  # a float or Fraction equal to an element
-                j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int))
-                raise InvalidParameter(f"entry table[{i}][{j}]={v!r} is not an integer")
-            rows.append(row)
-        # every entry is now an int in range, so n distinct entries are all of them
-        if any(len(set(col)) != n for col in zip(*rows)):
-            raise InvalidParameter("some column is not a permutation of the elements")
-        if rows[0] != tuple(range(n)) or any(rows[i][0] != i for i in range(n)):
-            raise InvalidParameter("element 0 must be a two-sided identity")
+        # each row is read once, before either check sees it
+        rows = [row if type(row) is bytes else tuple(row) for row in table]
+        checked = _byte_table(rows, n) if n <= 256 else None
+        if checked is None:  # the set check words the first failure, or passes
+            checked = _set_checked_rows(rows, n)
+            if n <= 256:  # e.g. bool entries, which only the set check accepts
+                checked = tuple(map(bytes, checked))
         inverses = []
         for i in range(n):
-            b = rows[i].index(0)
-            if rows[b][i] != 0:
+            b = checked[i].index(0)
+            if checked[b][i] != 0:
                 raise InvalidParameter(f"element {i} has no two-sided inverse")
             inverses.append(b)
         self.order = n
-        self.table = tuple(rows)
+        self.table = checked
         self.inverses = tuple(inverses)
         self.name = name
         self._lattice = None
@@ -208,6 +196,66 @@ class FiniteGroup:
         return _closure(self.table, tuple(gens))
 
 
+def _byte_table(rows, n: int) -> tuple[bytes, ...] | None:
+    """The rows as bytes when they are a Latin square of ints with identity 0,
+    else None.  n <= 256 bytes hold a permutation of the elements iff deleting
+    them from bytes(range(n)) leaves nothing; column j is the strided slice
+    flat[j::n] of the rows joined."""
+    ident = bytes(range(n))
+    out = []
+    for row in rows:
+        if type(row) is not bytes:
+            if {*map(type, row)} != {int}:  # bytes() also takes __index__ objects
+                return None
+            try:
+                row = bytes(row)
+            except ValueError:  # an entry outside 0..255
+                return None
+        if len(row) != n or ident.translate(None, row):
+            return None
+        out.append(row)
+    flat = b"".join(out)
+    if out[0] != ident or flat[::n] != ident:
+        return None
+    if any(ident.translate(None, flat[j::n]) for j in range(1, n)):
+        return None
+    return tuple(out)
+
+
+def _set_checked_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows as tuples once they pass the Latin-square and identity axioms;
+    otherwise raise InvalidParameter naming the first failure.  n entries are
+    a permutation of the elements iff their set is the element set; the
+    per-entry scan runs only to word a row's error."""
+    elements = set(range(n))
+    checked = []
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        if len(row) != n:
+            raise InvalidParameter(f"row {i} has length {len(row)}, expected {n}")
+        if set(row) != elements:
+            for j, v in enumerate(row):
+                try:
+                    inside = 0 <= v < n
+                except TypeError:  # e.g. a string, which does not compare with ints
+                    raise InvalidParameter(
+                        f"entry table[{i}][{j}]={v!r} is not an integer"
+                    ) from None
+                if not inside:
+                    raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
+            raise InvalidParameter(f"row {i} is not a permutation of the elements")
+        if type(sum(row)) is not int:  # a float or Fraction equal to an element
+            j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int))
+            raise InvalidParameter(f"entry table[{i}][{j}]={v!r} is not an integer")
+        checked.append(row)
+    # every entry is now an int in range, so n distinct entries are all of them
+    if any(len(set(col)) != n for col in zip(*checked)):
+        raise InvalidParameter("some column is not a permutation of the elements")
+    if checked[0] != tuple(range(n)) or any(checked[i][0] != i for i in range(n)):
+        raise InvalidParameter("element 0 must be a two-sided identity")
+    return tuple(checked)
+
+
 _BYTE_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
 
 
@@ -277,28 +325,33 @@ class Subgroup:
         return f"<subgroup of order {self.order} in {self.parent.name or 'G'}>"
 
 
-def cayley_rows(n: int, gen_rows) -> list[tuple[int, ...]]:
+def cayley_rows(n: int, gen_rows) -> list:
     """Every row of the table of a group of order n from the rows of a few
     generators: `gen_rows` maps each generator s to its row, s * y for y in
-    0..n-1.
+    0..n-1.  The rows are `bytes` when n <= 256 and tuples of ints above.
 
     The rows form the left-regular representation, so row(x * s) is row(x)
-    composed with row(s): entry y is row(x)[row(s)[y]], one `itemgetter`
-    call per row.  A breadth-first walk from the identity reaches every
-    element once.  Raises InvalidParameter when the generators reach fewer
-    than n elements.  Associativity is assumed, not checked: for a table
-    that is not a group's, the composed rows differ from its rows.
+    composed with row(s): entry y is row(x)[row(s)[y]].  For n <= 256 that is
+    one `bytes.translate` of row(s) by row(x), padded to 256 bytes; above,
+    one `itemgetter` call per row.  A breadth-first walk from the identity
+    reaches every element once.  Raises InvalidParameter when the generators
+    reach fewer than n elements.  Associativity is assumed, not checked: for
+    a table that is not a group's, the composed rows differ from its rows.
     """
     rows: list = [None] * n
-    rows[0] = tuple(range(n))
-    pickers = [(s, itemgetter(*row)) for s, row in gen_rows.items()]
+    if n <= 256:
+        rows[0], pad = bytes(range(n)), bytes(256 - n)
+        pickers = [(s, bytes(row).translate) for s, row in gen_rows.items()]
+    else:
+        rows[0], pad = tuple(range(n)), ()
+        pickers = [(s, itemgetter(*row)) for s, row in gen_rows.items()]
     reached = [0]
     for x in reached:  # grows during iteration
         rx = rows[x]
         for s, pick in pickers:
             y = rx[s]
             if rows[y] is None:
-                rows[y] = pick(rx)
+                rows[y] = pick(rx + pad)
                 reached.append(y)
     if len(reached) != n:
         raise InvalidParameter(
@@ -388,14 +441,15 @@ def _as_mask(g: FiniteGroup, sub) -> int:
 
 def section_table(
     g: FiniteGroup, hmask: int, kmask: int = 1
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+) -> tuple[tuple[bytes, ...] | tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The multiplication table of the section H/K read off g's table, not
     validated, plus the coset number of each element of g (-1 outside H).
     The cosets xK are numbered in order of first appearance, x in H
     ascending, so K = 1 gives H with its elements renumbered in ascending
     order.  H must be a subgroup of g and K a normal subgroup of H; neither
-    is checked.  Equal tables are equal groups, so the table serves as a
-    hashable key."""
+    is checked.  The rows are `bytes` when |H/K| <= 256 and tuples above, as
+    in `FiniteGroup.table`.  Equal tables are equal groups, so the table
+    serves as a hashable key."""
     t = g.table
     kelems = _mask_elements(kmask)
     proj = [-1] * g.order
@@ -406,7 +460,8 @@ def section_table(
             for k in kelems:
                 proj[row[k]] = len(reps)
             reps.append(x)
-    table = tuple(tuple([proj[t[a][b]] for b in reps]) for a in reps)
+    row_type = bytes if len(reps) <= 256 else tuple
+    table = tuple(row_type([proj[t[a][b]] for b in reps]) for a in reps)
     return table, tuple(proj)
 
 

@@ -18,7 +18,7 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import cayley_rows, is_isomorphic
+from dedekind.groups import cayley_rows, is_isomorphic, section_table
 from dedekind.specs import build_group
 
 # The nine big-specs groups of the benchmark, then larger products.
@@ -184,13 +184,13 @@ def test_c27_rtimes_q8():
 def test_corpus_tables_match_the_entrywise_oracle(corpus):
     for e in corpus.entries:
         want = entrywise_table(e.spec)
-        assert build_group(e.spec).table == want, e.spec
-        assert e.group.table == want, e.spec
+        assert tuple(map(tuple, build_group(e.spec).table)) == want, e.spec
+        assert tuple(map(tuple, e.group.table)) == want, e.spec
 
 
 @pytest.mark.parametrize("spec", LARGE_SPECS)
 def test_large_tables_match_the_entrywise_oracle(spec):
-    assert build_group(spec).table == entrywise_table(spec)
+    assert tuple(map(tuple, build_group(spec).table)) == entrywise_table(spec)
 
 
 def test_every_family_at_small_orders_is_a_group(corpus):
@@ -200,7 +200,24 @@ def test_every_family_at_small_orders_is_a_group(corpus):
     for e in small:
         g = build_group(e.spec)
         assert_valid_group(g)
-        assert g.table == entrywise_table(e.spec), e.spec
+        assert tuple(map(tuple, g.table)) == entrywise_table(e.spec), e.spec
+
+
+def test_table_rows_are_bytes_up_to_order_256(corpus):
+    def row_types(table):
+        return {type(row) for row in table}
+
+    for e in corpus.entries:
+        assert row_types(e.group.table) == {bytes if e.group.order <= 256 else tuple}
+    assert row_types(build_group("D(256)").table) == {bytes}
+    d8 = dihedral(8)
+    assert row_types(cayley_rows(8, {2: d8.table[2], 1: d8.table[1]})) == {bytes}
+    for spec in ("SD(3,13)", "M(2,9)"):
+        assert row_types(build_group(spec).table) == {tuple}
+    g = build_group("M(2,9)")
+    cyclic_256 = g.closure(g.generating_set[:1])[0]
+    assert row_types(section_table(g, cyclic_256)[0]) == {bytes}
+    assert row_types(section_table(g, (1 << 512) - 1)[0]) == {tuple}
 
 
 def test_cayley_rows_needs_generators_of_the_whole_group():

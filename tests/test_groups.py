@@ -53,6 +53,19 @@ LOOP5 = [
 ]
 
 
+class Idx:
+    """An entry that bytes() takes through __index__ but that is not an int."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    def __repr__(self):
+        return f"Idx({self.v})"
+
+
 BAD_TABLES = [
     ([], "a group needs at least one element"),
     ([[0, 1], [1, 0], [2, 0]], "row 0 has length 2, expected 3"),
@@ -60,6 +73,8 @@ BAD_TABLES = [
     ([[0, 1], [2, 0]], "entry table[1][0]=2 out of range"),
     ([[0, 1], [1, 1]], "row 1 is not a permutation of the elements"),
     ([[0, 1], [0, 1]], "some column is not a permutation of the elements"),
+    # every row a permutation and 0 an identity, but column 1 repeats 1
+    ([[0, 1, 2], [1, 0, 2], [2, 1, 0]], "some column is not a permutation of the elements"),
     ([[1, 0], [0, 1]], "element 0 must be a two-sided identity"),
     (LOOP5, "element 2 has no two-sided inverse"),
     # entries equal to elements pass the set checks, but are not ints
@@ -68,6 +83,9 @@ BAD_TABLES = [
     ([[0, 1], [Decimal(1), 0]], "entry table[1][0]=Decimal('1') is not an integer"),
     # an entry no int compares with is worded the same
     ([[0, "a"], ["a", 0]], "entry table[0][1]='a' is not an integer"),
+    ([[0, Idx(1)], [Idx(1), 0]], "entry table[0][1]=Idx(1) is not an integer"),
+    # one-shot rows are read once, and the check that words the error sees them
+    ([iter([0, 1]), iter([1, 1])], "row 1 is not a permutation of the elements"),
 ]
 
 
@@ -75,6 +93,12 @@ def test_table_validation_rejects_bad_tables():
     for table, message in BAD_TABLES:
         with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
             FiniteGroup(table)
+
+
+def test_a_table_only_the_set_check_accepts_gets_bytes_rows():
+    # bool entries are ints to the set check; the byte check leaves them to it
+    g = FiniteGroup([[False, True], [True, False]])
+    assert g.table == (b"\x00\x01", b"\x01\x00") and g.inverses == (0, 1)
 
 
 def _entrywise_validation(table) -> None:
@@ -124,14 +148,15 @@ VALID_TABLES = [
 
 
 @st.composite
-def corrupted_tables(draw):
-    """A valid table or LOOP5, relabelled, then hit by up to two local faults.
+def corrupted_tables(draw, bases):
+    """One of `bases`, relabelled, then hit by up to two local faults.
 
-    A relabelling that moves 0 breaks the identity; one that fixes 0 keeps
-    LOOP5 a loop without two-sided inverses.  The local faults are a swapped
-    pair of entries, an out-of-range entry and a ragged row.
+    A relabelling that moves 0 breaks the identity; one that fixes 0 keeps a
+    group a group and LOOP5 a loop without two-sided inverses.  The local
+    faults are a swapped pair of entries, an out-of-range entry and a ragged
+    row.
     """
-    table = draw(st.sampled_from(VALID_TABLES + [LOOP5]))
+    table = draw(st.sampled_from(bases))
     n = len(table)
     if draw(st.booleans()):
         perm = draw(st.permutations(range(n)))
@@ -157,9 +182,7 @@ def corrupted_tables(draw):
     return table
 
 
-@given(table=corrupted_tables())
-@settings(max_examples=200, deadline=None)
-def test_table_validation_matches_entrywise_oracle(table):
+def _assert_validation_matches_entrywise_oracle(table):
     try:
         _entrywise_validation(table)
         expected = None
@@ -171,6 +194,19 @@ def test_table_validation_matches_entrywise_oracle(table):
     except InvalidParameter as exc:
         got = str(exc)
     assert got == expected
+
+
+@given(table=corrupted_tables(VALID_TABLES + [LOOP5]))
+@settings(max_examples=200, deadline=None)
+def test_table_validation_matches_entrywise_oracle(table):
+    _assert_validation_matches_entrywise_oracle(table)
+
+
+# Above order 256 rows stay tuples and only the set check runs.
+@given(table=corrupted_tables([[list(r) for r in cyclic(257).table]]))
+@settings(max_examples=20, deadline=None)
+def test_tuple_row_validation_matches_entrywise_oracle_at_order_257(table):
+    _assert_validation_matches_entrywise_oracle(table)
 
 
 def test_zoo_groups_satisfy_axioms(zoo):
