@@ -219,10 +219,10 @@ def _lattice_dot(spec: str, lat) -> str:
         f'  label="{spec}";',
         "  node [shape=circle, fontsize=10];",
     ]
-    for i, sub in enumerate(lat.subgroups):
+    for i, m in enumerate(lat.masks):
         shape = "doublecircle" if lat.is_normal(i) else "circle"
         style = ", style=filled, fillcolor=lightgray" if i in reps else ""
-        lines.append(f'  s{i} [label="{i}: {sub.order}", shape={shape}{style}];')
+        lines.append(f'  s{i} [label="{i}: {m.bit_count()}", shape={shape}{style}];')
     for i, j in hasse_edges(lat):
         lines.append(f"  s{i} -> s{j};")
     lines.append("}")
@@ -244,11 +244,11 @@ def cmd_lattice(args) -> int:
                 "subgroups": [
                     {
                         "index": i,
-                        "order": sub.order,
+                        "order": m.bit_count(),
                         "normal": lat.is_normal(i),
                         "class": lat.class_of(i),
                     }
-                    for i, sub in enumerate(lat.subgroups)
+                    for i, m in enumerate(lat.masks)
                 ],
                 "edges": [list(e) for e in hasse_edges(lat)],
             }
@@ -259,9 +259,9 @@ def cmd_lattice(args) -> int:
         f"subgroup lattice of {spec}: {lat.size} subgroups in {lat.k_prime} classes, "
         f"{lat.normal_count} normal"
     )
-    for i, sub in enumerate(lat.subgroups):
+    for i, m in enumerate(lat.masks):
         marker = "normal" if lat.is_normal(i) else f"class {lat.class_of(i)}"
-        _emit(f"  #{i:<3d} order {sub.order:<5d} {marker}")
+        _emit(f"  #{i:<3d} order {m.bit_count():<5d} {marker}")
     _emit(f"covering edges: {len(edges)}")
     return 0
 
@@ -269,11 +269,12 @@ def cmd_lattice(args) -> int:
 def cmd_sections(args) -> int:
     spec = parse_spec(args.spec)
     group = spec.build(order_cap=args.max_order)
+    orders = [m.bit_count() for m in subgroup_lattice(group).masks]
     shapes: dict[tuple[int, int], int] = {}
     total = 0
-    for sec in sections(group):
+    for hi, ki in sections(group):
         total += 1
-        key = (sec.h.order, sec.order)
+        key = (orders[hi], orders[hi] // orders[ki])
         shapes[key] = shapes.get(key, 0) + 1
     rows = [
         {"h_order": h, "quotient_order": q, "count": c}

@@ -1,8 +1,10 @@
 """Concrete finite groups as explicit multiplication tables.
 
 Elements are the integers 0..order-1 and element 0 is always the identity.
-A table of order n <= 256 holds `bytes` rows, one byte per entry, and a
-larger one tuples of ints; both index to the same ints.
+A subgroup is an int bitmask over the elements, bit x set for element x;
+there is no subgroup class.  A table of order n <= 256 holds `bytes` rows,
+one byte per entry, and a larger one tuples of ints; both index to the same
+ints.
 
 Construction validates the Latin-square and identity axioms of an n <= 256
 table by byte operations: n bytes are a permutation of the elements iff
@@ -10,13 +12,13 @@ deleting them from bytes(range(n)) leaves nothing, and column j is the
 strided slice flat[j::n] of the joined rows.  That check only accepts.  A
 table it does not accept, and every table above 256, goes through one set
 per row and per column, which words the first failure: n entries are a
-permutation iff their set is the element set, and only a failing row is
-scanned entry by entry, to name its first bad entry.  Inverses are then
-checked on the rows of either kind.  The cubic associativity axiom is not
-checked: the family constructors and products compose their tables from the
-rows of a few generators (`cayley_rows`), which is only sound for a group,
-and the test suite certifies each construction against an entry-by-entry
-oracle.
+permutation iff their set is the element set, and only a failing row, or
+one holding an entry that is not an int, is scanned entry by entry, to name
+its first bad entry.  Inverses are then checked on the rows of either kind.
+The cubic associativity axiom is not checked: the family constructors and
+products compose their tables from the rows of a few generators
+(`cayley_rows`), which is only sound for a group, and the test suite
+certifies each construction against an entry-by-entry oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "DEFAULT_ISO_CAP",
     "FiniteGroup",
     "GroupFingerprint",
-    "Subgroup",
     "cayley_rows",
     "direct_product",
     "semidirect_product",
@@ -244,7 +245,8 @@ def _set_checked_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
                 if not inside:
                     raise InvalidParameter(f"entry table[{i}][{j}]={v} out of range")
             raise InvalidParameter(f"row {i} is not a permutation of the elements")
-        if type(sum(row)) is not int:  # a float or Fraction equal to an element
+        if not all(issubclass(t, int) for t in {*map(type, row)}):
+            # a float, Fraction or other object equal to an element
             j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int))
             raise InvalidParameter(f"entry table[{i}][{j}]={v!r} is not an integer")
         checked.append(row)
@@ -296,33 +298,6 @@ def _derived_subgroup(g: FiniteGroup, gens) -> tuple[int, list[int]]:
                 ngens.append(y)
                 mask = _closure(g.table, ngens)[0]
     return mask, ngens
-
-
-@dataclass(frozen=True, eq=False)
-class Subgroup:
-    """A subgroup of `parent`, stored as a bitset over element indices."""
-
-    parent: FiniteGroup
-    mask: int
-    order: int
-    gens: tuple[int, ...] = ()
-
-    def elements(self) -> list[int]:
-        return _mask_elements(self.mask)
-
-    def __contains__(self, elem: int) -> bool:
-        return bool((self.mask >> elem) & 1)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    @property
-    def is_whole(self) -> bool:
-        return self.order == self.parent.order
-
-    def __repr__(self):
-        return f"<subgroup of order {self.order} in {self.parent.name or 'G'}>"
 
 
 def cayley_rows(n: int, gen_rows) -> list:
@@ -431,14 +406,6 @@ def semidirect_product(
     return FiniteGroup(_product_rows(n_grp, h_grp, acts), name=name)
 
 
-def _as_mask(g: FiniteGroup, sub) -> int:
-    if isinstance(sub, Subgroup):
-        if sub.parent is not g:
-            raise InvalidParameter("subgroup belongs to a different group")
-        return sub.mask
-    return int(sub)
-
-
 def section_table(
     g: FiniteGroup, hmask: int, kmask: int = 1
 ) -> tuple[tuple[bytes, ...] | tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -477,9 +444,12 @@ def section_group(
     return FiniteGroup(table, name=name), proj
 
 
-def quotient(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient G/N with its projection; raises NotNormal when N is not normal."""
-    mask = _as_mask(g, normal)
+def quotient(g: FiniteGroup, normal: int) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """Quotient G/N with its projection, N given by its bitmask; raises
+    NotNormal when N is not normal."""
+    mask = normal
+    if not isinstance(mask, int) or mask < 0 or mask >> g.order:
+        raise InvalidParameter(f"{mask!r} is not a bitmask of {g.order} elements")
     if not mask & 1:
         raise InvalidParameter("normal subgroup must contain the identity")
     elems = _mask_elements(mask)

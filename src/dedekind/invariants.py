@@ -4,6 +4,10 @@ d'(G) is the number of conjugacy classes of subgroups over the number of
 subgroups; it equals 1 exactly for the groups in which every subgroup is
 normal.  d*(G) is the minimum of d' over all sections H/K of G, which turns
 the ratio into a section-monotone quantity suitable for threshold criteria.
+
+Subgroups are named by their index in g's lattice, as there: a section H/K
+is the index pair (hi, ki), and `section_group` builds its quotient from the
+lattice's masks when a caller needs it as a group.
 """
 
 from __future__ import annotations
@@ -12,16 +16,9 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InvalidParameter, OrderCapExceeded, StructureViolation
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    _mask_elements,
-    is_isomorphic,
-    section_group,
-)
+from .groups import FiniteGroup, _mask_elements, is_isomorphic, section_group
 from .lattice import (
     is_lattice_modular,
     frattini_subgroup,
@@ -33,7 +30,6 @@ from .numbertheory import multiplicative_order, prime_factorization
 
 __all__ = [
     "DSTAR_ORDER_LIMIT",
-    "Section",
     "InvariantReport",
     "SchmidtStructureReport",
     "d_prime",
@@ -59,33 +55,18 @@ def d_prime(g: FiniteGroup) -> Fraction:
     return Fraction(lat.k_prime, lat.size)
 
 
-@dataclass(frozen=True)
-class Section:
-    """A section H/K of a group: K normal in H; the quotient is built from the
-    group's table on first read."""
-
-    h: Subgroup
-    k: Subgroup
-
-    @property
-    def order(self) -> int:
-        return self.h.order // self.k.order
-
-    @cached_property
-    def quotient(self) -> FiniteGroup:
-        return section_group(self.h.parent, self.h.mask, self.k.mask)[0]
-
-
-def sections(g: FiniteGroup, hi: int | None = None) -> Iterator[Section]:
-    """Yield every section of g: one per pair (H, K <| H), including (G, 1) and (H, H);
-    with hi, only those whose H is subgroup hi of g's lattice."""
+def sections(g: FiniteGroup, hi: int | None = None) -> Iterator[tuple[int, int]]:
+    """Yield every section H/K of g as the lattice indices (hi, ki): one per
+    pair (H, K <| H), including (G, 1) and (H, H), H ascending and then K;
+    with hi, only those whose H is subgroup hi.  `section_group` builds the
+    quotient from the masks."""
     lat = subgroup_lattice(g)
+    masks, gens = lat.masks, lat.gens
     for hi in range(lat.size) if hi is None else (lat.top_index(hi),):
-        h = lat.subgroups[hi]
+        hgens = gens[hi]
         for ki in _mask_elements(lat.below(hi)):
-            k = lat.subgroups[ki]
-            if normalizes(g, k.mask, k.gens, h.gens):
-                yield Section(h, k)
+            if normalizes(g, masks[ki], gens[ki], hgens):
+                yield hi, ki
 
 
 def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
@@ -116,15 +97,15 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     lat = subgroup_lattice(g)
     if lat.nu == 0:
         return Fraction(1)
-    masks = lat._masks
+    masks = lat.masks
     normalizer: dict[int, int] = {}
     best_num, best_den = 1, 1
     for hi in lat.class_representatives():
-        h = lat.subgroups[hi]
-        hgens = h.gens
+        hgens = lat.gens[hi]
         if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
             continue  # H is abelian: every section has d' = 1
-        hmask, horder = h.mask, h.order
+        hmask = masks[hi]
+        horder = hmask.bit_count()
         below_h = lat.below(hi)
         by_weight: dict[int, list[int]] = {}
         for li in _mask_elements(below_h):
@@ -222,49 +203,49 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
         )
     p = normal_primes[0]
     (q,) = [r for r in factors if r != p]
-    psub, qsub = lat.subgroups[sylows[p]], lat.subgroups[sylows[q]]
-    if max(g.element_orders[x] for x in qsub.elements()) != qsub.order:
+    masks = lat.masks
+    pmask, qmask = masks[sylows[p]], masks[sylows[q]]
+    if max(g.element_orders[x] for x in _mask_elements(qmask)) != qmask.bit_count():
         raise StructureViolation(f"Sylow {q}-subgroup is not cyclic")
 
     zmask = g.center_mask
-    phi_g = frattini_subgroup(g)
-    if zmask != phi_g.mask:
+    phi_g = masks[frattini_subgroup(g)]
+    if zmask != phi_g:
         raise StructureViolation("Z(G) != Phi(G)")
     # L(P) and L(Q) are the intervals [1, P] and [1, Q] of L(G)
-    phi_p = frattini_subgroup(g, sylows[p])
-    phi_q = frattini_subgroup(g, sylows[q])
+    phi_p = masks[frattini_subgroup(g, sylows[p])]
+    phi_q = masks[frattini_subgroup(g, sylows[q])]
     prod_mask = 0
-    for a in phi_p.elements():
+    for a in _mask_elements(phi_p):
         row = g.table[a]
-        for b in phi_q.elements():
+        for b in _mask_elements(phi_q):
             prod_mask |= 1 << row[b]
-    if prod_mask != phi_g.mask or prod_mask.bit_count() != phi_p.order * phi_q.order:
+    if prod_mask != phi_g or prod_mask.bit_count() != phi_p.bit_count() * phi_q.bit_count():
         raise StructureViolation("Phi(G) != Phi(P) x Phi(Q)")
 
     r = multiplicative_order(p, q)
-    top_order = psub.order // phi_p.order
+    top_order = pmask.bit_count() // phi_p.bit_count()
     if top_order != p**r:
         raise StructureViolation(f"|P/Phi(P)| = {top_order}, expected p^r = {p**r}")
     # P/Phi(P) is generated by the images of P's generators: it is elementary
     # abelian iff their p-th powers and commutators all lie in Phi(P)
-    gens = psub.gens
+    gens = lat.gens[sylows[p]]
     words = [g.power(a, p) for a in gens] + [g.commutator(a, b) for a in gens for b in gens]
-    if not all(x in phi_p for x in words):
+    if not all(phi_p >> x & 1 for x in words):
         raise StructureViolation("P/Phi(P) is not elementary abelian")
 
-    for cls in lat.classes:
+    for cls in lat.classes[:-1]:  # the last class is G's own
         if len(cls) != 1:
             continue
-        n = lat.subgroups[cls[0]]
-        if n.is_whole:
-            continue
-        if qsub.mask & ~n.mask == 0:
+        n = masks[cls[0]]
+        if qmask & ~n == 0:
             raise StructureViolation(
-                f"proper normal subgroup of order {n.order} contains the Sylow {q}-subgroup"
+                f"proper normal subgroup of order {n.bit_count()} contains the Sylow {q}-subgroup"
             )
-        if psub.mask & ~n.mask != 0 and n.mask & ~zmask != 0:
+        if pmask & ~n != 0 and n & ~zmask != 0:
             raise StructureViolation(
-                f"proper normal subgroup of order {n.order} neither contains P nor lies in Z(G)"
+                f"proper normal subgroup of order {n.bit_count()} neither contains P "
+                "nor lies in Z(G)"
             )
     return SchmidtStructureReport(p=p, q=q, r=r)
 
@@ -272,18 +253,16 @@ def schmidt_structure_check(g: FiniteGroup) -> SchmidtStructureReport:
 def is_q_self_dual(g: FiniteGroup) -> bool:
     """Whether every quotient of g is isomorphic to some subgroup of g."""
     lat = subgroup_lattice(g)
+    masks = lat.masks
     reps_by_order: dict[int, list[int]] = {}
     for i in lat.class_representatives():
-        reps_by_order.setdefault(lat.subgroups[i].order, []).append(i)
-    for cls in lat.classes:
+        reps_by_order.setdefault(masks[i].bit_count(), []).append(i)
+    for cls in lat.classes[1:-1]:  # the first and last classes are 1 and G
         if len(cls) != 1:
             continue
-        n = lat.subgroups[cls[0]]
-        if n.is_trivial or n.is_whole:
-            continue
-        q, _ = section_group(g, (1 << g.order) - 1, n.mask)  # normal: its class is {n}
+        q, _ = section_group(g, masks[-1], masks[cls[0]])  # normal: its class is itself
         if not any(
-            is_isomorphic(q, section_group(g, lat.subgroups[i].mask)[0])
+            is_isomorphic(q, section_group(g, masks[i])[0])
             for i in reps_by_order.get(q.order, [])
         ):
             return False

@@ -1,6 +1,9 @@
 """Subgroup lattice enumeration and lattice-level invariants.
 
-Subgroups are bitmasks over element indices.  Enumeration is by cyclic
+A subgroup is a bitmask over element indices, and in a lattice it is named
+by its index alone: `SubgroupLattice.masks[i]` and `gens[i]` are subgroup
+i's bitmask and a generating tuple, and its order is masks[i].bit_count().
+Functions that return a subgroup return its index.  Enumeration is by cyclic
 extension (J. Neubüser, Numer. Math. 2, 1960) along a composition series of
 G: starting from the trivial subgroup, a subgroup H is extended only by an
 element x of p-power order that normalizes H, has x^p in H and lies below H's
@@ -44,10 +47,9 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Callable
 from functools import cached_property
-from operator import attrgetter
 
 from .errors import InvalidParameter, LatticeBudgetExceeded
-from .groups import FiniteGroup, Subgroup, _derived_subgroup, _mask_elements
+from .groups import FiniteGroup, _derived_subgroup, _mask_elements
 from .numbertheory import prime_factorization, prime_power
 
 __all__ = [
@@ -64,7 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_LATTICE_BUDGET = 100_000
-_ORDER = attrgetter("order")
 
 
 def normalizes(g: FiniteGroup, kmask: int, kgens, agens) -> bool:
@@ -261,7 +262,9 @@ def _generic_extension(g: FiniteGroup, budget: int) -> dict[int, tuple[int, ...]
 class SubgroupLattice:
     """The full subgroup lattice of a finite group.
 
-    Subgroups are indexed in a canonical order (by order, then bitmask) and
+    Subgroup i is named by its index, in a canonical order (by order, then
+    bitmask), and held as two parallel entries: masks[i], its bitmask over
+    the elements, and gens[i], a generating tuple.  The subgroups are
     grouped into conjugacy classes; containment bitsets (`up`, `below`),
     normalizers and nilpotency are computed on demand.
     """
@@ -269,15 +272,12 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup):
         self.group = group
         found = all_subgroup_masks(group)
-        masks = sorted(found, key=lambda m: (m.bit_count(), m))
-        self.subgroups = [
-            Subgroup(group, m, m.bit_count(), found[m]) for m in masks
-        ]
-        self._masks = masks
+        self.masks = sorted(found, key=lambda m: (m.bit_count(), m))
+        self.gens = [found[m] for m in self.masks]
 
     @property
     def size(self) -> int:
-        return len(self.subgroups)
+        return len(self.masks)
 
     def top_index(self, top: int | None) -> int:
         """top, checked to index a subgroup; the whole group's index if None."""
@@ -304,7 +304,7 @@ class SubgroupLattice:
             return [(i,) for i in range(self.size)]
         t, inv = g.table, g.inverses
         rows = [[t[t[a][x]][inv[a]] for x in range(g.order)] for a in g.generating_set]
-        holders, subs = self._holders, self.subgroups
+        holders, subgens = self._holders, self.gens
         seen = bytearray(self.size)
         out: list[tuple[int, ...]] = []
         for i in range(self.size):
@@ -313,7 +313,7 @@ class SubgroupLattice:
             seen[i] = 1
             orbit = [i]
             for j in orbit:
-                kgens = subs[j].gens
+                kgens = subgens[j]
                 for row in rows:
                     both = holders[0]
                     for x in kgens:
@@ -358,16 +358,16 @@ class SubgroupLattice:
 
     def _order_run(self, order: int) -> tuple[int, int]:
         """The index range [lo, hi) of the subgroups of the given order."""
-        subs = self.subgroups
-        lo = bisect_left(subs, order, key=_ORDER)
-        return lo, bisect_right(subs, order, lo, key=_ORDER)
+        masks = self.masks
+        lo = bisect_left(masks, order, key=int.bit_count)
+        return lo, bisect_right(masks, order, lo, key=int.bit_count)
 
     def is_nilpotent(self, i: int) -> bool:
         """Whether subgroup H = i is nilpotent: for each prime p dividing |H|,
         exactly one subgroup of H has order |H|_p (each Sylow subgroup is normal)."""
-        m = self._masks[i]
+        m = self.masks[i]
         return all(
-            sum(1 for s in self._masks[slice(*self._order_run(p**a))] if not s & ~m) == 1
+            sum(1 for s in self.masks[slice(*self._order_run(p**a))] if not s & ~m) == 1
             for p, a in prime_factorization(m.bit_count()).items()
         )
 
@@ -375,7 +375,7 @@ class SubgroupLattice:
     def _holders(self) -> list[int]:
         """Per element x, the bitset of the indices of the subgroups holding x."""
         rows = [bytearray((self.size + 7) >> 3) for _ in range(self.group.order)]
-        for k, m in enumerate(self._masks):
+        for k, m in enumerate(self.masks):
             byte, bit = k >> 3, 1 << (k & 7)
             for x in _mask_elements(m):
                 rows[x][byte] |= bit
@@ -389,7 +389,7 @@ class SubgroupLattice:
         """
         holders = self._holders
         out = holders[0]
-        for x in self.subgroups[i].gens:
+        for x in self.gens[i]:
             out &= holders[x]
         return out
 
@@ -401,7 +401,7 @@ class SubgroupLattice:
         outside i.  The subgroups in i come no later than i, so it is cut to
         indices <= i.
         """
-        masks = self._masks
+        masks = self.masks
         m = masks[i]
         holders = self._holders
         outside = 0
@@ -420,7 +420,7 @@ class SubgroupLattice:
         """
         g = self.group
         table = g.table
-        m, hgens = self._masks[i], self.subgroups[i].gens
+        m, hgens = self.masks[i], self.gens[i]
         helems = _mask_elements(m)
         # per element: 0 until its coset is scanned, then the digit "1" if
         # the coset normalizes H and "0" if not
@@ -444,14 +444,14 @@ class SubgroupLattice:
         conjugation.  `normalizer` scans cosets instead and stays the
         independent check of the premise.
         """
-        g, subs = self.group, self.subgroups
+        g, subgens = self.group, self.gens
         lo, hi = self._order_run(g.order // len(self.classes[self._class_ids[i]]))
         candidates = self.up(i) >> lo & ((1 << (hi - lo)) - 1)
         if candidates and candidates & (candidates - 1) == 0:
             return lo + candidates.bit_length() - 1
-        m, lgens = self._masks[i], subs[i].gens
+        m, lgens = self.masks[i], subgens[i]
         for j in _mask_elements(candidates):
-            if normalizes(g, m, lgens, subs[lo + j].gens):
+            if normalizes(g, m, lgens, subgens[lo + j]):
                 return lo + j
         raise AssertionError("no subgroup of the orbit-stabilizer order normalizes L")
 
@@ -470,7 +470,8 @@ def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
     """
     within = (1 << lat.size) - 1
     edges = [(i, j) for i in range(lat.size) for j in _upper_covers(lat, i, within)]
-    edges.sort(key=lambda e: (e[1], -lat.subgroups[e[0]].order, e[0]))
+    masks = lat.masks
+    edges.sort(key=lambda e: (e[1], -masks[e[0]].bit_count(), e[0]))
     return edges
 
 
@@ -493,19 +494,21 @@ def maximal_subgroup_indices(lat: SubgroupLattice, top: int | None = None) -> li
     """Indices of the maximal subgroups of subgroup top, by decreasing order then index."""
     top = lat.top_index(top)
     within = lat.below(top)
-    by_order = sorted(_mask_elements(within ^ (1 << top)), key=lambda i: -lat.subgroups[i].order)
+    by_order = sorted(_mask_elements(within ^ (1 << top)), key=lambda i: -lat.masks[i].bit_count())
     return [i for i in by_order if lat.up(i) & within == (1 << top) | (1 << i)]
 
 
-def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> Subgroup:
-    """Intersection of the maximal subgroups of subgroup top (top if none exist)."""
+def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> int:
+    """The lattice index of the intersection of the maximal subgroups of
+    subgroup top (top if none exist)."""
     lat = subgroup_lattice(g)
     top = lat.top_index(top)
-    acc = lat._masks[top]
+    masks = lat.masks
+    acc = masks[top]
     for i in maximal_subgroup_indices(lat, top):
-        acc &= lat._masks[i]
+        acc &= masks[i]
     lo, hi = lat._order_run(acc.bit_count())  # the masks ascend within an order
-    return lat.subgroups[bisect_left(lat._masks, acc, lo, hi)]
+    return bisect_left(masks, acc, lo, hi)
 
 
 def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:

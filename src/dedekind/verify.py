@@ -54,6 +54,7 @@ from .groups import (
     FiniteGroup,
     direct_product,
     is_isomorphic,
+    section_group,
     section_table,
     semidirect_product,
 )
@@ -709,12 +710,17 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
     """
     tno = target.order
     lat = subgroup_lattice(g)
+    masks = lat.masks
     for hi in lat.class_representatives():
-        if lat.subgroups[hi].order % tno:
+        horder = masks[hi].bit_count()
+        if horder % tno:
             continue
-        for sec in sections(g, hi):
-            if sec.order == tno and is_isomorphic(sec.quotient, target):
-                return (sec.h.order, sec.k.order)
+        for _, ki in sections(g, hi):
+            kmask = masks[ki]
+            if kmask.bit_count() * tno == horder and is_isomorphic(
+                section_group(g, masks[hi], kmask)[0], target
+            ):
+                return (horder, kmask.bit_count())
     return None
 
 
@@ -963,7 +969,7 @@ def suite_consistency(
         g = e.group
         lat = subgroup_lattice(g)
         gens = g.generating_set
-        normal = sum(1 for sub in lat.subgroups if normalizes(g, sub.mask, sub.gens, gens))
+        normal = sum(1 for m, mgens in zip(lat.masks, lat.gens) if normalizes(g, m, mgens, gens))
         s.count("bookkeeping_entries")
         s.check(
             f"{e.spec}: k' = |N| + nu with |N| recounted from scratch",
@@ -991,15 +997,16 @@ def suite_consistency(
         s.count("oracle_entries")
         s.check(
             f"{e.spec}: optimized enumeration equals the brute-force subgroup oracle",
-            oracle == set(lat._masks),
+            oracle == set(lat.masks),
             f"oracle {len(oracle)}, enumeration {lat.size}",
         )
     # the literal oracle's quotients repeat: few distinct tables among many
     # sections, so a group is built and validated once per raw table
     d_prime_by_table: dict[tuple[tuple[int, ...], ...], Fraction] = {}
 
-    def d_prime_of(g: FiniteGroup, sec) -> Fraction:
-        table = section_table(g, sec.h.mask, sec.k.mask)[0]
+    def d_prime_of(g: FiniteGroup, hi: int, ki: int) -> Fraction:
+        masks = subgroup_lattice(g).masks
+        table = section_table(g, masks[hi], masks[ki])[0]
         if table not in d_prime_by_table:
             d_prime_by_table[table] = d_prime(FiniteGroup(table))
         return d_prime_by_table[table]
@@ -1010,7 +1017,7 @@ def suite_consistency(
         r = stats[e.spec]
         if r.d_star is None:
             continue
-        literal = min(d_prime_of(e.group, sec) for sec in sections(e.group))
+        literal = min(d_prime_of(e.group, hi, ki) for hi, ki in sections(e.group))
         s.count("prune_agreement_entries")
         s.check(
             f"{e.spec}: pruned and literal d* agree",
@@ -1024,13 +1031,15 @@ def suite_consistency(
         r = stats[e.spec]
         if r.d_star is None:
             continue
+        masks = subgroup_lattice(g).masks
         seen_tables, seen_fp = set(), set()
         bad = ""
         tested = 0
-        for sec in sections(g):
-            if sec.order in (1, g.order):
+        for hi, ki in sections(g):
+            horder, korder = masks[hi].bit_count(), masks[ki].bit_count()
+            if horder // korder in (1, g.order):
                 continue
-            table = section_table(g, sec.h.mask, sec.k.mask)[0]
+            table = section_table(g, masks[hi], masks[ki])[0]
             if table in seen_tables:  # equal tables have equal fingerprints
                 continue
             seen_tables.add(table)
@@ -1041,7 +1050,7 @@ def suite_consistency(
             tested += 1
             sub_val = d_star(q)
             if sub_val < r.d_star:
-                bad = f"section {sec.h.order}/{sec.k.order} has d* = {sub_val} < {r.d_star}"
+                bad = f"section {horder}/{korder} has d* = {sub_val} < {r.d_star}"
                 break
         s.count("section_monotonicity_entries")
         s.count("sections_tested", tested)

@@ -30,7 +30,6 @@ from dedekind.groups import (
     DEFAULT_ISO_CAP,
     DEFAULT_ORDER_CAP,
     FiniteGroup,
-    Subgroup,
     _closure,
     _mask_elements,
     quotient,
@@ -105,16 +104,6 @@ def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteG
                 elems.append(q)
     table = [[index[(a * b).images] for b in elems] for a in elems]
     return FiniteGroup(table, name=f"closure of {len(gens)} perms on {degree} points")
-
-
-def center(g: FiniteGroup) -> Subgroup:
-    mask = g.center_mask
-    return Subgroup(g, mask, mask.bit_count())
-
-
-def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    mask = g.derived_mask
-    return Subgroup(g, mask, mask.bit_count())
 
 
 def assert_associative(g: FiniteGroup) -> None:
@@ -316,8 +305,8 @@ def conjugate_mask(g: FiniteGroup, mask: int, a: int) -> int:
 def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
     """Covering pairs by a quadratic pairwise scan; the oracle for `hasse_edges`."""
     edges: list[tuple[int, int]] = []
-    masks = lat._masks
-    orders = [s.order for s in lat.subgroups]
+    masks = lat.masks
+    orders = [m.bit_count() for m in masks]
     for j in range(len(masks)):
         mj, oj = masks[j], orders[j]
         below = [
@@ -343,13 +332,13 @@ def mask_index(lat: SubgroupLattice) -> dict[int, int]:
     its sorted masks, so that the oracles share no lookup with the package."""
     index = _MASK_INDEX.get(lat)
     if index is None:
-        index = _MASK_INDEX[lat] = {m: i for i, m in enumerate(lat._masks)}
+        index = _MASK_INDEX[lat] = {m: i for i, m in enumerate(lat.masks)}
     return index
 
 
 def meet(lat: SubgroupLattice, i: int, j: int) -> int:
     """The lattice index of the intersection of subgroups i and j."""
-    return mask_index(lat)[lat._masks[i] & lat._masks[j]]
+    return mask_index(lat)[lat.masks[i] & lat.masks[j]]
 
 
 def join(lat: SubgroupLattice, i: int, j: int) -> int:
@@ -392,8 +381,8 @@ def brute_force_is_modular(lat: SubgroupLattice) -> tuple[int, int, int] | None:
     are skipped, so only genuinely at-risk triples cost a join.  Cubic in
     |L|, so intended for lattices of a few hundred members.
     """
-    n = len(lat.subgroups)
-    masks = lat._masks
+    n = lat.size
+    masks = lat.masks
     for x in range(n):
         mx = masks[x]
         if mx == masks[0]:
@@ -481,15 +470,15 @@ def goursat_counts(a: FiniteGroup, p: int, k: int) -> tuple[int, int, int]:
 
 def string_below(lat: SubgroupLattice, i: int) -> int:
     """below(i) by one pass over the masks up to i, spelled as a binary string."""
-    m = lat._masks[i]
-    return int("".join(["0" if mj & ~m else "1" for mj in lat._masks[i::-1]]), 2)
+    m = lat.masks[i]
+    return int("".join(["0" if mj & ~m else "1" for mj in lat.masks[i::-1]]), 2)
 
 
 def orbits(lat: SubgroupLattice, indices, gens) -> list[tuple[int, ...]]:
     """Orbits, as sorted index tuples in order of first appearance, of the
     subgroups `indices` (a set closed under conjugation by `gens`), walked
     breadth first with one `conjugate_mask` per conjugation."""
-    g, masks, index = lat.group, lat._masks, mask_index(lat)
+    g, masks, index = lat.group, lat.masks, mask_index(lat)
     seen = bytearray(len(masks))
     out: list[tuple[int, ...]] = []
     for i in indices:
@@ -521,7 +510,7 @@ def orbit_d_star(g: FiniteGroup) -> Fraction:
     lat = subgroup_lattice(g)
     best = Fraction(1)
     for hi in lat.class_representatives():
-        hgens = lat.subgroups[hi].gens
+        hgens = lat.gens[hi]
         if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
             continue  # H is abelian: every section has d' = 1
         below_h = string_below(lat, hi)
@@ -541,7 +530,8 @@ def orbit_d_star(g: FiniteGroup) -> Fraction:
 
 def literal_d_star(g: FiniteGroup) -> Fraction:
     """d* by definition: d' of every section's quotient group, minimized."""
-    return min(d_prime(s.quotient) for s in sections(g))
+    masks = subgroup_lattice(g).masks
+    return min(d_prime(section_group(g, masks[hi], masks[ki])[0]) for hi, ki in sections(g))
 
 
 def literal_is_nilpotent(g: FiniteGroup) -> bool:
@@ -557,7 +547,7 @@ def literal_is_schmidt(g: FiniteGroup) -> bool:
         return False
     lat = subgroup_lattice(g)
     return all(
-        literal_is_nilpotent(section_group(g, lat.subgroups[i].mask)[0])
+        literal_is_nilpotent(section_group(g, lat.masks[i])[0])
         for i in maximal_subgroup_indices(lat)
     )
 
@@ -604,10 +594,9 @@ def conjugation_sections(g: FiniteGroup) -> list[tuple[int, int]]:
     lat = subgroup_lattice(g)
     return [
         (hi, ki)
-        for hi, h in enumerate(lat.subgroups)
-        for ki, k in enumerate(lat.subgroups)
-        if not k.mask & ~h.mask
-        and all(conjugate_mask(g, k.mask, a) == k.mask for a in h.gens)
+        for hi, (h, hgens) in enumerate(zip(lat.masks, lat.gens))
+        for ki, k in enumerate(lat.masks)
+        if not k & ~h and all(conjugate_mask(g, k, a) == k for a in hgens)
     ]
 
 

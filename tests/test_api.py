@@ -75,9 +75,9 @@ def test_every_submodule_all_names_exist():
 
 
 def test_every_module_function_is_used_or_exported():
-    """Each module-level function in the package is referenced elsewhere in
-    the package or named in its module's `__all__`; test-only code belongs in
-    the tests."""
+    """Each module-level function and class in the package is referenced
+    elsewhere in the package or named in its module's `__all__`; test-only
+    code belongs in the tests."""
     package = Path(dedekind.__file__).resolve().parent
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
     names: list[tuple[str, ast.AST]] = []  # every identifier use, with its node
@@ -92,12 +92,12 @@ def test_every_module_function_is_used_or_exported():
         qualified = "dedekind" if module == "__init__" else f"dedekind.{module}"
         exported = set(getattr(importlib.import_module(qualified), "__all__", ()))
         for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name in exported:
+            if not isinstance(fn, (ast.FunctionDef, ast.ClassDef)) or fn.name in exported:
                 continue
             own = {id(node) for node in ast.walk(fn)}
             if not any(name == fn.name and id(node) not in own for name, node in names):
                 unused.append(f"{module}.{fn.name}")
-    assert not unused, f"module-level functions with no use in the package: {unused}"
+    assert not unused, f"module-level functions and classes unused in the package: {unused}"
 
 
 def test_the_benchmark_tracer_still_fits_the_sources():

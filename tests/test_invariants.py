@@ -11,7 +11,6 @@ from conftest import (
     literal_d_star,
     literal_is_nilpotent,
     literal_is_schmidt,
-    mask_index,
     orbit_d_star,
     relabelled,
     two_step_section,
@@ -26,7 +25,7 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import FiniteGroup, direct_product, is_isomorphic
+from dedekind.groups import FiniteGroup, direct_product, is_isomorphic, section_group
 from dedekind.invariants import (
     InvariantReport,
     compute_report,
@@ -85,9 +84,7 @@ def test_dedekind_predicate_matches_the_lattice_on_corpus(corpus):
 def test_sections_match_the_full_conjugation_oracle(zoo, corpus):
     groups = list(zoo.items()) + [(e.spec, e.group) for e in corpus if e.group.order <= 32]
     for name, g in groups:
-        index = mask_index(subgroup_lattice(g))
-        got = [(index[s.h.mask], index[s.k.mask]) for s in sections(g)]
-        assert got == conjugation_sections(g), name
+        assert list(sections(g)) == conjugation_sections(g), name
 
 
 def test_nilpotency(zoo):
@@ -144,9 +141,11 @@ def test_section_quotients_match_the_two_step_oracle(corpus):
     for e in corpus:
         if e.group.order > 32:
             continue
-        for sec in sections(e.group):
-            oracle = two_step_section(e.group, sec.h.mask, sec.k.mask)
-            assert sec.quotient.table == oracle.table, (e.spec, sec.h.order, sec.k.order)
+        masks = subgroup_lattice(e.group).masks
+        for hi, ki in sections(e.group):
+            oracle = two_step_section(e.group, masks[hi], masks[ki])
+            got = section_group(e.group, masks[hi], masks[ki])[0]
+            assert got.table == oracle.table, (e.spec, hi, ki)
             checked += 1
     assert checked >= 3000
 
@@ -156,7 +155,9 @@ def test_section_quotients_build_one_group_each(spec, monkeypatch):
     """Each section's quotient is read straight off G's table: no group is
     built for H on the way."""
     g = build_group(spec)
+    masks = subgroup_lattice(g).masks
     secs = list(sections(g))
+    orders = [masks[hi].bit_count() // masks[ki].bit_count() for hi, ki in secs]
     built = []
     init = FiniteGroup.__init__
 
@@ -165,8 +166,8 @@ def test_section_quotients_build_one_group_each(spec, monkeypatch):
         init(self, table, name)
 
     monkeypatch.setattr(FiniteGroup, "__init__", counting)
-    assert [sec.quotient.order for sec in secs] == [sec.order for sec in secs]
-    assert built == [sec.order for sec in secs]
+    assert [section_group(g, masks[hi], masks[ki])[0].order for hi, ki in secs] == orders
+    assert built == orders
 
 
 def test_iwasawa(zoo):
@@ -197,7 +198,7 @@ def test_schmidt_predicate_and_structure(zoo):
         # the structure check raises on any failed clause, so a returned
         # report means every clause held
         rep = schmidt_structure_check(g)
-        assert subgroup_lattice(g).subgroups[sylow_subgroups(g)[rep.p]].order == rep.p**rep.r
+        assert subgroup_lattice(g).masks[sylow_subgroups(g)[rep.p]].bit_count() == rep.p**rep.r
     for g in (zoo["he3"], zoo["d8"], zoo["d12"], zoo["c12"]):
         assert not is_schmidt(g)
     # out-of-domain input is a parameter error; StructureViolation is
@@ -210,8 +211,8 @@ def test_schmidt_predicate_and_structure(zoo):
 def test_schmidt_structure_fields(zoo):
     rep = schmidt_structure_check(zoo["a4"])
     assert (rep.p, rep.q, rep.r) == (2, 3, 2)
-    sylows, subs = sylow_subgroups(zoo["a4"]), subgroup_lattice(zoo["a4"]).subgroups
-    assert subs[sylows[rep.p]].order == 4 and subs[sylows[rep.q]].order == 3
+    sylows, masks = sylow_subgroups(zoo["a4"]), subgroup_lattice(zoo["a4"]).masks
+    assert masks[sylows[rep.p]].bit_count() == 4 and masks[sylows[rep.q]].bit_count() == 3
     rep_s3 = schmidt_structure_check(zoo["s3"])
     assert (rep_s3.p, rep_s3.q, rep_s3.r) == (3, 2, 1)
 
@@ -219,25 +220,31 @@ def test_schmidt_structure_fields(zoo):
 def test_sylow_subgroups(zoo):
     # each Sylow subgroup comes back as the first lattice index of its order
     for name, orders in (("d12", {2: 4, 3: 3}), ("a4", {2: 4, 3: 3}), ("q8", {2: 8})):
-        subs = subgroup_lattice(zoo[name]).subgroups
+        masks = subgroup_lattice(zoo[name]).masks
         syl = sylow_subgroups(zoo[name])
         assert sorted(syl) == sorted(orders), name
         for p, i in syl.items():
-            assert subs[i].order == orders[p] and subs[i - 1].order < orders[p], name
+            assert masks[i].bit_count() == orders[p] > masks[i - 1].bit_count(), name
 
 
 def test_sections_census(zoo):
     for name, count in (("q8", 18), ("d12", 49), ("a4", 23), ("he3", 58)):
-        secs = list(sections(zoo[name]))
+        g = zoo[name]
+        masks = subgroup_lattice(g).masks
+        secs = list(sections(g))
         assert len(secs) == count, name
-        for sec in secs:
-            assert sec.h.order % sec.quotient.order == 0
-            assert sec.k.mask & ~sec.h.mask == 0
-            assert sec.order == sec.quotient.order
+        for hi, ki in secs:
+            h, k = masks[hi], masks[ki]
+            assert k & ~h == 0
+            assert section_group(g, h, k)[0].order * k.bit_count() == h.bit_count()
     # quotient of the whole group by its center is the Klein group
+    q8 = zoo["q8"]
+    masks = subgroup_lattice(q8).masks
     assert any(
-        sec.h.order == 8 and sec.k.order == 2 and sec.quotient.is_abelian
-        for sec in sections(zoo["q8"])
+        masks[hi].bit_count() == 8
+        and masks[ki].bit_count() == 2
+        and section_group(q8, masks[hi], masks[ki])[0].is_abelian
+        for hi, ki in sections(q8)
     )
 
 

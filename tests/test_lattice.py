@@ -21,7 +21,7 @@ from conftest import (
 from dedekind import lattice
 from dedekind.errors import InvalidParameter, LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
-from dedekind.groups import direct_product, section_group, semidirect_product
+from dedekind.groups import _mask_elements, direct_product, section_group, semidirect_product
 from dedekind.invariants import sections
 from dedekind.lattice import (
     all_subgroup_masks,
@@ -76,8 +76,10 @@ def test_lattice_generators_close_to_their_masks(corpus):
     # the whole subgroup
     groups = [(e.spec, e.group) for e in corpus]
     for name, g in groups + [("S4", _s4()), ("A5", _a5())]:
-        for sub in subgroup_lattice(g).subgroups:
-            assert g.closure(sub.gens)[0] == sub.mask, (name, sub.order)
+        lat = subgroup_lattice(g)
+        assert len(lat.gens) == lat.size, name
+        for i, (m, gens) in enumerate(zip(lat.masks, lat.gens)):
+            assert g.closure(gens)[0] == m, (name, i)
 
 
 def test_enumeration_matches_brute_force_oracle(zoo):
@@ -148,7 +150,7 @@ def test_conjugacy_classes_match_brute_force(zoo):
         assert lat.normal_count == sum(1 for c in oracle if len(c) == 1), name
         assert lat.nu == lat.k_prime - lat.normal_count, name
         # the engine's classes carry the same masks
-        engine = {frozenset(lat.subgroups[i].mask for i in cls) for cls in lat.classes}
+        engine = {frozenset(lat.masks[i] for i in cls) for cls in lat.classes}
         assert engine == set(oracle), name
 
 
@@ -168,14 +170,10 @@ def test_normality_and_normalizers(zoo):
         g = zoo[name]
         lat = subgroup_lattice(g)
         full = (1 << g.order) - 1
-        for i, sub in enumerate(lat.subgroups):
+        for i, m in enumerate(lat.masks):
             nz = lat.normalizer(i)
             # the coset-by-coset test agrees with conjugating by every element
-            scan = sum(
-                1 << a
-                for a in range(g.order)
-                if conjugate_mask(g, sub.mask, a) == sub.mask
-            )
+            scan = sum(1 << a for a in range(g.order) if conjugate_mask(g, m, a) == m)
             assert nz == scan, name
             assert lat.is_normal(i) == (nz == full), name
             # orbit-stabilizer: class size times normalizer size is the order
@@ -188,7 +186,7 @@ def test_normalizer_lookup_matches_the_coset_scan(zoo):
     for name, g in groups.items():
         lat = subgroup_lattice(g)
         for i in range(lat.size):
-            assert lat.subgroups[lat.normalizer_index(i)].mask == lat.normalizer(i), (name, i)
+            assert lat.masks[lat.normalizer_index(i)] == lat.normalizer(i), (name, i)
 
 
 @pytest.mark.parametrize(
@@ -203,16 +201,16 @@ def test_below_matches_the_string_oracle(spec):
 def test_meet_and_join(zoo):
     for name, g in zoo.items():
         lat = subgroup_lattice(g)
-        for i, a in enumerate(lat.subgroups):
-            for j, b in enumerate(lat.subgroups):
-                m = lat.subgroups[meet(lat, i, j)].mask
-                assert m == a.mask & b.mask, name
-                jn = lat.subgroups[join(lat, i, j)].mask
-                assert jn & a.mask == a.mask and jn & b.mask == b.mask, name
+        masks = lat.masks
+        for i, a in enumerate(masks):
+            for j, b in enumerate(masks):
+                assert masks[meet(lat, i, j)] == a & b, name
+                jn = masks[join(lat, i, j)]
+                assert jn & a == a and jn & b == b, name
                 # nothing smaller contains both
-                for c in lat.subgroups:
-                    if c.mask & a.mask == a.mask and c.mask & b.mask == b.mask:
-                        assert c.mask & jn == jn, name
+                for c in masks:
+                    if c & a == a and c & b == b:
+                        assert c & jn == jn, name
 
 
 def test_hasse_edges_are_covers(zoo):
@@ -220,7 +218,7 @@ def test_hasse_edges_are_covers(zoo):
     lat = subgroup_lattice(g)
     edges = hasse_edges(lat)
     assert len(edges) == 15
-    masks = [s.mask for s in lat.subgroups]
+    masks = lat.masks
     for i, j in edges:
         assert masks[i] != masks[j] and masks[i] & masks[j] == masks[i]
         between = [
@@ -232,8 +230,7 @@ def test_hasse_edges_are_covers(zoo):
     # chain lattice of a prime-power cyclic group: one cover per step
     chain = subgroup_lattice(cyclic(16))
     chain_orders = {
-        (chain.subgroups[i].order, chain.subgroups[j].order)
-        for i, j in hasse_edges(chain)
+        (chain.masks[i].bit_count(), chain.masks[j].bit_count()) for i, j in hasse_edges(chain)
     }
     assert chain_orders == {(1, 2), (2, 4), (4, 8), (8, 16)}
 
@@ -261,19 +258,22 @@ def test_near_cap_covers_and_modularity_are_fast():
 
 def test_maximal_subgroups(zoo):
     lat = subgroup_lattice(zoo["c12"])
-    orders = sorted(lat.subgroups[i].order for i in maximal_subgroup_indices(lat))
+    orders = sorted(lat.masks[i].bit_count() for i in maximal_subgroup_indices(lat))
     assert orders == [4, 6]
     lat8 = subgroup_lattice(zoo["d8"])
-    assert sorted(lat8.subgroups[i].order for i in maximal_subgroup_indices(lat8)) == [4, 4, 4]
+    assert sorted(lat8.masks[i].bit_count() for i in maximal_subgroup_indices(lat8)) == [4, 4, 4]
 
 
 def test_frattini_subgroup(zoo):
-    assert frattini_subgroup(zoo["d8"]).order == 2
-    assert frattini_subgroup(zoo["q8"]).order == 2
-    assert frattini_subgroup(zoo["ea8"]).order == 1
-    assert frattini_subgroup(cyclic(16)).order == 8
-    assert frattini_subgroup(zoo["s3"]).order == 1
-    assert frattini_subgroup(zoo["m16"]).order == 4
+    for g, order in (
+        (zoo["d8"], 2),
+        (zoo["q8"], 2),
+        (zoo["ea8"], 1),
+        (cyclic(16), 8),
+        (zoo["s3"], 1),
+        (zoo["m16"], 4),
+    ):
+        assert subgroup_lattice(g).masks[frattini_subgroup(g)].bit_count() == order, g
 
 
 @pytest.mark.parametrize(
@@ -401,18 +401,18 @@ def test_intervals_match_the_induced_subgroup_oracle(corpus):
         if g.order > 64:
             continue
         lat = subgroup_lattice(g)
-        masks = lat._masks
+        masks = lat.masks
         edges = hasse_edges(lat)
         for i in lat.class_representatives():
             assert lat.below(i) == sum(1 << j for j, m in enumerate(masks) if not m & ~masks[i]), e.spec
-            hgrp, emb = section_group(g, masks[i])[0], lat.subgroups[i].elements()
+            hgrp, emb = section_group(g, masks[i])[0], _mask_elements(masks[i])
             hlat = subgroup_lattice(hgrp)
 
             def mask_in_g(local):
                 return sum(1 << emb[x] for x in range(hgrp.order) if local >> x & 1)
 
             def in_g(local_indices):
-                return [masks.index(mask_in_g(hlat._masks[j])) for j in local_indices]
+                return [masks.index(mask_in_g(hlat.masks[j])) for j in local_indices]
 
             # a cover in [1, H] is a cover in L(G) whose top lies in H
             within = lat.below(i)
@@ -421,10 +421,10 @@ def test_intervals_match_the_induced_subgroup_oracle(corpus):
             ), e.spec
             maximal = maximal_subgroup_indices(lat, i)
             assert sorted(maximal) == sorted(in_g(maximal_subgroup_indices(hlat))), e.spec
-            assert [lat.subgroups[j].order for j in maximal] == [
-                hlat.subgroups[j].order for j in maximal_subgroup_indices(hlat)
+            assert [masks[j].bit_count() for j in maximal] == [
+                hlat.masks[j].bit_count() for j in maximal_subgroup_indices(hlat)
             ]
-            assert frattini_subgroup(g, i).mask == mask_in_g(frattini_subgroup(hgrp).mask), e.spec
+            assert frattini_subgroup(g, i) == in_g([frattini_subgroup(hgrp)])[0], e.spec
             failure = is_lattice_modular(lat, i)
             assert (failure is None) == (is_lattice_modular(hlat) is None), e.spec
             if failure is not None:
@@ -462,11 +462,11 @@ def test_index_and_contains(zoo):
     lat = subgroup_lattice(g)
     # the indices run through (order, mask) without repeats, the order that
     # the bisections of `_order_run` and `frattini_subgroup` rely on
-    keys = [(a.order, a.mask) for a in lat.subgroups]
-    assert keys == sorted(set(keys)) and [a.mask for a in lat.subgroups] == lat._masks
-    for i, a in enumerate(lat.subgroups):
-        for j, b in enumerate(lat.subgroups):
-            assert (lat.below(i) >> j & 1) == (a.mask & b.mask == b.mask)
+    keys = [(m.bit_count(), m) for m in lat.masks]
+    assert keys == sorted(set(keys))
+    for i, a in enumerate(lat.masks):
+        for j, b in enumerate(lat.masks):
+            assert (lat.below(i) >> j & 1) == (a & b == b)
 
 
 # Goursat's lemma counts the subgroups of A x EA(p, k) from A's sections alone,

@@ -119,13 +119,13 @@ def test_invariant_bundle(name):
     # orbit-stabilizer on every class, and class members share an order
     full = (1 << g.order) - 1
     for cls in lat.classes:
-        sizes = {lat.subgroups[i].order for i in cls}
+        sizes = {lat.masks[i].bit_count() for i in cls}
         assert len(sizes) == 1
         nz = lat.normalizer(cls[0])
         assert len(cls) * bin(nz).count("1") == g.order
         assert (len(cls) == 1) == lat.is_normal(cls[0])
     # trivial and full subgroups present and normal
-    assert lat.subgroups[0].mask == 1 and lat.subgroups[-1].mask == full
+    assert lat.masks[0] == 1 and lat.masks[-1] == full
     assert lat.is_normal(0) and lat.is_normal(lat.size - 1)
     # the up-set covers and the cover-graph modularity test agree with the
     # pairwise and triple-by-triple oracles

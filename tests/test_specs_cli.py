@@ -15,7 +15,6 @@ import pytest
 
 from dedekind import __version__, cli, errors, formulas, groups, numbertheory, specs
 from dedekind.errors import InvalidParameter, OrderCapExceeded, ParseError
-from dedekind.lattice import subgroup_lattice
 from dedekind.invariants import compute_report
 from dedekind.specs import build_group, parse_spec
 from dedekind.verify import Check, SuiteResult
@@ -161,6 +160,66 @@ def test_sections_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["total"] == 18
+
+
+# sha256 of the output of `lattice`, `lattice --json`, `lattice --dot`,
+# `sections` and `sections --json`, in that order: the listings name each
+# subgroup by its lattice index, so any change to the index order, the
+# classes, the edges or the section walk shows here
+LISTING_DIGESTS = {
+    "Q(8)": (
+        "04c0fd8dec7f3dd420f4f55d6b4a6f5693784126e8609c9550cfce0570f16869",
+        "fa54d4e5cfb790a557d2d00d87072eddf1848a0f43b865ce53a56e6ca79c56e5",
+        "bd52f973293330bc70109ce5bb4001e4ec9eba2fc77b38cb59f45966408c12b1",
+        "6947fe5b7ea4c9dd335af2d90e5a252b927b19b09b56fc3581a85d1098db7a1e",
+        "cdcb36e9f61b27c9ab30c7c7175ad882254679262c49d3f0e83bfec4cfceff1f",
+    ),
+    "D(12)": (
+        "f1021ad3f19046885611e37945218b8e038d400e62f68ae1cdb6e91f31667c5a",
+        "8c72d4ebbe50512e4e879cc95021d5d0063101c4f55c91e5cc05bbbe80339604",
+        "90dd8c525366473baaa20afef8fc1f4f833733d7518a635efecdd384375c9528",
+        "dabf1310312279568c95de21c686ab39afa8668fbd059fa9cf3aaec04ebd1a5e",
+        "7a270459e04dbb3c1918b345e51e0550d2d92f7b292ad44539c6bfd66ec88eea",
+    ),
+    "He(3) x C(2)": (
+        "d20d5c89cc62aa6c3d869794072a12658c5f4b031cc5a5307532398c701d1f6f",
+        "07a4e050054af21be565041c816cda1c33f55728f7d07c5abc489181a4a1019c",
+        "a302a5e60fe98ce7065cc45f18f14d7fdc4a442da02c4f9ca7ec3e92d70329b5",
+        "93324b7bdd5bfe0464f0565b9b51d5c91de7b3f52c4e70a4e9e1fc1beafe7a8a",
+        "063272463640bdcc93e777b4ab5af5cec7e12a9a9d3cea0e203fef18e41ad08c",
+    ),
+    "D(8) x EA(2,3)": (
+        "c467a7be8a647e40f44997b2ac512fca5a87f0f3ba208e86faedab3865b58ddc",
+        "af8150be53f69465736392271b1de0b66efd07ce58f7ab2cb16aa4a170a545a9",
+        "949775dee2fb0964d48df01cd83971025aa55317743531d3bdce4ed65c3130d4",
+        "15e555772702e0e27e16f37a5bf6bf4447b27b8230e5c2c5393065ead9ca1d9a",
+        "d0c10f996fec9e0c0bd9a9e611a941d834ec6e85272e9ecbf3ba22aeefeb54b8",
+    ),
+    "SD(2,7)": (
+        "a9869ac8ec872c8e6b94d6ea69c3a2a1281d25c5992f7d10da3c7d572e474744",
+        "f1d778bf3395e1358db8a14a6690c77d020bbeabf5367451372c0f9bd475eaec",
+        "fcca9ebf92928f10e2f45008dbd5da355fd2784b5d922d695c252072cf03c163",
+        "ed00b21ae7a574b74d63faae102ef21059210b8f10694932e0f900a96fa7c2e7",
+        "d5eeadb25a38ddef7f0a4bd3d13b830ce66a46844cba1068bed8f1c7b15e00cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", LISTING_DIGESTS)
+def test_lattice_and_sections_output_is_pinned(capsys, spec):
+    argvs = [
+        ["lattice", spec],
+        ["lattice", spec, "--json"],
+        ["lattice", spec, "--dot"],
+        ["sections", spec],
+        ["sections", spec, "--json"],
+    ]
+    got = []
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == LISTING_DIGESTS[spec]
 
 
 def test_formula_command(capsys):
@@ -491,12 +550,21 @@ UNREACHED_CHECKS = [
         OrderCapExceeded,
         "product of order 6 exceeds the cap 4",
     ),
+    # a subgroup is passed as its bitmask over the elements
     (
-        lambda: groups.quotient(
-            build_group("C(4)"), subgroup_lattice(build_group("C(2)")).subgroups[-1]
-        ),
+        lambda: groups.quotient(build_group("C(4)"), 0b100001),
         InvalidParameter,
-        "subgroup belongs to a different group",
+        "33 is not a bitmask of 4 elements",
+    ),
+    (
+        lambda: groups.quotient(build_group("C(4)"), -1),
+        InvalidParameter,
+        "-1 is not a bitmask of 4 elements",
+    ),
+    (
+        lambda: groups.quotient(build_group("C(4)"), 1.5),
+        InvalidParameter,
+        "1.5 is not a bitmask of 4 elements",
     ),
     (
         lambda: groups.quotient(build_group("C(4)"), 0b10),
