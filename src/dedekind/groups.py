@@ -23,6 +23,7 @@ certifies each construction against an entry-by-entry oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -384,12 +385,13 @@ def semidirect_product(
         raise OrderCapExceeded(f"product of order {order} exceeds the cap {order_cap}")
     if len(action) != h_grp.order:
         raise NotAnAction("need one permutation of N per element of H")
-    acts = [tuple(a) for a in action]
+    acts = [tuple(a) if isinstance(a, Iterable) else () for a in action]
     nn = n_grp.order
     elements = set(range(nn))
     nt, ht = n_grp.table, h_grp.table
     for h, perm in enumerate(acts):
-        if len(perm) != nn or set(perm) != elements or type(sum(perm)) is not int:
+        ints = all(issubclass(t, int) for t in {*map(type, perm)})  # bool too, as in tables
+        if len(perm) != nn or not ints or set(perm) != elements:
             raise NotAnAutomorphism(f"action of element {h} is not a bijection on N")
         image = perm.__getitem__
         for n1, row in enumerate(nt):  # perm(n1 n2) == perm(n1) perm(n2)

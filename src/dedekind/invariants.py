@@ -55,14 +55,13 @@ def d_prime(g: FiniteGroup) -> Fraction:
     return Fraction(lat.k_prime, lat.size)
 
 
-def sections(g: FiniteGroup, hi: int | None = None) -> Iterator[tuple[int, int]]:
+def sections(g: FiniteGroup) -> Iterator[tuple[int, int]]:
     """Yield every section H/K of g as the lattice indices (hi, ki): one per
     pair (H, K <| H), including (G, 1) and (H, H), H ascending and then K;
-    with hi, only those whose H is subgroup hi.  `section_group` builds the
-    quotient from the masks."""
+    the literal oracle for `d_star`.  `section_group` builds the quotient."""
     lat = subgroup_lattice(g)
     masks, gens = lat.masks, lat.gens
-    for hi in range(lat.size) if hi is None else (lat.top_index(hi),):
+    for hi in range(lat.size):
         hgens = gens[hi]
         for ki in _mask_elements(lat.below(hi)):
             if normalizes(g, masks[ki], gens[ki], hgens):

@@ -705,21 +705,22 @@ def suite_dedekind_threshold(
 def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None:
     """Orders (|H|, |K|) of the first section H/K of g isomorphic to target.
 
-    H runs over the class representatives of g's lattice and K over the
-    subgroups of H of order |H|/|target| that are normal in it.
+    H runs over the class representatives of g's lattice and K, ascending,
+    over the subgroups of H in the order run of |H|/|target| normal in H.
     """
     tno = target.order
     lat = subgroup_lattice(g)
-    masks = lat.masks
+    masks, gens = lat.masks, lat.gens
     for hi in lat.class_representatives():
-        horder = masks[hi].bit_count()
+        hmask = masks[hi]
+        horder = hmask.bit_count()
         if horder % tno:
             continue
-        for _, ki in sections(g, hi):
+        for ki in range(*lat._order_run(horder // tno)):
             kmask = masks[ki]
-            if kmask.bit_count() * tno == horder and is_isomorphic(
-                section_group(g, masks[hi], kmask)[0], target
-            ):
+            if kmask & ~hmask or not normalizes(g, kmask, gens[ki], gens[hi]):
+                continue
+            if is_isomorphic(section_group(g, hmask, kmask)[0], target):
                 return (horder, kmask.bit_count())
     return None
 
@@ -935,7 +936,8 @@ def suite_consistency(
     coprime products, d* <= d', class/normal bookkeeping, orbit-stabilizer
     sizes, agreement with a brute-force subgroup oracle, agreement between
     the interval d* and the literal section-by-section minimum, and
-    monotonicity of d* under taking sections."""
+    monotonicity of d* under taking sections.  The last two walk the same
+    sections and share one group per distinct section table."""
     s = SuiteResult("consistency")
     for e in corpus:
         if e.tag != "product":
@@ -1001,15 +1003,15 @@ def suite_consistency(
             f"oracle {len(oracle)}, enumeration {lat.size}",
         )
     # the literal oracle's quotients repeat: few distinct tables among many
-    # sections, so a group is built and validated once per raw table
-    d_prime_by_table: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+    # sections, so each raw table is built into a group once, for both checks
+    group_by_table: dict[tuple, FiniteGroup] = {}
 
-    def d_prime_of(g: FiniteGroup, hi: int, ki: int) -> Fraction:
+    def quotient_of(g: FiniteGroup, hi: int, ki: int) -> FiniteGroup:
         masks = subgroup_lattice(g).masks
         table = section_table(g, masks[hi], masks[ki])[0]
-        if table not in d_prime_by_table:
-            d_prime_by_table[table] = d_prime(FiniteGroup(table))
-        return d_prime_by_table[table]
+        if table not in group_by_table:
+            group_by_table[table] = FiniteGroup(table)
+        return group_by_table[table]
 
     for e in corpus:
         if e.group.order > 64:
@@ -1017,7 +1019,7 @@ def suite_consistency(
         r = stats[e.spec]
         if r.d_star is None:
             continue
-        literal = min(d_prime_of(e.group, hi, ki) for hi, ki in sections(e.group))
+        literal = min(d_prime(quotient_of(e.group, hi, ki)) for hi, ki in sections(e.group))
         s.count("prune_agreement_entries")
         s.check(
             f"{e.spec}: pruned and literal d* agree",
@@ -1032,18 +1034,14 @@ def suite_consistency(
         if r.d_star is None:
             continue
         masks = subgroup_lattice(g).masks
-        seen_tables, seen_fp = set(), set()
+        seen_fp = set()
         bad = ""
         tested = 0
         for hi, ki in sections(g):
             horder, korder = masks[hi].bit_count(), masks[ki].bit_count()
             if horder // korder in (1, g.order):
                 continue
-            table = section_table(g, masks[hi], masks[ki])[0]
-            if table in seen_tables:  # equal tables have equal fingerprints
-                continue
-            seen_tables.add(table)
-            q = FiniteGroup(table)
+            q = quotient_of(g, hi, ki)
             if q.fingerprint in seen_fp:
                 continue
             seen_fp.add(q.fingerprint)

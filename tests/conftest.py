@@ -46,6 +46,25 @@ from dedekind.lattice import (
 from dedekind.verify import Corpus, build_corpus
 
 
+class Fool:
+    """An entry that equals, hashes and sums as an int but is not one."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return self.v == other
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __radd__(self, other):
+        return other + self.v
+
+    def __repr__(self):
+        return f"Fool({self.v})"
+
+
 @dataclass(frozen=True)
 class Perm:
     """Permutation of {0..d-1}; images[i] is where point i goes."""

@@ -238,3 +238,14 @@ def test_verify_all_suite_json_is_pinned(suites):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "fc8d9b05d1b0ff6c98b2f93b176d04d4e5defbcde20819454067d42ceb5c8352"
     )
+
+
+def test_every_corpus_report_is_pinned(stats):
+    # the 433 reports in corpus order, every field but the timing `ms`, byte
+    # for byte.  A change that alters a report on purpose updates this
+    # digest and says why.
+    reports = [{k: v for k, v in r.to_json_dict().items() if k != "ms"} for r in stats.values()]
+    assert len(reports) == 433
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+        "699031da433f2af6b1e1749548596f7467cdc0c68bd2e763a3a896a57b97eb99"
+    )

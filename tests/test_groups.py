@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    Fool,
     Perm,
     assert_valid_group,
     closure_from_generators,
@@ -63,25 +64,6 @@ class Idx:
 
     def __repr__(self):
         return f"Idx({self.v})"
-
-
-class Fool:
-    """An entry that equals, hashes and sums as an int but is not one."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def __eq__(self, other):
-        return self.v == other
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __radd__(self, other):
-        return other + self.v
-
-    def __repr__(self):
-        return f"Fool({self.v})"
 
 
 BAD_TABLES = [

@@ -22,7 +22,6 @@ from dedekind import lattice
 from dedekind.errors import InvalidParameter, LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
 from dedekind.groups import _mask_elements, direct_product, section_group, semidirect_product
-from dedekind.invariants import sections
 from dedekind.lattice import (
     all_subgroup_masks,
     brute_force_subgroup_masks,
@@ -280,13 +279,12 @@ def test_frattini_subgroup(zoo):
     "call",
     [
         # -1 must not read as an empty interval, which is modular and has no
-        # maximal subgroups and no sections
+        # maximal subgroups
         lambda g, i: is_lattice_modular(subgroup_lattice(g), i),
         lambda g, i: maximal_subgroup_indices(subgroup_lattice(g), i),
         lambda g, i: frattini_subgroup(g, i),
-        lambda g, i: list(sections(g, i)),
     ],
-    ids=["is_lattice_modular", "maximal_subgroup_indices", "frattini_subgroup", "sections"],
+    ids=["is_lattice_modular", "maximal_subgroup_indices", "frattini_subgroup"],
 )
 def test_subgroup_indices_outside_the_lattice_are_rejected(call, zoo):
     g = zoo["d8"]

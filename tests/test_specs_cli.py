@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import Fool
 from dedekind import __version__, cli, errors, formulas, groups, numbertheory, specs
-from dedekind.errors import InvalidParameter, OrderCapExceeded, ParseError
+from dedekind.errors import InvalidParameter, NotAnAutomorphism, OrderCapExceeded, ParseError
 from dedekind.invariants import compute_report
 from dedekind.specs import build_group, parse_spec
 from dedekind.verify import Check, SuiteResult
@@ -549,6 +550,20 @@ UNREACHED_CHECKS = [
         ),
         OrderCapExceeded,
         "product of order 6 exceeds the cap 4",
+    ),
+    # an action entry that equals, hashes and sums as an int but is not one
+    (
+        lambda: groups.semidirect_product(
+            build_group("C(3)"), build_group("C(2)"), [[0, 1, 2], [0, Fool(2), Fool(1)]]
+        ),
+        NotAnAutomorphism,
+        "action of element 1 is not a bijection on N",
+    ),
+    # an action row that is not iterable
+    (
+        lambda: groups.semidirect_product(build_group("C(3)"), build_group("C(2)"), [None, None]),
+        NotAnAutomorphism,
+        "action of element 0 is not a bijection on N",
     ),
     # a subgroup is passed as its bitmask over the elements
     (

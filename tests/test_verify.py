@@ -5,15 +5,18 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
-from conftest import central_product_q8_d8
+from conftest import central_product_q8_d8, literal_d_star
 from dedekind import cli, verify
 from dedekind.errors import InvalidParameter
 from dedekind.formulas import d_prime_modular_formula
-from dedekind.invariants import compute_report, is_dedekind
+from dedekind.groups import direct_product, is_isomorphic, section_group
+from dedekind.invariants import compute_report, is_dedekind, sections
+from dedekind.lattice import subgroup_lattice
 from dedekind.verify import (
     CORPUS_DSTAR_ORDER_LIMIT,
     Check,
@@ -25,6 +28,8 @@ from dedekind.verify import (
     list_corpus,
     run_suites,
     suite_dedekind_threshold,
+    suite_iwasawa,
+    suite_nilpotency,
 )
 from dedekind.specs import build_group
 
@@ -207,3 +212,91 @@ def test_the_d_prime_threshold_fails_on_q8_o_d8():
         ("Q(8) o D(8): d' > 13/14 forces a Dedekind group", False)
     ]
     assert result.antecedents == {"p_groups_n_ge_3": 1, "d_prime_antecedents": 1}
+
+
+def test_find_section_matches_the_literal_sections_oracle(corpus):
+    # the first section H/K isomorphic to the target, H over the class
+    # representatives and K over H's normal subgroups ascending, read off the
+    # literal `sections` walk.  A K of the right order that is not normal in
+    # H must be skipped: D(16) has such K for a Q(8) target, and no Q(8)
+    # section
+    def oracle(g, target):
+        lat = subgroup_lattice(g)
+        masks = lat.masks
+        normal_in = {}
+        for hi, ki in sections(g):
+            normal_in.setdefault(hi, []).append(ki)
+        for hi in lat.class_representatives():
+            for ki in normal_in[hi]:
+                if is_isomorphic(section_group(g, masks[hi], masks[ki])[0], target):
+                    return masks[hi].bit_count(), masks[ki].bit_count()
+        return None
+
+    specs = ("C(2)", "C(4)", "EA(2,2)", "C(3)", "D(6)", "D(8)", "Q(8)", "C(8)", "EA(2,3)")
+    targets = [build_group(spec) for spec in specs]
+    found = 0
+    for e in corpus:
+        if e.group.order <= 16 and not e.group.is_abelian:
+            for target in targets:
+                want = oracle(e.group, target)
+                assert verify._find_section(e.group, target) == want, (e.spec, target.name)
+                found += want is not None
+    assert found == 62
+
+
+def test_threshold_suites_on_groups_beyond_the_corpus_from_sections_of_products(corpus):
+    # the sections H/K (H a class representative, 8 <= |H/K| <= 64) of the 19
+    # non-abelian corpus groups of order <= 16 and of their products of order
+    # <= 64 give non-abelian groups the corpus does not hold; one is kept per
+    # isomorphism type, found by fingerprint and then `is_isomorphic`
+    small = [e.group for e in corpus if e.group.order <= 16 and not e.group.is_abelian]
+    assert len(small) == 19
+    sources = small + [
+        direct_product(a, b)
+        for a, b in combinations_with_replacement(small, 2)
+        if a.order * b.order <= 64
+    ]
+    by_fingerprint: dict = {}
+    for e in corpus:
+        by_fingerprint.setdefault(e.group.fingerprint, []).append(e.group)
+    new = []
+    for g in sources:
+        lat = subgroup_lattice(g)
+        masks, reps = lat.masks, set(lat.class_representatives())
+        for hi, ki in sections(g):
+            if hi not in reps or not 8 <= masks[hi].bit_count() // masks[ki].bit_count() <= 64:
+                continue
+            q = section_group(g, masks[hi], masks[ki])[0]
+            same = by_fingerprint.setdefault(q.fingerprint, [])
+            if q.is_abelian or any(is_isomorphic(q, h) for h in same):
+                continue
+            same.append(q)
+            new.append(q)
+    orders = Counter(q.order for q in new)
+    assert sorted(orders.items()) == [
+        (16, 3), (18, 2), (20, 1), (24, 5), (30, 1), (32, 11), (36, 1), (48, 2), (60, 1), (64, 3)
+    ]
+    # a fingerprint alone merges types: two of order 16 and two of order 32
+    fresh = {q.fingerprint for q in new} - {e.group.fingerprint for e in corpus}
+    assert Counter(fp.order for fp in fresh) == orders - Counter({16: 2, 32: 2})
+
+    entries = [CorpusEntry(f"section {i}", q, "section") for i, q in enumerate(new)]
+    stats = {e.spec: compute_report(e.group, spec=e.spec) for e in entries}
+    for e in entries:
+        assert stats[e.spec].d_star == literal_d_star(e.group), e.spec
+    results = [
+        suite(Corpus(entries), stats)
+        for suite in (suite_nilpotency, suite_iwasawa, suite_dedekind_threshold)
+    ]
+    assert [r.antecedents for r in results] == [
+        {"over_2_3": 13},
+        {"over_4_5": 2, "over_4_5_nonabelian": 2},
+        {"p_groups_n_ge_3": 17, "d_star_antecedents": 2, "d_prime_antecedents": 3},
+    ]
+    # every d* check holds; the d' form of the p-group threshold fails on
+    # exactly one type, Q8 o D8
+    (q8_d8,) = [e.spec for e in entries if is_isomorphic(e.group, central_product_q8_d8())]
+    assert stats[q8_d8].lattice_size == 78
+    assert [(c.description, c.witness) for r in results for c in r.checks if not c.ok] == [
+        (f"{q8_d8}: d' > 13/14 forces a Dedekind group", "d' = 73/78, dedekind = False")
+    ]
