@@ -85,7 +85,17 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     the lattice (`SubgroupLattice.normalizer_index`) once per L.  K is
     normal in H exactly when w(K) = |H|; then [K, H] is closed under
     H-conjugation, so d'(H/K) is that orbit count over |[K, H]|.  The
-    subgroups of H are bucketed by w, so each count is a few popcounts.
+    subgroups of H are bucketed by w, so each count is a few popcounts.  For
+    H = G, w(L) = |N_G(L)| = |G| / |class of L| is read off the classes, so
+    the top H looks up no normalizer.
+
+    The minimum over the sections of H depends only on H's isomorphism type,
+    so each non-abelian H is first tested against the representatives P of
+    its order already evaluated: if P's i-th smallest element -> H's i-th
+    smallest is an isomorphism (`_ascending_map_is_isomorphism`), H adds
+    nothing new and is skipped.  The test is exact, so a miss costs one
+    ordinary evaluation and never a wrong value; which H hit depends on the
+    element labels.
     """
     if g.order > DSTAR_ORDER_LIMIT and not allow_slow:
         raise OrderCapExceeded(
@@ -96,22 +106,33 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     lat = subgroup_lattice(g)
     if lat.nu == 0:
         return Fraction(1)
-    masks = lat.masks
+    masks, t = lat.masks, g.table
+    top = lat.size - 1
     normalizer: dict[int, int] = {}
+    evaluated: dict[int, list[list[tuple[int, list[int]]]]] = {}
     best_num, best_den = 1, 1
     for hi in lat.class_representatives():
         hgens = lat.gens[hi]
-        if all(g.table[a][b] == g.table[b][a] for a in hgens for b in hgens):
+        if all(t[a][b] == t[b][a] for a in hgens for b in hgens):
             continue  # H is abelian: every section has d' = 1
         hmask = masks[hi]
         horder = hmask.bit_count()
+        helems = _mask_elements(hmask)
+        same_order = evaluated.setdefault(horder, [])
+        if any(_ascending_map_is_isomorphism(t, action, helems) for action in same_order):
+            continue  # H is isomorphic to an evaluated P, and f(H) = f(P)
+        same_order.append(_generator_action(t, helems, hgens))
         below_h = lat.below(hi)
         by_weight: dict[int, list[int]] = {}
-        for li in _mask_elements(below_h):
-            n = normalizer.get(li)
-            if n is None:
-                n = normalizer[li] = masks[lat.normalizer_index(li)]
-            by_weight.setdefault((hmask & n).bit_count(), []).append(li)
+        if hi == top:
+            for cls in lat.classes:
+                by_weight.setdefault(horder // len(cls), []).extend(cls)
+        else:
+            for li in _mask_elements(below_h):
+                n = normalizer.get(li)
+                if n is None:
+                    n = normalizer[li] = masks[lat.normalizer_index(li)]
+                by_weight.setdefault((hmask & n).bit_count(), []).append(li)
         normals = by_weight.pop(horder)
         if not by_weight:
             continue  # H is Dedekind
@@ -124,6 +145,27 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
             if orbits * best_den < best_num * size:
                 best_num, best_den = orbits, size
     return Fraction(best_num, best_den)
+
+
+def _generator_action(table, pelems, pgens) -> list[tuple[int, list[int]]]:
+    """Right multiplication by each generator s of P, on positions in P's
+    ascending element list: (position of s, position of x s for each x)."""
+    pos = {x: i for i, x in enumerate(pelems)}
+    return [(pos[s], [pos[table[x][s]] for x in pelems]) for s in pgens]
+
+
+def _ascending_map_is_isomorphism(table, action, helems) -> bool:
+    """Whether the map P -> H sending P's i-th smallest element to H's i-th
+    smallest is an isomorphism, for P given by its `_generator_action`.  Both
+    lists start at the identity 0, and phi(x s) = phi(x) phi(s) for every x
+    in P and generator s of P extends to every product, so |P| r lookups
+    decide it for r generators."""
+    for k, moves in action:
+        s = helems[k]
+        for x, j in zip(helems, moves):
+            if table[x][s] != helems[j]:
+                return False
+    return True
 
 
 def is_dedekind(g: FiniteGroup) -> bool:

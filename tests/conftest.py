@@ -34,6 +34,7 @@ from dedekind.groups import (
     _mask_elements,
     quotient,
     section_group,
+    section_table,
 )
 from dedekind.invariants import d_prime, sections, sylow_subgroups
 from dedekind.specs import build_group, parse_spec
@@ -550,7 +551,14 @@ def orbit_d_star(g: FiniteGroup) -> Fraction:
 def literal_d_star(g: FiniteGroup) -> Fraction:
     """d* by definition: d' of every section's quotient group, minimized."""
     masks = subgroup_lattice(g).masks
-    return min(d_prime(section_group(g, masks[hi], masks[ki])[0]) for hi, ki in sections(g))
+    return min(_table_d_prime(section_table(g, masks[hi], masks[ki])[0]) for hi, ki in sections(g))
+
+
+@cache
+def _table_d_prime(table) -> Fraction:
+    """d' of the group with this raw section table: equal tables are equal
+    groups, so each is built and validated once."""
+    return d_prime(FiniteGroup(table))
 
 
 def literal_is_nilpotent(g: FiniteGroup) -> bool:

@@ -274,6 +274,43 @@ def test_d_star_matches_section_oracle(zoo):
         assert d_star(g) == literal_d_star(g), name
 
 
+def _counting(calls: list, name: str, fn):
+    """fn, appending name to calls on each call."""
+
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapper
+
+
+def test_d_star_reuses_only_isomorphic_subgroups():
+    # the smallest group found on which d* goes wrong when a representative
+    # is skipped on its order alone or on a map checked on P's first
+    # generator only: its non-abelian subgroups of order 16 fall into three
+    # isomorphism types
+    g = build_group("D(8) x C(4)")
+    assert d_star(g) == literal_d_star(g) == Fraction(17, 23)
+
+
+@pytest.mark.parametrize(
+    "spec, evaluated, lookups",
+    [("D(8)", 1, 0), ("D(8) x EA(2,3)", 4, 158), ("D(8) x EA(2,4)", 5, 937)],
+)
+def test_d_star_evaluates_each_isomorphism_type_once(spec, evaluated, lookups, monkeypatch):
+    # D(8) x EA(2,k) has one non-abelian type per order, D(8) x EA(2,j) for
+    # j <= k; G itself reads its weights off the class sizes, so D(8), whose
+    # only non-abelian representative is G, looks up no normalizer
+    g = build_group(spec)
+    subgroup_lattice(g).classes
+    calls = []
+    for name in ("below", "normalizer_index"):
+        spy = _counting(calls, name, getattr(SubgroupLattice, name))
+        monkeypatch.setattr(SubgroupLattice, name, spy)
+    d_star(g)
+    assert (calls.count("below"), calls.count("normalizer_index")) == (evaluated, lookups)
+
+
 def test_d_star_matches_orbit_oracle_on_corpus(corpus):
     """Orbit counting against H-orbits walked by conjugation, past the
     literal section oracle's reach."""
@@ -291,21 +328,14 @@ def test_d_star_of_a_dedekind_group_needs_no_normalizer(monkeypatch):
     lat = subgroup_lattice(g)
     assert (lat.size, lat.nu) == (3132, 0)
     calls = []
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        SubgroupLattice, "normalizer_index", counting("lookup", SubgroupLattice.normalizer_index)
-    )
+    lookup = _counting(calls, "lookup", SubgroupLattice.normalizer_index)
+    monkeypatch.setattr(SubgroupLattice, "normalizer_index", lookup)
     for module in (lattice, invariants):
-        monkeypatch.setattr(module, "normalizes", counting("normality test", module.normalizes))
+        test = _counting(calls, "normality test", module.normalizes)
+        monkeypatch.setattr(module, "normalizes", test)
     for name in ("up", "below"):
-        monkeypatch.setattr(SubgroupLattice, name, counting("walk", getattr(SubgroupLattice, name)))
+        walk = _counting(calls, "walk", getattr(SubgroupLattice, name))
+        monkeypatch.setattr(SubgroupLattice, name, walk)
     assert d_star(g) == 1
     assert calls == []
 
@@ -370,10 +400,12 @@ def nontrivial_c3_by_c8():
     return semidirect_product(cyclic(3), cyclic(8), action)
 
 
-# Specs near the caps whose report takes about 0.1 s or less: lattices of up
-# to 3,132 subgroups, modular lattices that are not Dedekind (M, G), and
-# groups that are not nilpotent (D(6) x EA(2,4), C27Q8, G(97,2,3)).
+# Specs near the caps whose report takes about 0.35 s or less: lattices of
+# up to 7,420 subgroups, modular lattices that are not Dedekind (M, G), and
+# groups that are not nilpotent (D(6) x EA(2,4), C27Q8, G(97,2,3)).  Which
+# representatives d* skips as isomorphic depends on the labels.
 RELABELLED_SPECS = [
+    "D(8) x EA(2,4)",
     "He(3) x EA(3,2)",
     "Q(8) x EA(2,4)",
     "M(2,4) x EA(2,3)",
