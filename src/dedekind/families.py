@@ -2,16 +2,18 @@
 
 Every constructor names an explicit element encoding and computes, from its
 formula, only the rows of the generators it names (x, y and z).
-`groups.cayley_rows` composes every other row from those, so no table is
-filled entry by entry.  The defining relations are then asserted on the same
-generators, so a bad table fails at build time rather than in a later
-enumeration.  Each encoding is mixed-radix with the identity at index 0.
+`FiniteGroup.from_generators` composes every other row from those and
+certifies the table as a group's by Light's associativity test, so no table
+is filled or scanned entry by entry.  That proves a group, not the family's
+group, so the defining relations are then checked on the same generators
+and a break raises StructureViolation at build time, also under `python -O`.
+Each encoding is mixed-radix with the identity at index 0.
 
 Two builders serve seven families.  `_metacyclic` builds
 <x, y | x^a = 1, y^b = x^c, y x y^-1 = x^m>, with x^i y^j at index i * b + j,
 for D, Q, M, K and G.  `_central` builds x, y of orders p^s, p^t with central
 commutator z of order p, x^a y^b z^c at index (a * p^t + b) * p + c, for H
-and for He(p) = H(p,1,1).  Each asserts its presentation; a constructor adds
+and for He(p) = H(p,1,1).  Each checks its presentation; a constructor adds
 only its family's own relations (the H and K centres, G's least m, He's
 exponent).
 """
@@ -22,8 +24,8 @@ from contextlib import suppress
 from itertools import product
 from math import gcd
 
-from .errors import InvalidParameter, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, cayley_rows, semidirect_product
+from .errors import InvalidParameter, OrderCapExceeded, StructureViolation
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, semidirect_product
 from .numbertheory import is_order_mod_prime, is_prime, multiplicative_order
 
 __all__ = [
@@ -62,6 +64,12 @@ def _check_cap(what: str, cap: int, base: int, exp: int = 1, factor: int = 1) ->
     raise OrderCapExceeded(f"{what} has order {shown}, above the cap {cap}")
 
 
+def _require(holds: bool, g: FiniteGroup, relation: str) -> None:
+    """Raise StructureViolation unless the relation holds in the built group."""
+    if not holds:
+        raise StructureViolation(f"{g.name} breaks its presentation: {relation}")
+
+
 def _require_prime(p: int, name: str) -> None:
     if not is_prime(p):
         raise InvalidParameter(f"{name} must be prime, got {p}")
@@ -73,8 +81,8 @@ def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise InvalidParameter(f"cyclic group order must be >= 1, got {n}")
     _check_cap(f"C({n})", order_cap, n)
     gen_rows = {1: (*range(1, n), 0)} if n > 1 else {}
-    g = FiniteGroup(cayley_rows(n, gen_rows), name=f"C({n})")
-    assert n == 1 or g.element_orders[1] == n
+    g = FiniteGroup.from_generators(n, gen_rows, f"C({n})")
+    _require(n == 1 or g.element_orders[1] == n, g, f"x has order {n}")
     return g
 
 
@@ -88,8 +96,8 @@ def elementary_abelian(p: int, r: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
     for k in range(r):  # p^k adds 1 to digit k of v
         pk = p**k
         gen_rows[pk] = [v + pk if v // pk % p < p - 1 else v - (p - 1) * pk for v in range(order)]
-    g = FiniteGroup(cayley_rows(order, gen_rows), name=f"EA({p},{r})")
-    assert all(g.element_orders[p**k] == p for k in range(r))
+    g = FiniteGroup.from_generators(order, gen_rows, f"EA({p},{r})")
+    _require(all(g.element_orders[p**k] == p for k in range(r)), g, f"each x_k has order {p}")
     return g
 
 
@@ -108,10 +116,11 @@ def _metacyclic(name: str, a: int, b: int, m: int, c: int = 0) -> FiniteGroup:
         ]
 
     x, y = b, 1
-    g = FiniteGroup(cayley_rows(a * b, {x: row(1, 0), y: row(0, 1)}), name=name)
-    assert g.element_orders[x] == a and g.element_orders[y] == b * (a // gcd(a, c))
-    assert g.power(y, b) == g.power(x, c)
-    assert g.mul(y, x) == g.mul(g.power(x, m), y)
+    g = FiniteGroup.from_generators(a * b, {x: row(1, 0), y: row(0, 1)}, name)
+    orders = g.element_orders
+    _require(orders[x] == a and orders[y] == b * (a // gcd(a, c)), g, "the orders of x and y")
+    _require(g.power(y, b) == g.power(x, c), g, f"y^{b} = x^{c}")
+    _require(g.mul(y, x) == g.mul(g.power(x, m), y), g, f"y x y^-1 = x^{m}")
     return g
 
 
@@ -132,10 +141,11 @@ def _central(name: str, p: int, s: int, t: int) -> FiniteGroup:
 
     x, y, z = blk, p, 1
     gen_rows = {x: row(1, 0, 0), y: row(0, 1, 0), z: row(0, 0, 1)}
-    g = FiniteGroup(cayley_rows(ps * blk, gen_rows), name=name)
-    assert g.element_orders[x] == ps and g.element_orders[y] == pt
-    assert g.element_orders[z] == p and g.commutator(x, y) == z
-    assert g.commutator(x, z) == 0 and g.commutator(y, z) == 0
+    g = FiniteGroup.from_generators(ps * blk, gen_rows, name)
+    orders = g.element_orders
+    _require((orders[x], orders[y], orders[z]) == (ps, pt, p), g, "the orders of x, y and z")
+    _require(g.commutator(x, y) == z, g, "[x, y] = z")
+    _require(g.commutator(x, z) == 0 and g.commutator(y, z) == 0, g, "z is central")
     return g
 
 
@@ -175,7 +185,7 @@ def heisenberg(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise InvalidParameter("the Heisenberg family here is for odd p (p = 2 gives D(8))")
     _check_cap(f"He({p})", order_cap, p, 3)
     g = _central(f"He({p})", p, 1, 1)
-    assert g.exponent == p
+    _require(g.exponent == p, g, f"exponent {p}")
     return g
 
 
@@ -198,7 +208,7 @@ def h_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     for a, b in product(range(ps // p), range(pt // p)):
         for c in range(p):
             want |= 1 << ((a * p) * blk + (b * p) * p + c)
-    assert g.center_mask == want
+    _require(g.center_mask == want, g, "Z(G) = <x^p, y^p, z>")
     return g
 
 
@@ -219,7 +229,7 @@ def k_pst(p: int, s: int, t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     want = 0
     for a, b in product(range(ps // p), range(pt // p)):
         want |= 1 << ((a * p) * pt + b * p)
-    assert g.center_mask == want
+    _require(g.center_mask == want, g, "Z(G) = <x^p, y^p>")
     return g
 
 
@@ -268,7 +278,8 @@ def _companion_action(p: int, q: int, r: int) -> list[list[int]]:
         if not any(_poly_rem(phi, cand, p)):
             factor = cand
             break
-    assert factor is not None
+    if factor is None:
+        raise StructureViolation(f"1 + x + ... + x^{q - 1} has no degree-{r} divisor over F_{p}")
     pr = p**r
 
     def apply_matrix(v: int) -> int:
@@ -302,7 +313,8 @@ def elementary_rtimes_cq(p: int, q: int, order_cap: int = DEFAULT_ORDER_CAP) -> 
     r = multiplicative_order(p, q)
     _check_cap(f"SD({p},{q})", order_cap, p, r, factor=q)
     action = _companion_action(p, q, r)
-    assert all(action[j] != action[0] for j in range(1, q)), "action must be faithful"
+    if any(action[j] == action[0] for j in range(1, q)):
+        raise StructureViolation(f"SD({p},{q}): the action of C_{q} is not faithful")
     ea = elementary_abelian(p, r, order_cap=order_cap)
     g = semidirect_product(ea, cyclic(q, order_cap=order_cap), action, order_cap=order_cap)
     g.name = f"SD({p},{q})"
@@ -319,7 +331,7 @@ def c27_rtimes_q8(order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     action = [ident if h % 2 == 0 else invert for h in range(8)]
     g = semidirect_product(n, q8, action, order_cap=order_cap)
     g.name = "C27Q8"
-    assert g.order == 216
+    _require(g.order == 216, g, "order 216")
     return g
 
 

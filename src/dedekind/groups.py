@@ -6,19 +6,26 @@ there is no subgroup class.  A table of order n <= 256 holds `bytes` rows,
 one byte per entry, and a larger one tuples of ints; both index to the same
 ints.
 
-Construction validates the Latin-square and identity axioms of an n <= 256
-table by byte operations: n bytes are a permutation of the elements iff
-deleting them from bytes(range(n)) leaves nothing, and column j is the
-strided slice flat[j::n] of the joined rows.  That check only accepts.  A
-table it does not accept, and every table above 256, goes through one set
-per row and per column, which words the first failure: n entries are a
-permutation iff their set is the element set, and only a failing row, or
-one holding an entry that is not an int, is scanned entry by entry, to name
-its first bad entry.  Inverses are then checked on the rows of either kind.
-The cubic associativity axiom is not checked: the family constructors and
-products compose their tables from the rows of a few generators
-(`cayley_rows`), which is only sound for a group, and the test suite
-certifies each construction against an entry-by-entry oracle.
+A group is built in one of two ways.  `FiniteGroup.from_generators` takes
+the rows of a few generators, and `cayley_rows` composes every other row
+from them and certifies the result by Light's associativity test (A. H.
+Clifford and G. B. Preston, The Algebraic Theory of Semigroups I, 1961):
+row(x * s) must equal row(x) composed with row(s) on every edge of the walk.
+A table that passes is the table of the permutation group the generator
+rows generate, so the family constructors and the products need no further
+scan.  `FiniteGroup(table)` takes any other table and validates the
+Latin-square and identity axioms of an n <= 256 table by byte operations:
+n bytes are a permutation of the elements iff deleting them from
+bytes(range(n)) leaves nothing, and column j is the strided slice flat[j::n]
+of the joined rows.  That check only accepts.  A table it does not accept,
+and every table above 256, goes through one set per row and per column,
+which words the first failure: n entries are a permutation iff their set is
+the element set, and only a failing row, or one holding an entry that is not
+an int, is scanned entry by entry, to name its first bad entry.  Inverses
+are then checked on the rows of either kind.  Associativity of such a table
+is not checked: the package passes it only sections H/K read off a group's
+table (`section_table`), and the test suite checks those against an
+entry-by-entry oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from math import gcd
+from operator import index, itemgetter
 
 from .errors import (
     InvalidParameter,
@@ -94,6 +102,22 @@ class FiniteGroup:
         self.name = name
         self._lattice = None
 
+    @classmethod
+    def from_generators(cls, n: int, gen_rows, name: str = "") -> FiniteGroup:
+        """The group of order n generated by the rows in `gen_rows`, each
+        generator s mapped to its row s * y for y in 0..n-1.
+
+        `cayley_rows` composes and certifies the table, which is then adopted
+        without `__init__`'s scans: every row is a permutation, row and
+        column 0 are the identity and inverses exist in the table of any
+        group.  One walk of the cyclic subgroups gives the inverses and the
+        element orders.
+        """
+        g = cls.__new__(cls)
+        g.order, g.table, g.name, g._lattice = n, tuple(cayley_rows(n, gen_rows)), name, None
+        g.element_orders, g.inverses = _orders_and_inverses(g.table)
+        return g
+
     def __repr__(self):
         tag = self.name or "finite group"
         return f"<{tag}, order {self.order}>"
@@ -123,15 +147,7 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        out = [1] * self.order
-        t = self.table
-        for a in range(1, self.order):
-            k, x = 1, a
-            while x != 0:
-                x = t[x][a]
-                k += 1
-            out[a] = k
-        return tuple(out)
+        return _orders_and_inverses(self.table)[0]
 
     @cached_property
     def exponent(self) -> int:
@@ -196,6 +212,27 @@ class FiniteGroup:
     def closure(self, gens) -> tuple[int, list[int]]:
         """Mask and element list of the subgroup generated by `gens`."""
         return _closure(self.table, tuple(gens))
+
+
+def _orders_and_inverses(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The order and the inverse of every element, by one walk of the powers
+    of each element whose cyclic subgroup no earlier walk covered: if a has
+    order k, a^j has order k / gcd(j, k) and inverse a^(k - j)."""
+    n = len(table)
+    orders, inverses = [0] * n, [0] * n
+    orders[0] = 1
+    for a in range(1, n):
+        if orders[a]:
+            continue
+        row, powers, x = table[a], [a], table[a][a]
+        while x:  # powers[j - 1] = a^j
+            powers.append(x)
+            x = row[x]
+        k = len(powers) + 1
+        for j, x in enumerate(powers, 1):
+            orders[x] = k // gcd(j, k)
+            inverses[x] = powers[k - j - 1]
+    return tuple(orders), tuple(inverses)
 
 
 def _byte_table(rows, n: int) -> tuple[bytes, ...] | None:
@@ -303,32 +340,59 @@ def _derived_subgroup(g: FiniteGroup, gens) -> tuple[int, list[int]]:
 
 def cayley_rows(n: int, gen_rows) -> list:
     """Every row of the table of a group of order n from the rows of a few
-    generators: `gen_rows` maps each generator s to its row, s * y for y in
-    0..n-1.  The rows are `bytes` when n <= 256 and tuples of ints above.
+    generators, certified to be a group's table: `gen_rows` maps each
+    generator s to its row, s * y for y in 0..n-1.  The rows are `bytes`
+    when n <= 256 and tuples of ints above.
 
-    The rows form the left-regular representation, so row(x * s) is row(x)
-    composed with row(s): entry y is row(x)[row(s)[y]].  For n <= 256 that is
-    one `bytes.translate` of row(s) by row(x), padded to 256 bytes; above,
-    one `itemgetter` call per row.  A breadth-first walk from the identity
-    reaches every element once.  Raises InvalidParameter when the generators
-    reach fewer than n elements.  Associativity is assumed, not checked: for
-    a table that is not a group's, the composed rows differ from its rows.
+    In the left-regular representation row(x * s) is row(x) composed with
+    row(s): entry y is row(x)[row(s)[y]].  For n <= 256 that is one
+    `bytes.translate` of row(s) by row(x), padded to 256 bytes; above, one
+    `itemgetter` call.  A breadth-first walk from the identity composes the
+    row of each element it reaches, and on every other edge (x, s) checks
+    that the composed row equals the row already held: Light's associativity
+    test (Clifford and Preston, The Algebraic Theory of Semigroups I, 1961).
+
+    With each generator row a permutation of 0..n-1 holding s at 0, a walk
+    that passes gives n distinct permutations (row(x) holds x at 0), each a
+    product of generator rows, closed under the generators and so a group P
+    acting regularly on 0..n-1.  Row x is then the one element of P taking
+    0 to x, and row(x)[y] the element that row(x) row(y) takes 0 to, so the
+    table is P's: associative, with identity 0, inverses and a permutation
+    in every row and column.  Raises InvalidParameter when a generator row
+    is not such a permutation, when an edge fails, or when the generators
+    reach fewer than n elements.
     """
     rows: list = [None] * n
+    elements = set(range(n))
     if n <= 256:
-        rows[0], pad = bytes(range(n)), bytes(256 - n)
-        pickers = [(s, bytes(row).translate) for s, row in gen_rows.items()]
+        rows[0], pad, as_row = bytes(range(n)), bytes(256 - n), bytes
     else:
-        rows[0], pad = tuple(range(n)), ()
-        pickers = [(s, itemgetter(*row)) for s, row in gen_rows.items()]
+        rows[0], pad, as_row = tuple(range(n)), (), tuple
+    pickers = []
+    for s, row in gen_rows.items():
+        try:
+            row = as_row(map(index, row))
+        except (TypeError, ValueError):  # an entry that is not an int, or past 255
+            row = None
+        if row is None or len(row) != n or set(row) != elements:
+            raise InvalidParameter(f"the row of generator {s} is not a permutation of 0..{n - 1}")
+        if row[0] != s:
+            raise InvalidParameter(f"the row of generator {s} holds {row[0]} at 0, not {s}")
+        pickers.append((s, row.translate if n <= 256 else itemgetter(*row)))
     reached = [0]
     for x in reached:  # grows during iteration
         rx = rows[x]
+        padded = rx + pad
         for s, pick in pickers:
-            y = rx[s]
+            y, row = rx[s], pick(padded)
             if rows[y] is None:
-                rows[y] = pick(rx + pad)
+                rows[y] = row
                 reached.append(y)
+            elif rows[y] != row:
+                raise InvalidParameter(
+                    f"row {x} times the row of generator {s} is not row {y}: "
+                    "the generator rows do not make a group's table"
+                )
     if len(reached) != n:
         raise InvalidParameter(
             f"generators {sorted(gen_rows)} reach {len(reached)} of {n} elements"
@@ -336,11 +400,11 @@ def cayley_rows(n: int, gen_rows) -> list:
     return rows
 
 
-def _product_rows(n_grp: FiniteGroup, h_grp: FiniteGroup, acts=None) -> list:
-    """The rows of N x| H, element n*|H|+h for the pair (n, h), composed by
-    `cayley_rows` from those of (s, 1) and (1, t) for s and t in the factors'
-    generating sets.  acts[t] is the permutation of N by which t acts; None
-    is the trivial action, a direct product."""
+def _product_rows(n_grp: FiniteGroup, h_grp: FiniteGroup, acts=None) -> dict:
+    """The generator rows of N x| H, element n*|H|+h for the pair (n, h):
+    those of (s, 1) and (1, t) for s and t in the factors' generating sets.
+    acts[t] is the permutation of N by which t acts; None is the trivial
+    action, a direct product."""
     hn = h_grp.order
     gen_rows = {}
     for s in n_grp.generating_set:  # (s, 1)(n2, h2) = (s n2, h2)
@@ -351,19 +415,19 @@ def _product_rows(n_grp: FiniteGroup, h_grp: FiniteGroup, acts=None) -> list:
         hrow = h_grp.table[t]
         act = range(n_grp.order) if acts is None else acts[t]
         gen_rows[t] = [k * hn + v for k in act for v in hrow]
-    return cayley_rows(n_grp.order * hn, gen_rows)
+    return gen_rows
 
 
 def direct_product(
     g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
-    """Direct product; element a*|H|+b stands for the pair (a, b).  Its rows
-    are composed from those of the factors' generators (`_product_rows`)."""
+    """Direct product; element a*|H|+b stands for the pair (a, b).  Its table
+    is composed from the rows of the factors' generators (`_product_rows`)."""
     n = g.order * h.order
     if n > order_cap:
         raise OrderCapExceeded(f"product of order {n} exceeds the cap {order_cap}")
     name = f"{g.name} x {h.name}" if g.name and h.name else ""
-    return FiniteGroup(_product_rows(g, h), name=name)
+    return FiniteGroup.from_generators(n, _product_rows(g, h), name)
 
 
 def semidirect_product(
@@ -377,8 +441,8 @@ def semidirect_product(
     `action[h]` is the permutation of N's elements by which h acts; the pair
     (n1, h1)*(n2, h2) = (n1 * action[h1](n2), h1*h2).  Every action[h] must be
     an automorphism of N and h -> action[h] must be a homomorphism; both are
-    checked a whole row at a time.  The rows are then composed from those of
-    the factors' generators (`_product_rows`).
+    checked a whole row at a time.  The table is then composed from the rows
+    of the factors' generators (`_product_rows`).
     """
     order = n_grp.order * h_grp.order
     if order > order_cap:
@@ -405,7 +469,7 @@ def semidirect_product(
             if acts[hrow[h2]] != tuple(map(a1.__getitem__, a2)):
                 raise NotAnAction("action map is not a homomorphism into Aut(N)")
     name = f"{n_grp.name} x| {h_grp.name}" if n_grp.name and h_grp.name else ""
-    return FiniteGroup(_product_rows(n_grp, h_grp, acts), name=name)
+    return FiniteGroup.from_generators(order, _product_rows(n_grp, h_grp, acts), name)
 
 
 def section_table(

@@ -68,11 +68,12 @@ __all__ = [
 DEFAULT_LATTICE_BUDGET = 100_000
 
 
-def normalizes(g: FiniteGroup, kmask: int, kgens, agens) -> bool:
+def normalizes(g: FiniteGroup | SubgroupLattice, kmask: int, kgens, agens) -> bool:
     """Whether every element of agens normalizes K = <kgens>, with bitmask kmask.
 
     a K a^-1 is a subgroup of K's order, so it equals K iff it holds a k a^-1
     for each generator k: one table lookup per pair, not one per element of K.
+    Only g's `table` and `inverses` are read, which a lattice also holds.
     """
     t, inv = g.table, g.inverses
     for a in agens:
@@ -267,10 +268,17 @@ class SubgroupLattice:
     the elements, and gens[i], a generating tuple.  The subgroups are
     grouped into conjugacy classes; containment bitsets (`up`, `below`),
     normalizers and nilpotency are computed on demand.
+
+    The lattice keeps what it reads of the group (its table, inverses,
+    order, generating set and whether it is abelian), not the group itself.
+    A group caches its lattice (`subgroup_lattice`), so a reference back
+    would make every group with a lattice cyclic garbage, freed only by the
+    cyclic collector instead of when the group is dropped.
     """
 
     def __init__(self, group: FiniteGroup):
-        self.group = group
+        self.table, self.inverses, self.order = group.table, group.inverses, group.order
+        self.generating_set, self.is_abelian = group.generating_set, group.is_abelian
         found = all_subgroup_masks(group)
         self.masks = sorted(found, key=lambda m: (m.bit_count(), m))
         self.gens = [found[m] for m in self.masks]
@@ -299,11 +307,10 @@ class SubgroupLattice:
         conjugation then costs r ANDs for r generators of K.  In an abelian G
         every class is a singleton.
         """
-        g = self.group
-        if g.is_abelian:
+        if self.is_abelian:
             return [(i,) for i in range(self.size)]
-        t, inv = g.table, g.inverses
-        rows = [[t[t[a][x]][inv[a]] for x in range(g.order)] for a in g.generating_set]
+        t, inv = self.table, self.inverses
+        rows = [[t[t[a][x]][inv[a]] for x in range(self.order)] for a in self.generating_set]
         holders, subgens = self._holders, self.gens
         seen = bytearray(self.size)
         out: list[tuple[int, ...]] = []
@@ -374,7 +381,7 @@ class SubgroupLattice:
     @cached_property
     def _holders(self) -> list[int]:
         """Per element x, the bitset of the indices of the subgroups holding x."""
-        rows = [bytearray((self.size + 7) >> 3) for _ in range(self.group.order)]
+        rows = [bytearray((self.size + 7) >> 3) for _ in range(self.order)]
         for k, m in enumerate(self.masks):
             byte, bit = k >> 3, 1 << (k & 7)
             for x in _mask_elements(m):
@@ -418,17 +425,16 @@ class SubgroupLattice:
         nor the other subgroups, so it stays an independent check of
         `normalizer_index`.
         """
-        g = self.group
-        table = g.table
+        table = self.table
         m, hgens = self.masks[i], self.gens[i]
         helems = _mask_elements(m)
         # per element: 0 until its coset is scanned, then the digit "1" if
         # the coset normalizes H and "0" if not
-        digit = bytearray(g.order)
-        for a in range(g.order):
+        digit = bytearray(self.order)
+        for a in range(self.order):
             if digit[a]:
                 continue
-            d = 49 if normalizes(g, m, hgens, (a,)) else 48
+            d = 49 if normalizes(self, m, hgens, (a,)) else 48
             row = table[a]
             for h in helems:
                 digit[row[h]] = d
@@ -444,14 +450,14 @@ class SubgroupLattice:
         conjugation.  `normalizer` scans cosets instead and stays the
         independent check of the premise.
         """
-        g, subgens = self.group, self.gens
-        lo, hi = self._order_run(g.order // len(self.classes[self._class_ids[i]]))
+        subgens = self.gens
+        lo, hi = self._order_run(self.order // len(self.classes[self._class_ids[i]]))
         candidates = self.up(i) >> lo & ((1 << (hi - lo)) - 1)
         if candidates and candidates & (candidates - 1) == 0:
             return lo + candidates.bit_length() - 1
         m, lgens = self.masks[i], subgens[i]
         for j in _mask_elements(candidates):
-            if normalizes(g, m, lgens, subgens[lo + j]):
+            if normalizes(self, m, lgens, subgens[lo + j]):
                 return lo + j
         raise AssertionError("no subgroup of the orbit-stabilizer order normalizes L")
 

@@ -8,7 +8,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -32,6 +32,8 @@ from dedekind.groups import (
     FiniteGroup,
     _closure,
     _mask_elements,
+    direct_product,
+    is_isomorphic,
     quotient,
     section_group,
     section_table,
@@ -45,6 +47,44 @@ from dedekind.lattice import (
     subgroup_lattice,
 )
 from dedekind.verify import Corpus, build_corpus
+
+
+# The nine big-specs groups of the benchmark, then larger products.
+LARGE_SPECS = [
+    "D(256)",
+    "Q(256)",
+    "SD(3,13)",
+    "M(2,9)",
+    "D(8) x EA(2,3)",
+    "H(2,3,3) x C(3)",
+    "H(2,4,4)",
+    "K(2,3,2) x C(2) x C(3)",
+    "K(2,2,7)",
+    "G(97,2,3)",
+    "H(3,2,2)",
+    "C27Q8",
+    "He(5) x C(3)",
+    "He(7)",
+    "EA(2,7) x C(3)",
+    "Q(8) x EA(2,5)",
+]
+
+# Specs near the caps whose report takes about 0.35 s or less: lattices of
+# up to 7,420 subgroups, modular lattices that are not Dedekind (M, G), and
+# groups that are not nilpotent (D(6) x EA(2,4), C27Q8, G(97,2,3)).  Which
+# representatives d* skips as isomorphic depends on the labels.
+RELABELLED_SPECS = [
+    "D(8) x EA(2,4)",
+    "He(3) x EA(3,2)",
+    "Q(8) x EA(2,4)",
+    "M(2,4) x EA(2,3)",
+    "D(8) x EA(2,3) x C(3)",
+    "D(6) x EA(2,4)",
+    "H(2,3,3) x C(3)",
+    "C27Q8",
+    "G(97,2,3)",
+    "M(2,9)",
+]
 
 
 class Fool:
@@ -154,6 +194,20 @@ def assert_associative(g: FiniteGroup) -> None:
             for c in range(n):
                 if ra[rs[c]] != ras[c]:
                     raise AssertionError(f"associativity fails at ({a},{s},{c})")
+
+
+def power_walk_orders(g: FiniteGroup) -> tuple[int, ...]:
+    """The order of each element a, by walking a, a^2, ... to the identity;
+    the oracle for `FiniteGroup.element_orders`."""
+    out = [1] * g.order
+    t = g.table
+    for a in range(1, g.order):
+        k, x = 1, a
+        while x != 0:
+            x = t[x][a]
+            k += 1
+        out[a] = k
+    return tuple(out)
 
 
 def assert_valid_group(g: FiniteGroup) -> None:
@@ -494,11 +548,11 @@ def string_below(lat: SubgroupLattice, i: int) -> int:
     return int("".join(["0" if mj & ~m else "1" for mj in lat.masks[i::-1]]), 2)
 
 
-def orbits(lat: SubgroupLattice, indices, gens) -> list[tuple[int, ...]]:
+def orbits(g: FiniteGroup, lat: SubgroupLattice, indices, gens) -> list[tuple[int, ...]]:
     """Orbits, as sorted index tuples in order of first appearance, of the
-    subgroups `indices` (a set closed under conjugation by `gens`), walked
-    breadth first with one `conjugate_mask` per conjugation."""
-    g, masks, index = lat.group, lat.masks, mask_index(lat)
+    subgroups `indices` of g's lattice (a set closed under conjugation by
+    `gens`), walked breadth first with one `conjugate_mask` per conjugation."""
+    masks, index = lat.masks, mask_index(lat)
     seen = bytearray(len(masks))
     out: list[tuple[int, ...]] = []
     for i in indices:
@@ -536,7 +590,7 @@ def orbit_d_star(g: FiniteGroup) -> Fraction:
         below_h = string_below(lat, hi)
         orbit_reps = 0
         normals: list[int] = []
-        for orbit in orbits(lat, _mask_elements(below_h), hgens):
+        for orbit in orbits(g, lat, _mask_elements(below_h), hgens):
             orbit_reps |= 1 << orbit[0]
             if len(orbit) == 1:
                 normals.append(orbit[0])
@@ -735,3 +789,38 @@ def zoo() -> dict[str, FiniteGroup]:
 def corpus() -> Corpus:
     """The standard corpus, built once; reports computed on it cache lattices."""
     return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def beyond_corpus(corpus) -> list[FiniteGroup]:
+    """30 non-abelian groups of types the corpus does not hold, in order of discovery.
+
+    The sections H/K (H a class representative, 8 <= |H/K| <= 64) of the 19
+    non-abelian corpus groups of order <= 16 and of their products of order
+    <= 64, one kept per isomorphism type, found by fingerprint and then
+    `is_isomorphic`.  Each is built by `section_group`, a validated table.
+    """
+    small = [e.group for e in corpus if e.group.order <= 16 and not e.group.is_abelian]
+    assert len(small) == 19
+    sources = small + [
+        direct_product(a, b)
+        for a, b in combinations_with_replacement(small, 2)
+        if a.order * b.order <= 64
+    ]
+    by_fingerprint: dict = {}
+    for e in corpus:
+        by_fingerprint.setdefault(e.group.fingerprint, []).append(e.group)
+    new = []
+    for g in sources:
+        lat = subgroup_lattice(g)
+        masks, reps = lat.masks, set(lat.class_representatives())
+        for hi, ki in sections(g):
+            if hi not in reps or not 8 <= masks[hi].bit_count() // masks[ki].bit_count() <= 64:
+                continue
+            q = section_group(g, masks[hi], masks[ki])[0]
+            same = by_fingerprint.setdefault(q.fingerprint, [])
+            if q.is_abelian or any(is_isomorphic(q, h) for h in same):
+                continue
+            same.append(q)
+            new.append(q)
+    return new

@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import assert_valid_group, entrywise_table
-from dedekind.errors import InvalidParameter, OrderCapExceeded
+from conftest import LARGE_SPECS, assert_valid_group, entrywise_table
+from dedekind.errors import InvalidParameter, OrderCapExceeded, StructureViolation
 from dedekind.families import (
     FAMILY_BUILDERS,
     c27_rtimes_q8,
@@ -18,29 +18,8 @@ from dedekind.families import (
     modular_group,
     schmidt_gpqn,
 )
-from dedekind.groups import cayley_rows, is_isomorphic, section_table
+from dedekind.groups import FiniteGroup, cayley_rows, is_isomorphic, section_table
 from dedekind.specs import build_group
-
-# The nine big-specs groups of the benchmark, then larger products.
-LARGE_SPECS = [
-    "D(256)",
-    "Q(256)",
-    "SD(3,13)",
-    "M(2,9)",
-    "D(8) x EA(2,3)",
-    "H(2,3,3) x C(3)",
-    "H(2,4,4)",
-    "K(2,3,2) x C(2) x C(3)",
-    "K(2,2,7)",
-    "G(97,2,3)",
-    "H(3,2,2)",
-    "C27Q8",
-    "He(5) x C(3)",
-    "He(7)",
-    "EA(2,7) x C(3)",
-    "Q(8) x EA(2,5)",
-]
-
 
 def test_cyclic():
     for n in (1, 2, 5, 12):
@@ -225,3 +204,55 @@ def test_cayley_rows_needs_generators_of_the_whole_group():
     assert cayley_rows(8, {2: d8.table[2], 1: d8.table[1]}) == list(d8.table)
     with pytest.raises(InvalidParameter, match=r"^generators \[2\] reach 4 of 8 elements$"):
         cayley_rows(8, {2: d8.table[2]})  # the rotation alone
+
+
+def test_cayley_rows_rejects_a_loop_that_is_not_a_group():
+    # a Latin square with identity 0 that is not associative: its rows 1 and
+    # 2 generate it, and composing them does not give its rows back
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(InvalidParameter, match="do not make a group's table$"):
+        cayley_rows(5, {1: loop[1], 2: loop[2]})
+
+
+def test_cayley_rows_checks_every_edge_of_every_generator():
+    # generator 1 swaps 0 and 1 and fixes 2 and 3, and the rows it reaches
+    # agree on each of its edges; only edge (1, 2) of generator 2 fails, and
+    # a walk that checks only generator 1, or only the edges that first
+    # reach an element, returns four rows that are not a Latin square
+    gen_rows = {1: [1, 0, 2, 3], 2: [2, 3, 0, 1]}
+    with pytest.raises(InvalidParameter, match=r"^row 1 times the row of generator 2 is not row 2"):
+        cayley_rows(4, gen_rows)
+    for g in (elementary_abelian(2, 2), build_group("SD(3,13)")):
+        s, t = g.generating_set
+        gens = {s: g.table[s], t: g.table[t]}
+        assert cayley_rows(g.order, gens) == list(g.table)
+        gens[t] = gens[s]
+        with pytest.raises(InvalidParameter, match=f"^the row of generator {t} holds {s} at 0, not {t}$"):
+            cayley_rows(g.order, gens)
+    with pytest.raises(InvalidParameter, match=r"^the row of generator 1 is not a permutation of 0\.\.3$"):
+        cayley_rows(4, {1: [1, 0, 3, 3]})
+    with pytest.raises(InvalidParameter, match="is not a permutation"):
+        cayley_rows(300, {1: [1.0, *range(2, 300), 0]})
+
+
+# A family spec, and a valid group of the same order that is not the
+# family's: the certificate accepts its table, and only the family's
+# presentation check rejects it.
+WRONG_GROUPS = [
+    ("C(8)", "EA(2,3)"),
+    ("EA(2,3)", "C(8)"),
+    ("D(8)", "C(8)"),
+    ("Q(8)", "D(8)"),
+    ("He(3)", "EA(3,3)"),
+]
+
+
+@pytest.mark.parametrize("spec, wrong", WRONG_GROUPS)
+def test_a_family_rejects_a_group_that_breaks_its_presentation(monkeypatch, spec, wrong):
+    # explicit raises, not assert statements, so this holds under python -O too
+    table = build_group(wrong).table
+    monkeypatch.setattr(
+        FiniteGroup, "from_generators", staticmethod(lambda n, gen_rows, name="": FiniteGroup(table, name))
+    )
+    with pytest.raises(StructureViolation, match="breaks its presentation"):
+        build_group(spec)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    LARGE_SPECS,
+    RELABELLED_SPECS,
     Fool,
     Perm,
     assert_valid_group,
@@ -16,6 +18,7 @@ from conftest import (
     greedy_generating_set,
     leaf_checked_find_isomorphism,
     literal_derived_mask,
+    power_walk_orders,
     relabelled,
 )
 from dedekind.errors import (
@@ -27,6 +30,7 @@ from dedekind.errors import (
     OrderCapExceeded,
 )
 from dedekind.families import cyclic, dihedral, generalized_quaternion, heisenberg
+from dedekind.specs import build_group
 from dedekind.groups import (
     DEFAULT_ISO_CAP,
     FiniteGroup,
@@ -214,6 +218,23 @@ def test_zoo_groups_satisfy_axioms(zoo):
     for name, g in zoo.items():
         if g.order <= 32:
             assert_valid_group(g)
+
+
+def test_element_orders_and_inverses_match_the_power_walk(corpus, beyond_corpus):
+    # element_orders walks each cyclic subgroup once and reads order(a^j) =
+    # k / gcd(j, k) off it; the oracle walks the powers of every element.
+    # Built groups take their inverses from the same walk.
+    rng = random.Random(44)
+    groups = [(e.spec, e.group) for e in corpus]
+    groups += [(f"section type {i}", q) for i, q in enumerate(beyond_corpus)]
+    built = [(spec, build_group(spec)) for spec in RELABELLED_SPECS + LARGE_SPECS]
+    relabel = built[: len(RELABELLED_SPECS)]
+    groups += built + [(f"relabelled {spec}", relabelled(g, rng)) for spec, g in relabel]
+    assert len(groups) == 433 + 30 + 36
+    for name, g in groups:
+        assert g.element_orders == power_walk_orders(g), name
+        t, inv = g.table, g.inverses
+        assert all(t[a][inv[a]] == 0 == t[inv[a]][a] for a in range(g.order)), name
 
 
 def test_cyclic_basics():

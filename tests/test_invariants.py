@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    RELABELLED_SPECS,
     conjugation_sections,
     literal_d_star,
     literal_is_nilpotent,
@@ -398,24 +399,6 @@ def nontrivial_c3_by_c8():
     invert = (0, 2, 1)
     action = [invert if k % 2 else ident for k in range(8)]
     return semidirect_product(cyclic(3), cyclic(8), action)
-
-
-# Specs near the caps whose report takes about 0.35 s or less: lattices of
-# up to 7,420 subgroups, modular lattices that are not Dedekind (M, G), and
-# groups that are not nilpotent (D(6) x EA(2,4), C27Q8, G(97,2,3)).  Which
-# representatives d* skips as isomorphic depends on the labels.
-RELABELLED_SPECS = [
-    "D(8) x EA(2,4)",
-    "He(3) x EA(3,2)",
-    "Q(8) x EA(2,4)",
-    "M(2,4) x EA(2,3)",
-    "D(8) x EA(2,3) x C(3)",
-    "D(6) x EA(2,4)",
-    "H(2,3,3) x C(3)",
-    "C27Q8",
-    "G(97,2,3)",
-    "M(2,9)",
-]
 
 
 def _report(g: FiniteGroup) -> InvariantReport:

@@ -1,6 +1,8 @@
 """Subgroup enumeration, conjugacy classing, and lattice structure."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -32,6 +34,7 @@ from dedekind.lattice import (
     maximal_subgroup_indices,
     subgroup_lattice,
 )
+from dedekind.invariants import compute_report
 from dedekind.numbertheory import is_prime
 from dedekind.specs import build_group
 
@@ -161,7 +164,32 @@ def test_classes_match_the_whole_bitset_orbits(corpus):
     groups += [(spec, build_group(spec)) for spec in ("D(8) x EA(2,3)", "He(3) x EA(3,2)")]
     for name, g in groups + [("S4", _s4()), ("A5", _a5())]:
         lat = subgroup_lattice(g)
-        assert lat.classes == orbits(lat, range(lat.size), g.generating_set), name
+        assert lat.classes == orbits(g, lat, range(lat.size), g.generating_set), name
+
+
+def test_a_dropped_group_is_freed_without_the_cyclic_collector():
+    # a group caches its lattice, and the lattice keeps only what it reads of
+    # the group, so dropping a group that has a report frees it at once
+    gc.disable()
+    try:
+        g = build_group("D(8) x EA(2,3)")
+        compute_report(g)
+        dropped = weakref.ref(g)
+        del g
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def test_a_lattice_outlives_its_group():
+    spec = "D(8) x EA(2,3)"
+    lat = subgroup_lattice(build_group(spec))
+    g = build_group(spec)
+    live = subgroup_lattice(g)
+    assert lat.classes == live.classes == orbits(g, lat, range(lat.size), g.generating_set)
+    index = [lat.normalizer_index(i) for i in range(lat.size)]
+    assert index == [live.normalizer_index(i) for i in range(live.size)]
+    assert [lat.masks[j] for j in index] == [lat.normalizer(i) for i in range(lat.size)]
 
 
 def test_normality_and_normalizers(zoo):

@@ -5,7 +5,6 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -14,7 +13,7 @@ from conftest import central_product_q8_d8, literal_d_star
 from dedekind import cli, verify
 from dedekind.errors import InvalidParameter
 from dedekind.formulas import d_prime_modular_formula
-from dedekind.groups import direct_product, is_isomorphic, section_group
+from dedekind.groups import is_isomorphic, section_group
 from dedekind.invariants import compute_report, is_dedekind, sections
 from dedekind.lattice import subgroup_lattice
 from dedekind.verify import (
@@ -244,34 +243,12 @@ def test_find_section_matches_the_literal_sections_oracle(corpus):
     assert found == 62
 
 
-def test_threshold_suites_on_groups_beyond_the_corpus_from_sections_of_products(corpus):
-    # the sections H/K (H a class representative, 8 <= |H/K| <= 64) of the 19
-    # non-abelian corpus groups of order <= 16 and of their products of order
-    # <= 64 give non-abelian groups the corpus does not hold; one is kept per
-    # isomorphism type, found by fingerprint and then `is_isomorphic`
-    small = [e.group for e in corpus if e.group.order <= 16 and not e.group.is_abelian]
-    assert len(small) == 19
-    sources = small + [
-        direct_product(a, b)
-        for a, b in combinations_with_replacement(small, 2)
-        if a.order * b.order <= 64
-    ]
-    by_fingerprint: dict = {}
-    for e in corpus:
-        by_fingerprint.setdefault(e.group.fingerprint, []).append(e.group)
-    new = []
-    for g in sources:
-        lat = subgroup_lattice(g)
-        masks, reps = lat.masks, set(lat.class_representatives())
-        for hi, ki in sections(g):
-            if hi not in reps or not 8 <= masks[hi].bit_count() // masks[ki].bit_count() <= 64:
-                continue
-            q = section_group(g, masks[hi], masks[ki])[0]
-            same = by_fingerprint.setdefault(q.fingerprint, [])
-            if q.is_abelian or any(is_isomorphic(q, h) for h in same):
-                continue
-            same.append(q)
-            new.append(q)
+def test_threshold_suites_on_groups_beyond_the_corpus_from_sections_of_products(
+    corpus, beyond_corpus
+):
+    # the sections of small corpus groups and their products give 30
+    # non-abelian types the corpus does not hold (`beyond_corpus`)
+    new = beyond_corpus
     orders = Counter(q.order for q in new)
     assert sorted(orders.items()) == [
         (16, 3), (18, 2), (20, 1), (24, 5), (30, 1), (32, 11), (36, 1), (48, 2), (60, 1), (64, 3)
