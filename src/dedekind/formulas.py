@@ -11,7 +11,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExhausted, InvalidParameter
+from .errors import BudgetExhausted, InvalidParameter, StructureViolation
 from .numbertheory import is_order_mod_prime, is_prime, nth_odd_prime
 
 __all__ = [
@@ -119,7 +119,8 @@ def gaussian_binomial(r: int, i: int, p: int) -> int:
     # taking the smaller side keeps every one of them below the result
     for k in range(min(i, r - i)):
         result, rem = divmod(result * (p ** (r - k) - 1), p ** (k + 1) - 1)
-        assert rem == 0
+        if rem:
+            raise StructureViolation(f"[{r}, {k + 1}]_{p} is not an integer")
     return result
 
 
@@ -144,7 +145,8 @@ def schmidt_section_counts(p: int, q: int, r: int) -> FamilyCounts:
         )
     a = num_subgroups_elem_abelian(p, r)
     k_prime, rem = divmod(a + 4 * q - 2, q)
-    assert rem == 0
+    if rem:
+        raise StructureViolation(f"a_{{{p},{r}}} + 4q - 2 = {a + 4 * q - 2} is not divisible by q = {q}")
     return FamilyCounts(k_prime=k_prime, lattice_size=a + p**r + 1)
 
 

@@ -6,31 +6,28 @@ there is no subgroup class.  A table of order n <= 256 holds `bytes` rows,
 one byte per entry, and a larger one tuples of ints; both index to the same
 ints.
 
-A group is built in one of two ways.  `FiniteGroup.from_generators` takes
-the rows of a few generators, and `cayley_rows` composes every other row
-from them and certifies the result by Light's associativity test (A. H.
-Clifford and G. B. Preston, The Algebraic Theory of Semigroups I, 1961):
-row(x * s) must equal row(x) composed with row(s) on every edge of the walk.
-A table that passes is the table of the permutation group the generator
-rows generate, so the family constructors and the products need no further
-scan.  `FiniteGroup(table)` takes any other table and validates the
-Latin-square and identity axioms of an n <= 256 table by byte operations:
-n bytes are a permutation of the elements iff deleting them from
-bytes(range(n)) leaves nothing, and column j is the strided slice flat[j::n]
-of the joined rows.  That check only accepts.  A table it does not accept,
-and every table above 256, goes through one set per row and per column,
-which words the first failure: n entries are a permutation iff their set is
-the element set, and only a failing row, or one holding an entry that is not
-an int, is scanned entry by entry, to name its first bad entry.  Inverses
-are then checked on the rows of either kind.  Associativity of such a table
-is not checked: the package passes it only sections H/K read off a group's
-table (`section_table`), and the test suite checks those against an
-entry-by-entry oracle.
+A group is built in one of two ways, and both end in the same certificate.
+`FiniteGroup.from_generators` takes the rows of a few generators, and
+`cayley_rows` composes every other row from them and certifies the result
+by Light's associativity test (A. H. Clifford and G. B. Preston, The
+Algebraic Theory of Semigroups I, 1961): row(x * s) must equal row(x)
+composed with row(s) on every edge of the walk.  A table that passes is the
+table of the permutation group the generator rows generate.
+`FiniteGroup(table)` takes any other table.  It first checks the rows: for
+n <= 256 by byte operations, n bytes being a permutation of the elements iff
+deleting them from bytes(range(n)) leaves nothing; a row that fails that,
+and every row above 256, by its set, and only a failing row entry by entry,
+to name its first bad entry.  Then element 0 must be a two-sided identity.
+Last, `cayley_rows` composes the table from the rows of its own generating
+set, and must give the table back.  An associative table with identity 0
+and every row a permutation is a left-cancellative finite monoid, so a
+group; a table that got that far and fails is therefore not associative.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -80,43 +77,37 @@ class FiniteGroup:
     """A finite group given by its multiplication table (row * column)."""
 
     def __init__(self, table, name: str = ""):
+        """The group with multiplication table `table`, whose rows may be any
+        iterables of ints.  Raises InvalidParameter naming the first row or
+        entry that fails, when element 0 is not a two-sided identity, and
+        when the table, though its rows pass, is not a group's."""
         n = len(table)
         if n == 0:
             raise InvalidParameter("a group needs at least one element")
-        # each row is read once, before either check sees it
-        rows = [row if type(row) is bytes else tuple(row) for row in table]
-        checked = _byte_table(rows, n) if n <= 256 else None
-        if checked is None:  # the set check words the first failure, or passes
-            checked = _set_checked_rows(rows, n)
-            if n <= 256:  # e.g. bool entries, which only the set check accepts
-                checked = tuple(map(bytes, checked))
-        inverses = []
-        for i in range(n):
-            b = checked[i].index(0)
-            if checked[b][i] != 0:
-                raise InvalidParameter(f"element {i} has no two-sided inverse")
-            inverses.append(b)
-        self.order = n
-        self.table = checked
-        self.inverses = tuple(inverses)
-        self.name = name
-        self._lattice = None
+        rows = [row if type(row) is bytes else tuple(row) for row in table]  # one-shot rows too
+        self._adopt(_checked_rows(rows, n), name)
+        gens = {s: self.table[s] for s in self.generating_set}
+        try:
+            certified = cayley_rows(n, gens) == list(self.table)
+        except InvalidParameter:
+            certified = False
+        if not certified:
+            raise InvalidParameter("the table is not associative")
 
     @classmethod
     def from_generators(cls, n: int, gen_rows, name: str = "") -> FiniteGroup:
         """The group of order n generated by the rows in `gen_rows`, each
-        generator s mapped to its row s * y for y in 0..n-1.
-
-        `cayley_rows` composes and certifies the table, which is then adopted
-        without `__init__`'s scans: every row is a permutation, row and
-        column 0 are the identity and inverses exist in the table of any
-        group.  One walk of the cyclic subgroups gives the inverses and the
-        element orders.
-        """
+        generator s mapped to its row s * y for y in 0..n-1, as composed and
+        certified by `cayley_rows`."""
         g = cls.__new__(cls)
-        g.order, g.table, g.name, g._lattice = n, tuple(cayley_rows(n, gen_rows)), name, None
-        g.element_orders, g.inverses = _orders_and_inverses(g.table)
+        g._adopt(tuple(cayley_rows(n, gen_rows)), name)
         return g
+
+    def _adopt(self, table, name: str) -> None:
+        """Take `table` as this group's, with the element orders and inverses
+        of one walk of its cyclic subgroups."""
+        self.order, self.table, self.name, self._lattice = len(table), table, name, None
+        self.element_orders, self.inverses = _orders_and_inverses(table)
 
     def __repr__(self):
         tag = self.name or "finite group"
@@ -144,10 +135,6 @@ class FiniteGroup:
         """[a, b] = a^-1 b^-1 a b."""
         t, inv = self.table, self.inverses
         return t[t[t[inv[a]][inv[b]]][a]][b]
-
-    @cached_property
-    def element_orders(self) -> tuple[int, ...]:
-        return _orders_and_inverses(self.table)[0]
 
     @cached_property
     def exponent(self) -> int:
@@ -235,41 +222,26 @@ def _orders_and_inverses(table) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(orders), tuple(inverses)
 
 
-def _byte_table(rows, n: int) -> tuple[bytes, ...] | None:
-    """The rows as bytes when they are a Latin square of ints with identity 0,
-    else None.  n <= 256 bytes hold a permutation of the elements iff deleting
-    them from bytes(range(n)) leaves nothing; column j is the strided slice
-    flat[j::n] of the rows joined."""
-    ident = bytes(range(n))
-    out = []
-    for row in rows:
-        if type(row) is not bytes:
-            if {*map(type, row)} != {int}:  # bytes() also takes __index__ objects
-                return None
-            try:
-                row = bytes(row)
-            except ValueError:  # an entry outside 0..255
-                return None
-        if len(row) != n or ident.translate(None, row):
-            return None
-        out.append(row)
-    flat = b"".join(out)
-    if out[0] != ident or flat[::n] != ident:
-        return None
-    if any(ident.translate(None, flat[j::n]) for j in range(1, n)):
-        return None
-    return tuple(out)
-
-
-def _set_checked_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows as tuples once they pass the Latin-square and identity axioms;
-    otherwise raise InvalidParameter naming the first failure.  n entries are
-    a permutation of the elements iff their set is the element set; the
-    per-entry scan runs only to word a row's error."""
-    elements = set(range(n))
+def _checked_rows(rows, n: int) -> tuple[bytes, ...] | tuple[tuple[int, ...], ...]:
+    """The rows, as bytes when n <= 256 and tuples above, once each is a
+    permutation of the elements and element 0 is a two-sided identity;
+    otherwise raise InvalidParameter naming the first failure.  A row of
+    n <= 256 exact ints is a permutation iff deleting its bytes from
+    bytes(range(n)) leaves nothing.  Any other row, or one that fails that,
+    is a permutation iff its set is the element set; the per-entry scan runs
+    only to word a row's error."""
+    ident = tuple(range(n))
+    if n <= 256:
+        ident = bytes(ident)
+    elements = set(ident)
     checked = []
     for i, row in enumerate(rows):
-        row = tuple(row)
+        if n <= 256 and (type(row) is bytes or {*map(type, row)} == {int}):
+            with suppress(ValueError):  # an entry outside 0..255
+                fast = bytes(row)  # bytes() also takes __index__ objects, kept out above
+                if len(fast) == n and not ident.translate(None, fast):
+                    checked.append(fast)
+                    continue
         if len(row) != n:
             raise InvalidParameter(f"row {i} has length {len(row)}, expected {n}")
         if set(row) != elements:
@@ -287,11 +259,8 @@ def _set_checked_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
             # a float, Fraction or other object equal to an element
             j, v = next((j, v) for j, v in enumerate(row) if not isinstance(v, int))
             raise InvalidParameter(f"entry table[{i}][{j}]={v!r} is not an integer")
-        checked.append(row)
-    # every entry is now an int in range, so n distinct entries are all of them
-    if any(len(set(col)) != n for col in zip(*checked)):
-        raise InvalidParameter("some column is not a permutation of the elements")
-    if checked[0] != tuple(range(n)) or any(checked[i][0] != i for i in range(n)):
+        checked.append(bytes(row) if n <= 256 else tuple(row))  # bool entries too
+    if checked[0] != ident or any(row[0] != i for i, row in enumerate(checked)):
         raise InvalidParameter("element 0 must be a two-sided identity")
     return tuple(checked)
 
@@ -475,8 +444,9 @@ def semidirect_product(
 def section_table(
     g: FiniteGroup, hmask: int, kmask: int = 1
 ) -> tuple[tuple[bytes, ...] | tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The multiplication table of the section H/K read off g's table, not
-    validated, plus the coset number of each element of g (-1 outside H).
+    """The multiplication table of the section H/K read off g's table,
+    unchecked (`section_group` certifies it), plus the coset number of each
+    element of g (-1 outside H).
     The cosets xK are numbered in order of first appearance, x in H
     ascending, so K = 1 gives H with its elements renumbered in ascending
     order.  H must be a subgroup of g and K a normal subgroup of H; neither
@@ -501,8 +471,8 @@ def section_table(
 def section_group(
     g: FiniteGroup, hmask: int, kmask: int = 1
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """The section H/K as a validated group, plus the projection of
-    `section_table`."""
+    """The section H/K as a group, its table certified by `FiniteGroup`,
+    plus the projection of `section_table`."""
     table, proj = section_table(g, hmask, kmask)
     k = kmask.bit_count()
     h = len(table) * k

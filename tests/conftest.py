@@ -167,12 +167,8 @@ def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteG
 
 
 def assert_associative(g: FiniteGroup) -> None:
-    """Certify associativity; cubic scan for small orders, generator test above.
-
-    The generator variant relies on the fact that checking a*(s*c) == (a*s)*c
-    for all a, c and s in a set that reaches every element by left-bracketed
-    products certifies full associativity.
-    """
+    """Certify associativity; cubic scan for small orders, and above them
+    Light's test (`assert_associative_at`) on the generators and 0."""
     t = g.table
     n = g.order
     if n <= 64:
@@ -185,7 +181,14 @@ def assert_associative(g: FiniteGroup) -> None:
                     if t[ab][c] != ra[rb[c]]:
                         raise AssertionError(f"associativity fails at ({a},{b},{c})")
         return
-    probes = set(g.generating_set) | {0}
+    assert_associative_at(t, set(g.generating_set) | {0})
+
+
+def assert_associative_at(t, probes) -> None:
+    """Light's test on the rows `t`: (a*s)*c == a*(s*c) for all a, c and each
+    s in `probes`, which certifies full associativity when the probes reach
+    every element by left-bracketed products."""
+    n = len(t)
     for s in probes:
         rs = t[s]
         for a in range(n):
@@ -211,8 +214,8 @@ def power_walk_orders(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def assert_valid_group(g: FiniteGroup) -> None:
-    """Full axiom check: the constructor enforces Latin square, identity,
-    and inverses, so this adds associativity and power/order coherence."""
+    """Full axiom check, independent of the constructors' certificate:
+    associativity, two-sided inverses and power/order coherence."""
     assert_associative(g)
     for a in range(g.order):
         assert g.mul(a, g.inverses[a]) == 0

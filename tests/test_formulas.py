@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dedekind.errors import BudgetExhausted, InvalidParameter
+from dedekind import formulas
+from dedekind.errors import BudgetExhausted, InvalidParameter, StructureViolation
 from dedekind.families import (
     dihedral,
     elementary_abelian,
@@ -134,6 +135,14 @@ def test_schmidt_section_counts_match_enumeration():
     assert d_prime_schmidt_section_formula(2, 3, 2) == Fraction(1, 2) == d_prime(a4)
     # rank-1 collapse: S3 again
     assert d_prime_schmidt_section_formula(3, 2, 1) == Fraction(2, 3)
+
+
+def test_schmidt_section_counts_raise_on_an_inexact_division(monkeypatch):
+    # an explicit raise, not an assert statement, so this holds under python -O too
+    count = formulas.num_subgroups_elem_abelian
+    monkeypatch.setattr(formulas, "num_subgroups_elem_abelian", lambda p, r: count(p, r) + 1)
+    with pytest.raises(StructureViolation, match=r"^a_\{2,2\} \+ 4q - 2 = 16 is not divisible by q = 3$"):
+        schmidt_section_counts(2, 3, 2)
 
 
 def test_density_sequence_behaviour():
