@@ -146,7 +146,9 @@ def schmidt_section_counts(p: int, q: int, r: int) -> FamilyCounts:
     a = num_subgroups_elem_abelian(p, r)
     k_prime, rem = divmod(a + 4 * q - 2, q)
     if rem:
-        raise StructureViolation(f"a_{{{p},{r}}} + 4q - 2 = {a + 4 * q - 2} is not divisible by q = {q}")
+        raise StructureViolation(
+            f"a_{{{p},{r}}} + 4q - 2 = {a + 4 * q - 2} is not divisible by q = {q}"
+        )
     return FamilyCounts(k_prime=k_prime, lattice_size=a + p**r + 1)
 
 

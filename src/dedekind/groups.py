@@ -230,9 +230,7 @@ def _checked_rows(rows, n: int) -> tuple[bytes, ...] | tuple[tuple[int, ...], ..
     bytes(range(n)) leaves nothing.  Any other row, or one that fails that,
     is a permutation iff its set is the element set; the per-entry scan runs
     only to word a row's error."""
-    ident = tuple(range(n))
-    if n <= 256:
-        ident = bytes(ident)
+    ident = bytes(range(n)) if n <= 256 else tuple(range(n))
     elements = set(ident)
     checked = []
     for i, row in enumerate(rows):

@@ -141,7 +141,8 @@ def test_schmidt_section_counts_raise_on_an_inexact_division(monkeypatch):
     # an explicit raise, not an assert statement, so this holds under python -O too
     count = formulas.num_subgroups_elem_abelian
     monkeypatch.setattr(formulas, "num_subgroups_elem_abelian", lambda p, r: count(p, r) + 1)
-    with pytest.raises(StructureViolation, match=r"^a_\{2,2\} \+ 4q - 2 = 16 is not divisible by q = 3$"):
+    message = r"^a_\{2,2\} \+ 4q - 2 = 16 is not divisible by q = 3$"
+    with pytest.raises(StructureViolation, match=message):
         schmidt_section_counts(2, 3, 2)
 
 
