@@ -4,14 +4,15 @@ A subgroup is a bitmask over element indices, and in a lattice it is named
 by its index alone: `SubgroupLattice.masks[i]` and `gens[i]` are subgroup
 i's bitmask and a generating tuple, and its order is masks[i].bit_count().
 Functions that return a subgroup return its index.  Enumeration is by cyclic
-extension (J. Neubüser, Numer. Math. 2, 1960) along a composition series of
-G: starting from the trivial subgroup, a subgroup H is extended only by an
-element x of p-power order that normalizes H, has x^p in H and lies below H's
-place in the series, so that H<x> is the union of p cosets of H, needs no
-closure, and has H as its one canonical parent (B. D. McKay, J. Algorithms
-26, 1998).  So each subgroup of a solvable group is built exactly once.  A
-non-solvable group has no such series; its subgroups come from the generic
-closure H -> <H, x>, seeded with the cyclic subgroups.
+extension (J. Neubüser, Numer. Math. 2, 1960) along a series of G with
+prime-index normal steps down to its solvable residual R, the last term of
+the derived series: R = 1 iff G is solvable.  The subgroups of R come from
+the generic closure H -> <H, x>, started at the trivial subgroup.  Above
+them a subgroup H is extended only by an element x of p-power order that
+normalizes H, has x^p in H and lies below H's place in the series, so that
+H<x> is the union of p cosets of H, needs no closure, and has H as its one
+canonical parent (B. D. McKay, J. Algorithms 26, 1998).  So each subgroup
+is built exactly once, and only R's own subgroups need closures.
 
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
@@ -105,9 +106,11 @@ def _prime_roots(g: FiniteGroup) -> tuple[list[int], list[int]]:
     return roots, prime
 
 
-def composition_series(g: FiniteGroup) -> list[int] | None:
-    """Masks of a composition series G = S_0 > S_1 > ... > S_m = 1, each S_j
-    normal of prime index in S_{j-1}; None when g is not solvable.
+def composition_series(g: FiniteGroup) -> list[int]:
+    """Masks of a series G = S_0 > S_1 > ... > S_m = R, each S_j normal of
+    prime index in S_{j-1}, down to the solvable residual R: the last term of
+    the derived series, which is perfect.  R = 1 iff g is solvable, and then
+    the series is a composition series; R = G iff g is perfect.
 
     The derived series is refined factor by factor.  In an abelian factor
     A/D every C with D <= C <= A is normal in A, so C climbs from D to A by one
@@ -120,9 +123,10 @@ def composition_series(g: FiniteGroup) -> list[int] | None:
     while derived[-1] != 1:
         mask, gens = _derived_subgroup(g, gens)
         if mask == derived[-1]:
-            return None
+            break
         derived.append(mask)
-    c, celems, ascending = 1, [0], [1]
+    c = derived[-1]
+    celems, ascending = _mask_elements(c), [c]
     for a in derived[-2::-1]:
         while c != a:
             y = a & ~c
@@ -149,25 +153,22 @@ def all_subgroup_masks(
 ) -> dict[int, tuple[int, ...]]:
     """All subgroups of g as {mask: generating tuple}.
 
-    Cyclic extension along a composition series G = S_0 > ... > S_m = 1
-    (`composition_series`), so that each subgroup is built once, from a
-    canonical parent (canonical augmentation, B. D. McKay, J. Algorithms 26,
-    1998).  Let depth(x) be the largest j with x in S_j, and the level of H
-    the largest j with H <= S_j.  A subgroup K != 1 has one
-    canonical parent P = K n S_j, for the least j with K not in S_j: P is
-    normal of prime index p in K, and K = P<x> for every x of p-power order
-    in K \\ P, of depth j - 1 < level(P).  So H is extended only by an x of
-    p-power order with depth(x) < level(H), x^p in H and x normalizing H;
-    then K = H<x> is the union of the p cosets H x^j, its level is depth(x),
-    and H is its canonical parent.  The elements of K \\ H give the same K,
-    so they are marked as tried.
-
-    A non-solvable group has no such series and goes to the generic closure
-    (`_generic_extension`).
+    Cyclic extension along the series G = S_0 > ... > S_m = R down to the
+    solvable residual R (`composition_series`), so that each subgroup is built
+    once, from a canonical parent (canonical augmentation, B. D. McKay,
+    J. Algorithms 26, 1998).  Let depth(x) be the largest j with x in S_j,
+    and the level of H the largest j with H <= S_j.  A subgroup K not in R
+    has one canonical parent P = K n S_j, for the least j with K not in S_j:
+    P is normal of prime index p in K, and K = P<x> for every x of p-power
+    order in K \\ P, of depth j - 1 < level(P).  The chain of parents ends at
+    K n R, a subgroup of R.  So the subgroups of R (`_generic_extension`) are
+    the seeds, at level m, and H is extended only by an x of p-power order
+    with depth(x) < level(H), x^p in H and x normalizing H; then K = H<x> is
+    the union of the p cosets H x^j, its level is depth(x), and H is its
+    canonical parent.  The elements of K \\ H give the same K, so they are
+    marked as tried.  A solvable g has R = 1 and the one seed {1}.
     """
     series = composition_series(g)
-    if series is None:
-        return _generic_extension(g, budget)
     table = g.table
     roots, prime = _prime_roots(g)
     orders = g.element_orders
@@ -175,9 +176,14 @@ def all_subgroup_masks(
     for j, s in enumerate(series):
         for x in _mask_elements(s):
             depth[x] = j
-    seen: dict[int, tuple[int, ...]] = {1: ()}
+    seen = _generic_extension(g, budget, series[-1])
     # (mask, elements, generators, level, OR of the roots of the elements)
-    stack = [(1, [0], (), len(series) - 1, roots[0])]
+    stack = []
+    for hmask, hgens in seen.items():
+        helems, rooted = _mask_elements(hmask), 0
+        for h in helems:
+            rooted |= roots[h]
+        stack.append((hmask, helems, hgens, len(series) - 1, rooted))
     while stack:
         hmask, helems, hgens, level, rooted = stack.pop()
         untried = rooted & ~series[level]
@@ -216,33 +222,28 @@ def all_subgroup_masks(
     return seen
 
 
-def _generic_extension(g: FiniteGroup, budget: int) -> dict[int, tuple[int, ...]]:
-    """All subgroups of g by the generic closure H -> <H, x>, from the cyclic ones.
+def _generic_extension(g: FiniteGroup, budget: int, r: int) -> dict[int, tuple[int, ...]]:
+    """All subgroups of R, with mask r, by the generic closure H -> <H, x>,
+    from the trivial subgroup.
 
-    x runs over the prime-power elements outside H, and <H, x> is closed by
-    `FiniteGroup.closure`.  Seeded with the cyclic subgroups this reaches
-    every subgroup: a strict extension H < K contains a prime-power element
-    outside H (an element of K \\ H has some prime-power component outside H,
-    else it would lie in H itself).  Only non-solvable groups need it.
+    x runs over the prime-power elements of R outside H, and <H, x> is closed
+    by `FiniteGroup.closure`.  This reaches every subgroup K of R: each strict
+    extension H < K contains a prime-power element outside H (an element of
+    K \\ H has some prime-power component outside H, else it would lie in H
+    itself), so a chain of such steps climbs from 1 to K.  `all_subgroup_masks`
+    needs it only for the solvable residual R, which is 1 iff g is solvable.
     """
-    n = g.order
     table = g.table
+    orders = g.element_orders
     seen: dict[int, tuple[int, ...]] = {1: ()}
     elems_of: dict[int, list[int]] = {1: [0]}
-    for x in range(1, n):
-        mask, elems = g.closure((x,))
-        if mask not in seen:
-            seen[mask] = (x,)
-            elems_of[mask] = elems
-    if len(seen) > budget:
-        raise LatticeBudgetExceeded(f"more than {budget} subgroups")
-    ppow = [x for x in range(1, n) if prime_power(g.element_orders[x])]
+    ppow = [x for x in _mask_elements(r) if prime_power(orders[x])]
     queue = deque(seen)
     while queue:
         hmask = queue.popleft()
-        helems = elems_of[hmask]
-        if len(helems) == n:
+        if hmask == r:
             continue
+        helems = elems_of[hmask]
         hgens = seen[hmask]
         tried = hmask
         for x in ppow:

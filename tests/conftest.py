@@ -166,6 +166,24 @@ def closure_from_generators(gens, max_order: int = DEFAULT_ORDER_CAP) -> FiniteG
     return FiniteGroup(table, name=f"closure of {len(gens)} perms on {degree} points")
 
 
+def alternating_5() -> FiniteGroup:
+    """A5, of order 60: perfect, so its solvable residual is itself."""
+    a5 = closure_from_generators(
+        [Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
+    )
+    assert a5.order == 60
+    return a5
+
+
+def symmetric_5() -> FiniteGroup:
+    """S5, of order 120: its solvable residual is A5, of index 2."""
+    s5 = closure_from_generators(
+        [Perm.from_cycles(5, [(0, 1)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
+    )
+    assert s5.order == 120
+    return s5
+
+
 def assert_associative(g: FiniteGroup) -> None:
     """Certify associativity; cubic scan for small orders, and above them
     Light's test (`assert_associative_at`) on the generators and 0."""

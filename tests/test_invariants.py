@@ -8,12 +8,14 @@ import pytest
 
 from conftest import (
     RELABELLED_SPECS,
+    alternating_5,
     conjugation_sections,
     literal_d_star,
     literal_is_nilpotent,
     literal_is_schmidt,
     orbit_d_star,
     relabelled,
+    symmetric_5,
     two_step_section,
 )
 from dedekind import invariants, lattice
@@ -415,6 +417,16 @@ def test_reports_do_not_depend_on_element_labels(corpus):
     groups += [(spec, build_group(spec)) for spec in RELABELLED_SPECS]
     for spec, g in groups:
         assert _report(relabelled(g, rng)) == _report(g), spec
+    # two groups that are not solvable, whose subgroups start from the
+    # generic closure on the residual A5
+    for g, pinned in [
+        (alternating_5(), (59, 9, 2, Fraction(9, 59))),
+        (symmetric_5(), (156, 19, 3, Fraction(19, 156))),
+    ]:
+        rep = _report(relabelled(g, rng))
+        assert rep == _report(g)
+        assert (rep.lattice_size, rep.k_prime, rep.normal_count, rep.d_star) == pinned
+        assert literal_d_star(g) == rep.d_star
 
 
 @pytest.mark.parametrize("a, b", [("He(3)", "EA(3,2)"), ("Q(8)", "EA(2,4)")])

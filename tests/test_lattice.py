@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     Perm,
+    alternating_5,
     assert_semimodularity_failure,
     brute_force_hasse_edges,
     brute_force_is_modular,
@@ -19,6 +20,7 @@ from conftest import (
     meet,
     orbits,
     string_below,
+    symmetric_5,
 )
 from dedekind import lattice
 from dedekind.errors import InvalidParameter, LatticeBudgetExceeded
@@ -77,7 +79,7 @@ def test_lattice_generators_close_to_their_masks(corpus):
     # subgroup's generators, which is sound only if the generators give back
     # the whole subgroup
     groups = [(e.spec, e.group) for e in corpus]
-    for name, g in groups + [("S4", _s4()), ("A5", _a5())]:
+    for name, g in groups + [("S4", _s4()), ("A5", alternating_5())]:
         lat = subgroup_lattice(g)
         assert len(lat.gens) == lat.size, name
         for i, (m, gens) in enumerate(zip(lat.masks, lat.gens)):
@@ -101,14 +103,6 @@ def _s4():
     return s4
 
 
-def _a5():
-    a5 = closure_from_generators(
-        [Perm.from_cycles(5, [(0, 1, 2)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
-    )
-    assert a5.order == 60
-    return a5
-
-
 def test_enumeration_matches_brute_force_on_small_corpus_groups(corpus):
     small = [(e.spec, e.group) for e in corpus if e.group.order <= 32]
     assert len({g.order for _, g in small if g.order > 24}) >= 4
@@ -117,9 +111,16 @@ def test_enumeration_matches_brute_force_on_small_corpus_groups(corpus):
 
 
 def test_composition_series_steps_are_normal_of_prime_index(corpus):
-    for name, g in [(e.spec, e.group) for e in corpus] + [("S4", _s4())]:
+    solvable = [(e.spec, e.group) for e in corpus] + [("S4", _s4())]
+    a5, s5 = alternating_5(), symmetric_5()
+    for name, g in solvable + [("A5", a5), ("S5", s5)]:
         series = composition_series(g)
-        assert series[0] == (1 << g.order) - 1 and series[-1] == 1, name
+        assert series[0] == (1 << g.order) - 1, name
+        # the series stops at the solvable residual R, which is perfect (its
+        # commutators generate it), and is 1 iff the group is solvable
+        r = _mask_elements(series[-1])
+        assert g.closure({g.commutator(a, b) for a in r for b in r})[0] == series[-1], name
+        assert (series[-1] == 1) == (name not in ("A5", "S5")), name
         for upper, lower in zip(series, series[1:]):
             elems = [x for x in range(g.order) if lower >> x & 1]
             assert g.closure(elems)[0] == lower, name
@@ -128,19 +129,28 @@ def test_composition_series_steps_are_normal_of_prime_index(corpus):
             # lower makes lower normal in upper
             x = (upper & ~lower).bit_length() - 1
             assert conjugate_mask(g, lower, x) == lower, name
-    assert composition_series(_a5()) is None
+    # A5 is perfect; in S5 the 3-cycles generate the residual A5
+    assert composition_series(a5) == [(1 << 60) - 1]
+    three_cycles = [x for x in range(120) if s5.element_orders[x] == 3]
+    assert composition_series(s5) == [(1 << 120) - 1, s5.closure(three_cycles)[0]]
 
 
 def test_non_solvable_group_enumeration():
-    # A5 is not solvable, so it has no composition series with prime-index
-    # steps, and the generic closure enumerates its subgroups
-    a5 = _a5()
-    masks = all_subgroup_masks(a5)
-    assert set(masks) == brute_force_subgroup_masks(a5)
-    for mask, gens in masks.items():
-        assert a5.closure(gens)[0] == mask
+    # the subgroups of the solvable residual R come from the generic closure,
+    # and cyclic extension builds the rest above them: A5 is its own residual,
+    # S5 and A5 x C(2) have residual A5, and the generic closure run over the
+    # whole group is the oracle
+    a5 = alternating_5()
+    assert set(all_subgroup_masks(a5)) == brute_force_subgroup_masks(a5)
     lat = subgroup_lattice(a5)
     assert (lat.size, lat.k_prime, lat.normal_count) == (59, 9, 2)
+    s5 = symmetric_5()
+    for name, g in [("A5", a5), ("S5", s5), ("A5 x C(2)", direct_product(a5, cyclic(2)))]:
+        masks = all_subgroup_masks(g)
+        oracle = lattice._generic_extension(g, lattice.DEFAULT_LATTICE_BUDGET, (1 << g.order) - 1)
+        assert set(masks) == set(oracle), name
+        for mask, gens in masks.items():
+            assert g.closure(gens)[0] == mask, name
 
 
 def test_conjugacy_classes_match_brute_force(zoo):
@@ -162,7 +172,7 @@ def test_classes_match_the_whole_bitset_orbits(corpus):
     # the whole bitset up
     groups = [(e.spec, e.group) for e in corpus]
     groups += [(spec, build_group(spec)) for spec in ("D(8) x EA(2,3)", "He(3) x EA(3,2)")]
-    for name, g in groups + [("S4", _s4()), ("A5", _a5())]:
+    for name, g in groups + [("S4", _s4()), ("A5", alternating_5())]:
         lat = subgroup_lattice(g)
         assert lat.classes == orbits(g, lat, range(lat.size), g.generating_set), name
 
@@ -337,6 +347,23 @@ def test_lattice_modularity(zoo):
         assert (is_lattice_modular(lat) is None) == (brute_force_is_modular(lat) is None), name
 
 
+def test_enumeration_and_modularity_match_oracles_beyond_corpus(beyond_corpus):
+    # the sections beyond the corpus: the brute-force enumeration up to order
+    # 24, and the triple-by-triple modular law up to 200 subgroups
+    small = [(i, g) for i, g in enumerate(beyond_corpus) if g.order <= 24]
+    assert len(small) == 11
+    for i, g in small:
+        assert set(all_subgroup_masks(g)) == brute_force_subgroup_masks(g), i
+    lats = [(i, subgroup_lattice(g)) for i, g in enumerate(beyond_corpus)]
+    lats = [(i, lat) for i, lat in lats if lat.size <= 200]
+    assert len(lats) == 29
+    for i, lat in lats:
+        failure = is_lattice_modular(lat)
+        assert (failure is None) == (brute_force_is_modular(lat) is None), i
+        if failure is not None:
+            assert_semimodularity_failure(lat, failure)
+
+
 def test_modularity_matches_oracle_on_corpus(corpus):
     checked = 0
     for e in corpus:
@@ -462,14 +489,20 @@ def test_intervals_match_the_induced_subgroup_oracle(corpus):
 def test_lattice_budget(zoo):
     with pytest.raises(LatticeBudgetExceeded):
         all_subgroup_masks(elementary_abelian(2, 4), budget=10)
-    # A5 has 59 subgroups, 32 of them cyclic: a budget of 10 stops the generic
-    # closure on its cyclic seeds, 40 and 58 inside its extension loop
-    a5 = _a5()
-    assert len({a5.closure((x,))[0] for x in range(60)}) == 32
+    # A5 is perfect, so the generic closure builds all 59 of its subgroups
+    # and stops at any budget below that
+    a5 = alternating_5()
     for budget in (10, 40, 58):
         with pytest.raises(LatticeBudgetExceeded):
             all_subgroup_masks(a5, budget=budget)
     assert len(all_subgroup_masks(a5, budget=59)) == 59
+    # S5's residual is A5: a budget from 59 to 155 lets the closure on A5
+    # finish and stops the cyclic extension above it
+    s5 = symmetric_5()
+    for budget in (59, 100, 155):
+        with pytest.raises(LatticeBudgetExceeded):
+            all_subgroup_masks(s5, budget=budget)
+    assert len(all_subgroup_masks(s5, budget=156)) == 156
 
 
 def test_class_representatives(zoo):
