@@ -12,6 +12,12 @@ any other entry is recomputed.  Verification failures, parameter errors,
 and budget caps map to distinct exit codes.  The argument parser is built on
 the first `main` call and reused by every later call in the process.
 
+`lattice --json` is written row by row, one f-string per subgroup record and
+per cover edge, and gives the same bytes as `json.dumps(..., indent=2)` of
+the document.  The stdlib encoder has no C path when `indent` is set, and
+its pure-Python encoder cost as much as building the group and its lattice;
+every other `--json` output keeps `json.dumps`.
+
 Exit codes: 0 success, 5 verification failure, and for a package error the
 `exit_code` its class in `errors` carries: 2 spec parse error, 3 invalid
 parameter or structure (`StructureViolation` too), 4 order/budget/isomorphism
@@ -229,6 +235,30 @@ def _lattice_dot(spec: str, lat) -> str:
     return "\n".join(lines)
 
 
+def _lattice_json(spec: str, order: int, lat) -> str:
+    """The `lattice --json` document, written row by row.
+
+    The same text as `json.dumps` of the document with indent=2: a dict per
+    subgroup (index, order, normal, class) and an [i, j] list per cover edge,
+    one f-string each, joined once.
+    """
+    masks = lat.masks
+    rows = [""] * lat.size
+    for cid, cls in enumerate(lat.classes):
+        normal = "true" if len(cls) == 1 else "false"
+        for i in cls:
+            rows[i] = (
+                f'    {{\n      "index": {i},\n      "order": {masks[i].bit_count()},\n'
+                f'      "normal": {normal},\n      "class": {cid}\n    }}'
+            )
+    edges = ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for i, j in hasse_edges(lat))
+    return (
+        f'{{\n  "spec": {json.dumps(spec)},\n  "order": {order},\n  "subgroups": [\n'
+        + ",\n".join(rows)
+        + (f'\n  ],\n  "edges": [\n{edges}\n  ]\n}}' if edges else '\n  ],\n  "edges": []\n}')
+    )
+
+
 def cmd_lattice(args) -> int:
     spec = parse_spec(args.spec)
     group = spec.build(order_cap=args.max_order)
@@ -237,22 +267,7 @@ def cmd_lattice(args) -> int:
         _emit(_lattice_dot(str(spec), lat))
         return 0
     if args.json:
-        _emit_json(
-            {
-                "spec": str(spec),
-                "order": group.order,
-                "subgroups": [
-                    {
-                        "index": i,
-                        "order": m.bit_count(),
-                        "normal": lat.is_normal(i),
-                        "class": lat.class_of(i),
-                    }
-                    for i, m in enumerate(lat.masks)
-                ],
-                "edges": [list(e) for e in hasse_edges(lat)],
-            }
-        )
+        _emit(_lattice_json(str(spec), group.order, lat))
         return 0
     edges = hasse_edges(lat)
     _emit(

@@ -471,14 +471,23 @@ def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
 
 
 def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with subgroup i maximal in subgroup j.
+    """Covering pairs (i, j) with subgroup i maximal in subgroup j, by (j, -|i|, i).
 
-    Sorted by (j, -|i|, i).
+    The order comes from construction, not from a sort of the edges: the
+    lower covers of each j are collected as i ascends, so each small list is
+    by ascending i, hence by ascending |i|, and a stable sort by -|i| puts it
+    in (-|i|, i) order.
     """
     within = (1 << lat.size) - 1
-    edges = [(i, j) for i in range(lat.size) for j in _upper_covers(lat, i, within)]
-    masks = lat.masks
-    edges.sort(key=lambda e: (e[1], -masks[e[0]].bit_count(), e[0]))
+    lower: list[list[int]] = [[] for _ in range(lat.size)]
+    for i in range(lat.size):
+        for j in _upper_covers(lat, i, within):
+            lower[j].append(i)
+    neg_order = [-m.bit_count() for m in lat.masks]
+    edges = []
+    for j, covered in enumerate(lower):
+        covered.sort(key=neg_order.__getitem__)
+        edges += [(i, j) for i in covered]
     return edges
 
 

@@ -43,6 +43,7 @@ from dedekind.specs import build_group, parse_spec
 from dedekind.lattice import (
     SubgroupLattice,
     brute_force_subgroup_masks,
+    hasse_edges,
     maximal_subgroup_indices,
     subgroup_lattice,
 )
@@ -417,6 +418,25 @@ def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
                 edges.append((i, j))
             accepted.append(i)
     return edges
+
+
+def lattice_json_doc(spec: str, order: int, lat: SubgroupLattice) -> dict:
+    """The `lattice --json` document as dicts and lists, the oracle for the CLI's
+    row writer: `json.dumps(doc, indent=2)` is the text it must write."""
+    return {
+        "spec": spec,
+        "order": order,
+        "subgroups": [
+            {
+                "index": i,
+                "order": m.bit_count(),
+                "normal": lat.is_normal(i),
+                "class": lat.class_of(i),
+            }
+            for i, m in enumerate(lat.masks)
+        ],
+        "edges": [list(e) for e in hasse_edges(lat)],
+    }
 
 
 _MASK_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

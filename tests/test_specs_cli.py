@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import Fool
+from conftest import Fool, lattice_json_doc
 from dedekind import __version__, cli, errors, formulas, groups, numbertheory, specs
 from dedekind.errors import InvalidParameter, NotAnAutomorphism, OrderCapExceeded, ParseError
 from dedekind.invariants import compute_report
+from dedekind.lattice import subgroup_lattice
 from dedekind.specs import build_group, parse_spec
-from dedekind.verify import Check, SuiteResult
+from dedekind.verify import Check, SuiteResult, list_corpus
 
 
 def run_cli(capsys, argv):
@@ -168,6 +169,14 @@ def test_sections_command(capsys):
 # subgroup by its lattice index, so any change to the index order, the
 # classes, the edges or the section walk shows here
 LISTING_DIGESTS = {
+    # one subgroup, no edges: `"edges": []` and a one-record `subgroups` list
+    "C(1)": (
+        "9ec15f57b8a1a8b38d6b471df731a0a9490951d3cd46913b99050080351bd159",
+        "732a3a4333ae680542ca441fdf4bee839ce5a205daeb67be399d9aab2b227027",
+        "c9936688f52aef7997194ac91e5d40eb4bf805bc5c16e411133c06d35c9e972c",
+        "8d1defccb025478190dfa99d913d9ef22e1f4a7eda92031ff96298f1b14d10d9",
+        "ca15b250c78ecc5017da26c5d0e94c315d479f706616fdb6899c224b7b7a4abf",
+    ),
     "Q(8)": (
         "04c0fd8dec7f3dd420f4f55d6b4a6f5693784126e8609c9550cfce0570f16869",
         "fa54d4e5cfb790a557d2d00d87072eddf1848a0f43b865ce53a56e6ca79c56e5",
@@ -221,6 +230,19 @@ def test_lattice_and_sections_output_is_pinned(capsys, spec):
         assert code == 0, argv
         got.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(got) == LISTING_DIGESTS[spec]
+
+
+def test_lattice_json_matches_the_dict_oracle(capsys):
+    """`lattice --json` writes row by row; its text must be json.dumps of the
+    dict-built document with indent=2, on every corpus spec of order <= 100,
+    on the one-subgroup lattice and on D(8) x EA(2,3) (937 subgroups, 5,546
+    edges)."""
+    small = [row[0] for row in list_corpus() if row[3] <= 100]
+    for spec in [*small, "C(1)", "D(8) x EA(2,3)"]:
+        code, out, _ = run_cli(capsys, ["lattice", spec, "--json"])
+        group = build_group(spec)
+        doc = lattice_json_doc(spec, group.order, subgroup_lattice(group))
+        assert (code, out) == (0, json.dumps(doc, indent=2) + "\n"), spec
 
 
 def test_formula_command(capsys):
