@@ -16,7 +16,9 @@ the first `main` call and reused by every later call in the process.
 per cover edge, and gives the same bytes as `json.dumps(..., indent=2)` of
 the document.  The stdlib encoder has no C path when `indent` is set, and
 its pure-Python encoder cost as much as building the group and its lattice;
-every other `--json` output keeps `json.dumps`.
+every other `--json` output keeps `json.dumps`.  The document is streamed to
+stdout, the subgroup records in one chunk and the edges in one chunk per
+upper subgroup, so the whole text is never held at once.
 
 Exit codes: 0 success, 5 verification failure, and for a package error the
 `exit_code` its class in `errors` carries: 2 spec parse error, 3 invalid
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 import threading
+from collections.abc import Iterator
 from contextlib import suppress
 from fractions import Fraction
 
@@ -229,18 +232,19 @@ def _lattice_dot(spec: str, lat) -> str:
         shape = "doublecircle" if lat.is_normal(i) else "circle"
         style = ", style=filled, fillcolor=lightgray" if i in reps else ""
         lines.append(f'  s{i} [label="{i}: {m.bit_count()}", shape={shape}{style}];')
-    for i, j in hasse_edges(lat):
-        lines.append(f"  s{i} -> s{j};")
+    for j, covered in enumerate(hasse_edges(lat)):
+        lines += [f"  s{i} -> s{j};" for i in covered]
     lines.append("}")
     return "\n".join(lines)
 
 
-def _lattice_json(spec: str, order: int, lat) -> str:
-    """The `lattice --json` document, written row by row.
+def _lattice_json(spec: str, order: int, lat) -> Iterator[str]:
+    """The `lattice --json` document, written row by row, in chunks.
 
-    The same text as `json.dumps` of the document with indent=2: a dict per
-    subgroup (index, order, normal, class) and an [i, j] list per cover edge,
-    one f-string each, joined once.
+    The same text, with its final newline, as `json.dumps` of the document
+    with indent=2: a dict per subgroup (index, order, normal, class) and an
+    [i, j] list per cover edge, one f-string each.  The subgroup records come
+    as one chunk, then the edges as one chunk per upper subgroup j.
     """
     masks = lat.masks
     rows = [""] * lat.size
@@ -251,12 +255,18 @@ def _lattice_json(spec: str, order: int, lat) -> str:
                 f'    {{\n      "index": {i},\n      "order": {masks[i].bit_count()},\n'
                 f'      "normal": {normal},\n      "class": {cid}\n    }}'
             )
-    edges = ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for i, j in hasse_edges(lat))
-    return (
+    yield (
         f'{{\n  "spec": {json.dumps(spec)},\n  "order": {order},\n  "subgroups": [\n'
         + ",\n".join(rows)
-        + (f'\n  ],\n  "edges": [\n{edges}\n  ]\n}}' if edges else '\n  ],\n  "edges": []\n}')
+        + '\n  ],\n  "edges": ['
     )
+    del rows
+    sep = "\n"
+    for j, covered in enumerate(hasse_edges(lat)):
+        if covered:
+            yield sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for i in covered)
+            sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
 
 def cmd_lattice(args) -> int:
@@ -267,7 +277,7 @@ def cmd_lattice(args) -> int:
         _emit(_lattice_dot(str(spec), lat))
         return 0
     if args.json:
-        _emit(_lattice_json(str(spec), group.order, lat))
+        sys.stdout.writelines(_lattice_json(str(spec), group.order, lat))
         return 0
     edges = hasse_edges(lat)
     _emit(
@@ -277,7 +287,7 @@ def cmd_lattice(args) -> int:
     for i, m in enumerate(lat.masks):
         marker = "normal" if lat.is_normal(i) else f"class {lat.class_of(i)}"
         _emit(f"  #{i:<3d} order {m.bit_count():<5d} {marker}")
-    _emit(f"covering edges: {len(edges)}")
+    _emit(f"covering edges: {sum(map(len, edges))}")
     return 0
 
 

@@ -17,8 +17,13 @@ is built exactly once, and only R's own subgroups need closures.
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
 `below(i)` the complement of an OR of them over the elements outside subgroup
-i.  The (order, mask) index order is a linear extension, so the covers (the
-transitive reduction) follow from up-sets (Aho, Garey and Ullman, 1972).
+i.  The covers come from one up-set per subgroup by prime index when G is
+supersolvable, which holds iff every maximal subgroup of G has prime index
+(B. Huppert, Math. Z. 60, 1954); `hasse_edges` finds out whether it is as it
+goes.  Otherwise the (order, mask) index order, a linear extension, gives
+the covers (the transitive reduction) from up-sets (Aho, Garey and Ullman,
+1972).  `hasse_edges` returns the lower covers of each subgroup as one list
+of indices per subgroup, in the order `lattice --json` writes them.
 L(H) is the interval [1, H] of L(G) (R. Schmidt, Subgroup Lattices of Groups,
 1994), so questions about the subgroups of H are answered on that interval:
 the functions that take a `top` index work on [1, top], the whole lattice by
@@ -36,10 +41,11 @@ the holders of those r elements.
 The modular law is tested on the cover graph: a finite lattice is modular iff
 it is upper and lower semimodular (G. Birkhoff, Lattice Theory, 1967).  The
 covers are walked lazily, and the test returns the first two covers it meets
-that share no cover.  The brute-force enumeration stays here as the
-`consistency` suite's independent oracle.  The pairwise cover scan and the
-triple-by-triple modular-law scan, oracles for `hasse_edges` and
-`is_lattice_modular`, live with the tests.
+that share no cover.  The subgroup lattice of a nilpotent group is lower
+semimodular, so there only the upper half is walked.  The brute-force
+enumeration stays here as the `consistency` suite's independent oracle.  The
+pairwise cover scan and the triple-by-triple modular-law scan, oracles for
+`hasse_edges` and `is_lattice_modular`, live with the tests.
 """
 
 from __future__ import annotations
@@ -470,25 +476,84 @@ def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
     return g._lattice
 
 
-def hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with subgroup i maximal in subgroup j, by (j, -|i|, i).
+def hasse_edges(lat: SubgroupLattice) -> list[list[int]]:
+    """The lower covers of each subgroup: out[j] lists the maximal subgroups i
+    of subgroup j, in (-|i|, i) order, so the covering pairs (i, j) come by
+    (j, -|i|, i) as j ascends.
 
-    The order comes from construction, not from a sort of the edges: the
-    lower covers of each j are collected as i ascends, so each small list is
-    by ascending i, hence by ascending |i|, and a stable sort by -|i| puts it
-    in (-|i|, i) order.
+    Covers by prime index where the rule holds.  An H <= K with |K : H| = p
+    prime is always a cover, since the order of a subgroup between them
+    divides |K| and is a multiple of |H|.  G is supersolvable iff every
+    maximal subgroup of G has prime index (B. Huppert, Math. Z. 60, 1954),
+    and subgroups of supersolvable groups are supersolvable, so then every
+    cover has prime index.  So the upper covers of i are `up(i)` cut to the
+    order runs of p*|i|, one up-set per subgroup.  If some i below the top
+    has no such cover, G is not supersolvable (a maximal subgroup of
+    non-prime index has none), and the covers come from the `_upper_covers`
+    reduction instead.  The subgroups are taken by descending order, then by
+    ascending index, so each list is in order as it is built, and a maximal
+    subgroup is met before every subgroup of smaller order.
     """
+    lower = _prime_index_covers(lat)
+    return _reduced_covers(lat) if lower is None else lower
+
+
+def _order_runs(lat: SubgroupLattice) -> list[tuple[int, int, int]]:
+    """(order, lo, hi) per subgroup order, by descending order: the
+    subgroups of that order are the indices in [lo, hi)."""
+    masks = lat.masks
+    runs = []
+    hi = lat.size
+    while hi:
+        d = masks[hi - 1].bit_count()
+        lo = bisect_left(masks, d, 0, hi, key=int.bit_count)
+        runs.append((d, lo, hi))
+        hi = lo
+    return runs
+
+
+def _prime_index_covers(lat: SubgroupLattice) -> list[list[int]] | None:
+    """The lower-cover lists of `hasse_edges` by prime index, or None as soon
+    as a subgroup below the top has no upper cover of prime index.
+
+    For each order d the runs of the orders p*d lie in one window of the
+    index order, from `base`, and `window` marks them; `up(i) >> base &
+    window` is then a short bitset of i's upper covers, read with a
+    lowest-bit loop.
+    """
+    runs = _order_runs(lat)
+    span = {d: (lo, hi) for d, lo, hi in runs}
+    primes = prime_factorization(lat.order)
+    lower: list[list[int]] = [[] for _ in range(lat.size)]
+    for d, lo, hi in runs[1:]:
+        above = [span[p * d] for p in primes if p * d in span]
+        if not above:
+            return None
+        base = min(a for a, _ in above)
+        window = 0
+        for a, b in above:
+            window |= ((1 << (b - a)) - 1) << (a - base)
+        for i in range(lo, hi):
+            hits = lat.up(i) >> base & window
+            if not hits:
+                return None
+            while hits:
+                low = hits & -hits
+                lower[base + low.bit_length() - 1].append(i)
+                hits ^= low
+    return lower
+
+
+def _reduced_covers(lat: SubgroupLattice) -> list[list[int]]:
+    """The lower-cover lists of `hasse_edges` by the `_upper_covers` reduction,
+    which holds in every group."""
     within = (1 << lat.size) - 1
     lower: list[list[int]] = [[] for _ in range(lat.size)]
-    for i in range(lat.size):
-        for j in _upper_covers(lat, i, within):
-            lower[j].append(i)
-    neg_order = [-m.bit_count() for m in lat.masks]
-    edges = []
-    for j, covered in enumerate(lower):
-        covered.sort(key=neg_order.__getitem__)
-        edges += [(i, j) for i in covered]
-    return edges
+    for _, lo, hi in _order_runs(lat):
+        for i in range(lo, hi):
+            for j in _upper_covers(lat, i, within):
+                lower[j].append(i)
+    return lower
 
 
 def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
@@ -580,6 +645,12 @@ def is_lattice_modular(
     those of a + 1, so a non-modular lattice usually stops after a few covers.
     Only when the upper half passes are the kept covers inverted into
     lower-cover lists for the dual half.  The memory is O(edges).
+
+    The dual half is skipped when subgroup top is nilpotent: two distinct
+    maximal subgroups b, c of a nilpotent a are normal of prime index, so
+    bc = a, and |b : b n c| = |a : c| and |c : b n c| = |a : b| are prime, so
+    b n c is covered by both.  The nilpotency test runs only after the upper
+    half has passed.
     """
     top = lat.top_index(top)
     within = lat.below(top)
@@ -595,6 +666,8 @@ def is_lattice_modular(
     failure = _semimodular_scan(members, upper)
     if failure is not None:
         return (*failure, False)
+    if lat.is_nilpotent(top):
+        return None
     down: list[list[int]] = [[] for _ in range(top + 1)]
     for a in members:
         for j in up[a]:

@@ -43,7 +43,6 @@ from dedekind.specs import build_group, parse_spec
 from dedekind.lattice import (
     SubgroupLattice,
     brute_force_subgroup_masks,
-    hasse_edges,
     maximal_subgroup_indices,
     subgroup_lattice,
 )
@@ -420,9 +419,15 @@ def brute_force_hasse_edges(lat: SubgroupLattice) -> list[tuple[int, int]]:
     return edges
 
 
+def edge_pairs(lower: list[list[int]]) -> list[tuple[int, int]]:
+    """The covering pairs (i, j) of `hasse_edges`' lower-cover lists, in order."""
+    return [(i, j) for j, covered in enumerate(lower) for i in covered]
+
+
 def lattice_json_doc(spec: str, order: int, lat: SubgroupLattice) -> dict:
     """The `lattice --json` document as dicts and lists, the oracle for the CLI's
-    row writer: `json.dumps(doc, indent=2)` is the text it must write."""
+    row writer: `json.dumps(doc, indent=2)` is the text it must write.  Its
+    edges come from the pairwise oracle, in the same (j, -|i|, i) order."""
     return {
         "spec": spec,
         "order": order,
@@ -435,7 +440,7 @@ def lattice_json_doc(spec: str, order: int, lat: SubgroupLattice) -> dict:
             }
             for i, m in enumerate(lat.masks)
         ],
-        "edges": [list(e) for e in hasse_edges(lat)],
+        "edges": [list(e) for e in brute_force_hasse_edges(lat)],
     }
 
 

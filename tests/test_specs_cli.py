@@ -1,5 +1,6 @@
 """Spec mini-language and the command-line front end, including the cache."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,6 +245,22 @@ def test_lattice_json_matches_the_dict_oracle(capsys):
         group = build_group(spec)
         doc = lattice_json_doc(spec, group.order, subgroup_lattice(group))
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n"), spec
+
+
+def test_lattice_json_is_streamed():
+    """`lattice --json` on D(8) x EA(2,4) (7,420 subgroups, 64,695 edges, a
+    3.0 MB document) never holds its whole text: with stdout discarding what
+    it is given, the traced peak of the call, lattice build included, stays
+    within 6 MiB (about 4.1 MiB streamed, 7.6 MiB if the text is joined)."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["lattice", "D(8) x EA(2,4)", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= 6 * 2**20
 
 
 def test_formula_command(capsys):
