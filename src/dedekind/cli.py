@@ -220,22 +220,24 @@ def cmd_ratio(args) -> int:
     return 0
 
 
-def _lattice_dot(spec: str, lat) -> str:
+def _lattice_dot(spec: str, lat) -> Iterator[str]:
+    """The `lattice --dot` document, in chunks: the header and the node
+    records as one chunk, then the edges as one chunk per upper subgroup j."""
     reps = set(lat.class_representatives())
-    lines = [
-        "digraph subgroup_lattice {",
-        "  rankdir=BT;",
-        f'  label="{spec}";',
-        "  node [shape=circle, fontsize=10];",
-    ]
+    nodes = []
     for i, m in enumerate(lat.masks):
         shape = "doublecircle" if lat.is_normal(i) else "circle"
         style = ", style=filled, fillcolor=lightgray" if i in reps else ""
-        lines.append(f'  s{i} [label="{i}: {m.bit_count()}", shape={shape}{style}];')
+        nodes.append(f'  s{i} [label="{i}: {m.bit_count()}", shape={shape}{style}];\n')
+    yield (
+        f'digraph subgroup_lattice {{\n  rankdir=BT;\n  label="{spec}";\n'
+        "  node [shape=circle, fontsize=10];\n" + "".join(nodes)
+    )
+    del nodes
     for j, covered in enumerate(hasse_edges(lat)):
-        lines += [f"  s{i} -> s{j};" for i in covered]
-    lines.append("}")
-    return "\n".join(lines)
+        if covered:
+            yield "".join(f"  s{i} -> s{j};\n" for i in covered)
+    yield "}\n"
 
 
 def _lattice_json(spec: str, order: int, lat) -> Iterator[str]:
@@ -274,7 +276,7 @@ def cmd_lattice(args) -> int:
     group = spec.build(order_cap=args.max_order)
     lat = subgroup_lattice(group)
     if args.dot:
-        _emit(_lattice_dot(str(spec), lat))
+        sys.stdout.writelines(_lattice_dot(str(spec), lat))
         return 0
     if args.json:
         sys.stdout.writelines(_lattice_json(str(spec), group.order, lat))

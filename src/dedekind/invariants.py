@@ -184,7 +184,7 @@ def has_modular_lattice(g: FiniteGroup) -> bool:
 def sylow_subgroups(g: FiniteGroup) -> dict[int, int]:
     """The lattice index of one Sylow p-subgroup per prime p of |g|, the first of its order."""
     lat = subgroup_lattice(g)
-    return {p: lat._order_run(p**a)[0] for p, a in sorted(prime_factorization(g.order).items())}
+    return {p: lat.runs[p**a].start for p, a in sorted(prime_factorization(g.order).items())}
 
 
 def is_nilpotent(g: FiniteGroup) -> bool:

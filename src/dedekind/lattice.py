@@ -3,16 +3,18 @@
 A subgroup is a bitmask over element indices, and in a lattice it is named
 by its index alone: `SubgroupLattice.masks[i]` and `gens[i]` are subgroup
 i's bitmask and a generating tuple, and its order is masks[i].bit_count().
-Functions that return a subgroup return its index.  Enumeration is by cyclic
-extension (J. Neubüser, Numer. Math. 2, 1960) along a series of G with
-prime-index normal steps down to its solvable residual R, the last term of
-the derived series: R = 1 iff G is solvable.  The subgroups of R come from
-the generic closure H -> <H, x>, started at the trivial subgroup.  Above
-them a subgroup H is extended only by an element x of p-power order that
-normalizes H, has x^p in H and lies below H's place in the series, so that
-H<x> is the union of p cosets of H, needs no closure, and has H as its one
-canonical parent (B. D. McKay, J. Algorithms 26, 1998).  So each subgroup
-is built exactly once, and only R's own subgroups need closures.
+The indices run by (order, mask), and `SubgroupLattice.runs[d]` is the
+range of the indices of order d, the orders ascending.  Functions that
+return a subgroup return its index.  Enumeration is by cyclic extension
+(J. Neubüser, Numer. Math. 2, 1960) along a series of G with prime-index
+normal steps down to its solvable residual R, the last term of the derived
+series: R = 1 iff G is solvable.  The subgroups of R come from the generic
+closure H -> <H, x>, started at the trivial subgroup.  Above them a subgroup
+H is extended only by an element x of p-power order that normalizes H, has
+x^p in H and lies below H's place in the series, so that H<x> is the union
+of p cosets of H, needs no closure, and has H as its one canonical parent
+(B. D. McKay, J. Algorithms 26, 1998).  So each subgroup is built exactly
+once, and only R's own subgroups need closures.
 
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
@@ -50,7 +52,7 @@ pairwise cover scan and the triple-by-triple modular-law scan, oracles for
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable
 from functools import cached_property
@@ -272,9 +274,10 @@ class SubgroupLattice:
 
     Subgroup i is named by its index, in a canonical order (by order, then
     bitmask), and held as two parallel entries: masks[i], its bitmask over
-    the elements, and gens[i], a generating tuple.  The subgroups are
-    grouped into conjugacy classes; containment bitsets (`up`, `below`),
-    normalizers and nilpotency are computed on demand.
+    the elements, and gens[i], a generating tuple.  runs[d] is the range of
+    the indices of the subgroups of order d, the orders d ascending.  The
+    subgroups are grouped into conjugacy classes; containment bitsets (`up`,
+    `below`), normalizers and nilpotency are computed on demand.
 
     The lattice keeps what it reads of the group (its table, inverses,
     order, generating set and whether it is abelian), not the group itself.
@@ -287,7 +290,15 @@ class SubgroupLattice:
         self.table, self.inverses, self.order = group.table, group.inverses, group.order
         self.generating_set, self.is_abelian = group.generating_set, group.is_abelian
         found = all_subgroup_masks(group)
-        self.masks = sorted(found, key=lambda m: (m.bit_count(), m))
+        by_order: dict[int, list[int]] = {}
+        for m in found:
+            by_order.setdefault(m.bit_count(), []).append(m)
+        self.masks: list[int] = []
+        self.runs: dict[int, range] = {}
+        for d in sorted(by_order):
+            start = len(self.masks)
+            self.masks += sorted(by_order[d])
+            self.runs[d] = range(start, len(self.masks))
         self.gens = [found[m] for m in self.masks]
 
     @property
@@ -370,18 +381,13 @@ class SubgroupLattice:
     def is_normal(self, i: int) -> bool:
         return len(self.classes[self.class_of(i)]) == 1
 
-    def _order_run(self, order: int) -> tuple[int, int]:
-        """The index range [lo, hi) of the subgroups of the given order."""
-        masks = self.masks
-        lo = bisect_left(masks, order, key=int.bit_count)
-        return lo, bisect_right(masks, order, lo, key=int.bit_count)
-
     def is_nilpotent(self, i: int) -> bool:
         """Whether subgroup H = i is nilpotent: for each prime p dividing |H|,
         exactly one subgroup of H has order |H|_p (each Sylow subgroup is normal)."""
-        m = self.masks[i]
+        masks = self.masks
+        m = masks[i]
         return all(
-            sum(1 for s in self.masks[slice(*self._order_run(p**a))] if not s & ~m) == 1
+            sum(1 for j in self.runs[p**a] if not masks[j] & ~m) == 1
             for p, a in prime_factorization(m.bit_count()).items()
         )
 
@@ -458,8 +464,9 @@ class SubgroupLattice:
         independent check of the premise.
         """
         subgens = self.gens
-        lo, hi = self._order_run(self.order // len(self.classes[self._class_ids[i]]))
-        candidates = self.up(i) >> lo & ((1 << (hi - lo)) - 1)
+        run = self.runs[self.order // len(self.classes[self._class_ids[i]])]
+        lo = run.start
+        candidates = self.up(i) >> lo & ((1 << len(run)) - 1)
         if candidates and candidates & (candidates - 1) == 0:
             return lo + candidates.bit_length() - 1
         m, lgens = self.masks[i], subgens[i]
@@ -498,42 +505,29 @@ def hasse_edges(lat: SubgroupLattice) -> list[list[int]]:
     return _reduced_covers(lat) if lower is None else lower
 
 
-def _order_runs(lat: SubgroupLattice) -> list[tuple[int, int, int]]:
-    """(order, lo, hi) per subgroup order, by descending order: the
-    subgroups of that order are the indices in [lo, hi)."""
-    masks = lat.masks
-    runs = []
-    hi = lat.size
-    while hi:
-        d = masks[hi - 1].bit_count()
-        lo = bisect_left(masks, d, 0, hi, key=int.bit_count)
-        runs.append((d, lo, hi))
-        hi = lo
-    return runs
-
-
 def _prime_index_covers(lat: SubgroupLattice) -> list[list[int]] | None:
     """The lower-cover lists of `hasse_edges` by prime index, or None as soon
     as a subgroup below the top has no upper cover of prime index.
 
-    For each order d the runs of the orders p*d lie in one window of the
-    index order, from `base`, and `window` marks them; `up(i) >> base &
-    window` is then a short bitset of i's upper covers, read with a
-    lowest-bit loop.
+    For each order d below |G|, descending, the runs of the orders p*d lie
+    in one window of the index order, from `base`, and `window` marks them;
+    `up(i) >> base & window` is then a short bitset of i's upper covers,
+    read with a lowest-bit loop.
     """
-    runs = _order_runs(lat)
-    span = {d: (lo, hi) for d, lo, hi in runs}
+    runs = lat.runs
     primes = prime_factorization(lat.order)
     lower: list[list[int]] = [[] for _ in range(lat.size)]
-    for d, lo, hi in runs[1:]:
-        above = [span[p * d] for p in primes if p * d in span]
+    for d, run in reversed(runs.items()):
+        if d == lat.order:
+            continue
+        above = [runs[p * d] for p in primes if p * d in runs]
         if not above:
             return None
-        base = min(a for a, _ in above)
+        base = min(r.start for r in above)
         window = 0
-        for a, b in above:
-            window |= ((1 << (b - a)) - 1) << (a - base)
-        for i in range(lo, hi):
+        for r in above:
+            window |= ((1 << len(r)) - 1) << (r.start - base)
+        for i in run:
             hits = lat.up(i) >> base & window
             if not hits:
                 return None
@@ -549,8 +543,8 @@ def _reduced_covers(lat: SubgroupLattice) -> list[list[int]]:
     which holds in every group."""
     within = (1 << lat.size) - 1
     lower: list[list[int]] = [[] for _ in range(lat.size)]
-    for _, lo, hi in _order_runs(lat):
-        for i in range(lo, hi):
+    for run in reversed(lat.runs.values()):
+        for i in run:
             for j in _upper_covers(lat, i, within):
                 lower[j].append(i)
     return lower
@@ -588,8 +582,8 @@ def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> int:
     acc = masks[top]
     for i in maximal_subgroup_indices(lat, top):
         acc &= masks[i]
-    lo, hi = lat._order_run(acc.bit_count())  # the masks ascend within an order
-    return bisect_left(masks, acc, lo, hi)
+    run = lat.runs[acc.bit_count()]
+    return bisect_left(masks, acc, run.start, run.stop)
 
 
 def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:

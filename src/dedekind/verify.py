@@ -716,7 +716,7 @@ def _find_section(g: FiniteGroup, target: FiniteGroup) -> tuple[int, int] | None
         horder = hmask.bit_count()
         if horder % tno:
             continue
-        for ki in range(*lat._order_run(horder // tno)):
+        for ki in lat.runs.get(horder // tno, ()):
             kmask = masks[ki]
             if kmask & ~hmask or not normalizes(g, kmask, gens[ki], gens[hi]):
                 continue

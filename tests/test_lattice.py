@@ -569,13 +569,24 @@ def test_class_representatives(zoo):
 def test_index_and_contains(zoo):
     g = zoo["d8"]
     lat = subgroup_lattice(g)
-    # the indices run through (order, mask) without repeats, the order that
-    # the bisections of `_order_run` and `frattini_subgroup` rely on
-    keys = [(m.bit_count(), m) for m in lat.masks]
-    assert keys == sorted(set(keys))
     for i, a in enumerate(lat.masks):
         for j, b in enumerate(lat.masks):
             assert (lat.below(i) >> j & 1) == (a & b == b)
+
+
+def test_order_runs_tile_the_index_order(zoo, corpus):
+    # every "subgroups of order d" lookup reads `runs`, and `frattini_subgroup`
+    # bisects inside one, so the indices must run through (order, mask)
+    # without repeats and runs[d] must hold exactly the subgroups of order d
+    for g in [*zoo.values(), *(e.group for e in corpus)]:
+        lat = subgroup_lattice(g)
+        keys = [(m.bit_count(), m) for m in lat.masks]
+        assert keys == sorted(set(keys))
+        orders = list(lat.runs)
+        assert orders == sorted(orders)
+        assert [i for run in lat.runs.values() for i in run] == list(range(lat.size))
+        for d, run in lat.runs.items():
+            assert {keys[i][0] for i in run} == {d}
 
 
 # Goursat's lemma counts the subgroups of A x EA(p, k) from A's sections alone,
