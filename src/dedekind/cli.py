@@ -8,7 +8,11 @@ directory, one file per spec written by an atomic rename: a sha256 line,
 then the JSON entry.  An entry is served only when that line matches the
 bytes after it, its engine revision (the package version plus a hash of the
 package's module sources) is this one, and its spec is the requested one;
-any other entry is recomputed.  Verification failures, parameter errors,
+any other entry is recomputed.  A cold report of a product whose atoms
+fall into two or more blocks of pairwise coprime order is combined from the
+blocks' reports (`invariants.coprime_product_report`), each read from the
+cache or computed and cached under the block's own spec, so no lattice of
+the product is built.  Verification failures, parameter errors,
 and budget caps map to distinct exit codes.  The argument parser is built on
 the first `main` call and reused by every later call in the process.
 
@@ -38,6 +42,7 @@ import threading
 from collections.abc import Iterator
 from contextlib import suppress
 from fractions import Fraction
+from math import gcd, prod
 
 from . import __version__
 from .errors import BudgetExhausted, DedekindError, InvalidParameter, OrderCapExceeded
@@ -57,11 +62,12 @@ from .invariants import (
     DSTAR_ORDER_LIMIT,
     InvariantReport,
     compute_report,
+    coprime_product_report,
     sections,
 )
 from .lattice import hasse_edges, subgroup_lattice
 from .numbertheory import is_order_mod_prime, is_prime
-from .specs import parse_spec
+from .specs import GroupSpec, parse_spec
 from .verify import list_corpus, run_suites, SUITES
 
 DEFAULT_CACHE_PATH = ".dedekind_cache"
@@ -151,12 +157,34 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
-def _spec_report(args, text: str, need_d_star: bool = False) -> InvariantReport:
+def _coprime_blocks(orders: list[int]) -> list[list[int]]:
+    """The indices of orders in the finest blocks of pairwise coprime product:
+    two orders that share a prime share a block.  Each block keeps the
+    indices ascending, and the blocks run by their first index."""
+    blocks: list[list[int]] = []
+    for i, n in enumerate(orders):
+        joined = [b for b in blocks if gcd(n, prod(orders[j] for j in b)) > 1]
+        blocks = [b for b in blocks if b not in joined]
+        blocks.append(sorted([i, *(j for b in joined for j in b)]))
+    return sorted(blocks)
+
+
+def _spec_report(args, text: str, need_d_star: bool = False, atoms=None) -> InvariantReport:
     """The InvariantReport of spec text, served from the cache only as a cold run prints it.
 
     That is, within --max-order, and with d* exactly where this call computes
     it (order <= DSTAR_ORDER_LIMIT, or --allow-slow): a cached d* out of that
     reach is dropped from the served copy, and a d* request out of it runs cold.
+
+    A cold run first builds each atom as a one-atom spec, or takes atoms,
+    the groups of spec's atoms as a caller built them.  If the atoms fall
+    into two or more blocks of pairwise coprime order, each block's report is
+    this function's on the block's canonical spec and atoms, read from the
+    cache or computed and cached there, and `coprime_product_report` combines
+    them, so no lattice of the product is built.  Otherwise the report is
+    computed on the whole group: the atom itself, or the product of the atoms
+    by `GroupSpec.build`, which also raises the cap error of a product past
+    --max-order as it always has.
     """
     spec = parse_spec(text)
     canonical = str(spec)
@@ -168,13 +196,30 @@ def _spec_report(args, text: str, need_d_star: bool = False) -> InvariantReport:
         elif not need_d_star:
             cached.d_star = None
             return cached
-    group = spec.build(order_cap=args.max_order)
-    if need_d_star and group.order > DSTAR_ORDER_LIMIT and not args.allow_slow:
+    if atoms is None:
+        atoms = [GroupSpec((atom,)).build(order_cap=args.max_order) for atom in spec.atoms]
+    order = prod(g.order for g in atoms)
+    blocks = _coprime_blocks([g.order for g in atoms])
+    group = None
+    if len(blocks) == 1 or order > args.max_order:
+        group = atoms[0] if len(atoms) == 1 else spec.build(args.max_order, atoms)
+    if need_d_star and order > DSTAR_ORDER_LIMIT and not args.allow_slow:
         # surface the cap before doing any heavy enumeration
         raise OrderCapExceeded(
-            f"d* on order {group.order} > {DSTAR_ORDER_LIMIT} needs --allow-slow"
+            f"d* on order {order} > {DSTAR_ORDER_LIMIT} needs --allow-slow"
         )
-    report = compute_report(group, spec=canonical, allow_slow=args.allow_slow)
+    if group is None:
+        reports = [
+            _spec_report(
+                args,
+                str(GroupSpec(tuple(spec.atoms[i] for i in block))),
+                atoms=[atoms[i] for i in block],
+            )
+            for block in blocks
+        ]
+        report = coprime_product_report(canonical, reports, allow_slow=args.allow_slow)
+    else:
+        report = compute_report(group, spec=canonical, allow_slow=args.allow_slow)
     if not args.no_cache:
         _cache_put(args.cache_path, report)
     return report

@@ -393,13 +393,21 @@ class SubgroupLattice:
 
     @cached_property
     def _holders(self) -> list[int]:
-        """Per element x, the bitset of the indices of the subgroups holding x."""
-        rows = [bytearray((self.size + 7) >> 3) for _ in range(self.order)]
-        for k, m in enumerate(self.masks):
-            byte, bit = k >> 3, 1 << (k & 7)
-            for x in _mask_elements(m):
-                rows[x][byte] |= bit
-        return [int.from_bytes(r, "little") for r in rows]
+        """Per element x, the bitset of the indices of the subgroups holding x.
+
+        The transpose of the masks, taken a block of at most 4,096 at a time:
+        the block is written as one text of n-digit binary masks (n = |G|),
+        the latest mask first, so element x's bits across the block are every
+        n-th digit from n - 1 - x, read by one strided slice and `int(., 2)`.
+        """
+        n, masks = self.order, self.masks
+        digits = f"0{n}b"
+        holders = [0] * n
+        for lo in range(0, len(masks), 4096):
+            text = "".join([format(m, digits) for m in reversed(masks[lo : lo + 4096])])
+            for x in range(n):
+                holders[x] |= int(text[n - 1 - x :: n], 2) << lo
+        return holders
 
     def up(self, i: int) -> int:
         """Bitset of the indices of the subgroups that contain subgroup i.

@@ -43,12 +43,17 @@ class GroupSpec:
             parts.append(f"{tag}({','.join(map(str, params))})" if params else tag)
         return " x ".join(parts)
 
-    def build(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-        groups = []
-        for tag, params in self.atoms:
-            builder, _ = FAMILY_BUILDERS[tag]
-            groups.append(builder(*params, order_cap=order_cap))
-        return reduce(lambda a, b: direct_product(a, b, order_cap=order_cap), groups)
+    def build(self, order_cap: int = DEFAULT_ORDER_CAP, atoms=None) -> FiniteGroup:
+        """The direct product of the atoms' groups, left to right, within order_cap.
+
+        atoms, if given, are those groups as the caller already built them.
+        """
+        if atoms is None:
+            atoms = []
+            for tag, params in self.atoms:
+                builder, _ = FAMILY_BUILDERS[tag]
+                atoms.append(builder(*params, order_cap=order_cap))
+        return reduce(lambda a, b: direct_product(a, b, order_cap=order_cap), atoms)
 
 
 class _Scanner:

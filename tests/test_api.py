@@ -100,10 +100,10 @@ def test_every_module_function_is_used_or_exported():
     assert not unused, f"module-level functions and classes unused in the package: {unused}"
 
 
-def test_the_benchmark_tracer_still_fits_the_sources():
+def test_the_benchmark_tracer_still_fits_the_sources(capsys):
     # perfbench/tracing.py rebinds module-level names of dedekind; a renamed
     # or deleted name would break `perfbench/run.py --trace 1` without notice
-    from dedekind import invariants, verify
+    from dedekind import cli, invariants, verify
     from dedekind.specs import parse_spec
 
     spec = importlib.util.spec_from_file_location("_dedekind_tracing", ROOT / "perfbench" / "tracing.py")
@@ -116,6 +116,13 @@ def test_the_benchmark_tracer_still_fits_the_sources():
         g = parse_spec("D(8)").build()
         verify.compute_report(g, spec="D(8)")
         assert {name for name, *_ in tracer.spans} >= {"invariants.report", "lattice.enumerate"}
+        # a coprime product is reported from its factors, each built once
+        # through GroupSpec.build, so the build span still times every build
+        before = len(tracer.spans)
+        assert cli.main(["info", "C(3) x D(8)", "--no-cache"]) == 0
+        assert "d'(G):    4/5" in capsys.readouterr().out
+        built = [name for name, *_ in tracer.spans[before:] if name == "specs.build_group"]
+        assert len(built) == 2
     finally:
         tracer.uninstall()
     assert len(replaced) > len(verify.SUITES)

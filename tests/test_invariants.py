@@ -32,6 +32,7 @@ from dedekind.groups import FiniteGroup, direct_product, is_isomorphic, section_
 from dedekind.invariants import (
     InvariantReport,
     compute_report,
+    coprime_product_report,
     d_prime,
     d_star,
     has_modular_lattice,
@@ -432,3 +433,20 @@ def test_reports_do_not_depend_on_element_labels(corpus):
 @pytest.mark.parametrize("a, b", [("He(3)", "EA(3,2)"), ("Q(8)", "EA(2,4)")])
 def test_direct_product_order_does_not_change_the_report(a, b):
     assert _report(build_group(f"{a} x {b}")) == _report(build_group(f"{b} x {a}"))
+
+
+def test_coprime_product_report_needs_each_factors_d_star_in_reach():
+    # the one-factor report passes through; a factor without d* is refused
+    # within the product's d* reach and ignored past it
+    d8, c3 = compute_report(build_group("D(8)"), spec="D(8)"), compute_report(cyclic(3))
+    assert replace(coprime_product_report("D(8)", [d8]), ms=0) == replace(d8, ms=0)
+    combined = coprime_product_report("C(3) x D(8)", [c3, d8])
+    assert replace(combined, ms=0) == replace(
+        compute_report(build_group("C(3) x D(8)"), spec="C(3) x D(8)"), ms=0
+    )
+    with pytest.raises(InvalidParameter, match="lacks the d"):
+        coprime_product_report("C(3) x D(8)", [c3, replace(d8, d_star=None)])
+    factors = [compute_report(cyclic(300), want_d_star=False), compute_report(cyclic(7))]
+    assert coprime_product_report("C(300) x C(7)", factors).d_star is None
+    with pytest.raises(InvalidParameter, match="lacks the d"):
+        coprime_product_report("C(300) x C(7)", factors, allow_slow=True)

@@ -236,6 +236,18 @@ def test_below_matches_the_string_oracle(spec):
         assert lat.below(i) == string_below(lat, i), (spec, i)
 
 
+def test_holders_are_the_transpose_of_the_masks(corpus):
+    # bit k of holders[x] is bit x of masks[k]; D(8) x EA(2,4) has 7,420
+    # subgroups, so its transpose is read in two blocks of masks
+    for g in [e.group for e in corpus] + [build_group("D(8) x EA(2,4)")]:
+        lat = subgroup_lattice(g)
+        want = [0] * g.order
+        for k, m in enumerate(lat.masks):
+            for x in _mask_elements(m):
+                want[x] |= 1 << k
+        assert lat._holders == want, g.name
+
+
 def test_meet_and_join(zoo):
     for name, g in zoo.items():
         lat = subgroup_lattice(g)

@@ -458,6 +458,81 @@ def test_sweep_cache_serves_the_same_d_star_as_a_cold_info(capsys, tmp_path):
     assert "d*(G):    5/32" in out and "d*(G):    5/32" in cold
 
 
+# ---------------------------------------------------------------------------
+# reports of coprime products, combined from their blocks' reports
+
+# beyond the corpus, whose products are all coprime pairs: a trivial block, a
+# non-coprime pair inside a coprime product, a non-nilpotent block, and a
+# Schmidt group times the trivial group (still Schmidt) and times C(5) (not)
+SPLIT_EDGE_SPECS = [
+    "C(1) x D(6)",
+    "C(2) x C(3) x D(8)",
+    "G(7,3,2) x D(8)",
+    "G(3,2,2) x C(1)",
+    "G(3,2,2) x C(5)",
+]
+
+
+def test_coprime_blocks_group_the_atoms_that_share_a_prime():
+    assert cli._coprime_blocks([2, 3, 8, 5, 9, 1, 35]) == [[0, 2], [1, 4], [3, 6], [5]]
+    assert cli._coprime_blocks([6, 5, 10]) == [[0, 1, 2]]
+    assert cli._coprime_blocks([7]) == [[0]]
+
+
+@pytest.mark.parametrize("allow_slow", [False, True])
+def test_split_reports_match_the_whole_lattice(capsys, allow_slow):
+    # every corpus product, each cold through info, dprime and dstar, against
+    # compute_report on the whole product's lattice; order 270 is past d*'s
+    # reach without --allow-slow and within it with
+    products = [spec for spec, *_ in list_corpus() if " x " in spec]
+    assert len(products) == 293
+    slow = ["--allow-slow"] if allow_slow else []
+    for spec in [*products, *SPLIT_EDGE_SPECS, "He(3) x C(2) x C(5)"]:
+        want = compute_report(build_group(spec), spec=spec, allow_slow=allow_slow)
+        report = want.to_json_dict()
+        report["ms"] = 0
+        code, out, _ = run_cli(capsys, ["info", spec, "--json", "--no-cache", *slow])
+        got = json.loads(out)
+        got["ms"] = 0
+        assert (code, got) == (0, report), spec
+        assert run_cli(capsys, ["dprime", spec, "--no-cache", *slow])[:2] == (
+            0, f"{want.d_prime}\n"
+        ), spec
+        code, out, _ = run_cli(capsys, ["dstar", spec, "--json", "--no-cache", *slow])
+        if want.d_star is None:
+            assert (code, out) == (4, ""), spec
+        else:
+            assert (code, json.loads(out)) == (0, {"spec": spec, "d_star": str(want.d_star)}), spec
+
+
+def test_each_atom_is_built_once(capsys, monkeypatch):
+    built = []
+    for tag in ("C", "D"):
+        builder, arity = specs.FAMILY_BUILDERS[tag]
+
+        def counting(*params, builder=builder, tag=tag, **kwargs):
+            built.append(tag)
+            return builder(*params, **kwargs)
+
+        monkeypatch.setitem(specs.FAMILY_BUILDERS, tag, (counting, arity))
+    # split into C(2) x D(8) and C(3); one block; one atom
+    for spec, atoms in (("C(2) x C(3) x D(8)", "CCD"), ("C(2) x D(8)", "CD"), ("D(8)", "D")):
+        built.clear()
+        assert run_cli(capsys, ["info", spec, "--no-cache"])[0] == 0
+        assert "".join(sorted(built)) == atoms, spec
+
+
+def test_split_keeps_the_cap_errors(capsys, tmp_path):
+    # the d* refusal comes before any block is reported, and a product past
+    # the order cap fails as its whole build does
+    for cache in (["--no-cache"], ["--cache-path", str(tmp_path / "cache")]):
+        code, out, err = run_cli(capsys, ["dstar", "He(3) x C(2) x C(5)", *cache])
+        assert (code, out, err) == (4, "", "error: d* on order 270 > 256 needs --allow-slow\n")
+        code, out, err = run_cli(capsys, ["info", "D(256) x C(3)", *cache])
+        assert (code, out, err) == (4, "", "error: product of order 768 exceeds the cap 512\n")
+    assert not (tmp_path / "cache").exists()
+
+
 def test_exit_codes(capsys, tmp_path):
     cp = str(tmp_path / "cache")
     assert run_cli(capsys, ["info", "M(2", "--cache-path", cp])[0] == 2
@@ -973,6 +1048,43 @@ def test_cached_report_keeps_the_order_cap(capsys, tmp_path):
             assert err == "error: product of order 64 exceeds the cap 8\n"
     # a cap the group is within still serves the entry
     assert run_cli(capsys, ["dprime", spec, "--max-order", "64", "--cache-path", cp])[1] == "681/937\n"
+
+
+def test_a_split_product_caches_its_blocks_and_reads_them_back(capsys, tmp_path, monkeypatch):
+    cp = str(tmp_path / "cache")
+    computed = []
+    compute = cli.compute_report
+
+    def counting(g, spec=None, **kwargs):
+        computed.append(spec)
+        return compute(g, spec=spec, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_report", counting)
+    _, cold, _ = run_cli(capsys, ["info", "C(3) x D(8)", "--json", "--no-cache"])
+    assert run_cli(capsys, ["info", "C(3) x D(8)", "--json", "--cache-path", cp])[0] == 0
+    assert sorted(computed) == ["C(3)", "C(3)", "D(8)", "D(8)"]
+    assert sorted(os.listdir(cp)) == sorted(
+        os.path.basename(cli._entry_path(cp, s)) for s in ("C(3) x D(8)", "C(3)", "D(8)")
+    )
+    for spec in ("C(3) x D(8)", "C(3)", "D(8)"):
+        assert read_entry(cp, spec)["spec"] == spec
+    # a block's entry serves the block itself, and the next product holding it
+    computed.clear()
+    assert run_cli(capsys, ["dprime", "D(8)", "--cache-path", cp])[:2] == (0, "4/5\n")
+    assert computed == []
+    _, out, _ = run_cli(capsys, ["info", "C(5) x D(8)", "--json", "--cache-path", cp])
+    assert computed == ["C(5)"] and json.loads(out)["d_prime"] == {"num": 4, "den": 5}
+    # a block entry changed after it was written is recomputed, not served
+    computed.clear()
+    entry = read_entry(cp, "D(8)")
+    entry["report"]["nu"] = 5
+    write_entry(cp, "D(8)", entry)
+    _, out, _ = run_cli(capsys, ["info", "C(7) x D(8)", "--json", "--cache-path", cp])
+    assert sorted(computed) == ["C(7)", "D(8)"]
+    assert json.loads(out)["nu"] == 4
+    assert read_entry(cp, "D(8)")["report"]["nu"] == 2
+    _, warm, _ = run_cli(capsys, ["info", "C(3) x D(8)", "--json", "--cache-path", cp])
+    assert _without_ms(warm) == _without_ms(cold)
 
 
 def _without_ms(text: str):
