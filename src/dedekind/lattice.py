@@ -19,13 +19,13 @@ once, and only R's own subgroups need closures.
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
 `below(i)` the complement of an OR of them over the elements outside subgroup
-i.  The covers come from one up-set per subgroup by prime index when G is
-supersolvable, which holds iff every maximal subgroup of G has prime index
-(B. Huppert, Math. Z. 60, 1954); `hasse_edges` finds out whether it is as it
-goes.  Otherwise the (order, mask) index order, a linear extension, gives
-the covers (the transitive reduction) from up-sets (Aho, Garey and Ullman,
-1972).  `hasse_edges` returns the lower covers of each subgroup as one list
-of indices per subgroup, in the order `lattice --json` writes them.
+i.  `_upper_covers` reads the covers by one rule, for `hasse_edges` and the
+modular walk alike: if G is supersolvable (decided once per lattice), by
+prime index from one up-set per subgroup (B. Huppert, Math. Z. 60, 1954);
+otherwise as the transitive reduction of the up-sets along the (order, mask)
+index order, a linear extension (Aho, Garey and Ullman, 1972).
+`hasse_edges` returns the lower covers of each subgroup as one list of
+indices per subgroup, in the order `lattice --json` writes them.
 L(H) is the interval [1, H] of L(G) (R. Schmidt, Subgroup Lattices of Groups,
 1994), so questions about the subgroups of H are answered on that interval:
 the functions that take a `top` index work on [1, top], the whole lattice by
@@ -59,7 +59,7 @@ from functools import cached_property
 
 from .errors import InvalidParameter, LatticeBudgetExceeded
 from .groups import FiniteGroup, _derived_subgroup, _mask_elements
-from .numbertheory import prime_factorization, prime_power
+from .numbertheory import is_prime, prime_factorization, prime_power
 
 __all__ = [
     "DEFAULT_LATTICE_BUDGET",
@@ -277,7 +277,8 @@ class SubgroupLattice:
     the elements, and gens[i], a generating tuple.  runs[d] is the range of
     the indices of the subgroups of order d, the orders d ascending.  The
     subgroups are grouped into conjugacy classes; containment bitsets (`up`,
-    `below`), normalizers and nilpotency are computed on demand.
+    `below`), normalizers, nilpotency and supersolvability are computed on
+    demand.
 
     The lattice keeps what it reads of the group (its table, inverses,
     order, generating set and whether it is abelian), not the group itself.
@@ -392,6 +393,37 @@ class SubgroupLattice:
         )
 
     @cached_property
+    def is_supersolvable(self) -> bool:
+        """Whether G has a normal series with factors of prime order.
+
+        Climb from 1, stepping from normal N to the first normal M >= N (by
+        index) with |M : N| prime.  Each quotient G/N of a supersolvable G has
+        a normal subgroup of prime order, so the climb reaches G iff G is
+        supersolvable.
+        """
+        masks, n = self.masks, 1
+        for cls in self.classes:
+            m = masks[cls[0]]
+            if len(cls) == 1 and not n & ~m and is_prime(m.bit_count() // n.bit_count()):
+                n = m
+        return n == masks[-1]
+
+    @cached_property
+    def _windows(self) -> dict[int, tuple[int, int]]:
+        """Per order d, (base, span): span marks the order runs of p*d, p a
+        prime dividing |G|, and base is the first index among them (0 if none)."""
+        runs, primes = self.runs, prime_factorization(self.order)
+        out = {}
+        for d in runs:
+            span = 0
+            for p in primes:
+                r = runs.get(p * d)
+                if r:
+                    span |= (1 << r.stop) - (1 << r.start)
+            out[d] = (max((span & -span).bit_length() - 1, 0), span)
+        return out
+
+    @cached_property
     def _holders(self) -> list[int]:
         """Per element x, the bitset of the indices of the subgroups holding x.
 
@@ -494,61 +526,10 @@ def subgroup_lattice(g: FiniteGroup) -> SubgroupLattice:
 def hasse_edges(lat: SubgroupLattice) -> list[list[int]]:
     """The lower covers of each subgroup: out[j] lists the maximal subgroups i
     of subgroup j, in (-|i|, i) order, so the covering pairs (i, j) come by
-    (j, -|i|, i) as j ascends.
-
-    Covers by prime index where the rule holds.  An H <= K with |K : H| = p
-    prime is always a cover, since the order of a subgroup between them
-    divides |K| and is a multiple of |H|.  G is supersolvable iff every
-    maximal subgroup of G has prime index (B. Huppert, Math. Z. 60, 1954),
-    and subgroups of supersolvable groups are supersolvable, so then every
-    cover has prime index.  So the upper covers of i are `up(i)` cut to the
-    order runs of p*|i|, one up-set per subgroup.  If some i below the top
-    has no such cover, G is not supersolvable (a maximal subgroup of
-    non-prime index has none), and the covers come from the `_upper_covers`
-    reduction instead.  The subgroups are taken by descending order, then by
-    ascending index, so each list is in order as it is built, and a maximal
-    subgroup is met before every subgroup of smaller order.
+    (j, -|i|, i) as j ascends.  The subgroups are taken by descending order,
+    then ascending index, and their upper covers read by `_upper_covers`, so
+    each list is in order as it is built.
     """
-    lower = _prime_index_covers(lat)
-    return _reduced_covers(lat) if lower is None else lower
-
-
-def _prime_index_covers(lat: SubgroupLattice) -> list[list[int]] | None:
-    """The lower-cover lists of `hasse_edges` by prime index, or None as soon
-    as a subgroup below the top has no upper cover of prime index.
-
-    For each order d below |G|, descending, the runs of the orders p*d lie
-    in one window of the index order, from `base`, and `window` marks them;
-    `up(i) >> base & window` is then a short bitset of i's upper covers,
-    read with a lowest-bit loop.
-    """
-    runs = lat.runs
-    primes = prime_factorization(lat.order)
-    lower: list[list[int]] = [[] for _ in range(lat.size)]
-    for d, run in reversed(runs.items()):
-        if d == lat.order:
-            continue
-        above = [runs[p * d] for p in primes if p * d in runs]
-        if not above:
-            return None
-        base = min(r.start for r in above)
-        window = 0
-        for r in above:
-            window |= ((1 << len(r)) - 1) << (r.start - base)
-        for i in run:
-            hits = lat.up(i) >> base & window
-            if not hits:
-                return None
-            while hits:
-                low = hits & -hits
-                lower[base + low.bit_length() - 1].append(i)
-                hits ^= low
-    return lower
-
-
-def _reduced_covers(lat: SubgroupLattice) -> list[list[int]]:
-    """The lower-cover lists of `hasse_edges` by the `_upper_covers` reduction,
-    which holds in every group."""
     within = (1 << lat.size) - 1
     lower: list[list[int]] = [[] for _ in range(lat.size)]
     for run in reversed(lat.runs.values()):
@@ -561,10 +542,22 @@ def _reduced_covers(lat: SubgroupLattice) -> list[list[int]]:
 def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
     """The upper covers of i among the indices in the bitset `within`, ascending.
 
-    The index order is a linear extension, so the lowest index above i is an
-    upper cover of i; dropping its up-set and repeating yields the rest.
+    An index-p containment, p prime, is always a cover.  If G is
+    supersolvable, so are its subgroups, and every cover has prime index
+    (Huppert), so the covers of i are up(i) cut to the order runs of p*|i|.
+    Otherwise the index order is a linear extension: the lowest index above
+    i is a cover, and dropping its up-set and repeating yields the rest.
     """
     covers = []
+    if lat.is_supersolvable:
+        base, span = lat._windows[lat.masks[i].bit_count()]
+        hits = (lat.up(i) & (within & span)) >> base
+        while hits:  # top bit first: each step shortens hits, a lowest-bit step does not
+            j = hits.bit_length() - 1
+            covers.append(base + j)
+            hits ^= 1 << j
+        covers.reverse()
+        return covers
     rest = lat.up(i) & within ^ (1 << i)
     while rest:
         j = (rest & -rest).bit_length() - 1
@@ -642,11 +635,12 @@ def is_lattice_modular(
     both, and dually.  b v c covers both iff b and c have a common upper cover,
     so the test needs only the cover graph.  A failure has b < c covering a
     with no common upper cover, or, when dual, b < c covered by a with no
-    common lower cover.  The upper covers of each element are walked from `up`
-    when first asked for and kept, and the pairs of a are checked before
-    those of a + 1, so a non-modular lattice usually stops after a few covers.
-    Only when the upper half passes are the kept covers inverted into
-    lower-cover lists for the dual half.  The memory is O(edges).
+    common lower cover.  The upper covers of each element are read by
+    `_upper_covers`, the rule `hasse_edges` uses, when first asked for and
+    kept, and the pairs of a are checked before those of a + 1, so a
+    non-modular lattice usually stops after a few covers.  Only when the
+    upper half passes are the kept covers inverted into lower-cover lists for
+    the dual half.  The memory is O(edges).
 
     The dual half is skipped when subgroup top is nilpotent: two distinct
     maximal subgroups b, c of a nilpotent a are normal of prime index, so

@@ -303,20 +303,54 @@ NOT_SUPERSOLVABLE = {
 }
 
 
+def _huppert(g) -> bool:
+    """Huppert's criterion: G is supersolvable iff every maximal subgroup has prime index."""
+    lat = subgroup_lattice(g)
+    return all(is_prime(g.order // lat.masks[i].bit_count()) for i in maximal_subgroup_indices(lat))
+
+
 def test_prime_index_covers_hold_exactly_on_the_supersolvable_corpus_groups(corpus):
-    # Huppert: G is supersolvable iff every maximal subgroup has prime index;
-    # elsewhere the rule gives up and hasse_edges falls back on the reduction
-    fell_back = set()
-    for e in corpus:
-        lat = subgroup_lattice(e.group)
-        rule = lattice._prime_index_covers(lat)
-        indices = [e.group.order // lat.masks[i].bit_count() for i in maximal_subgroup_indices(lat)]
-        assert (rule is not None) == all(map(is_prime, indices)), e.spec
-        if rule is None:
-            fell_back.add(e.spec)
-        else:
-            assert rule == lattice._reduced_covers(lat), e.spec
-    assert fell_back == NOT_SUPERSOLVABLE
+    # `is_supersolvable` decides Huppert's criterion by a climb through the
+    # normal subgroups instead, and where it holds the covers by prime index
+    # must equal the reduction, which a fresh lattice told otherwise takes
+    groups = [(e.spec, e.group) for e in corpus]
+    not_supersolvable = set()
+    for name, g in groups + [("S4", _s4()), ("A5", alternating_5()), ("S5", symmetric_5())]:
+        lat = subgroup_lattice(g)
+        assert lat.is_supersolvable == _huppert(g), name
+        if not lat.is_supersolvable:
+            not_supersolvable.add(name)
+            continue
+        reduced = lattice.SubgroupLattice(g)
+        reduced.is_supersolvable = False
+        assert hasse_edges(reduced) == hasse_edges(lat), name
+    assert not_supersolvable == NOT_SUPERSOLVABLE | {"S4", "A5", "S5"}
+
+
+def test_covers_and_modularity_match_oracles_off_the_supersolvable_groups(beyond_corpus):
+    # the reduction's side: hasse_edges and the modular walk against the
+    # pairwise cover scan and the triple-by-triple modular law; the sections
+    # beyond the corpus are all supersolvable today, so S4, A5, S5 and
+    # A5 x C(2) carry this side, besides the corpus's seven
+    a5 = alternating_5()
+    groups = [("S4", _s4()), ("A5", a5), ("S5", symmetric_5())]
+    groups.append(("A5 x C(2)", direct_product(a5, cyclic(2))))
+    for i, g in enumerate(beyond_corpus):
+        assert subgroup_lattice(g).is_supersolvable == _huppert(g), i
+        if not subgroup_lattice(g).is_supersolvable:
+            groups.append((i, g))
+    for name, g in groups:
+        lat = subgroup_lattice(g)
+        assert not lat.is_supersolvable, name
+        assert edge_pairs(hasse_edges(lat)) == brute_force_hasse_edges(lat), name
+        if lat.size <= 200:
+            failure = is_lattice_modular(lat)
+            assert (failure is None) == (brute_force_is_modular(lat) is None), name
+            if failure is not None:
+                assert_semimodularity_failure(lat, failure)
+    # the intervals [1, H], each against H's own lattice
+    assert _check_intervals_against_induced_lattices(_s4()) == 11
+    assert _check_intervals_against_induced_lattices(a5) == 9
 
 
 def test_hasse_edges_match_oracle_on_corpus(corpus):
@@ -509,43 +543,45 @@ def test_semimodular_scan_compares_every_pair_of_covers():
 
 def test_intervals_match_the_induced_subgroup_oracle(corpus):
     """[1, H] of G's lattice, against H induced as a group with a lattice of its own."""
-    checked = 0
-    for e in corpus:
-        g = e.group
-        if g.order > 64:
-            continue
-        lat = subgroup_lattice(g)
-        masks = lat.masks
-        edges = edge_pairs(hasse_edges(lat))
-        for i in lat.class_representatives():
-            assert lat.below(i) == sum(1 << j for j, m in enumerate(masks) if not m & ~masks[i]), e.spec
-            hgrp, emb = section_group(g, masks[i])[0], _mask_elements(masks[i])
-            hlat = subgroup_lattice(hgrp)
+    small = [e.group for e in corpus if e.group.order <= 64]
+    assert sum(map(_check_intervals_against_induced_lattices, small)) >= 1800
 
-            def mask_in_g(local):
-                return sum(1 << emb[x] for x in range(hgrp.order) if local >> x & 1)
 
-            def in_g(local_indices):
-                return [masks.index(mask_in_g(hlat.masks[j])) for j in local_indices]
+def _check_intervals_against_induced_lattices(g) -> int:
+    """Check [1, H] for every class representative H of g's lattice against
+    H's own lattice; the number of intervals checked."""
+    lat = subgroup_lattice(g)
+    masks = lat.masks
+    edges = edge_pairs(hasse_edges(lat))
+    reps = lat.class_representatives()
+    for i in reps:
+        assert lat.below(i) == sum(1 << j for j, m in enumerate(masks) if not m & ~masks[i]), g.name
+        hgrp, emb = section_group(g, masks[i])[0], _mask_elements(masks[i])
+        hlat = subgroup_lattice(hgrp)
 
-            # a cover in [1, H] is a cover in L(G) whose top lies in H
-            within = lat.below(i)
-            hedges = edge_pairs(hasse_edges(hlat))
-            assert sorted((a, b) for a, b in edges if within >> b & 1) == sorted(
-                zip(in_g(a for a, _ in hedges), in_g(b for _, b in hedges))
-            ), e.spec
-            maximal = maximal_subgroup_indices(lat, i)
-            assert sorted(maximal) == sorted(in_g(maximal_subgroup_indices(hlat))), e.spec
-            assert [masks[j].bit_count() for j in maximal] == [
-                hlat.masks[j].bit_count() for j in maximal_subgroup_indices(hlat)
-            ]
-            assert frattini_subgroup(g, i) == in_g([frattini_subgroup(hgrp)])[0], e.spec
-            failure = is_lattice_modular(lat, i)
-            assert (failure is None) == (is_lattice_modular(hlat) is None), e.spec
-            if failure is not None:
-                assert_semimodularity_failure(lat, failure)
-            checked += 1
-    assert checked >= 1800
+        def mask_in_g(local):
+            return sum(1 << emb[x] for x in range(hgrp.order) if local >> x & 1)
+
+        def in_g(local_indices):
+            return [masks.index(mask_in_g(hlat.masks[j])) for j in local_indices]
+
+        # a cover in [1, H] is a cover in L(G) whose top lies in H
+        within = lat.below(i)
+        hedges = edge_pairs(hasse_edges(hlat))
+        assert sorted((a, b) for a, b in edges if within >> b & 1) == sorted(
+            zip(in_g(a for a, _ in hedges), in_g(b for _, b in hedges))
+        ), g.name
+        maximal = maximal_subgroup_indices(lat, i)
+        assert sorted(maximal) == sorted(in_g(maximal_subgroup_indices(hlat))), g.name
+        assert [masks[j].bit_count() for j in maximal] == [
+            hlat.masks[j].bit_count() for j in maximal_subgroup_indices(hlat)
+        ]
+        assert frattini_subgroup(g, i) == in_g([frattini_subgroup(hgrp)])[0], g.name
+        failure = is_lattice_modular(lat, i)
+        assert (failure is None) == (is_lattice_modular(hlat) is None), g.name
+        if failure is not None:
+            assert_semimodularity_failure(lat, failure)
+    return len(reps)
 
 
 def test_lattice_budget(zoo):
