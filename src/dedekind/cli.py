@@ -63,6 +63,7 @@ from .invariants import (
     InvariantReport,
     compute_report,
     coprime_product_report,
+    d_star_in_reach,
     sections,
 )
 from .lattice import hasse_edges, subgroup_lattice
@@ -173,8 +174,8 @@ def _spec_report(args, text: str, need_d_star: bool = False, atoms=None) -> Inva
     """The InvariantReport of spec text, served from the cache only as a cold run prints it.
 
     That is, within --max-order, and with d* exactly where this call computes
-    it (order <= DSTAR_ORDER_LIMIT, or --allow-slow): a cached d* out of that
-    reach is dropped from the served copy, and a d* request out of it runs cold.
+    it (`d_star_in_reach`): a cached d* out of that reach is dropped from the
+    served copy, and a d* request out of it runs cold.
 
     A cold run first builds each atom as a one-atom spec, or takes atoms,
     the groups of spec's atoms as a caller built them.  If the atoms fall
@@ -190,7 +191,7 @@ def _spec_report(args, text: str, need_d_star: bool = False, atoms=None) -> Inva
     canonical = str(spec)
     cached = None if args.no_cache else _cache_get(args.cache_path, canonical)
     if cached is not None and cached.order <= args.max_order:
-        if cached.order <= DSTAR_ORDER_LIMIT or args.allow_slow:
+        if d_star_in_reach(cached.order, args.allow_slow):
             if cached.d_star is not None:
                 return cached
         elif not need_d_star:
@@ -203,11 +204,9 @@ def _spec_report(args, text: str, need_d_star: bool = False, atoms=None) -> Inva
     group = None
     if len(blocks) == 1 or order > args.max_order:
         group = atoms[0] if len(atoms) == 1 else spec.build(args.max_order, atoms)
-    if need_d_star and order > DSTAR_ORDER_LIMIT and not args.allow_slow:
+    if need_d_star and not d_star_in_reach(order, args.allow_slow):
         # surface the cap before doing any heavy enumeration
-        raise OrderCapExceeded(
-            f"d* on order {order} > {DSTAR_ORDER_LIMIT} needs --allow-slow"
-        )
+        raise OrderCapExceeded(f"d* on order {order} > {DSTAR_ORDER_LIMIT} needs --allow-slow")
     if group is None:
         reports = [
             _spec_report(

@@ -36,11 +36,10 @@ __all__ = [
     "d_prime",
     "sections",
     "d_star",
-    "is_dedekind",
+    "d_star_in_reach",
     "has_modular_lattice",
     "sylow_subgroups",
     "is_nilpotent",
-    "is_iwasawa",
     "is_schmidt",
     "schmidt_structure_check",
     "is_q_self_dual",
@@ -49,6 +48,11 @@ __all__ = [
 ]
 
 DSTAR_ORDER_LIMIT = 256
+
+
+def d_star_in_reach(order: int, allow_slow: bool = False) -> bool:
+    """Whether d* is computed at this order: up to DSTAR_ORDER_LIMIT, or past it with allow_slow."""
+    return order <= DSTAR_ORDER_LIMIT or allow_slow
 
 
 def d_prime(g: FiniteGroup) -> Fraction:
@@ -99,7 +103,7 @@ def d_star(g: FiniteGroup, allow_slow: bool = False) -> Fraction:
     ordinary evaluation and never a wrong value; which H hit depends on the
     element labels.
     """
-    if g.order > DSTAR_ORDER_LIMIT and not allow_slow:
+    if not d_star_in_reach(g.order, allow_slow):
         raise OrderCapExceeded(
             f"d* on order {g.order} > {DSTAR_ORDER_LIMIT} needs allow_slow=True"
         )
@@ -170,14 +174,6 @@ def _ascending_map_is_isomorphism(table, action, helems) -> bool:
     return True
 
 
-def is_dedekind(g: FiniteGroup) -> bool:
-    """Whether every subgroup of g is normal, i.e. every cyclic subgroup is."""
-    if g.is_abelian:
-        return True
-    gens = g.generating_set
-    return all(normalizes(g, g.closure((x,))[0], (x,), gens) for x in range(1, g.order))
-
-
 def has_modular_lattice(g: FiniteGroup) -> bool:
     lat = subgroup_lattice(g)
     return lat.nu == 0 or is_lattice_modular(lat) is None
@@ -195,11 +191,6 @@ def is_nilpotent(g: FiniteGroup) -> bool:
         return True
     lat = subgroup_lattice(g)
     return lat.is_nilpotent(lat.size - 1)
-
-
-def is_iwasawa(g: FiniteGroup) -> bool:
-    """Nilpotent with a modular subgroup lattice."""
-    return is_nilpotent(g) and has_modular_lattice(g)
 
 
 def is_schmidt(g: FiniteGroup) -> bool:
@@ -346,6 +337,29 @@ class InvariantReport:
                 setattr(report, name, Fraction(x["num"], x["den"]))
         return report
 
+    @staticmethod
+    def derive(
+        spec: str, order: int, lattice_size: int, k_prime: int, normal_count: int,
+        d_star: Fraction | None, ms: int,
+        *, abelian: bool, nilpotent: bool, modular: bool, schmidt: bool,
+    ) -> "InvariantReport":
+        """The report with the fields the others determine: nu = k' - |N|,
+        d' = k'/|L|, Dedekind iff nu = 0, and Iwasawa iff nilpotent with a
+        modular lattice."""
+        nu = k_prime - normal_count
+        flags = {
+            "abelian": abelian,
+            "dedekind": nu == 0,
+            "nilpotent": nilpotent,
+            "iwasawa": nilpotent and modular,
+            "modular_lattice": modular,
+            "schmidt": schmidt,
+        }
+        return InvariantReport(
+            spec, order, lattice_size, k_prime, normal_count, nu,
+            Fraction(k_prime, lattice_size), d_star, flags, ms,
+        )
+
 
 def compute_report(
     g: FiniteGroup,
@@ -356,32 +370,15 @@ def compute_report(
     """Full invariant report; d_star is None when skipped for size."""
     t0 = time.perf_counter()
     lat = subgroup_lattice(g)
-    dp = Fraction(lat.k_prime, lat.size)
     ds: Fraction | None = None
-    if want_d_star and (g.order <= DSTAR_ORDER_LIMIT or allow_slow):
+    if want_d_star and d_star_in_reach(g.order, allow_slow):
         ds = d_star(g, allow_slow=allow_slow)
-    nilpotent = is_nilpotent(g)
-    modular = has_modular_lattice(g)
-    flags = {
-        "abelian": g.is_abelian,
-        "dedekind": lat.nu == 0,
-        "nilpotent": nilpotent,
-        "iwasawa": nilpotent and modular,
-        "modular_lattice": modular,
-        "schmidt": is_schmidt(g),
-    }
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    return InvariantReport(
-        spec=spec if spec is not None else (g.name or f"order{g.order}"),
-        order=g.order,
-        lattice_size=lat.size,
-        k_prime=lat.k_prime,
-        normal_count=lat.normal_count,
-        nu=lat.nu,
-        d_prime=dp,
-        d_star=ds,
-        flags=flags,
-        ms=ms,
+    nilpotent, modular, schmidt = is_nilpotent(g), has_modular_lattice(g), is_schmidt(g)
+    return InvariantReport.derive(
+        spec if spec is not None else (g.name or f"order{g.order}"),
+        g.order, lat.size, lat.k_prime, lat.normal_count, ds,
+        int(round((time.perf_counter() - t0) * 1000)),
+        abelian=g.is_abelian, nilpotent=nilpotent, modular=modular, schmidt=schmidt,
     )
 
 
@@ -394,42 +391,29 @@ def coprime_product_report(
     K <= B, conjugate or normal exactly when both factors are, so
     L(A x B) ~ L(A) x L(B): |L|, k' and |N| multiply, and so do d' and, as
     every section of A x B is a product of sections of A and B, d*.  The
-    product is abelian, Dedekind, nilpotent or has a modular lattice iff
-    every factor does.  It is minimal non-nilpotent only as the one
-    non-trivial factor: with two, A x 1 is a proper subgroup, nilpotent only
-    if A is.  d* is None out of the reach of `compute_report` (order
-    <= DSTAR_ORDER_LIMIT, or allow_slow); ms is this call's own time.
+    product is abelian, nilpotent or has a modular lattice iff every factor
+    does.  It is minimal non-nilpotent only as the one non-trivial factor:
+    with two, A x 1 is a proper subgroup, nilpotent only if A is.  d* is
+    None out of `d_star_in_reach`.  ms is the factors' ms plus this call's
+    own time, what a cold run of the product took.
     """
     t0 = time.perf_counter()
     order = prod(r.order for r in reports)
-    k_prime = prod(r.k_prime for r in reports)
-    normal_count = prod(r.normal_count for r in reports)
-    lattice_size = prod(r.lattice_size for r in reports)
     ds: Fraction | None = None
-    if order <= DSTAR_ORDER_LIMIT or allow_slow:
+    if d_star_in_reach(order, allow_slow):
         if any(r.d_star is None for r in reports):
             raise InvalidParameter("a factor's report lacks the d* its product needs")
         ds = prod((r.d_star for r in reports), start=Fraction(1))
-    nilpotent = all(r.flags["nilpotent"] for r in reports)
-    modular = all(r.flags["modular_lattice"] for r in reports)
     nontrivial = [r for r in reports if r.order > 1]
-    flags = {
-        "abelian": all(r.flags["abelian"] for r in reports),
-        "dedekind": all(r.flags["dedekind"] for r in reports),
-        "nilpotent": nilpotent,
-        "iwasawa": nilpotent and modular,
-        "modular_lattice": modular,
-        "schmidt": len(nontrivial) == 1 and nontrivial[0].flags["schmidt"],
-    }
-    return InvariantReport(
-        spec=spec,
-        order=order,
-        lattice_size=lattice_size,
-        k_prime=k_prime,
-        normal_count=normal_count,
-        nu=k_prime - normal_count,
-        d_prime=Fraction(k_prime, lattice_size),
-        d_star=ds,
-        flags=flags,
-        ms=int(round((time.perf_counter() - t0) * 1000)),
+    return InvariantReport.derive(
+        spec, order,
+        prod(r.lattice_size for r in reports),
+        prod(r.k_prime for r in reports),
+        prod(r.normal_count for r in reports),
+        ds,
+        sum(r.ms for r in reports) + int(round((time.perf_counter() - t0) * 1000)),
+        abelian=all(r.flags["abelian"] for r in reports),
+        nilpotent=all(r.flags["nilpotent"] for r in reports),
+        modular=all(r.flags["modular_lattice"] for r in reports),
+        schmidt=len(nontrivial) == 1 and nontrivial[0].flags["schmidt"],
     )

@@ -444,12 +444,14 @@ class SubgroupLattice:
     def up(self, i: int) -> int:
         """Bitset of the indices of the subgroups that contain subgroup i.
 
-        The AND over i's generators x of the subgroups holding x;
-        holders[0] (the identity) is every subgroup.
+        The AND over i's generators x of the subgroups holding x, started
+        from the first generator's holders; the trivial subgroup has no
+        generator and gets holders[0] (the identity's), every subgroup.
         """
         holders = self._holders
-        out = holders[0]
-        for x in self.gens[i]:
+        gens = iter(self.gens[i])
+        out = holders[next(gens, 0)]
+        for x in gens:
             out &= holders[x]
         return out
 

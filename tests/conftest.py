@@ -44,6 +44,7 @@ from dedekind.lattice import (
     SubgroupLattice,
     brute_force_subgroup_masks,
     maximal_subgroup_indices,
+    normalizes,
     subgroup_lattice,
 )
 from dedekind.verify import Corpus, build_corpus
@@ -659,6 +660,14 @@ def _table_d_prime(table) -> Fraction:
     """d' of the group with this raw section table: equal tables are equal
     groups, so each is built and validated once."""
     return d_prime(FiniteGroup(table))
+
+
+def is_dedekind(g: FiniteGroup) -> bool:
+    """Whether every subgroup of g is normal, i.e. every cyclic subgroup is."""
+    if g.is_abelian:
+        return True
+    gens = g.generating_set
+    return all(normalizes(g, g.closure((x,))[0], (x,), gens) for x in range(1, g.order))
 
 
 def literal_is_nilpotent(g: FiniteGroup) -> bool:

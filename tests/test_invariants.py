@@ -10,6 +10,7 @@ from conftest import (
     RELABELLED_SPECS,
     alternating_5,
     conjugation_sections,
+    is_dedekind,
     literal_d_star,
     literal_is_nilpotent,
     literal_is_schmidt,
@@ -35,9 +36,8 @@ from dedekind.invariants import (
     coprime_product_report,
     d_prime,
     d_star,
+    d_star_in_reach,
     has_modular_lattice,
-    is_dedekind,
-    is_iwasawa,
     is_nilpotent,
     is_q_self_dual,
     is_schmidt,
@@ -175,12 +175,15 @@ def test_section_quotients_build_one_group_each(spec, monkeypatch):
 
 
 def test_iwasawa(zoo):
-    assert is_iwasawa(zoo["q8"])
-    assert is_iwasawa(zoo["m16"])
-    assert is_iwasawa(zoo["c12"])
-    assert not is_iwasawa(zoo["d8"])  # nilpotent but pentagon in the lattice
-    assert not is_iwasawa(zoo["s3"])  # modular lattice but not nilpotent
-    assert not is_iwasawa(zoo["he3"])
+    def iwasawa(name):
+        return compute_report(zoo[name]).flags["iwasawa"]
+
+    assert iwasawa("q8")
+    assert iwasawa("m16")
+    assert iwasawa("c12")
+    assert not iwasawa("d8")  # nilpotent but pentagon in the lattice
+    assert not iwasawa("s3")  # modular lattice but not nilpotent
+    assert not iwasawa("he3")
 
 
 def test_modular_lattice_predicate(zoo):
@@ -350,6 +353,10 @@ def test_d_star_order_gate():
         d_star(big)
     # the same call goes through once explicitly allowed; cyclic is cheap
     assert d_star(cyclic(300), allow_slow=True) == 1
+    # the reach ends at DSTAR_ORDER_LIMIT itself
+    assert invariants.DSTAR_ORDER_LIMIT == 256
+    assert d_star_in_reach(256, False) and not d_star_in_reach(257, False)
+    assert d_star_in_reach(257, True)
 
 
 def test_compute_report_coherence(zoo):
@@ -450,3 +457,11 @@ def test_coprime_product_report_needs_each_factors_d_star_in_reach():
     assert coprime_product_report("C(300) x C(7)", factors).d_star is None
     with pytest.raises(InvalidParameter, match="lacks the d"):
         coprime_product_report("C(300) x C(7)", factors, allow_slow=True)
+
+
+def test_a_split_products_ms_counts_its_factors_ms():
+    # a product's ms counts its factors' ms, as a cold run of it would
+    c3, d8 = compute_report(cyclic(3)), compute_report(build_group("D(8)"), spec="D(8)")
+    timed = coprime_product_report("C(3) x D(8)", [replace(c3, ms=17), replace(d8, ms=25)])
+    assert timed.ms >= 42
+    assert replace(timed, ms=0) == replace(coprime_product_report("C(3) x D(8)", [c3, d8]), ms=0)

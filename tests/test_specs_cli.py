@@ -1008,6 +1008,13 @@ def test_cached_entry_missing_d_star_is_upgraded(capsys, tmp_path):
         assert read_entry(cp, "D(16)")["report"]["d_star"] == {"num": 11, "den": 19}
 
 
+def test_dstar_reach_ends_at_order_256(capsys):
+    assert run_cli(capsys, ["dstar", "C(256)", "--no-cache"]) == (0, "1\n", "")
+    assert run_cli(capsys, ["dstar", "C(257)", "--no-cache"]) == (
+        4, "", "error: d* on order 257 > 256 needs --allow-slow\n"
+    )
+
+
 def test_cached_report_keeps_the_d_star_size_gate(capsys, tmp_path):
     cp = str(tmp_path / "cache")
     # info caches C(300) without d*; dstar must still refuse, as it does cold

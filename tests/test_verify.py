@@ -9,12 +9,12 @@ from math import gcd
 
 import pytest
 
-from conftest import central_product_q8_d8, literal_d_star
+from conftest import central_product_q8_d8, is_dedekind, literal_d_star
 from dedekind import cli, verify
 from dedekind.errors import InvalidParameter
 from dedekind.formulas import d_prime_modular_formula
 from dedekind.groups import is_isomorphic, section_group
-from dedekind.invariants import compute_report, is_dedekind, sections
+from dedekind.invariants import compute_report, sections
 from dedekind.lattice import subgroup_lattice
 from dedekind.verify import (
     CORPUS_DSTAR_ORDER_LIMIT,
