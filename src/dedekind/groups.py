@@ -105,8 +105,10 @@ class FiniteGroup:
 
     def _adopt(self, table, name: str) -> None:
         """Take `table` as this group's, with the element orders and inverses
-        of one walk of its cyclic subgroups."""
+        of one walk of its cyclic subgroups.  No lattice is cached and no
+        coprime factors are recorded (`direct_product` records them)."""
         self.order, self.table, self.name, self._lattice = len(table), table, name, None
+        self._factors = None
         self.element_orders, self.inverses = _orders_and_inverses(table)
 
     def __repr__(self):
@@ -389,12 +391,18 @@ def direct_product(
     g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     """Direct product; element a*|H|+b stands for the pair (a, b).  Its table
-    is composed from the rows of the factors' generators (`_product_rows`)."""
+    is composed from the rows of the factors' generators (`_product_rows`).
+
+    If gcd(|G|, |H|) = 1, the product records (g, h) as its `_factors`, so
+    that `lattice.all_subgroup_masks` builds its subgroups from theirs."""
     n = g.order * h.order
     if n > order_cap:
         raise OrderCapExceeded(f"product of order {n} exceeds the cap {order_cap}")
     name = f"{g.name} x {h.name}" if g.name and h.name else ""
-    return FiniteGroup.from_generators(n, _product_rows(g, h), name)
+    out = FiniteGroup.from_generators(n, _product_rows(g, h), name)
+    if gcd(g.order, h.order) == 1:
+        out._factors = (g, h)
+    return out
 
 
 def semidirect_product(

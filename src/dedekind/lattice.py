@@ -14,7 +14,12 @@ H is extended only by an element x of p-power order that normalizes H, has
 x^p in H and lies below H's place in the series, so that H<x> is the union
 of p cosets of H, needs no closure, and has H as its one canonical parent
 (B. D. McKay, J. Algorithms 26, 1998).  So each subgroup is built exactly
-once, and only R's own subgroups need closures.
+once, and only R's own subgroups need closures.  A direct product A x B with
+gcd(|A|, |B|) = 1, which `groups.direct_product` records, is not enumerated:
+its subgroups are exactly the H x K with H <= A and K <= B, so
+L(A x B) = L(A) x L(B) (R. Schmidt, Subgroup Lattices of Groups, 1994), and
+each is put together from the factors' subgroups.  A group built from a
+table records no factors, so cyclic extension stays this path's oracle.
 
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
@@ -56,6 +61,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable
 from functools import cached_property
+from itertools import zip_longest
 
 from .errors import InvalidParameter, LatticeBudgetExceeded
 from .groups import FiniteGroup, _derived_subgroup, _mask_elements
@@ -175,7 +181,14 @@ def all_subgroup_masks(
     the union of the p cosets H x^j, its level is depth(x), and H is its
     canonical parent.  The elements of K \\ H give the same K, so they are
     marked as tried.  A solvable g has R = 1 and the one seed {1}.
+
+    A coprime direct product A x B, as `groups.direct_product` records it, is
+    not enumerated: with gcd(|A|, |B|) = 1 its subgroups are the H x K, so
+    L(A x B) = L(A) x L(B) (R. Schmidt, Subgroup Lattices of Groups, 1994),
+    and `_coprime_product_masks` pairs the factors' subgroups.
     """
+    if g._factors is not None:
+        return _coprime_product_masks(*g._factors, budget)
     series = composition_series(g)
     table = g.table
     roots, prime = _prime_roots(g)
@@ -228,6 +241,41 @@ def all_subgroup_masks(
                 raise LatticeBudgetExceeded(f"more than {budget} subgroups")
             stack.append((kmask, kelems, kgens, depth[x], krooted))
     return seen
+
+
+def _coprime_product_masks(
+    a: FiniteGroup, b: FiniteGroup, budget: int
+) -> dict[int, tuple[int, ...]]:
+    """All subgroups of A x B, gcd(|A|, |B|) = 1, as {mask: generating tuple}.
+
+    A factor's subgroups are read off its cached lattice, else enumerated
+    (without caching one).  Element a*|B| + b is the pair (a, b), so the mask
+    of H x K is spread(H) * mask(K), where spread(H) moves H's bit a to bit
+    a*|B|; mask(K) < 2^|B|, so the product has no carries.  The generators
+    pair as (h_i, k_i), the shorter list padded with the identity: with
+    coprime orders some power of (h, k) is (h, 1) and another (1, k).
+    """
+    subs = []
+    for f in (a, b):
+        lat = f._lattice
+        subs.append(
+            list(zip(lat.masks, lat.gens)) if lat is not None
+            else list(all_subgroup_masks(f, budget).items())
+        )
+    hsubs, ksubs = subs
+    if len(hsubs) * len(ksubs) > budget:
+        raise LatticeBudgetExceeded(f"more than {budget} subgroups")
+    nb = b.order
+    pad, digits = "0" * (nb - 1), f"0{a.order}b"
+    out = {}
+    for hmask, hgens in hsubs:
+        spread = int(pad.join(format(hmask, digits)), 2)
+        hgens = [h * nb for h in hgens]
+        for kmask, kgens in ksubs:
+            out[spread * kmask] = tuple(
+                h + k for h, k in zip_longest(hgens, kgens, fillvalue=0)
+            )
+    return out
 
 
 def _generic_extension(g: FiniteGroup, budget: int, r: int) -> dict[int, tuple[int, ...]]:
@@ -560,7 +608,7 @@ def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
             hits ^= 1 << j
         covers.reverse()
         return covers
-    rest = lat.up(i) & within ^ (1 << i)
+    rest = lat.up(i) & within & ~(1 << i)
     while rest:
         j = (rest & -rest).bit_length() - 1
         covers.append(j)

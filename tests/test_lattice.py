@@ -3,6 +3,7 @@
 import gc
 import time
 import weakref
+from math import gcd
 
 import pytest
 
@@ -26,7 +27,13 @@ from conftest import (
 from dedekind import lattice
 from dedekind.errors import InvalidParameter, LatticeBudgetExceeded
 from dedekind.families import cyclic, dihedral, elementary_abelian, modular_group
-from dedekind.groups import _mask_elements, direct_product, section_group, semidirect_product
+from dedekind.groups import (
+    FiniteGroup,
+    _mask_elements,
+    direct_product,
+    section_group,
+    semidirect_product,
+)
 from dedekind.lattice import (
     all_subgroup_masks,
     brute_force_subgroup_masks,
@@ -601,6 +608,88 @@ def test_lattice_budget(zoo):
         with pytest.raises(LatticeBudgetExceeded):
             all_subgroup_masks(s5, budget=budget)
     assert len(all_subgroup_masks(s5, budget=156)) == 156
+
+
+def test_coprime_products_match_cyclic_extension(corpus):
+    # a coprime direct product's subgroups are the H x K of its factors'
+    # subgroups; a copy of its table records no factors, so cyclic extension
+    # enumerates the copy, and each generating tuple must close to its mask
+    # (specs fold left, so only the last step of the first spec is coprime)
+    groups = [(e.spec, e.group) for e in corpus if e.group._factors is not None]
+    assert len(groups) == 293
+    for spec in ("K(2,3,2) x C(2) x C(3)", "C(3) x K(2,3,2) x C(2)"):
+        groups.append((spec, build_group(spec)))
+    for name, g in groups:
+        copy = FiniteGroup(g.table)
+        assert copy._factors is None, name
+        masks = all_subgroup_masks(g)
+        assert set(masks) == set(all_subgroup_masks(copy)), name
+        for mask, gens in masks.items():
+            assert g.closure(gens)[0] == mask, name
+
+
+def test_direct_product_records_only_coprime_factors(corpus):
+    groups = {e.spec: e.group for e in corpus}
+    for e in corpus:
+        coprime = bool(e.factors) and gcd(*(groups[f].order for f in e.factors)) == 1
+        assert (e.group._factors is not None) == coprime, e.spec
+    g = build_group("D(8) x EA(2,3)")
+    assert g._factors is None
+    assert len(all_subgroup_masks(g)) == 937
+
+
+def test_a_cached_factor_lattice_is_not_enumerated_again(monkeypatch):
+    # composition_series runs once per cyclic extension, so it counts the
+    # groups enumerated: a factor with a cached lattice is read, not
+    # enumerated, and one without is enumerated but gets no lattice cached
+    enumerated = []
+    series = lattice.composition_series
+
+    def counted(g):
+        enumerated.append(g.name)
+        return series(g)
+
+    monkeypatch.setattr(lattice, "composition_series", counted)
+    he3, d8 = build_group("He(3)"), build_group("D(8)")
+    subgroup_lattice(he3)
+    assert enumerated == ["He(3)"]
+    assert subgroup_lattice(direct_product(he3, d8)).size == 19 * 10
+    assert enumerated == ["He(3)", "D(8)"]
+    assert d8._lattice is None
+    subgroup_lattice(d8)
+    enumerated.clear()
+    assert subgroup_lattice(direct_product(he3, d8)).size == 19 * 10
+    assert enumerated == []
+    # nested coprime products recurse to their atoms
+    assert len(all_subgroup_masks(build_group("C(4) x C(3) x C(5)"))) == 3 * 2 * 2
+    assert enumerated == ["C(4)", "C(3)", "C(5)"]
+
+
+def test_coprime_product_budget():
+    # He(3) has 19 subgroups and C(2) has 2, so He(3) x C(2) has 38
+    assert len(all_subgroup_masks(build_group("He(3) x C(2)"), budget=38)) == 38
+    with pytest.raises(LatticeBudgetExceeded, match="^more than 37 subgroups$"):
+        all_subgroup_masks(build_group("He(3) x C(2)"), budget=37)
+
+
+def test_the_up_set_reduction_ends_when_up_lacks_the_subgroup(monkeypatch):
+    # correct code always has i in up(i); if it did not, the reduction must
+    # still find i's covers rather than take i as its own cover forever
+    lat = lattice.SubgroupLattice(_s4())
+    assert not lat.is_supersolvable
+    within = (1 << lat.size) - 1
+    want = [lattice._upper_covers(lat, i, within) for i in range(lat.size)]
+    up = lat.up
+    for i in range(lat.size):
+        calls = []
+
+        def lacking(j, i=i, calls=calls):
+            calls.append(j)
+            assert len(calls) <= lat.size, "the up-set reduction does not end"
+            return up(j) & ~(1 << i) if j == i else up(j)
+
+        monkeypatch.setattr(lat, "up", lacking)
+        assert lattice._upper_covers(lat, i, within) == want[i], i
 
 
 def test_class_representatives(zoo):
