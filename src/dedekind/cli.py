@@ -8,13 +8,13 @@ directory, one file per spec written by an atomic rename: a sha256 line,
 then the JSON entry.  An entry is served only when that line matches the
 bytes after it, its engine revision (the package version plus a hash of the
 package's module sources) is this one, and its spec is the requested one;
-any other entry is recomputed.  A cold report of a product whose atoms
-fall into two or more blocks of pairwise coprime order is combined from the
-blocks' reports (`invariants.coprime_product_report`), each read from the
-cache or computed and cached under the block's own spec, so no lattice of
-the product is built.  Verification failures, parameter errors,
-and budget caps map to distinct exit codes.  The argument parser is built on
-the first `main` call and reused by every later call in the process.
+any other entry is recomputed.  A cold report of a product whose atoms fall
+into two or more blocks of pairwise coprime order (`groups.coprime_blocks`)
+is combined from the blocks' reports (`invariants.coprime_product_report`),
+each read from the cache or computed and cached under the block's own spec,
+so no lattice of the product is built.  Verification failures, parameter
+errors, and budget caps map to distinct exit codes.  The argument parser is
+built on the first `main` call and reused by every later call in the process.
 
 `lattice --json` is written row by row, one f-string per subgroup record and
 per cover edge, and gives the same bytes as `json.dumps(..., indent=2)` of
@@ -42,7 +42,7 @@ import threading
 from collections.abc import Iterator
 from contextlib import suppress
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 from . import __version__
 from .errors import BudgetExhausted, DedekindError, InvalidParameter, OrderCapExceeded
@@ -57,7 +57,7 @@ from .formulas import (
     density_sequence,
     gaussian_binomial,
 )
-from .groups import DEFAULT_ORDER_CAP
+from .groups import DEFAULT_ORDER_CAP, coprime_blocks
 from .invariants import (
     DSTAR_ORDER_LIMIT,
     InvariantReport,
@@ -158,18 +158,6 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
-def _coprime_blocks(orders: list[int]) -> list[list[int]]:
-    """The indices of orders in the finest blocks of pairwise coprime product:
-    two orders that share a prime share a block.  Each block keeps the
-    indices ascending, and the blocks run by their first index."""
-    blocks: list[list[int]] = []
-    for i, n in enumerate(orders):
-        joined = [b for b in blocks if gcd(n, prod(orders[j] for j in b)) > 1]
-        blocks = [b for b in blocks if b not in joined]
-        blocks.append(sorted([i, *(j for b in joined for j in b)]))
-    return sorted(blocks)
-
-
 def _spec_report(args, text: str, need_d_star: bool = False, atoms=None) -> InvariantReport:
     """The InvariantReport of spec text, served from the cache only as a cold run prints it.
 
@@ -200,7 +188,7 @@ def _spec_report(args, text: str, need_d_star: bool = False, atoms=None) -> Inva
     if atoms is None:
         atoms = [GroupSpec((atom,)).build(order_cap=args.max_order) for atom in spec.atoms]
     order = prod(g.order for g in atoms)
-    blocks = _coprime_blocks([g.order for g in atoms])
+    blocks = coprime_blocks([g.order for g in atoms])
     group = None
     if len(blocks) == 1 or order > args.max_order:
         group = atoms[0] if len(atoms) == 1 else spec.build(args.max_order, atoms)

@@ -29,9 +29,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import index, itemgetter
 
 from .errors import (
@@ -49,6 +49,7 @@ __all__ = [
     "FiniteGroup",
     "GroupFingerprint",
     "cayley_rows",
+    "coprime_blocks",
     "direct_product",
     "semidirect_product",
     "section_group",
@@ -106,9 +107,9 @@ class FiniteGroup:
     def _adopt(self, table, name: str) -> None:
         """Take `table` as this group's, with the element orders and inverses
         of one walk of its cyclic subgroups.  No lattice is cached and no
-        coprime factors are recorded (`direct_product` records them)."""
+        coprime blocks are recorded (`direct_product` records them)."""
         self.order, self.table, self.name, self._lattice = len(table), table, name, None
-        self._factors = None
+        self._blocks = None
         self.element_orders, self.inverses = _orders_and_inverses(table)
 
     def __repr__(self):
@@ -387,21 +388,40 @@ def _product_rows(n_grp: FiniteGroup, h_grp: FiniteGroup, acts=None) -> dict:
     return gen_rows
 
 
+def coprime_blocks(orders: list[int]) -> list[list[int]]:
+    """The indices of orders in the finest blocks of pairwise coprime product:
+    two orders that share a prime share a block.  Each block keeps the
+    indices ascending, and the blocks run by their first index."""
+    blocks: list[list[int]] = []
+    for i, n in enumerate(orders):
+        joined = [b for b in blocks if gcd(n, prod(orders[j] for j in b)) > 1]
+        blocks = [b for b in blocks if b not in joined]
+        blocks.append(sorted([i, *(j for b in joined for j in b)]))
+    return sorted(blocks)
+
+
 def direct_product(
     g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     """Direct product; element a*|H|+b stands for the pair (a, b).  Its table
     is composed from the rows of the factors' generators (`_product_rows`).
 
-    If gcd(|G|, |H|) = 1, the product records (g, h) as its `_factors`, so
-    that `lattice.all_subgroup_masks` builds its subgroups from theirs."""
+    The parts are g's recorded blocks, each w times |H|, then h's; a group
+    that records none is the part (itself, 1).  If `coprime_blocks` of their
+    orders are two or more runs of adjacent parts, the product records them,
+    for `lattice.all_subgroup_masks`, as `_blocks`: (the product of a run's
+    parts, its last part's w), element x of which is element x*w of the
+    product.  So every bracketing records the same blocks."""
     n = g.order * h.order
     if n > order_cap:
         raise OrderCapExceeded(f"product of order {n} exceeds the cap {order_cap}")
     name = f"{g.name} x {h.name}" if g.name and h.name else ""
     out = FiniteGroup.from_generators(n, _product_rows(g, h), name)
-    if gcd(g.order, h.order) == 1:
-        out._factors = (g, h)
+    parts = [(f, w * h.order) for f, w in g._blocks or [(g, 1)]] + (h._blocks or [(h, 1)])
+    blocks = coprime_blocks([f.order for f, _ in parts])
+    if len(blocks) > 1 and all(b[-1] - b[0] == len(b) - 1 for b in blocks):
+        fold = partial(direct_product, order_cap=order_cap)
+        out._blocks = [(reduce(fold, [parts[i][0] for i in b]), parts[b[-1]][1]) for b in blocks]
     return out
 
 

@@ -14,12 +14,12 @@ H is extended only by an element x of p-power order that normalizes H, has
 x^p in H and lies below H's place in the series, so that H<x> is the union
 of p cosets of H, needs no closure, and has H as its one canonical parent
 (B. D. McKay, J. Algorithms 26, 1998).  So each subgroup is built exactly
-once, and only R's own subgroups need closures.  A direct product A x B with
-gcd(|A|, |B|) = 1, which `groups.direct_product` records, is not enumerated:
-its subgroups are exactly the H x K with H <= A and K <= B, so
+once, and only R's own subgroups need closures.  A direct product of blocks
+of pairwise coprime order, as `groups.direct_product` records them, is not
+enumerated: with gcd(|A|, |B|) = 1 the subgroups of A x B are the H x K, so
 L(A x B) = L(A) x L(B) (R. Schmidt, Subgroup Lattices of Groups, 1994), and
-each is put together from the factors' subgroups.  A group built from a
-table records no factors, so cyclic extension stays this path's oracle.
+each is put together from one subgroup per block.  A group built from a
+table records no blocks, so cyclic extension stays this path's oracle.
 
 The order is read from containment bitsets (`SubgroupLattice.up`, `below`).
 `up(i)` is an AND of per-element "subgroups holding x" bitsets, and its dual
@@ -182,13 +182,13 @@ def all_subgroup_masks(
     canonical parent.  The elements of K \\ H give the same K, so they are
     marked as tried.  A solvable g has R = 1 and the one seed {1}.
 
-    A coprime direct product A x B, as `groups.direct_product` records it, is
-    not enumerated: with gcd(|A|, |B|) = 1 its subgroups are the H x K, so
-    L(A x B) = L(A) x L(B) (R. Schmidt, Subgroup Lattices of Groups, 1994),
-    and `_coprime_product_masks` pairs the factors' subgroups.
+    A direct product of coprime blocks, as `groups.direct_product` records
+    them, is not enumerated: with gcd(|A|, |B|) = 1 the subgroups of A x B
+    are the H x K (R. Schmidt, Subgroup Lattices of Groups, 1994), and
+    `_coprime_product_masks` pairs the blocks' subgroups.
     """
-    if g._factors is not None:
-        return _coprime_product_masks(*g._factors, budget)
+    if g._blocks is not None:
+        return _coprime_product_masks(g._blocks, budget)
     series = composition_series(g)
     table = g.table
     roots, prime = _prime_roots(g)
@@ -244,37 +244,39 @@ def all_subgroup_masks(
 
 
 def _coprime_product_masks(
-    a: FiniteGroup, b: FiniteGroup, budget: int
+    blocks: list[tuple[FiniteGroup, int]], budget: int
 ) -> dict[int, tuple[int, ...]]:
-    """All subgroups of A x B, gcd(|A|, |B|) = 1, as {mask: generating tuple}.
+    """All subgroups of a product of coprime blocks (f, w), as {mask:
+    generating tuple}.  Element x of f is element x*w of the product.
 
-    A factor's subgroups are read off its cached lattice, else enumerated
-    (without caching one).  Element a*|B| + b is the pair (a, b), so the mask
-    of H x K is spread(H) * mask(K), where spread(H) moves H's bit a to bit
-    a*|B|; mask(K) < 2^|B|, so the product has no carries.  The generators
-    pair as (h_i, k_i), the shorter list padded with the identity: with
-    coprime orders some power of (h, k) is (h, 1) and another (1, k).
+    A block's subgroups are read off its cached lattice, else enumerated
+    (without caching one).  A subgroup's mask is the product of one mask per
+    block, spread bit x to bit x*w, with no carries as the element sums are
+    distinct.  The generators pair as (h_i, k_i, ...), padded with the
+    identity: with coprime orders some power of the tuple is each component.
     """
-    subs = []
-    for f in (a, b):
+    out: dict[int, tuple[int, ...]] = {}
+    for f, w in blocks:
         lat = f._lattice
-        subs.append(
+        subs = (
             list(zip(lat.masks, lat.gens)) if lat is not None
             else list(all_subgroup_masks(f, budget).items())
         )
-    hsubs, ksubs = subs
-    if len(hsubs) * len(ksubs) > budget:
-        raise LatticeBudgetExceeded(f"more than {budget} subgroups")
-    nb = b.order
-    pad, digits = "0" * (nb - 1), f"0{a.order}b"
-    out = {}
-    for hmask, hgens in hsubs:
-        spread = int(pad.join(format(hmask, digits)), 2)
-        hgens = [h * nb for h in hgens]
-        for kmask, kgens in ksubs:
-            out[spread * kmask] = tuple(
-                h + k for h, k in zip_longest(hgens, kgens, fillvalue=0)
-            )
+        if w > 1:
+            pad, digits = "0" * (w - 1), f"0{f.order}b"
+            subs = [
+                (int(pad.join(format(m, digits)), 2), tuple(x * w for x in gens))
+                for m, gens in subs
+            ]
+        if not out:
+            out = dict(subs)
+            continue
+        if len(out) * len(subs) > budget:
+            raise LatticeBudgetExceeded(f"more than {budget} subgroups")
+        out = {
+            hmask * kmask: tuple(h + k for h, k in zip_longest(hgens, kgens, fillvalue=0))
+            for hmask, hgens in out.items() for kmask, kgens in subs
+        }
     return out
 
 

@@ -36,6 +36,7 @@ from dedekind.groups import (
     DEFAULT_ISO_CAP,
     FiniteGroup,
     _mask_elements,
+    coprime_blocks,
     direct_product,
     find_isomorphism,
     is_isomorphic,
@@ -354,6 +355,12 @@ def test_direct_product_structure(zoo):
     assert is_isomorphic(h, cyclic(12))
     with pytest.raises(OrderCapExceeded):
         direct_product(cyclic(30), cyclic(30), order_cap=100)
+
+
+def test_coprime_blocks_group_the_atoms_that_share_a_prime():
+    assert coprime_blocks([2, 3, 8, 5, 9, 1, 35]) == [[0, 2], [1, 4], [3, 6], [5]]
+    assert coprime_blocks([6, 5, 10]) == [[0, 1, 2]]
+    assert coprime_blocks([7]) == [[0]]
 
 
 def test_semidirect_product_dihedral():

@@ -610,18 +610,53 @@ def test_lattice_budget(zoo):
     assert len(all_subgroup_masks(s5, budget=156)) == 156
 
 
+# the (order, w) of each recorded coprime block, for every atom order of two
+# specs: a block is recorded only as a run of adjacent atoms, so K(2,3,2)
+# and C(2) split by C(3) record none
+RECORDED_BLOCKS = {
+    "C(3) x K(2,3,2) x C(2)": [(3, 64), (64, 1)],
+    "C(3) x C(2) x K(2,3,2)": [(3, 64), (64, 1)],
+    "K(2,3,2) x C(2) x C(3)": [(64, 3), (3, 1)],
+    "C(2) x K(2,3,2) x C(3)": [(64, 3), (3, 1)],
+    "K(2,3,2) x C(3) x C(2)": None,
+    "C(2) x C(3) x K(2,3,2)": None,
+    "C(4) x C(3) x C(5)": [(4, 15), (3, 5), (5, 1)],
+    "C(4) x C(5) x C(3)": [(4, 15), (5, 3), (3, 1)],
+    "C(3) x C(4) x C(5)": [(3, 20), (4, 5), (5, 1)],
+    "C(3) x C(5) x C(4)": [(3, 20), (5, 4), (4, 1)],
+    "C(5) x C(4) x C(3)": [(5, 12), (4, 3), (3, 1)],
+    "C(5) x C(3) x C(4)": [(5, 12), (3, 4), (4, 1)],
+    "D(8) x C(3) x Q(8)": None,
+}
+
+
+def recorded_blocks(g):
+    return g._blocks and [(f.order, w) for f, w in g._blocks]
+
+
 def test_coprime_products_match_cyclic_extension(corpus):
-    # a coprime direct product's subgroups are the H x K of its factors'
-    # subgroups; a copy of its table records no factors, so cyclic extension
-    # enumerates the copy, and each generating tuple must close to its mask
-    # (specs fold left, so only the last step of the first spec is coprime)
-    groups = [(e.spec, e.group) for e in corpus if e.group._factors is not None]
+    # a product of coprime blocks has as subgroups the products of one
+    # subgroup per block; a copy of its table records no blocks, so cyclic
+    # extension enumerates the copy, and each generating tuple must close to
+    # its mask.  Every bracketing records the same blocks.
+    groups = [(e.spec, e.group) for e in corpus if e.group._blocks is not None]
     assert len(groups) == 293
-    for spec in ("K(2,3,2) x C(2) x C(3)", "C(3) x K(2,3,2) x C(2)"):
-        groups.append((spec, build_group(spec)))
+    for spec, blocks in RECORDED_BLOCKS.items():
+        g = build_group(spec)
+        assert recorded_blocks(g) == blocks, spec
+        groups.append((spec, g))
+    c2, c3, c4, c5, k = (build_group(s) for s in ("C(2)", "C(3)", "C(4)", "C(5)", "K(2,3,2)"))
+    for name, g, blocks in [
+        ("C(3) x (K(2,3,2) x C(2))", direct_product(c3, direct_product(k, c2)), [(3, 64), (64, 1)]),
+        ("(C(3) x K(2,3,2)) x C(2)", direct_product(direct_product(c3, k), c2), [(3, 64), (64, 1)]),
+        ("C(4) x (C(3) x C(5))", direct_product(c4, direct_product(c3, c5)), [(4, 15), (3, 5), (5, 1)]),
+    ]:
+        assert recorded_blocks(g) == blocks, name
+        groups.append((name, g))
     for name, g in groups:
+        assert all(f._blocks is None for f, _ in g._blocks or ()), name
         copy = FiniteGroup(g.table)
-        assert copy._factors is None, name
+        assert copy._blocks is None, name
         masks = all_subgroup_masks(g)
         assert set(masks) == set(all_subgroup_masks(copy)), name
         for mask, gens in masks.items():
@@ -632,9 +667,9 @@ def test_direct_product_records_only_coprime_factors(corpus):
     groups = {e.spec: e.group for e in corpus}
     for e in corpus:
         coprime = bool(e.factors) and gcd(*(groups[f].order for f in e.factors)) == 1
-        assert (e.group._factors is not None) == coprime, e.spec
+        assert (e.group._blocks is not None) == coprime, e.spec
     g = build_group("D(8) x EA(2,3)")
-    assert g._factors is None
+    assert g._blocks is None
     assert len(all_subgroup_masks(g)) == 937
 
 
@@ -660,7 +695,7 @@ def test_a_cached_factor_lattice_is_not_enumerated_again(monkeypatch):
     enumerated.clear()
     assert subgroup_lattice(direct_product(he3, d8)).size == 19 * 10
     assert enumerated == []
-    # nested coprime products recurse to their atoms
+    # a nested coprime product records its atoms as blocks
     assert len(all_subgroup_masks(build_group("C(4) x C(3) x C(5)"))) == 3 * 2 * 2
     assert enumerated == ["C(4)", "C(3)", "C(5)"]
 
@@ -670,6 +705,17 @@ def test_coprime_product_budget():
     assert len(all_subgroup_masks(build_group("He(3) x C(2)"), budget=38)) == 38
     with pytest.raises(LatticeBudgetExceeded, match="^more than 37 subgroups$"):
         all_subgroup_masks(build_group("He(3) x C(2)"), budget=37)
+    # three blocks of 3, 2 and 2 subgroups: the check before the last product
+    # sees 6 x 2
+    g = build_group("C(4) x C(3) x C(5)")
+    assert len(all_subgroup_masks(g, budget=12)) == 12
+    with pytest.raises(LatticeBudgetExceeded, match="^more than 11 subgroups$"):
+        all_subgroup_masks(g, budget=11)
+    # a cached block lattice is read past the budget, and the product is not
+    he3 = build_group("He(3)")
+    assert subgroup_lattice(he3).size == 19
+    with pytest.raises(LatticeBudgetExceeded, match="^more than 18 subgroups$"):
+        all_subgroup_masks(direct_product(he3, build_group("C(2)")), budget=18)
 
 
 def test_the_up_set_reduction_ends_when_up_lacks_the_subgroup(monkeypatch):

@@ -214,6 +214,15 @@ LISTING_DIGESTS = {
         "ed00b21ae7a574b74d63faae102ef21059210b8f10694932e0f900a96fa7c2e7",
         "d5eeadb25a38ddef7f0a4bd3d13b830ce66a46844cba1068bed8f1c7b15e00cd",
     ),
+    # paired from two coprime blocks, C(3) and K(2,3,2) x C(2); the digests
+    # were taken when the product was enumerated whole, by cyclic extension
+    "C(3) x K(2,3,2) x C(2)": (
+        "12094c1a5b11e76db6a10c0db173e4aaf4ec75b41283d8bab9b8b24007ec0809",
+        "e3f0143ab12a9cd459aaa510f58fb98d35d815ecbaa3b87975c527341bcded69",
+        "b65d81d0a3b6474770b6c70f85ca2ae3e85bd88e714c1dc49e963952a489691a",
+        "2aa943927ff1991bd298d7960a71a183df9666047dfaf61f43e989889a6173f3",
+        "055bb15040ab4e0e8de67c041fd3b9a3fb005641d003815794f17ee35cfaa33a",
+    ),
 }
 
 
@@ -471,12 +480,6 @@ SPLIT_EDGE_SPECS = [
     "G(3,2,2) x C(1)",
     "G(3,2,2) x C(5)",
 ]
-
-
-def test_coprime_blocks_group_the_atoms_that_share_a_prime():
-    assert cli._coprime_blocks([2, 3, 8, 5, 9, 1, 35]) == [[0, 2], [1, 4], [3, 6], [5]]
-    assert cli._coprime_blocks([6, 5, 10]) == [[0, 1, 2]]
-    assert cli._coprime_blocks([7]) == [[0]]
 
 
 @pytest.mark.parametrize("allow_slow", [False, True])
