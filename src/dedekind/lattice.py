@@ -614,7 +614,7 @@ def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
     while rest:
         j = (rest & -rest).bit_length() - 1
         covers.append(j)
-        rest &= ~lat.up(j)
+        rest &= ~(lat.up(j) | 1 << j)
     return covers
 
 

@@ -66,12 +66,10 @@ from .invariants import (
     is_q_self_dual,
     schmidt_structure_check,
     sections,
-    sylow_subgroups,
 )
 from .lattice import (
     all_subgroup_masks,
     brute_force_subgroup_masks,
-    is_lattice_modular,
     normalizes,
     subgroup_lattice,
 )
@@ -608,17 +606,12 @@ def suite_nilpotency(corpus: Corpus, stats: dict[str, InvariantReport]) -> Suite
         s.check(text, r.flags["nilpotent"], _witness(r, "nilpotent"))
         if e.group.order % 2:
             s.count("odd_order_over_2_3")
-            lat = subgroup_lattice(e.group)
-            sylows = sylow_subgroups(e.group)
-            bad = ""
-            for p, i in sorted(sylows.items()):
-                if is_lattice_modular(lat, i) is not None:
-                    bad = f"Sylow {p}-subgroup has a non-modular lattice"
-                    break
+            primes = sorted(prime_factorization(e.group.order))
             s.check(
                 f"{e.spec}: odd order and d* > 2/3 force a product of lattice-modular p-groups",
-                r.flags["nilpotent"] and not bad,
-                bad or f"Sylow primes {sorted(sylows)} all lattice-modular",
+                r.flags["iwasawa"],
+                f"Sylow primes {primes} all lattice-modular"
+                if r.flags["iwasawa"] else _witness(r, "iwasawa"),
             )
     text = "D(6): attains d* = 2/3 yet is not nilpotent (threshold sharp)"
     _sharp(s, stats.get("D(6)"), text, Fraction(2, 3), "nilpotent")

@@ -719,22 +719,24 @@ def test_coprime_product_budget():
 
 
 def test_the_up_set_reduction_ends_when_up_lacks_the_subgroup(monkeypatch):
-    # correct code always has i in up(i); if it did not, the reduction must
-    # still find i's covers rather than take i as its own cover forever
+    # correct code always has j in up(j); if it did not, the reduction must
+    # still find i's covers rather than take i, or a cover j it has found,
+    # as a cover again forever
     lat = lattice.SubgroupLattice(_s4())
     assert not lat.is_supersolvable
     within = (1 << lat.size) - 1
     want = [lattice._upper_covers(lat, i, within) for i in range(lat.size)]
     up = lat.up
+    calls = []
+
+    def lacking(j):
+        calls.append(j)
+        assert len(calls) <= lat.size, "the up-set reduction does not end"
+        return up(j) & ~(1 << j)
+
+    monkeypatch.setattr(lat, "up", lacking)
     for i in range(lat.size):
-        calls = []
-
-        def lacking(j, i=i, calls=calls):
-            calls.append(j)
-            assert len(calls) <= lat.size, "the up-set reduction does not end"
-            return up(j) & ~(1 << i) if j == i else up(j)
-
-        monkeypatch.setattr(lat, "up", lacking)
+        calls.clear()
         assert lattice._upper_covers(lat, i, within) == want[i], i
 
 

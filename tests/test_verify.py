@@ -160,6 +160,22 @@ def test_suites_catch_corrupted_stats(fast_corpus, fast_stats):
     assert any(victim in c.witness or victim in c.description for c in results[0].checks if not c.ok)
 
 
+def test_the_nilpotency_suite_reads_the_iwasawa_flag(fast_corpus, fast_stats):
+    # M(3,3) has odd order and d* = 4/5 > 2/3; a report that calls its
+    # lattice non-modular must fail the odd-order check, and only that one
+    victim = "M(3,3)"
+    r = fast_stats[victim]
+    assert r.d_star == Fraction(4, 5) and r.flags["iwasawa"]
+    poisoned = dict(fast_stats)
+    flags = {**r.flags, "modular_lattice": False, "iwasawa": False}
+    poisoned[victim] = dataclasses.replace(r, flags=flags)
+    result = run_suites(["nilpotency"], corpus=fast_corpus, stats=poisoned)[0]
+    assert [(c.description, c.witness) for c in result.checks if not c.ok] == [(
+        f"{victim}: odd order and d* > 2/3 force a product of lattice-modular p-groups",
+        "d* = 4/5, iwasawa = False",
+    )]
+
+
 def test_consistency_recount_catches_a_corrupted_normal_count(fast_corpus, fast_stats):
     # k' moves with |N|, so k' = |N| + nu still holds and only the recount of
     # the normal subgroups from the lattice can catch it
