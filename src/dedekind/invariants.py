@@ -175,6 +175,9 @@ def _ascending_map_is_isomorphism(table, action, helems) -> bool:
 
 
 def has_modular_lattice(g: FiniteGroup) -> bool:
+    """Whether L(g) is modular.  nu = 0 (every subgroup normal) answers at
+    once, as normal subgroups form a modular lattice; otherwise the cover
+    walk `is_lattice_modular` runs on the whole lattice."""
     lat = subgroup_lattice(g)
     return lat.nu == 0 or is_lattice_modular(lat) is None
 

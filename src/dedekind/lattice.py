@@ -32,10 +32,11 @@ index order, a linear extension (Aho, Garey and Ullman, 1972).
 `hasse_edges` returns the lower covers of each subgroup as one list of
 indices per subgroup, in the order `lattice --json` writes them.
 L(H) is the interval [1, H] of L(G) (R. Schmidt, Subgroup Lattices of Groups,
-1994), so questions about the subgroups of H are answered on that interval:
-the functions that take a `top` index work on [1, top], the whole lattice by
-default.  A normalizer is read off the lattice too (`normalizer_index`): by
-orbit-stabilizer its order is |G| over the size of the conjugacy class.
+1994), so `maximal_subgroup_indices` and `frattini_subgroup` take a `top`
+index and work on [1, top], the whole lattice by default; the cover graph
+and the modular walk read the whole lattice.  A normalizer is read off the
+lattice too (`normalizer_index`): by orbit-stabilizer its order is |G| over
+the size of the conjugacy class.
 
 Conjugation acts on a subgroup K = <k_1, ..., k_r> through its generators.
 Whether elements a normalize K is tested by `normalizes`: a K a^-1 = K iff
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import cached_property
 from itertools import zip_longest
 
@@ -582,17 +583,16 @@ def hasse_edges(lat: SubgroupLattice) -> list[list[int]]:
     then ascending index, and their upper covers read by `_upper_covers`, so
     each list is in order as it is built.
     """
-    within = (1 << lat.size) - 1
     lower: list[list[int]] = [[] for _ in range(lat.size)]
     for run in reversed(lat.runs.values()):
         for i in run:
-            for j in _upper_covers(lat, i, within):
+            for j in _upper_covers(lat, i):
                 lower[j].append(i)
     return lower
 
 
-def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
-    """The upper covers of i among the indices in the bitset `within`, ascending.
+def _upper_covers(lat: SubgroupLattice, i: int) -> list[int]:
+    """The upper covers of subgroup i in the whole lattice, ascending.
 
     An index-p containment, p prime, is always a cover.  If G is
     supersolvable, so are its subgroups, and every cover has prime index
@@ -603,14 +603,14 @@ def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
     covers = []
     if lat.is_supersolvable:
         base, span = lat._windows[lat.masks[i].bit_count()]
-        hits = (lat.up(i) & (within & span)) >> base
+        hits = (lat.up(i) & span) >> base
         while hits:  # top bit first: each step shortens hits, a lowest-bit step does not
             j = hits.bit_length() - 1
             covers.append(base + j)
             hits ^= 1 << j
         covers.reverse()
         return covers
-    rest = lat.up(i) & within & ~(1 << i)
+    rest = lat.up(i) & ~(1 << i)
     while rest:
         j = (rest & -rest).bit_length() - 1
         covers.append(j)
@@ -621,9 +621,9 @@ def _upper_covers(lat: SubgroupLattice, i: int, within: int) -> list[int]:
 def maximal_subgroup_indices(lat: SubgroupLattice, top: int | None = None) -> list[int]:
     """Indices of the maximal subgroups of subgroup top, by decreasing order then index."""
     top = lat.top_index(top)
-    within = lat.below(top)
-    by_order = sorted(_mask_elements(within ^ (1 << top)), key=lambda i: -lat.masks[i].bit_count())
-    return [i for i in by_order if lat.up(i) & within == (1 << top) | (1 << i)]
+    inside = lat.below(top)
+    by_order = sorted(_mask_elements(inside ^ (1 << top)), key=lambda i: -lat.masks[i].bit_count())
+    return [i for i in by_order if lat.up(i) & inside == (1 << top) | (1 << i)]
 
 
 def frattini_subgroup(g: FiniteGroup, top: int | None = None) -> int:
@@ -676,10 +676,8 @@ def brute_force_subgroup_masks(g: FiniteGroup) -> set[int]:
     return found
 
 
-def is_lattice_modular(
-    lat: SubgroupLattice, top: int | None = None
-) -> tuple[int, int, int, bool] | None:
-    """None if the interval [1, top] is modular, else the first semimodularity
+def is_lattice_modular(lat: SubgroupLattice) -> tuple[int, int, int, bool] | None:
+    """None if the subgroup lattice is modular, else the first semimodularity
     failure found, as (a, b, c, dual).
 
     A finite lattice is modular iff it is upper and lower semimodular
@@ -687,36 +685,34 @@ def is_lattice_modular(
     both, and dually.  b v c covers both iff b and c have a common upper cover,
     so the test needs only the cover graph.  A failure has b < c covering a
     with no common upper cover, or, when dual, b < c covered by a with no
-    common lower cover.  The upper covers of each element are read by
+    common lower cover.  The upper covers of each subgroup are read by
     `_upper_covers`, the rule `hasse_edges` uses, when first asked for and
     kept, and the pairs of a are checked before those of a + 1, so a
     non-modular lattice usually stops after a few covers.  Only when the
     upper half passes are the kept covers inverted into lower-cover lists for
     the dual half.  The memory is O(edges).
 
-    The dual half is skipped when subgroup top is nilpotent: two distinct
-    maximal subgroups b, c of a nilpotent a are normal of prime index, so
-    bc = a, and |b : b n c| = |a : c| and |c : b n c| = |a : b| are prime, so
-    b n c is covered by both.  The nilpotency test runs only after the upper
-    half has passed.
+    The dual half is skipped when G is nilpotent: two distinct maximal
+    subgroups b, c of a nilpotent a are normal of prime index, so bc = a, and
+    |b : b n c| = |a : c| and |c : b n c| = |a : b| are prime, so b n c is
+    covered by both.  The nilpotency test runs only after the upper half has
+    passed.
     """
-    top = lat.top_index(top)
-    within = lat.below(top)
-    up: list[list[int] | None] = [None] * (top + 1)
+    members = range(lat.size)
+    up: list[list[int] | None] = [None] * lat.size
 
     def upper(i: int) -> list[int]:
         covers = up[i]
         if covers is None:
-            covers = up[i] = _upper_covers(lat, i, within)
+            covers = up[i] = _upper_covers(lat, i)
         return covers
 
-    members = _mask_elements(within)
     failure = _semimodular_scan(members, upper)
     if failure is not None:
         return (*failure, False)
-    if lat.is_nilpotent(top):
+    if lat.is_nilpotent(lat.size - 1):
         return None
-    down: list[list[int]] = [[] for _ in range(top + 1)]
+    down: list[list[int]] = [[] for _ in members]
     for a in members:
         for j in up[a]:
             down[j].append(a)
@@ -725,7 +721,7 @@ def is_lattice_modular(
 
 
 def _semimodular_scan(
-    members: list[int], covers: Callable[[int], list[int]]
+    members: Iterable[int], covers: Callable[[int], list[int]]
 ) -> tuple[int, int, int] | None:
     """The first (a, b, c) with b < c in covers(a) and no common cover, for a
     in `members` ascending; covers(x) lists the covers of x on one side

@@ -437,6 +437,13 @@ def test_reports_do_not_depend_on_element_labels(corpus):
         assert literal_d_star(g) == rep.d_star
 
 
+def test_reports_of_types_beyond_the_corpus_do_not_depend_on_element_labels(beyond_corpus):
+    # the 30 section-built types no spec names, each under fresh labels
+    rng = random.Random(30)
+    for k, g in enumerate(beyond_corpus):
+        assert _report(relabelled(g, rng)) == _report(g), f"section type {k}"
+
+
 @pytest.mark.parametrize("a, b", [("He(3)", "EA(3,2)"), ("Q(8)", "EA(2,4)")])
 def test_direct_product_order_does_not_change_the_report(a, b):
     assert _report(build_group(f"{a} x {b}")) == _report(build_group(f"{b} x {a}"))

@@ -404,13 +404,12 @@ def test_frattini_subgroup(zoo):
 @pytest.mark.parametrize(
     "call",
     [
-        # -1 must not read as an empty interval, which is modular and has no
-        # maximal subgroups
-        lambda g, i: is_lattice_modular(subgroup_lattice(g), i),
+        # -1 must not read as an empty interval, which has no maximal
+        # subgroups
         lambda g, i: maximal_subgroup_indices(subgroup_lattice(g), i),
         lambda g, i: frattini_subgroup(g, i),
     ],
-    ids=["is_lattice_modular", "maximal_subgroup_indices", "frattini_subgroup"],
+    ids=["maximal_subgroup_indices", "frattini_subgroup"],
 )
 def test_subgroup_indices_outside_the_lattice_are_rejected(call, zoo):
     g = zoo["d8"]
@@ -584,10 +583,6 @@ def _check_intervals_against_induced_lattices(g) -> int:
             hlat.masks[j].bit_count() for j in maximal_subgroup_indices(hlat)
         ]
         assert frattini_subgroup(g, i) == in_g([frattini_subgroup(hgrp)])[0], g.name
-        failure = is_lattice_modular(lat, i)
-        assert (failure is None) == (is_lattice_modular(hlat) is None), g.name
-        if failure is not None:
-            assert_semimodularity_failure(lat, failure)
     return len(reps)
 
 
@@ -724,8 +719,7 @@ def test_the_up_set_reduction_ends_when_up_lacks_the_subgroup(monkeypatch):
     # as a cover again forever
     lat = lattice.SubgroupLattice(_s4())
     assert not lat.is_supersolvable
-    within = (1 << lat.size) - 1
-    want = [lattice._upper_covers(lat, i, within) for i in range(lat.size)]
+    want = [lattice._upper_covers(lat, i) for i in range(lat.size)]
     up = lat.up
     calls = []
 
@@ -737,7 +731,7 @@ def test_the_up_set_reduction_ends_when_up_lacks_the_subgroup(monkeypatch):
     monkeypatch.setattr(lat, "up", lacking)
     for i in range(lat.size):
         calls.clear()
-        assert lattice._upper_covers(lat, i, within) == want[i], i
+        assert lattice._upper_covers(lat, i) == want[i], i
 
 
 def test_class_representatives(zoo):
